@@ -109,7 +109,6 @@ import (
 	"optassign/internal/cas"
 	"optassign/internal/coord"
 	"optassign/internal/core"
-	"optassign/internal/evt"
 	"optassign/internal/netdps"
 	"optassign/internal/netgen"
 	"optassign/internal/obs"
@@ -468,7 +467,6 @@ func main() {
 	// as a second tier: classes evicted from memory — or measured by a
 	// previous run, or by another process sharing the directory — are
 	// served from disk instead of the testbed.
-	var cached *core.CachedRunner
 	if *cacheOn {
 		cm := core.NewCacheMetrics(reg)
 		c := core.NewCache(*cacheSize, cm)
@@ -481,8 +479,7 @@ func main() {
 			c.AttachStore(store)
 			fmt.Printf("persistent measurement store at %s: %d classes on disk\n", *cacheDir, store.Len())
 		}
-		cached = core.NewCachedContextRunner(runner, c, identity)
-		runner = cached
+		runner = core.NewCachedContextRunner(runner, c, identity)
 		if prog != nil {
 			prog.cachem = cm
 		}
@@ -490,127 +487,60 @@ func main() {
 
 	// Write-ahead journal: every completed measurement hits disk before
 	// the next one starts, so a killed campaign resumes from where it was.
-	var j *campaign.Journal
+	rc := campaign.RunConfig{Workers: *workers}
 	if *journalPath != "" {
 		h := campaign.JournalHeader{Benchmark: name, Topo: topo, Tasks: tasks, Seed: *seed, Strategy: strategySpec}
-		var err error
 		if *resume {
-			var st *campaign.JournalState
-			j, st, err = campaign.ResumeJournal(*journalPath, h)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Resume = st.Results
-			cfg.ResumeDraws = st.Draws
-			// Outcome-driven strategies rebuild their internal state by
-			// replaying the journaled draw log; uniform ignores it.
-			cfg.ResumeLog = st.Log
-			fmt.Printf("resuming from %s: %d measurements recovered (%d quarantined)\n",
-				*journalPath, len(st.Results), st.Quarantined)
-			// The estimator checkpoint restores the streaming tail state
-			// alongside the journal; its hash is verified against the
-			// replayed sample before it is trusted. Absent (pre-streaming
-			// journal, or killed before the first refit) the state is
-			// rebuilt from the replay.
-			ckpt, cerr := campaign.LoadEstimatorCheckpoint(campaign.EstimatorCheckpointPath(*journalPath))
-			if cerr != nil {
-				log.Fatal(cerr)
-			}
-			if ckpt != nil {
-				cfg.StreamCheckpoint = ckpt
-				fmt.Printf("restored estimator checkpoint: %d tail observations, %d refits\n", ckpt.N, ckpt.RefitCount)
+			rc.Journal, rc.State, err = campaign.ResumeJournal(*journalPath, h)
+			if err == nil {
+				fmt.Printf("resuming from %s: %d measurements recovered (%d quarantined)\n",
+					*journalPath, len(rc.State.Results), rc.State.Quarantined)
 			}
 		} else {
-			j, err = campaign.CreateJournal(*journalPath, h)
-			if err != nil {
-				log.Fatal(err)
-			}
+			rc.Journal, err = campaign.CreateJournal(*journalPath, h)
 		}
-		j.Instrument(campaign.NewJournalMetrics(reg))
-		defer j.Close()
-		ckptPath := campaign.EstimatorCheckpointPath(*journalPath)
-		cfg.OnRefit = func(st evt.StreamState) error {
-			return campaign.SaveEstimatorCheckpoint(ckptPath, st)
+		if err != nil {
+			log.Fatal(err)
 		}
+		rc.Journal.Instrument(campaign.NewJournalMetrics(reg))
+		defer rc.Journal.Close()
 	}
 
 	var recorded *campaign.Campaign
 	if *record != "" {
 		recorded = campaign.New(name, topo, *seed)
+		rc.Commit = recorded.Commit
 	}
 
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = 1
-		if poolSize > 1 {
-			nWorkers = poolSize // keep every pooled testbed busy
-		}
+	if rc.Workers <= 0 && poolSize > 1 {
+		rc.Workers = poolSize // keep every pooled testbed busy
 	}
-
-	// Ctrl-C / SIGTERM stops the campaign at a measurement boundary; the
-	// journal keeps everything completed so far.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var res core.IterResult
 	switch {
 	case *batchSize > 0:
 		// Batched measurement: chunks of draws resolve against the cache
 		// tiers together and the unique misses run core-sharded on the
-		// testbed's batch path. Commits land in draw order, so the journal
-		// and the recorded campaign stay byte-identical to a serial run.
-		var commits []core.CommitFunc
-		if j != nil {
-			commits = append(commits, j.Commit)
-		}
-		if recorded != nil {
-			commits = append(commits, recorded.Commit)
-		}
-		if cached == nil {
-			// No -cache: the batch path still needs the runner that knows
-			// how to reach the source's batch capability; a nil cache
-			// disables memoization but keeps the core sharding.
-			cached = core.NewCachedContextRunner(runner, nil, identity)
-		}
+		// testbed's batch path.
 		if *retries > 0 || *timeout > 0 {
 			fmt.Println("note: -retries/-timeout wrap each measurement individually, so -batch falls back to per-draw measurement under the resilient runner")
 		}
 		fmt.Printf("measuring in core-sharded batches of %d\n", *batchSize)
-		res, err = core.IterateBatched(ctx, cfg, cached,
-			core.BatchOptions{Size: *batchSize, Metrics: core.NewBatchMetrics(reg)},
-			core.ChainCommits(commits...))
-	case nWorkers > 1:
-		// Parallel fan-out: the shared measurement stack feeds nWorkers
-		// concurrent workers; completions commit to the journal and the
-		// recorded campaign strictly in draw order, so everything written
-		// is byte-identical to a serial run.
-		var commits []core.CommitFunc
-		if j != nil {
-			commits = append(commits, j.Commit)
-		}
-		if recorded != nil {
-			commits = append(commits, recorded.Commit)
-		}
-		pool, perr := core.NewReplicatedPool(runner, nWorkers)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		pm := core.NewPoolMetrics(reg, nWorkers)
-		pool.Instrument(pm)
+		rc.Batch = core.BatchOptions{Size: *batchSize, Metrics: core.NewBatchMetrics(reg)}
+	case rc.Workers > 1:
+		// Parallel fan-out: completions still commit to the journal and
+		// the recorded campaign strictly in draw order.
+		rc.PoolMetrics = core.NewPoolMetrics(reg, rc.Workers)
 		if prog != nil {
-			prog.poolm, prog.workers = pm, nWorkers
+			prog.poolm, prog.workers = rc.PoolMetrics, rc.Workers
 		}
-		fmt.Printf("measuring with %d parallel workers\n", nWorkers)
-		res, err = core.IterateParallel(ctx, cfg, pool, core.ChainCommits(commits...))
-	default:
-		if j != nil {
-			runner = campaign.JournalRunner{Journal: j, Runner: runner}
-		}
-		if recorded != nil {
-			runner = campaign.Recorder{Campaign: recorded, Runner: core.AsRunner(runner)}
-		}
-		res, err = core.IterateContext(ctx, cfg, runner)
+		fmt.Printf("measuring with %d parallel workers\n", rc.Workers)
 	}
+
+	// Ctrl-C / SIGTERM stops the campaign at a measurement boundary; the
+	// journal keeps everything completed so far. Whatever error the
+	// interrupted measurement surfaced, Run reports context.Canceled.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := campaign.Run(ctx, runner, cfg, rc)
 	prog.done()
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !errors.Is(err, core.ErrBudgetExhausted) && !interrupted {

@@ -8,7 +8,6 @@ package campaign
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,39 +166,9 @@ func Merge(cs ...*Campaign) (*Campaign, error) {
 	return out, nil
 }
 
-// Recorder is a core.Runner middleware that appends every measurement to a
-// campaign while delegating to the real runner — run a study and keep the
-// raw data in one pass.
-type Recorder struct {
-	Campaign *Campaign
-	Runner   core.Runner
-}
-
-// Measure implements core.Runner.
-func (r Recorder) Measure(a assign.Assignment) (float64, error) {
-	perf, err := r.Runner.Measure(a)
-	if err != nil {
-		return 0, err
-	}
-	r.Campaign.Add(a, perf)
-	return perf, nil
-}
-
-// MeasureContext implements core.ContextRunner, so a Recorder can sit
-// anywhere in a fault-tolerant measurement stack.
-func (r Recorder) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
-	perf, err := core.AsContextRunner(r.Runner).MeasureContext(ctx, a)
-	if err != nil {
-		return 0, err
-	}
-	r.Campaign.Add(a, perf)
-	return perf, nil
-}
-
-// Commit is the campaign as a core.CommitFunc: successful measurements
-// are recorded, failures are not (the campaign file is the cleaned
-// result; the journal keeps the failures). It is the parallel-campaign
-// counterpart of the Recorder middleware.
+// Commit is the campaign as a core.CommitFunc (RunConfig.Commit):
+// successful measurements are recorded, failures are not — the campaign
+// file is the cleaned result; the journal keeps the failures.
 func (c *Campaign) Commit(a assign.Assignment, perf float64, measureErr error) error {
 	if measureErr == nil {
 		c.Add(a, perf)

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 
+	"optassign/internal/cas"
 	"optassign/internal/evt"
 )
 
@@ -23,8 +24,9 @@ import (
 // never be loadable.
 //
 // Crash ordering is safe in one direction only: measurements hit the
-// journal before the refit that includes them, so at any crash the
-// journal is at or ahead of the checkpoint. Resume verifies the rest —
+// journal before the refit that includes them, and Run syncs the journal
+// before each checkpoint it saves, so at any crash — power loss included
+// — the journal is at or ahead of the checkpoint. Resume verifies the rest —
 // the checkpoint's commit-order hash must match the journal's replayed
 // prefix (see core.IterConfig.StreamCheckpoint).
 
@@ -35,49 +37,17 @@ func EstimatorCheckpointPath(journalPath string) string {
 }
 
 // SaveEstimatorCheckpoint atomically replaces the checkpoint at path
-// with st: the state is written to a temporary file in the same
-// directory, synced, renamed over the target, and the parent directory
-// is synced, so a crash at any instant leaves either the previous or the
-// new checkpoint fully intact. Without the final directory sync the
-// rename itself could be lost on power failure on some filesystems —
-// the file's bytes durable but the name still pointing at the old inode,
-// or at nothing.
+// with st (cas.WriteFileAtomic: temp file, fsync, rename, directory
+// fsync), so a crash at any instant leaves either the previous or the
+// new checkpoint fully intact.
 func SaveEstimatorCheckpoint(path string, st evt.StreamState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	err := cas.WriteFileAtomic(path, 0o600, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(st)
+	})
 	if err != nil {
 		return fmt.Errorf("campaign: estimator checkpoint: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(st); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: encoding estimator checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: syncing estimator checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign: closing estimator checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("campaign: installing estimator checkpoint: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("campaign: syncing checkpoint directory: %w", err)
-	}
 	return nil
-}
-
-// syncDir fsyncs a directory, making a just-renamed entry durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // LoadEstimatorCheckpoint reads the checkpoint at path. A missing file

@@ -71,6 +71,7 @@ type JournalEntry struct {
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
+	path    string
 	header  JournalHeader
 	seq     int
 	closed  bool
@@ -179,7 +180,7 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 			return nil, fmt.Errorf("campaign: truncating journal %s: %w", path, err)
 		}
 	}
-	j := &Journal{f: f, header: h}
+	j := &Journal{f: f, path: path, header: h}
 	if err := j.writeLine(h); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -243,7 +244,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error
 			return nil, nil, err
 		}
 	}
-	return &Journal{f: f, header: st.Header, seq: st.Draws}, st, nil
+	return &Journal{f: f, path: path, header: st.Header, seq: st.Draws}, st, nil
 }
 
 // Header returns the journal's identity line.
@@ -318,10 +319,9 @@ func (j *Journal) writeLine(v any) error {
 // Commit is the journal as a core.CommitFunc: successes are journaled via
 // Append, quarantines via AppendFailure, anything else (a campaign
 // cancellation, a fatal measurement error) is not journaled — the draw
-// never completed and a resumed run re-executes it. Feed it to
-// core.CollectSampleParallel / core.IterateParallel: the parallel fan-out
-// commits in draw order, so the journal it produces is byte-identical to
-// the one the serial JournalRunner middleware writes.
+// never completed and a resumed run re-executes it. Every execution path
+// commits in draw order, so the journal it produces is byte-identical
+// whether the campaign ran serially, fanned out or batched.
 func (j *Journal) Commit(a assign.Assignment, perf float64, measureErr error) error {
 	switch {
 	case measureErr == nil:
@@ -489,9 +489,11 @@ func (s *JournalState) Campaign() *Campaign {
 }
 
 // JournalRunner is a core.ContextRunner middleware that write-ahead logs
-// every completed measurement: successes via Append, quarantines via
-// AppendFailure. Campaign-cancellation errors are not journaled — the
-// draw never completed and the resumed run will re-execute it.
+// every completed measurement through Journal.Commit: successes and
+// quarantines are journaled, campaign-cancellation errors are not — the
+// draw never completed and the resumed run will re-execute it. Campaigns
+// commit through Run instead; JournalRunner remains for callers that
+// drive core.IterateContext directly.
 type JournalRunner struct {
 	Journal *Journal
 	Runner  core.ContextRunner
@@ -500,15 +502,8 @@ type JournalRunner struct {
 // MeasureContext implements core.ContextRunner.
 func (r JournalRunner) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
 	perf, err := r.Runner.MeasureContext(ctx, a)
-	switch {
-	case err == nil:
-		if jerr := r.Journal.Append(a, perf); jerr != nil {
-			return 0, jerr
-		}
-	case errors.Is(err, core.ErrQuarantined):
-		if jerr := r.Journal.AppendFailure(a, err); jerr != nil {
-			return 0, jerr
-		}
+	if jerr := r.Journal.Commit(a, perf, err); jerr != nil {
+		return 0, jerr
 	}
 	return perf, err
 }

@@ -348,18 +348,10 @@ func fleetIterConfig(topo t2.Topology, tasks int, cfg CampaignConfig) core.IterC
 // scheduled disturbances as their commit counts land, and returns the
 // result plus the journal bytes. The measurement stack is the production
 // one: membership pool → resilient retries → replicated workers →
-// in-order journal commits.
+// in-order journal commits (campaign.Run).
 func (f *Fleet) RunCampaign(ctx context.Context, dir string, cfg CampaignConfig, sched Schedule) (core.IterResult, []byte, error) {
 	cfg = cfg.withDefaults()
 	if err := f.Pool.WaitReady(ctx, 1); err != nil {
-		return core.IterResult{}, nil, err
-	}
-	icfg := fleetIterConfig(f.Pool.Topology(), f.Pool.Tasks(), cfg)
-	path := dir + "/fleet.journal"
-	j, err := campaign.CreateJournal(path, campaign.JournalHeader{
-		Benchmark: "chaos", Topo: icfg.Topo, Tasks: icfg.Tasks, Seed: cfg.Seed,
-	})
-	if err != nil {
 		return core.IterResult{}, nil, err
 	}
 	// Retries hide every disturbance from the journal: a measurement that
@@ -373,31 +365,17 @@ func (f *Fleet) RunCampaign(ctx context.Context, dir string, cfg CampaignConfig,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    25 * time.Millisecond,
 	})
-	workers, err := core.NewReplicatedPool(resilient, cfg.Workers)
-	if err != nil {
-		j.Close()
-		return core.IterResult{}, nil, err
-	}
 	commits := 0
-	commit := func(a assign.Assignment, perf float64, measureErr error) error {
-		if err := j.Commit(a, perf, measureErr); err != nil {
-			return err
-		}
-		commits++ // IterateParallel commits in order from one goroutine
+	fire := func(assign.Assignment, float64, error) error {
+		commits++ // Run commits in order from one goroutine
 		if hook, ok := sched[commits]; ok {
 			hook()
 		}
 		return nil
 	}
-	res, iterErr := core.IterateParallel(ctx, icfg, workers, commit)
-	if err := j.Close(); err != nil && iterErr == nil {
-		iterErr = err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil && iterErr == nil {
-		iterErr = err
-	}
-	return res, data, iterErr
+	return runJournaled(ctx, dir+"/fleet.journal", resilient,
+		fleetIterConfig(f.Pool.Topology(), f.Pool.Tasks(), cfg),
+		campaign.RunConfig{Workers: cfg.Workers, Commit: fire})
 }
 
 // SerialBaseline runs the same campaign undisturbed on one local testbed
@@ -408,24 +386,30 @@ func SerialBaseline(dir string, tasks int, cfg CampaignConfig) ([]byte, core.Ite
 	if err != nil {
 		return nil, core.IterResult{}, err
 	}
-	icfg := fleetIterConfig(tb.Machine.Topo, tb.TaskCount(), cfg)
-	path := dir + "/serial.journal"
+	res, data, err := runJournaled(context.Background(), dir+"/serial.journal", core.AsContextRunner(tb),
+		fleetIterConfig(tb.Machine.Topo, tb.TaskCount(), cfg), campaign.RunConfig{})
+	return data, res, err
+}
+
+// runJournaled runs icfg through campaign.Run into a fresh journal at
+// path and returns the result plus the journal bytes.
+func runJournaled(ctx context.Context, path string, runner core.ContextRunner, icfg core.IterConfig, rc campaign.RunConfig) (core.IterResult, []byte, error) {
 	j, err := campaign.CreateJournal(path, campaign.JournalHeader{
-		Benchmark: "chaos", Topo: icfg.Topo, Tasks: icfg.Tasks, Seed: cfg.Seed,
+		Benchmark: "chaos", Topo: icfg.Topo, Tasks: icfg.Tasks, Seed: icfg.Seed,
 	})
 	if err != nil {
-		return nil, core.IterResult{}, err
+		return core.IterResult{}, nil, err
 	}
-	res, iterErr := core.IterateContext(context.Background(), icfg,
-		campaign.JournalRunner{Journal: j, Runner: core.AsContextRunner(tb)})
-	if err := j.Close(); err != nil && iterErr == nil {
-		iterErr = err
+	rc.Journal = j
+	res, runErr := campaign.Run(ctx, runner, icfg, rc)
+	if err := j.Close(); err != nil && runErr == nil {
+		runErr = err
 	}
 	data, err := os.ReadFile(path)
-	if err != nil && iterErr == nil {
-		iterErr = err
+	if err != nil && runErr == nil {
+		runErr = err
 	}
-	return data, res, iterErr
+	return res, data, runErr
 }
 
 // VerifyTelemetry cross-checks the metrics gauges against the fleet's

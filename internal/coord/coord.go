@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -38,8 +39,8 @@ import (
 	"time"
 
 	"optassign/internal/campaign"
+	"optassign/internal/cas"
 	"optassign/internal/core"
-	"optassign/internal/evt"
 	"optassign/internal/obs"
 	"optassign/internal/search"
 	"optassign/internal/table"
@@ -344,43 +345,17 @@ func (c *Coordinator) JournalPath(id string) string {
 	return filepath.Join(c.cfg.DataDir, "journals", id+".journal")
 }
 
-// writeSpec persists a spec file atomically (temp + fsync + rename +
-// directory fsync — the journal's durability discipline).
+// writeSpec persists a spec file atomically (cas.WriteFileAtomic: temp
+// + fsync + rename + directory fsync — the journal's durability
+// discipline).
 func (c *Coordinator) writeSpec(sf specFile) error {
-	dir := filepath.Join(c.cfg.DataDir, "campaigns")
-	tmp, err := os.CreateTemp(dir, sf.Spec.ID+".tmp-*")
+	err := cas.WriteFileAtomic(c.specPath(sf.Spec.ID), 0o600, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(sf)
+	})
 	if err != nil {
-		return fmt.Errorf("coord: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(sf); err != nil {
-		tmp.Close()
 		return fmt.Errorf("coord: writing spec: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("coord: syncing spec: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("coord: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.specPath(sf.Spec.ID)); err != nil {
-		return fmt.Errorf("coord: installing spec: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("coord: syncing spec directory: %w", err)
-	}
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -672,11 +647,6 @@ func (c *Coordinator) run(cs *campState, ctx context.Context) {
 		Seed:          spec.Seed,
 		Events:        roundSink{c: c, cs: cs},
 	}
-	if js.Draws > 0 {
-		cfg.Resume = js.Results
-		cfg.ResumeDraws = js.Draws
-		cfg.ResumeLog = js.Log
-	}
 	if hdr.Strategy != "" {
 		params, err := search.ParseParams(spec.StrategyParams)
 		if err != nil {
@@ -689,29 +659,12 @@ func (c *Coordinator) run(cs *campState, ctx context.Context) {
 			return
 		}
 	}
-	ckptPath := campaign.EstimatorCheckpointPath(c.JournalPath(spec.ID))
-	ckpt, err := campaign.LoadEstimatorCheckpoint(ckptPath)
-	if err != nil {
-		c.finish(cs, nil, err)
-		return
-	}
-	cfg.StreamCheckpoint = ckpt
-	cfg.OnRefit = func(st evt.StreamState) error {
-		return campaign.SaveEstimatorCheckpoint(ckptPath, st)
-	}
-
-	// Serial measurement through the journal middleware: the same stack
-	// as a standalone `optassign -journal` run, so journal bytes match a
-	// standalone run byte for byte.
-	res, err := core.IterateContext(ctx, cfg, campaign.JournalRunner{Journal: j, Runner: runner})
-	if err != nil && !errors.Is(err, core.ErrBudgetExhausted) && ctx.Err() != nil {
-		// The coordinator tore this run down (pause, cancel or shutdown).
-		// A remote measurement stream collapsing under the cancellation
-		// surfaces transport errors rather than context.Canceled; they are
-		// byproducts of the teardown, not failures — the journal holds
-		// every committed draw, so classify by the pending transition.
-		err = context.Canceled
-	}
+	// One measurement at a time through campaign.Run — the same
+	// assembler as a standalone `optassign -journal` run, so journal bytes
+	// match a standalone run byte for byte. Run also classifies a
+	// teardown (pause, cancel, shutdown) as context.Canceled, whatever
+	// transport error a collapsing remote stream surfaced.
+	res, err := campaign.Run(ctx, runner, cfg, campaign.RunConfig{Journal: j, State: js, Workers: 1})
 	c.finish(cs, &res, err)
 }
 

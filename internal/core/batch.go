@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -176,23 +175,9 @@ func measureBatched(ctx context.Context, runner *CachedRunner, as []assign.Assig
 		chunk := as[start:end]
 		perfs, errs := runner.MeasureBatchContext(ctx, chunk)
 		for i, a := range chunk {
-			switch {
-			case errs[i] == nil:
-				if commit != nil {
-					if cerr := commit(a, perfs[i], nil); cerr != nil {
-						return outs, fmt.Errorf("core: measuring assignment: %w", cerr)
-					}
-				}
-				outs = append(outs, outcome{perf: perfs[i]})
-			case errors.Is(errs[i], ErrQuarantined):
-				if commit != nil {
-					if cerr := commit(a, 0, errs[i]); cerr != nil {
-						return outs, fmt.Errorf("core: measuring assignment: %w", cerr)
-					}
-				}
-				outs = append(outs, outcome{quarantined: true, err: errs[i]})
-			default:
-				return outs, fmt.Errorf("core: measuring assignment: %w", errs[i])
+			var err error
+			if outs, err = settle(outs, a, perfs[i], errs[i], commit); err != nil {
+				return outs, err
 			}
 		}
 	}

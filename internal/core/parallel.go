@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -97,29 +96,12 @@ func measureParallel(ctx context.Context, pool *PoolRunner, as []assign.Assignme
 			delete(pending, commitNext)
 			a := as[commitNext]
 			commitNext++
-			switch {
-			case !o.Started:
+			if o.Started {
+				outs, finalErr = settle(outs, a, o.Perf, o.Err, commit)
+			} else {
 				// Never dispatched: the serial loop's pre-measurement ctx
 				// check, which returns the bare context error.
 				finalErr = o.Err
-			case o.Err == nil:
-				if commit != nil {
-					if cerr := commit(a, o.Perf, nil); cerr != nil {
-						finalErr = fmt.Errorf("core: measuring assignment: %w", cerr)
-						break
-					}
-				}
-				outs = append(outs, outcome{perf: o.Perf})
-			case errors.Is(o.Err, ErrQuarantined):
-				if commit != nil {
-					if cerr := commit(a, 0, o.Err); cerr != nil {
-						finalErr = fmt.Errorf("core: measuring assignment: %w", cerr)
-						break
-					}
-				}
-				outs = append(outs, outcome{quarantined: true, err: o.Err})
-			default:
-				finalErr = fmt.Errorf("core: measuring assignment: %w", o.Err)
 			}
 			if m != nil && finalErr == nil {
 				m.Committed.Inc()

@@ -128,16 +128,32 @@ func measureSerial(ctx context.Context, runner ContextRunner, as []assign.Assign
 			return outs, err
 		}
 		perf, err := runner.MeasureContext(ctx, a)
-		switch {
-		case err == nil:
-			outs = append(outs, outcome{perf: perf})
-		case errors.Is(err, ErrQuarantined):
-			outs = append(outs, outcome{quarantined: true, err: err})
-		default:
-			return outs, fmt.Errorf("core: measuring assignment: %w", err)
+		if outs, err = settle(outs, a, perf, err, nil); err != nil {
+			return outs, err
 		}
 	}
 	return outs, nil
+}
+
+// settle is the measurers' one in-order step: it applies a draw's
+// measurement outcome in draw order. A success or a quarantine is
+// committed (commit may be nil) and appended to outs; any other error —
+// or a failed commit — is fatal, returning outs as they stood so the
+// round aborts with everything before the draw intact.
+func settle(outs []outcome, a assign.Assignment, perf float64, err error, commit CommitFunc) ([]outcome, error) {
+	o := outcome{perf: perf}
+	if err != nil {
+		if !errors.Is(err, ErrQuarantined) {
+			return outs, fmt.Errorf("core: measuring assignment: %w", err)
+		}
+		o = outcome{quarantined: true, err: err}
+	}
+	if commit != nil {
+		if cerr := commit(a, o.perf, err); cerr != nil {
+			return outs, fmt.Errorf("core: measuring assignment: %w", cerr)
+		}
+	}
+	return append(outs, o), nil
 }
 
 // splitOutcomes reassembles a batch's outcomes into the historical

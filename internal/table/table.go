@@ -214,14 +214,16 @@ func Create(dir string, s Schema, bufSize int) (*Table, error) {
 		return nil, err
 	}
 	// Schema lands after the lock: two racing Creates serialize on the
-	// rows file, and the loser sees the winner's schema.
-	if err := os.WriteFile(sp, append(data, '\n'), 0o644); err != nil {
+	// rows file, and the loser sees the winner's schema. It is installed
+	// atomically, so a crash never leaves an empty or torn schema.json
+	// that Open would refuse.
+	err = cas.WriteFileAtomic(sp, 0o644, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("table: writing schema: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("table: syncing directory: %w", err)
 	}
 	return &Table{dir: dir, schema: s, f: f, bufSize: normBuf(bufSize), index: buildIndex(s, nil)}, nil
 }
@@ -611,14 +613,4 @@ func (t *Table) Close() error {
 		return fmt.Errorf("table: %w", ferr)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory, making a just-created entry durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
