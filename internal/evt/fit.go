@@ -50,14 +50,25 @@ var ErrMomentsUndefined = errors.New("evt: moment estimator undefined: implied s
 // regime the moment estimator cannot see.
 const momentShapeWall = 0.45
 
+// ascending returns ys itself when it is already sorted ascending, as
+// exceedance sets are, and a sorted copy otherwise. Callers only read the
+// result.
+func ascending(ys []float64) []float64 {
+	if sort.Float64sAreSorted(ys) {
+		return ys
+	}
+	sorted := append([]float64(nil), ys...)
+	sort.Float64s(sorted)
+	return sorted
+}
+
 // distinctValues counts the distinct values of ys (exactly, not within a
 // tolerance — ties from quantized measurements are exactly equal floats).
 func distinctValues(ys []float64) int {
 	if len(ys) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), ys...)
-	sort.Float64s(sorted)
+	sorted := ascending(ys)
 	distinct := 1
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {

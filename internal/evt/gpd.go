@@ -144,10 +144,34 @@ func (g GPD) Sample(rng *rand.Rand, n int) []float64 {
 
 // LogLikelihood returns Σ log g(y_i) for the exceedances ys, −Inf if any
 // observation falls outside the support.
+//
+// It is the inner loop of every maximum-likelihood fit, so log σ and the
+// exponent 1/ξ+1 are computed once per call rather than once per term.
+// Each term is the same expression LogPDF evaluates, summed in the same
+// order, so the result is bitwise-equal to summing LogPDF over ys.
 func (g GPD) LogLikelihood(ys []float64) float64 {
+	logSigma := math.Log(g.Sigma)
 	var sum float64
+	if g.Xi == 0 {
+		for _, y := range ys {
+			if y < 0 {
+				return math.Inf(-1)
+			}
+			lp := -y/g.Sigma - logSigma
+			if math.IsInf(lp, -1) {
+				return math.Inf(-1)
+			}
+			sum += lp
+		}
+		return sum
+	}
+	a := 1/g.Xi + 1
 	for _, y := range ys {
-		lp := g.LogPDF(y)
+		t := 1 + g.Xi*y/g.Sigma
+		if y < 0 || t <= 0 {
+			return math.Inf(-1)
+		}
+		lp := -logSigma - a*math.Log(t)
 		if math.IsInf(lp, -1) {
 			return math.Inf(-1)
 		}

@@ -32,23 +32,34 @@ func MeanExcess(xs []float64) ([]MeanExcessPoint, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	n := len(sorted)
+	return meanExcessSorted(sorted, 0)
+}
 
-	// Suffix sums let us evaluate every threshold in O(n).
-	suffix := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + sorted[i]
+// meanExcessSorted is MeanExcess on an ascending sample, restricted to
+// the thresholds at or above sorted[from]. The suffix sums accumulate
+// from the top of the sample, so each point it returns has the same bits
+// as the corresponding point of the full plot.
+func meanExcessSorted(sorted []float64, from int) ([]MeanExcessPoint, error) {
+	n := len(sorted)
+	if n < 2 {
+		return nil, ErrSampleTooSmall
 	}
 
-	points := make([]MeanExcessPoint, 0, n-1)
-	for i := 0; i < n-1; i++ {
+	// Suffix sums let us evaluate every threshold in O(n); suffix[k] is
+	// the sum of sorted[from+k:].
+	suffix := make([]float64, n+1-from)
+	for i := n - 1; i >= from; i-- {
+		suffix[i-from] = suffix[i+1-from] + sorted[i]
+	}
+
+	points := make([]MeanExcessPoint, 0, n-from)
+	for i := from; i < n-1; i++ {
 		u := sorted[i]
-		if i > 0 && u == sorted[i-1] {
+		if i > from && u == sorted[i-1] {
 			continue // duplicate threshold value
 		}
-		// Observations strictly above u start at the first index j with
-		// sorted[j] > u.
-		j := sort.SearchFloat64s(sorted, u)
+		// Observations strictly above u start past u's run of copies.
+		j := i + 1
 		for j < n && sorted[j] == u {
 			j++
 		}
@@ -58,7 +69,7 @@ func MeanExcess(xs []float64) ([]MeanExcessPoint, error) {
 		}
 		points = append(points, MeanExcessPoint{
 			U:       u,
-			E:       (suffix[j] - float64(m)*u) / float64(m),
+			E:       (suffix[j-from] - float64(m)*u) / float64(m),
 			Exceeds: m,
 		})
 	}

@@ -104,12 +104,17 @@ func analyzeSorted(sorted []float64, opts POTOptions) (Report, error) {
 	if len(sorted) == 0 {
 		return Report{}, ErrSampleTooSmall
 	}
-	thr, err := selectThresholdSorted(sorted, o.Threshold)
+	thr, scanFit, err := selectThresholdSorted(sorted, o.Threshold)
 	if err != nil {
 		return Report{}, fmt.Errorf("threshold selection: %w", err)
 	}
-	fit, err := FitGPD(thr.Exceedances)
-	if err != nil {
+	// The fit-scored scan already fitted the winning exceedances; the fit
+	// is deterministic, so fitting them again would reproduce it bit for
+	// bit.
+	var fit Fit
+	if scanFit != nil {
+		fit = *scanFit
+	} else if fit, err = FitGPD(thr.Exceedances); err != nil {
 		return Report{}, fmt.Errorf("GPD fit: %w", err)
 	}
 	iv, err := UPBConfidenceInterval(thr.U, thr.Exceedances, fit, o.Alpha)

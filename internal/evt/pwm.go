@@ -1,9 +1,6 @@
 package evt
 
-import (
-	"errors"
-	"sort"
-)
+import "errors"
 
 // FitGPDPWM estimates GPD parameters by probability-weighted moments
 // (Hosking & Wallis 1987, the paper's reference [30]): with b₀ the sample
@@ -26,8 +23,7 @@ func FitGPDPWM(ys []float64) (Fit, error) {
 	if distinctValues(ys) < 3 {
 		return Fit{}, ErrDegenerateTail
 	}
-	sorted := append([]float64(nil), ys...)
-	sort.Float64s(sorted)
+	sorted := ascending(ys)
 	if sorted[0] < 0 {
 		return Fit{}, errors.New("evt: negative exceedance")
 	}

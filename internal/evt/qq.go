@@ -1,9 +1,6 @@
 package evt
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // QQPoint pairs an empirical quantile with the corresponding model quantile.
 type QQPoint struct {
@@ -17,8 +14,7 @@ type QQPoint struct {
 // paper (§3.3.2 Step 2) uses this as the second goodness-of-fit check next
 // to the mean-excess plot.
 func QuantilePlot(ys []float64, g GPD) []QQPoint {
-	sorted := append([]float64(nil), ys...)
-	sort.Float64s(sorted)
+	sorted := ascending(ys)
 	n := len(sorted)
 	points := make([]QQPoint, n)
 	for i, y := range sorted {

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrNonFiniteSample reports a NaN or ±Inf observation handed to the POT
@@ -94,7 +97,8 @@ func SelectThreshold(xs []float64, opts ThresholdOptions) (Threshold, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return selectThresholdSorted(sorted, opts)
+	thr, _, err := selectThresholdSorted(sorted, opts)
+	return thr, err
 }
 
 // selectThresholdSorted is SelectThreshold on a sample already validated
@@ -104,25 +108,26 @@ func SelectThreshold(xs []float64, opts ThresholdOptions) (Threshold, error) {
 // permutation and every downstream quantity is computed from the sorted
 // order, the result is bitwise-identical to SelectThreshold on any
 // permutation of the same observations.
-func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, error) {
+//
+// Under RuleAuto the scan fits a GPD to every candidate, so it also
+// returns the winner's fit, which is FitGPD of the returned exceedances;
+// the caller need not fit them again. fit is nil when the scan fitted
+// nothing for the returned threshold.
+func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, *Fit, error) {
 	o := opts.withDefaults()
 	n := len(sorted)
 	maxM := int(float64(n) * o.MaxExceedFraction)
 	if maxM < o.MinExceedances {
-		return Threshold{}, fmt.Errorf("%w: %d observations allow at most %d exceedances at fraction %.3f, need >= %d",
+		return Threshold{}, nil, fmt.Errorf("%w: %d observations allow at most %d exceedances at fraction %.3f, need >= %d",
 			ErrSampleTooSmall, n, maxM, o.MaxExceedFraction, o.MinExceedances)
 	}
 
-	mePoints, err := MeanExcess(sorted)
-	if err != nil {
-		return Threshold{}, err
-	}
-
-	// build selects the threshold keeping ~m observations. The exceedance
-	// set is strictly above u — the same strict `>` the mean-excess plot,
-	// the ECDF tail count 1 − F̂(u) and the planner's exceedance
-	// probability all use — so observations equal to the threshold are
-	// never double-counted into the tail.
+	// cut selects the threshold keeping ~m observations and returns it
+	// with the index of its first exceedance. The exceedance set is
+	// strictly above u — the same strict `>` the mean-excess plot, the
+	// ECDF tail count 1 − F̂(u) and the planner's exceedance probability
+	// all use — so observations equal to the threshold are never
+	// double-counted into the tail.
 	//
 	// Ties need care: when the m-th order statistic lands inside a run of
 	// repeated values, none of the run is strictly above u and the strict
@@ -133,11 +138,11 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	// the overshoot is forced by quantization (discrete performance
 	// populations produce exactly such samples) and is preferred to
 	// failing the analysis outright.
-	build := func(m int) (Threshold, error) {
-		u := sorted[n-m-1]
+	cut := func(m int) (u float64, end int) {
+		u = sorted[n-m-1]
 		// first marks the first copy of u, end the first strict exceedance.
 		first := sort.SearchFloat64s(sorted, u)
-		end := first
+		end = first
 		for end < n && sorted[end] == u {
 			end++
 		}
@@ -146,6 +151,29 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 			end = first
 			first = sort.SearchFloat64s(sorted, u)
 		}
+		return u, end
+	}
+
+	// The threshold for maxM is the lowest any candidate can take (the
+	// snap-down is monotone in m), and the linearity fits only read
+	// mean-excess points at or above their own threshold, so the plot is
+	// computed from there up. Its points ascend in U, so the ones at or
+	// above a candidate's threshold are a suffix, which the line fit
+	// reads in place: the same points, in the same order, that
+	// MeanExcessLinearity would copy out.
+	uMin, _ := cut(maxM)
+	mePoints, err := meanExcessSorted(sorted, sort.SearchFloat64s(sorted, uMin))
+	if err != nil {
+		return Threshold{}, nil, err
+	}
+	meU := make([]float64, len(mePoints))
+	meE := make([]float64, len(mePoints))
+	for i, p := range mePoints {
+		meU[i], meE[i] = p.U, p.E
+	}
+
+	build := func(m int) (Threshold, error) {
+		u, end := cut(m)
 		ys := make([]float64, 0, n-end)
 		for _, x := range sorted[end:] {
 			ys = append(ys, x-u)
@@ -159,14 +187,16 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 		// genuine R² of 0, so reports never present a snapped threshold as
 		// perfectly non-linear.
 		thr := Threshold{U: u, Exceedances: ys}
-		if lin, err := MeanExcessLinearity(mePoints, u); err == nil {
+		k := sort.SearchFloat64s(meU, u)
+		if lin, err := FitLine(meU[k:], meE[k:]); err == nil {
 			thr.Linearity, thr.LinearityOK = lin, true
 		}
 		return thr, nil
 	}
 
 	if o.Rule == RuleMaxFraction {
-		return build(maxM)
+		thr, err := build(maxM)
+		return thr, nil, err
 	}
 
 	// Scan a coarse grid of exceedance counts (scores vary smoothly, so
@@ -175,37 +205,71 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	if step < 1 {
 		step = 1
 	}
+	var ms []int
+	for m := maxM; m >= o.MinExceedances; m -= step {
+		ms = append(ms, m)
+	}
 	type candidate struct {
+		ok      bool // the candidate could be built and scored
 		thr     Threshold
+		fit     *Fit // RuleAuto only
 		score   float64
 		bounded bool // fitted ξ < 0
 	}
-	var cands []candidate
-	for m := maxM; m >= o.MinExceedances; m -= step {
-		cand, err := build(m)
+	evaluate := func(m int) candidate {
+		thr, err := build(m)
 		if err != nil {
-			continue
+			return candidate{}
 		}
-		switch o.Rule {
-		case RuleLinearityScan:
-			if !cand.LinearityOK {
+		if o.Rule == RuleLinearityScan {
+			if !thr.LinearityOK {
 				// No linearity diagnostic exists for this candidate (tie-run
 				// snap-down); it cannot be scored, rather than scoring as a
 				// perfect non-linearity of 0.
-				continue
+				return candidate{}
 			}
-			cands = append(cands, candidate{thr: cand, score: cand.Linearity.R2, bounded: true})
-		default: // RuleAuto
-			fit, err := FitGPD(cand.Exceedances)
-			if err != nil {
-				continue
+			return candidate{ok: true, thr: thr, score: thr.Linearity.R2, bounded: true}
+		}
+		// RuleAuto
+		fit, err := FitGPD(thr.Exceedances)
+		if err != nil {
+			return candidate{}
+		}
+		thr.QQCorr = QQCorrelation(QuantilePlot(thr.Exceedances, fit.GPD))
+		return candidate{ok: true, thr: thr, fit: &fit, score: thr.QQCorr, bounded: fit.GPD.Xi < 0}
+	}
+
+	// Candidates are independent and each fit is deterministic, so they
+	// are evaluated concurrently, each into its own slot, and selected
+	// below in scan order: the result does not depend on the schedule.
+	slots := make([]candidate, len(ms))
+	workers := min(runtime.GOMAXPROCS(0), len(ms))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ms) {
+					return
+				}
+				slots[i] = evaluate(ms[i])
 			}
-			cand.QQCorr = QQCorrelation(QuantilePlot(cand.Exceedances, fit.GPD))
-			cands = append(cands, candidate{thr: cand, score: cand.QQCorr, bounded: fit.GPD.Xi < 0})
+		}()
+	}
+	wg.Wait()
+
+	var cands []candidate
+	for _, c := range slots {
+		if c.ok {
+			cands = append(cands, c)
 		}
 	}
 	if len(cands) == 0 {
-		return build(maxM)
+		thr, err := build(maxM)
+		return thr, nil, err
 	}
 	// Bounded fits take absolute precedence: an unbounded (ξ >= 0) fit
 	// cannot produce an upper performance bound no matter how straight its
@@ -238,5 +302,5 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 			best = c
 		}
 	}
-	return best.thr, nil
+	return best.thr, best.fit, nil
 }
