@@ -62,12 +62,13 @@
 // re-measures nothing it has ever measured before. Delete the directory
 // to invalidate the store (after changing the testbed model, say).
 //
-// Batching: -batch N measures draws in chunks of N on the local testbed —
-// each chunk is probed against the cache at once and only the unique
-// still-unmeasured classes are evaluated, core-sharded across the CPUs.
-// Results and journal bytes stay byte-identical to a serial run; only the
-// wall-clock drops. It is mutually exclusive with -workers and with
-// remote measurement (which parallelize with -workers instead).
+// Batching: -batch N hands each worker chunks of N draws. On the local
+// testbed each chunk is probed against the cache at once and only the
+// unique still-unmeasured classes are evaluated, core-sharded across the
+// CPUs; a remote source measures a chunk draw by draw. It combines with
+// -workers, -connect and -registry: -batch N -workers M runs M workers,
+// each resolving N-draw chunks. Results and journal bytes stay
+// byte-identical to a serial run; only the wall-clock drops.
 //
 // Service mode: -server URL turns the command into a client of a running
 // campaignd instance instead of measuring anything locally. -submit ID
@@ -223,7 +224,7 @@ func main() {
 	cacheOn := flag.Bool("cache", false, "memoize measurements by canonical assignment class: symmetric assignments (identical resource sharing) share one testbed run")
 	cacheSize := flag.Int("cache-size", 4096, "canonical classes kept by -cache before LRU eviction")
 	cacheDir := flag.String("cache-dir", "", "persist memoized classes to this directory, shared across runs and processes (implies -cache; delete the directory to invalidate)")
-	batchSize := flag.Int("batch", 0, "measure draws in core-sharded batches of this size on the local testbed (0 disables; mutually exclusive with -workers and remote measurement)")
+	batchSize := flag.Int("batch", 0, "hand each worker chunks of this many draws, measured in core-sharded batches on the local testbed (0 disables); combines with -workers and remote measurement")
 	progress := flag.Bool("progress", false, "keep a live status line on stderr as the campaign converges")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address while the campaign runs (empty disables)")
 	strategy := flag.String("strategy", "uniform",
@@ -271,14 +272,6 @@ func main() {
 	}
 	if *registry != "" && *connect != "" {
 		log.Fatal("-registry and -connect are mutually exclusive: a fleet is either dynamic or a static list")
-	}
-	if *batchSize > 0 {
-		if *workers > 1 {
-			log.Fatal("-batch and -workers are mutually exclusive: the batch path already shards across cores")
-		}
-		if *connect != "" || *registry != "" {
-			log.Fatal("-batch measures on the local testbed; remote testbeds parallelize with -workers instead")
-		}
 	}
 	if *cacheDir != "" {
 		*cacheOn = true
@@ -487,7 +480,7 @@ func main() {
 
 	// Write-ahead journal: every completed measurement hits disk before
 	// the next one starts, so a killed campaign resumes from where it was.
-	rc := campaign.RunConfig{Workers: *workers}
+	rc := campaign.RunConfig{Workers: *workers, Batch: core.BatchOptions{Size: *batchSize}}
 	if *journalPath != "" {
 		h := campaign.JournalHeader{Benchmark: name, Topo: topo, Tasks: tasks, Seed: *seed, Strategy: strategySpec}
 		if *resume {
@@ -515,17 +508,17 @@ func main() {
 	if rc.Workers <= 0 && poolSize > 1 {
 		rc.Workers = poolSize // keep every pooled testbed busy
 	}
-	switch {
-	case *batchSize > 0:
-		// Batched measurement: chunks of draws resolve against the cache
-		// tiers together and the unique misses run core-sharded on the
-		// testbed's batch path.
+	// Batched measurement: each worker takes chunks of draws, which
+	// resolve against the cache tiers together, the unique misses
+	// core-sharded on the local testbed's batch path.
+	if *batchSize > 0 {
 		if *retries > 0 || *timeout > 0 {
 			fmt.Println("note: -retries/-timeout wrap each measurement individually, so -batch falls back to per-draw measurement under the resilient runner")
 		}
-		fmt.Printf("measuring in core-sharded batches of %d\n", *batchSize)
-		rc.Batch = core.BatchOptions{Size: *batchSize, Metrics: core.NewBatchMetrics(reg)}
-	case rc.Workers > 1:
+		fmt.Printf("measuring in batches of %d draws\n", *batchSize)
+		rc.Batch.Metrics = core.NewBatchMetrics(reg)
+	}
+	if rc.Workers > 1 {
 		// Parallel fan-out: completions still commit to the journal and
 		// the recorded campaign strictly in draw order.
 		rc.PoolMetrics = core.NewPoolMetrics(reg, rc.Workers)

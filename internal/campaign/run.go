@@ -25,9 +25,10 @@ type RunConfig struct {
 	// serial campaign. The runner must be safe for concurrent use when
 	// Workers > 1.
 	Workers int
-	// Batch, with Size > 0, measures draws in cache-deduped,
-	// core-sharded chunks of Size instead (core.IterateBatched); Workers
-	// is then ignored.
+	// Batch, with Size > 0, hands each worker chunks of Size draws,
+	// which a batch-capable source (directly or behind a
+	// core.CachedRunner) resolves in cache-deduped, core-sharded
+	// batches.
 	Batch core.BatchOptions
 	// PoolMetrics instruments the worker pool; nil disables.
 	PoolMetrics *core.PoolMetrics
@@ -36,12 +37,12 @@ type RunConfig struct {
 	Commit core.CommitFunc
 }
 
-// Run executes one campaign — the §5.3 loop of cfg over runner — with
-// every path (serial, fanned out, batched) committing in draw order
-// through one chain: the journal, then rc.Commit. Journal bytes and the
-// result are identical whichever path runs, and across a kill and
-// resume. Run owns cfg's resume fields and OnRefit whenever rc carries
-// a journal or a recovered state.
+// Run executes one campaign — the §5.3 loop of cfg over runner — on one
+// pool of max(1, rc.Workers) workers, committing in draw order through
+// one chain: the journal, then rc.Commit. Journal bytes and the result
+// are identical for every worker count and batch size, and across a
+// kill and resume. Run owns cfg's resume fields and OnRefit whenever rc
+// carries a journal or a recovered state.
 //
 // When ctx is done and the campaign ends in any error but
 // core.ErrBudgetExhausted, the error wraps context.Canceled: a remote
@@ -88,20 +89,10 @@ func run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc
 		}
 	}
 
-	if rc.Batch.Size > 0 {
-		cached, ok := runner.(*core.CachedRunner)
-		if !ok {
-			// No cache: the batch path still needs the runner that reaches
-			// the source's batch capability; a nil cache keeps the core
-			// sharding without memoization.
-			cached = core.NewCachedContextRunner(runner, nil, "")
-		}
-		return core.IterateBatched(ctx, cfg, cached, rc.Batch, commit)
-	}
 	pool, err := core.NewReplicatedPool(runner, max(1, rc.Workers))
 	if err != nil {
 		return core.IterResult{}, err
 	}
 	pool.Instrument(rc.PoolMetrics)
-	return core.IterateParallel(ctx, cfg, pool, commit)
+	return core.IteratePool(ctx, cfg, pool, rc.Batch, commit)
 }

@@ -12,10 +12,12 @@ import (
 // This file is the batched measurement path: instead of resolving one
 // draw at a time, a whole chunk of draws is probed against the cache at
 // once and the unique cache-missing classes are handed to the measurement
-// source as a single batch, which it may evaluate core-sharded
-// (netdps.Testbed.MeasureBatch, cycle.BatchSim). Outcomes still commit
-// strictly in draw order with the same semantics as the serial and
-// parallel collectors, so journals are byte-identical across all three.
+// source as a single batch, which the analytic testbed evaluates
+// core-sharded (netdps.Testbed.MeasureBatch). Chunks are dispatched and
+// settled by the one measurer (PoolRunner.measure), so outcomes commit
+// strictly in draw order and journals are byte-identical whether a
+// round is measured serially, fanned out, batched, or batched on
+// several workers.
 
 // BatchMeasurer is the capability a measurement source exposes to have
 // cache misses coalesced into one core-sharded pass instead of being
@@ -26,16 +28,21 @@ type BatchMeasurer interface {
 	MeasureBatch(as []assign.Assignment) ([]float64, []error)
 }
 
-// DefaultBatchSize is the draws-per-chunk used when BatchOptions.Size is
-// unset: large enough to amortize batch setup and keep every core busy,
-// small enough that journal commits stay frequent.
+// DefaultBatchSize is IterateBatched's and CollectSampleBatched's chunk
+// size when BatchOptions.Size is unset: large enough to amortize batch
+// setup and keep every core busy, small enough that journal commits stay
+// frequent.
 const DefaultBatchSize = 64
 
-// BatchOptions tunes IterateBatched.
+// BatchOptions sets how the measurer cuts a round into chunks.
 type BatchOptions struct {
-	// Size is the number of draws probed and measured per chunk
-	// (DefaultBatchSize if <= 0). Chunks are commit units: every outcome
-	// of a chunk is journaled before the next chunk starts measuring.
+	// Size, when > 0, is the number of draws a worker takes at a time;
+	// a worker that reaches a batch-capable source resolves its chunk
+	// in one cache-deduped, core-sharded batch. Unset, every draw is
+	// its own chunk and is measured on its own (IterateBatched and
+	// CollectSampleBatched default it to DefaultBatchSize instead). On
+	// one worker, chunks are commit units: every outcome of a chunk is
+	// journaled before the next chunk starts measuring.
 	Size int
 	// Metrics observes batch counts and sizes; nil disables.
 	Metrics *BatchMetrics
@@ -61,14 +68,6 @@ func batchMeasurerOf(r any) (BatchMeasurer, bool) {
 	}
 }
 
-// InstrumentBatch attaches batch-path metrics to the runner; nil detaches.
-func (r *CachedRunner) InstrumentBatch(m *BatchMetrics) { r.bm = m }
-
-func (r *CachedRunner) observeBatch(measured int) {
-	r.bm.batches().Inc()
-	r.bm.batchSize().Observe(float64(measured))
-}
-
 // MeasureBatchContext resolves a chunk of assignments through the cache
 // tiers and the wrapped source's batch path:
 //
@@ -83,17 +82,23 @@ func (r *CachedRunner) observeBatch(measured int) {
 // Results are index-aligned with as and identical, value for value, to
 // measuring each assignment with MeasureContext in order.
 func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assignment) ([]float64, []error) {
+	return r.measureBatch(ctx, as, nil)
+}
+
+// measureBatch is MeasureBatchContext recording each batch it measures
+// into bm (nil disables).
+func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment, bm *BatchMetrics) ([]float64, []error) {
 	perfs := make([]float64, len(as))
 	errs := make([]error, len(as))
 	if len(as) == 0 {
 		return perfs, errs
 	}
-	bm, hasBatch := batchMeasurerOf(r.inner)
+	src, hasBatch := batchMeasurerOf(r.inner)
 	if r.cache == nil {
 		// Uncached: no class identity to dedup on, measure everything.
-		r.observeBatch(len(as))
+		bm.observe(len(as))
 		if hasBatch {
-			return bm.MeasureBatch(as)
+			return src.MeasureBatch(as)
 		}
 		for i, a := range as {
 			perfs[i], errs[i] = r.inner.MeasureContext(ctx, a)
@@ -118,7 +123,7 @@ func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assi
 	}
 
 	if len(uniq) > 0 {
-		r.observeBatch(len(uniq))
+		bm.observe(len(uniq))
 		ua := make([]assign.Assignment, len(uniq))
 		for j, i := range uniq {
 			ua[j] = as[i]
@@ -126,7 +131,7 @@ func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assi
 		var uperfs []float64
 		var uerrs []error
 		if hasBatch {
-			uperfs, uerrs = bm.MeasureBatch(ua)
+			uperfs, uerrs = src.MeasureBatch(ua)
 		} else {
 			uperfs, uerrs = make([]float64, len(ua)), make([]error, len(ua))
 			for j, a := range ua {
@@ -156,74 +161,32 @@ func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assi
 	return perfs, errs
 }
 
-// measureBatched is the measurer behind IterateBatched: it slices the
-// round into chunks of at most size draws, resolves each chunk through
-// runner.MeasureBatchContext, and walks the outcomes in draw order with
-// the collectors' shared semantics — successes and quarantines commit and
-// extend the outcome stream, the first fatal error aborts with everything
-// before it intact and the rest of the round discarded.
-func measureBatched(ctx context.Context, runner *CachedRunner, as []assign.Assignment, size int, commit CommitFunc) ([]outcome, error) {
-	outs := make([]outcome, 0, len(as))
-	for start := 0; start < len(as); start += size {
-		if err := ctx.Err(); err != nil {
-			return outs, err
-		}
-		end := start + size
-		if end > len(as) {
-			end = len(as)
-		}
-		chunk := as[start:end]
-		perfs, errs := runner.MeasureBatchContext(ctx, chunk)
-		for i, a := range chunk {
-			var err error
-			if outs, err = settle(outs, a, perfs[i], errs[i], commit); err != nil {
-				return outs, err
-			}
-		}
-	}
-	return outs, nil
-}
-
-// CollectSampleBatched is CollectSampleContext with chunk-batched
-// measurement: it draws the identical n iid assignments from rng (same
-// RNG consumption, so -resume fast-forwarding is unaffected), resolves
-// them in batches through the cache and the source's core-sharded batch
-// path, and returns results, skipped and commits exactly as a serial run
-// with the same seed produces them.
+// CollectSampleBatched is CollectSampleContext measured on runner in
+// cache-deduped, core-sharded chunks of opts.Size draws (DefaultBatchSize
+// if unset), with commit (optional) observing every success and
+// quarantine in draw order. Draws, results, skipped and commits are
+// exactly a serial run's.
 func CollectSampleBatched(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, runner *CachedRunner, opts BatchOptions, commit CommitFunc) (results []SampleResult, skipped []Skipped, err error) {
 	if runner == nil {
 		return nil, nil, fmt.Errorf("core: nil runner")
 	}
-	as, err := assign.Sample(rng, topo, tasks, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	size := opts.Size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	runner.InstrumentBatch(opts.Metrics)
-	outs, err := measureBatched(ctx, runner, as, size, commit)
-	results, skipped = splitOutcomes(as, outs)
-	return results, skipped, err
+	return collectSample(ctx, rng, topo, tasks, n, onePool(runner), opts.withDefaultSize(), commit)
 }
 
-// IterateBatched runs the §5.3 iterative algorithm with every sampling
-// round measured in cache-deduped, core-sharded batches. Given the same
-// IterConfig (seed included) and a deterministic measurement source, it
-// visits the identical assignment sequence and produces the identical
-// result and commit stream as IterateContext and IterateParallel — only
-// the measurement wall-clock changes.
+// IterateBatched is IteratePool on runner alone, in chunks of opts.Size
+// draws (DefaultBatchSize if unset): the identical draws, result and
+// commit stream as IterateContext, with only the measurement
+// wall-clock changed.
 func IterateBatched(ctx context.Context, cfg IterConfig, runner *CachedRunner, opts BatchOptions, commit CommitFunc) (IterResult, error) {
 	if runner == nil {
 		return IterResult{}, fmt.Errorf("core: nil runner")
 	}
-	size := opts.Size
-	if size <= 0 {
-		size = DefaultBatchSize
+	return IteratePool(ctx, cfg, onePool(runner), opts.withDefaultSize(), commit)
+}
+
+func (o BatchOptions) withDefaultSize() BatchOptions {
+	if o.Size <= 0 {
+		o.Size = DefaultBatchSize
 	}
-	runner.InstrumentBatch(opts.Metrics)
-	return iterate(ctx, cfg, func(ctx context.Context, as []assign.Assignment) ([]outcome, error) {
-		return measureBatched(ctx, runner, as, size, commit)
-	})
+	return o
 }

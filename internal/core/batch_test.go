@@ -146,9 +146,11 @@ func TestMeasureBatchContextFailedClassDuplicates(t *testing.T) {
 	}
 }
 
-// TestMeasureBatchedCommitSemantics: outcomes commit strictly in draw
+// TestMeasureBatchedCommitSemantics: on the one measurer, for 1 and 3
+// workers and chunks of 1 and 8 draws, outcomes commit strictly in draw
 // order; quarantines commit and continue; the first fatal error aborts
-// with every earlier commit intact and nothing after it.
+// with every earlier commit intact and nothing after it. One worker is
+// lock-step: it measures nothing past the chunk holding the fatal draw.
 func TestMeasureBatchedCommitSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	as, err := assign.Sample(rng, batchTopo(), 5, 60)
@@ -167,50 +169,66 @@ func TestMeasureBatchedCommitSemantics(t *testing.T) {
 			break
 		}
 	}
-	src := &batchSource{fail: func(a assign.Assignment) error {
-		switch a.CanonicalKey() {
-		case quarantineClass:
-			return fmt.Errorf("%w: flaky context", ErrQuarantined)
-		case fatalClass:
-			return errors.New("testbed died")
+	for _, workers := range []int{1, 3} {
+		for _, size := range []int{1, 8} {
+			t.Run(fmt.Sprintf("workers%d-size%d", workers, size), func(t *testing.T) {
+				src := &batchSource{fail: func(a assign.Assignment) error {
+					switch a.CanonicalKey() {
+					case quarantineClass:
+						return fmt.Errorf("%w: flaky context", ErrQuarantined)
+					case fatalClass:
+						return errors.New("testbed died")
+					}
+					return nil
+				}}
+				// No cache: exercises the raw chunking and commit walk.
+				r := NewCachedContextRunner(AsContextRunner(src), nil, "tb")
+				pool, err := NewReplicatedPool(r, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var committedKeys []string
+				commit := func(a assign.Assignment, perf float64, cerr error) error {
+					committedKeys = append(committedKeys, a.CanonicalKey())
+					if cerr == nil && math.Float64bits(perf) != math.Float64bits(classPerf(a)) {
+						t.Fatalf("committed perf %v != class perf %v", perf, classPerf(a))
+					}
+					return nil
+				}
+				outs, err := pool.measure(context.Background(), as, BatchOptions{Size: size}, commit)
+				if err == nil || !strings.Contains(err.Error(), "testbed died") {
+					t.Fatalf("fatal error not surfaced: %v", err)
+				}
+				if len(outs) != fatalAt {
+					t.Fatalf("got %d outcomes before the fatal draw, want %d", len(outs), fatalAt)
+				}
+				if len(committedKeys) != fatalAt {
+					t.Fatalf("committed %d outcomes, want %d (everything before the fatal draw)", len(committedKeys), fatalAt)
+				}
+				for i, k := range committedKeys {
+					if k != as[i].CanonicalKey() {
+						t.Fatalf("commit %d out of draw order", i)
+					}
+				}
+				sawQuarantine := false
+				for i, o := range outs {
+					wantQ := as[i].CanonicalKey() == quarantineClass
+					if gotQ := o.Err != nil; gotQ != wantQ {
+						t.Fatalf("outcome %d: quarantined=%v, want %v", i, gotQ, wantQ)
+					}
+					sawQuarantine = sawQuarantine || wantQ
+				}
+				if !sawQuarantine {
+					t.Fatal("test setup: no quarantined draw before the fatal one")
+				}
+				if workers == 1 {
+					want := min((fatalAt/size+1)*size, len(as))
+					if got := int(src.measured.Load()); got != want {
+						t.Fatalf("one worker measured %d draws, want %d (through the fatal draw's chunk)", got, want)
+					}
+				}
+			})
 		}
-		return nil
-	}}
-	// No cache: exercises the raw chunking and commit walk.
-	r := NewCachedContextRunner(AsContextRunner(src), nil, "tb")
-	var committedKeys []string
-	commit := func(a assign.Assignment, perf float64, cerr error) error {
-		committedKeys = append(committedKeys, a.CanonicalKey())
-		if cerr == nil && math.Float64bits(perf) != math.Float64bits(classPerf(a)) {
-			t.Fatalf("committed perf %v != class perf %v", perf, classPerf(a))
-		}
-		return nil
-	}
-	outs, err := measureBatched(context.Background(), r, as, 8, commit)
-	if err == nil || !strings.Contains(err.Error(), "testbed died") {
-		t.Fatalf("fatal error not surfaced: %v", err)
-	}
-	if len(outs) != fatalAt {
-		t.Fatalf("got %d outcomes before the fatal draw, want %d", len(outs), fatalAt)
-	}
-	if len(committedKeys) != fatalAt {
-		t.Fatalf("committed %d outcomes, want %d (everything before the fatal draw)", len(committedKeys), fatalAt)
-	}
-	for i, k := range committedKeys {
-		if k != as[i].CanonicalKey() {
-			t.Fatalf("commit %d out of draw order", i)
-		}
-	}
-	sawQuarantine := false
-	for i, o := range outs {
-		wantQ := as[i].CanonicalKey() == quarantineClass
-		if o.quarantined != wantQ {
-			t.Fatalf("outcome %d: quarantined=%v, want %v", i, o.quarantined, wantQ)
-		}
-		sawQuarantine = sawQuarantine || wantQ
-	}
-	if !sawQuarantine {
-		t.Fatal("test setup: no quarantined draw before the fatal one")
 	}
 }
 

@@ -220,8 +220,7 @@ func (c *Cache) storeLocked(key string, perf float64) {
 type CachedRunner struct {
 	inner  ContextRunner
 	cache  *Cache
-	prefix string        // identity + topology shape, precomputed
-	bm     *BatchMetrics // batch-path observability; see InstrumentBatch
+	prefix string // identity + topology shape, precomputed
 }
 
 // NewCachedRunner wraps a legacy Runner. identity names the measured

@@ -193,17 +193,23 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 	if runner == nil {
 		return IterResult{}, fmt.Errorf("core: nil runner")
 	}
-	return iterate(ctx, cfg, func(ctx context.Context, as []assign.Assignment) ([]outcome, error) {
-		return measureSerial(ctx, runner, as)
-	})
+	return IteratePool(ctx, cfg, onePool(runner), BatchOptions{}, nil)
 }
 
-// iterate is the shared §5.3 loop behind IterateContext and
-// IterateParallel: the strategy draws each batch serially from the
-// campaign RNG, the measurer executes it (serially or fanned out — both
-// produce the identical in-order outcome stream), and completed batches
-// are committed to the search history as units.
-func iterate(ctx context.Context, cfg IterConfig, measure measurer) (IterResult, error) {
+// IteratePool runs the §5.3 loop with every sampling round executed by
+// the one measurer on pool: the strategy draws each round serially from
+// the campaign RNG, the pool measures it in chunks of opts.Size draws
+// (one draw when unset) — inline on one worker, fanned out on several —
+// and commit observes the outcomes in draw order. Completed rounds are
+// committed to the search history as units. Given the same IterConfig
+// (seed included) and a deterministic measurement source, every worker
+// count and chunk size visits the identical assignment sequence and
+// produces the identical result and commit stream. IterateContext,
+// IterateParallel and IterateBatched are fixed-option wrappers over it.
+func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (IterResult, error) {
+	if pool == nil {
+		return IterResult{}, fmt.Errorf("core: nil pool")
+	}
 	cfg = cfg.withDefaults()
 	if cfg.AcceptLossPct <= 0 {
 		return IterResult{}, fmt.Errorf("core: acceptable loss must be positive, got %v", cfg.AcceptLossPct)
@@ -311,21 +317,21 @@ func iterate(ctx context.Context, cfg IterConfig, measure measurer) (IterResult,
 				}
 			}
 		}
-		outs, err := measure(ctx, batch)
+		outs, err := pool.measure(ctx, batch, opts, commit)
 		for i, o := range outs {
-			hist.Resolve(base+i, o.perf, o.quarantined)
-			if o.quarantined {
-				res.Quarantined = append(res.Quarantined, Skipped{Assignment: batch[i], Err: o.err})
+			hist.Resolve(base+i, o.Perf, o.Err != nil)
+			if o.Err != nil {
+				res.Quarantined = append(res.Quarantined, Skipped{Assignment: batch[i], Err: o.Err})
 				continue
 			}
-			results = append(results, SampleResult{Assignment: batch[i], Perf: o.perf})
+			results = append(results, SampleResult{Assignment: batch[i], Perf: o.Perf})
 			if !explore[i] {
-				if serr := stream.Observe(o.perf); serr != nil {
+				if serr := stream.Observe(o.Perf); serr != nil {
 					return fmt.Errorf("core: draw %d: %w", base+i+1, serr)
 				}
 			}
-			if !haveBest || o.perf > bestPerf {
-				bestPerf, haveBest = o.perf, true
+			if !haveBest || o.Perf > bestPerf {
+				bestPerf, haveBest = o.Perf, true
 				if sm != nil {
 					sm.Improved.Inc()
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"time"
 
 	"optassign/internal/obs"
 )
@@ -129,12 +130,25 @@ func NewPoolMetrics(r *obs.Registry, workers int) *PoolMetrics {
 	return m
 }
 
-// busy returns worker i's busy-time counter, nil-safely.
-func (m *PoolMetrics) busy(i int) *obs.Counter {
-	if m == nil || i >= len(m.BusySeconds) {
-		return nil
+// dispatch records n draws handed to a worker, nil-safely, and returns
+// the start of their measurement (zero when disabled).
+func (m *PoolMetrics) dispatch(n int) time.Time {
+	if m == nil {
+		return time.Time{}
 	}
-	return m.BusySeconds[i]
+	m.Dispatched.Add(float64(n))
+	return time.Now()
+}
+
+// complete records worker i finishing n draws it started at t0.
+func (m *PoolMetrics) complete(i, n int, t0 time.Time) {
+	if m == nil {
+		return
+	}
+	m.Completed.Add(float64(n))
+	if i < len(m.BusySeconds) {
+		m.BusySeconds[i].Add(time.Since(t0).Seconds())
+	}
 }
 
 // CacheMetrics observes a measurement Cache: how many draws were served
@@ -269,18 +283,13 @@ func NewBatchMetrics(r *obs.Registry) *BatchMetrics {
 	}
 }
 
-func (m *BatchMetrics) batches() *obs.Counter {
+// observe records one batch that measured n assignments, nil-safely.
+func (m *BatchMetrics) observe(n int) {
 	if m == nil {
-		return nil
+		return
 	}
-	return m.Batches
-}
-
-func (m *BatchMetrics) batchSize() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.Size
+	m.Batches.Inc()
+	m.Size.Observe(float64(n))
 }
 
 // IterMetrics publishes the live state of the §5.3 iterative algorithm:

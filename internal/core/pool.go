@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"optassign/internal/assign"
 )
@@ -26,18 +27,20 @@ type Outcome struct {
 // they are embarrassingly parallel: with N independent testbeds (or one
 // concurrency-safe simulator) the §5.4 wall-clock cost of a campaign
 // divides by N. Dispatch is work-stealing — each worker pulls the next
-// undone draw index as it frees up — so one slow measurement never stalls
-// the rest of the batch.
+// undone chunk of draws as it frees up — so one slow measurement never
+// stalls the rest of the batch.
 //
-// PoolRunner itself imposes no ordering; CollectSampleParallel reassembles
-// outcomes in draw order and is the layer that makes a parallel campaign
-// byte-identical to a serial one.
+// The pool is also the campaign's one measurer (see measure): every
+// round, serial, fanned out or batched, is executed by a pool and
+// settled in draw order, which is what makes a parallel or batched
+// campaign byte-identical to a serial one.
 type PoolRunner struct {
 	workers []ContextRunner
 	metrics *PoolMetrics
 }
 
-// NewPoolRunner builds a pool with one goroutine per worker runner. Each
+// NewPoolRunner builds a pool with one goroutine per worker runner (one
+// worker measures in the caller's goroutine instead). Each
 // worker measures on its own runner, so runners that are not safe for
 // concurrent use (a remote.Client, a stateful harness) get exactly one
 // in-flight measurement each. Wrap each worker in its own ResilientRunner
@@ -72,6 +75,11 @@ func NewReplicatedPool(runner ContextRunner, n int) (*PoolRunner, error) {
 	return NewPoolRunner(workers...)
 }
 
+// onePool is the one-worker pool the serial entry points measure on.
+func onePool(runner ContextRunner) *PoolRunner {
+	return &PoolRunner{workers: []ContextRunner{runner}}
+}
+
 // Workers returns the pool's concurrency.
 func (p *PoolRunner) Workers() int { return len(p.workers) }
 
@@ -82,63 +90,206 @@ func (p *PoolRunner) Workers() int { return len(p.workers) }
 // leaves the pool uninstrumented. Call before the first measurement.
 func (p *PoolRunner) Instrument(m *PoolMetrics) { p.metrics = m }
 
-// completion pairs an outcome with the draw index it belongs to.
-type completion struct {
-	i int
-	o Outcome
+// measure is the one measurer: it executes a round of already-drawn
+// assignments on the pool and settles their outcomes in draw order. A
+// success or a quarantine (whose Perf is zeroed) is committed (commit
+// may be nil) and extends the returned outcomes; the first fatal error —
+// any other measurement error, a failed commit, or a draw left unstarted
+// because ctx is done, which returns ctx's bare error — aborts the round
+// with everything before it intact and nothing after it.
+//
+// Draws go to the workers in chunks of opts.Size draws (one draw when
+// unset). A one-worker pool runs its chunks inline, lock-step in the
+// caller's goroutine: that is the serial loop, and it measures nothing
+// after a fatal outcome or once ctx is done. A larger pool streams
+// chunks through its workers and reorders the completions; a fatal
+// outcome cancels the work still in flight.
+func (p *PoolRunner) measure(ctx context.Context, as []assign.Assignment, opts BatchOptions, commit CommitFunc) ([]Outcome, error) {
+	r := p.round(as, opts)
+	m := p.metrics
+	outs := make([]Outcome, 0, len(as))
+	var err error
+	// settleAt applies draw i's outcome and reports whether the round
+	// goes on. An unstarted draw is the serial loop's pre-measurement
+	// ctx check: it ends the round with the bare context error.
+	settleAt := func(i int, o Outcome) bool {
+		switch {
+		case !o.Started:
+			err = o.Err
+		case o.Err != nil && !errors.Is(o.Err, ErrQuarantined):
+			err = fmt.Errorf("core: measuring assignment: %w", o.Err)
+		default:
+			if o.Err != nil {
+				o.Perf = 0
+			}
+			if commit != nil {
+				if cerr := commit(as[i], o.Perf, o.Err); cerr != nil {
+					err = fmt.Errorf("core: measuring assignment: %w", cerr)
+					return false
+				}
+			}
+			outs = append(outs, o)
+			if m != nil {
+				m.Committed.Inc()
+			}
+		}
+		return err == nil
+	}
+	if len(p.workers) == 1 {
+		for lo := 0; lo < len(as) && err == nil; lo += r.size {
+			r.resolve(ctx, 0, lo, settleAt)
+		}
+		return outs, err
+	}
+
+	poolCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Reorder buffer: chunks complete in any order, draws settle in index
+	// order as soon as their prefix is complete.
+	pending := make(map[int][]Outcome, len(p.workers))
+	next := 0
+	for c := range r.stream(poolCtx) {
+		if err != nil {
+			continue // drain only; the round is already aborted
+		}
+		if m != nil {
+			// How far ahead of the commit point this completion landed:
+			// 0 means it commits immediately, larger values mean a slow
+			// earlier draw is holding the buffer open.
+			m.CommitLag.Observe(float64(c.start - next))
+		}
+		pending[c.start] = c.outs
+		for err == nil {
+			chunk, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			for i, o := range chunk {
+				if !settleAt(next+i, o) {
+					cancel() // stop burning testbed time on discarded draws
+					break
+				}
+			}
+			next += len(chunk)
+		}
+		if m != nil {
+			m.ReorderDepth.Set(float64(len(pending)))
+		}
+	}
+	return outs, err
 }
 
-// stream dispatches every assignment to the pool and delivers completions
-// as they happen, in completion order. The channel closes after the last
-// worker exits. Cancellation does not abandon in-flight measurements —
-// each worker finishes (or is interrupted by) its current one and then
-// stops pulling; undispatched draws are delivered unstarted with ctx's
-// error.
-func (p *PoolRunner) stream(ctx context.Context, as []assign.Assignment) <-chan completion {
-	out := make(chan completion, len(p.workers))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(next)
-		for i := range as {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				// Deliver the rest unstarted so every index gets exactly
-				// one completion.
-				for j := i; j < len(as); j++ {
-					out <- completion{j, Outcome{Err: ctx.Err()}}
-				}
+// round is one measure call's dispatch plan: the draws, the chunk size,
+// and each worker's batch path.
+type round struct {
+	p    *PoolRunner
+	as   []assign.Assignment
+	size int
+	// batch[i] resolves worker i's chunks through the cache and the
+	// source's batch path; nil measures them draw by draw.
+	batch []*CachedRunner
+	bm    *BatchMetrics
+}
+
+// round plans as on p. With opts.Size set, a worker that is a
+// CachedRunner over a batch-capable source resolves each chunk through
+// the cache and the source's batch path; a bare batch-capable source
+// gets the same path through a cacheless CachedRunner.
+func (p *PoolRunner) round(as []assign.Assignment, opts BatchOptions) round {
+	r := round{p: p, as: as, size: max(1, opts.Size), batch: make([]*CachedRunner, len(p.workers)), bm: opts.Metrics}
+	if opts.Size <= 0 {
+		return r
+	}
+	for i, w := range p.workers {
+		cr, ok := w.(*CachedRunner)
+		if !ok {
+			cr = NewCachedContextRunner(w, nil, "")
+		}
+		if _, ok := batchMeasurerOf(cr.inner); ok {
+			r.batch[i] = cr
+		}
+	}
+	return r
+}
+
+// resolve measures the chunk starting at draw lo on worker wi, handing
+// each draw's outcome to emit in draw order until emit returns false. A
+// batch chunk is measured in one call after one ctx check; otherwise
+// every draw is preceded by its own ctx check. A done ctx yields one
+// unstarted outcome carrying ctx's error and ends the chunk.
+func (r round) resolve(ctx context.Context, wi, lo int, emit func(i int, o Outcome) bool) {
+	chunk := r.as[lo:min(lo+r.size, len(r.as))]
+	m := r.p.metrics
+	if b := r.batch[wi]; b != nil {
+		if err := ctx.Err(); err != nil {
+			emit(lo, Outcome{Err: err})
+			return
+		}
+		t0 := m.dispatch(len(chunk))
+		perfs, errs := b.measureBatch(ctx, chunk, r.bm)
+		m.complete(wi, len(chunk), t0)
+		for i := range chunk {
+			if !emit(lo+i, Outcome{Perf: perfs[i], Err: errs[i], Started: true}) {
 				return
 			}
 		}
-	}()
-	m := p.metrics
-	for wi, w := range p.workers {
+		return
+	}
+	w := r.p.workers[wi]
+	for i, a := range chunk {
+		if err := ctx.Err(); err != nil {
+			emit(lo+i, Outcome{Err: err})
+			return
+		}
+		t0 := m.dispatch(1)
+		perf, err := w.MeasureContext(ctx, a)
+		m.complete(wi, 1, t0)
+		if !emit(lo+i, Outcome{Perf: perf, Err: err, Started: true}) {
+			return
+		}
+	}
+}
+
+// completion is one chunk's outcomes, starting at draw index start. A
+// chunk cut short ends at a terminal outcome.
+type completion struct {
+	start int
+	outs  []Outcome
+}
+
+// stream runs the round's chunks on the pool's workers and delivers
+// completions as they happen, in completion order; every chunk is
+// delivered exactly once, and the channel closes after the last worker
+// exits. Each worker pulls the next undone chunk as it frees up.
+// Cancellation does not abandon in-flight measurements: each worker
+// finishes (or is interrupted by) its current one, and every chunk
+// pulled after that is delivered as one unstarted draw carrying ctx's
+// error.
+func (r round) stream(ctx context.Context) <-chan completion {
+	// One slot per worker: each can hand over a chunk while the consumer
+	// is still settling an earlier one.
+	out := make(chan completion, len(r.p.workers))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for wi := range r.p.workers {
 		wg.Add(1)
-		go func(wi int, w ContextRunner) {
+		go func(wi int) {
 			defer wg.Done()
-			busy := m.busy(wi)
-			for i := range next {
-				if m != nil {
-					m.Dispatched.Inc()
+			for {
+				lo := int(next.Add(int64(r.size))) - r.size
+				if lo >= len(r.as) {
+					return
 				}
-				start := time.Time{}
-				if busy != nil {
-					start = time.Now()
-				}
-				perf, err := w.MeasureContext(ctx, as[i])
-				if busy != nil {
-					busy.Add(time.Since(start).Seconds())
-				}
-				if m != nil {
-					m.Completed.Inc()
-				}
-				out <- completion{i, Outcome{Perf: perf, Err: err, Started: true}}
+				var outs []Outcome
+				r.resolve(ctx, wi, lo, func(_ int, o Outcome) bool {
+					outs = append(outs, o)
+					// Stop at the first outcome that ends the round.
+					return o.Started && (o.Err == nil || errors.Is(o.Err, ErrQuarantined))
+				})
+				out <- completion{lo, outs}
 			}
-		}(wi, w)
+		}(wi)
 	}
 	go func() {
 		wg.Wait()
@@ -152,8 +303,8 @@ func (p *PoolRunner) stream(ctx context.Context, as []assign.Assignment) <-chan 
 // errors (including cancellation) live in each Outcome.
 func (p *PoolRunner) MeasureBatch(ctx context.Context, as []assign.Assignment) []Outcome {
 	out := make([]Outcome, len(as))
-	for c := range p.stream(ctx, as) {
-		out[c.i] = c.o
+	for c := range p.round(as, BatchOptions{}).stream(ctx) {
+		copy(out[c.start:], c.outs)
 	}
 	return out
 }

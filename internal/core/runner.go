@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -93,79 +92,25 @@ func CollectSampleContext(ctx context.Context, rng *rand.Rand, topo t2.Topology,
 	if runner == nil {
 		return nil, nil, fmt.Errorf("core: nil runner")
 	}
+	return collectSample(ctx, rng, topo, tasks, n, onePool(runner), BatchOptions{}, nil)
+}
+
+// collectSample is the one collector behind the CollectSample* entry
+// points: it draws n iid assignments from rng, measures them as one
+// round on pool, and splits the outcomes into results and skipped.
+func collectSample(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (results []SampleResult, skipped []Skipped, err error) {
 	as, err := assign.Sample(rng, topo, tasks, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, err := measureSerial(ctx, runner, as)
-	results, skipped = splitOutcomes(as, outs)
-	return results, skipped, err
-}
-
-// outcome is one draw's fate inside a batch measurement: a performance,
-// or a quarantine carrying its error. Fatal errors are not outcomes —
-// they abort the batch.
-type outcome struct {
-	perf        float64
-	quarantined bool
-	err         error
-}
-
-// measurer executes a batch of already-drawn assignments and returns
-// their outcomes in draw order. On a fatal error it returns the outcomes
-// of the draws completed (and committed) before the failure alongside the
-// error, exactly like the historical collectors. The serial and parallel
-// measurers are interchangeable: same inputs, same outcomes, same commit
-// order.
-type measurer func(ctx context.Context, as []assign.Assignment) ([]outcome, error)
-
-// measureSerial measures the batch one assignment at a time under ctx,
-// degrading gracefully on quarantines.
-func measureSerial(ctx context.Context, runner ContextRunner, as []assign.Assignment) ([]outcome, error) {
-	outs := make([]outcome, 0, len(as))
-	for _, a := range as {
-		if err := ctx.Err(); err != nil {
-			return outs, err
-		}
-		perf, err := runner.MeasureContext(ctx, a)
-		if outs, err = settle(outs, a, perf, err, nil); err != nil {
-			return outs, err
-		}
-	}
-	return outs, nil
-}
-
-// settle is the measurers' one in-order step: it applies a draw's
-// measurement outcome in draw order. A success or a quarantine is
-// committed (commit may be nil) and appended to outs; any other error —
-// or a failed commit — is fatal, returning outs as they stood so the
-// round aborts with everything before the draw intact.
-func settle(outs []outcome, a assign.Assignment, perf float64, err error, commit CommitFunc) ([]outcome, error) {
-	o := outcome{perf: perf}
-	if err != nil {
-		if !errors.Is(err, ErrQuarantined) {
-			return outs, fmt.Errorf("core: measuring assignment: %w", err)
-		}
-		o = outcome{quarantined: true, err: err}
-	}
-	if commit != nil {
-		if cerr := commit(a, o.perf, err); cerr != nil {
-			return outs, fmt.Errorf("core: measuring assignment: %w", cerr)
-		}
-	}
-	return append(outs, o), nil
-}
-
-// splitOutcomes reassembles a batch's outcomes into the historical
-// results/skipped pair.
-func splitOutcomes(as []assign.Assignment, outs []outcome) (results []SampleResult, skipped []Skipped) {
+	outs, err := pool.measure(ctx, as, opts, commit)
 	results = make([]SampleResult, 0, len(as))
 	for i, o := range outs {
-		if o.quarantined {
-			skipped = append(skipped, Skipped{Assignment: as[i], Err: o.err})
+		if o.Err != nil {
+			skipped = append(skipped, Skipped{Assignment: as[i], Err: o.Err})
 		} else {
-			results = append(results, SampleResult{Assignment: as[i], Perf: o.perf})
+			results = append(results, SampleResult{Assignment: as[i], Perf: o.Perf})
 		}
 	}
-	return results, skipped
+	return results, skipped, err
 }
