@@ -17,6 +17,7 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
+	"optassign/internal/keyrand"
 )
 
 // ErrInjected is the transient fault the Runner raises; retrying the same
@@ -121,7 +122,7 @@ func (r *Runner) roll(ctx context.Context, a assign.Assignment) fault {
 	if keyed {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%d|%v|%d", r.cfg.Seed, a.Ctx, core.Attempt(ctx))
-		u = rand.New(rand.NewSource(int64(h.Sum64()))).Float64()
+		u = keyrand.Float64(int64(h.Sum64()))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -18,13 +18,14 @@ package netdps
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"optassign/internal/apps"
 	"optassign/internal/assign"
 	"optassign/internal/cycle"
+	"optassign/internal/keyrand"
 	"optassign/internal/netgen"
 	"optassign/internal/proc"
 )
@@ -158,10 +159,11 @@ func (tb *Testbed) MeasureAnalytic(a assign.Assignment) (float64, error) {
 	}
 	pps := res.TotalPPS
 	if tb.Noise > 0 {
+		var buf [256]byte // on the stack; append moves longer keys to the heap
+		b := strconv.AppendInt(append(append(buf[:0], a.CanonicalKey()...), '|'), tb.Seed, 10)
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%d", a.CanonicalKey(), tb.Seed)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		pps *= 1 + tb.Noise*(2*rng.Float64()-1)
+		h.Write(b) // the bytes of fmt's "%s|%d"
+		pps *= 1 + tb.Noise*(2*keyrand.Float64(int64(h.Sum64()))-1)
 	}
 	return pps, nil
 }

@@ -10,9 +10,9 @@ package predict
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 
 	"optassign/internal/assign"
+	"optassign/internal/keyrand"
 	"optassign/internal/netdps"
 	"optassign/internal/proc"
 	"optassign/internal/t2"
@@ -145,8 +145,7 @@ func (h *Heuristic) Predict(a assign.Assignment) (float64, error) {
 	if h.RelError > 0 {
 		hash := fnv.New64a()
 		fmt.Fprintf(hash, "predict|%s|%d", a.CanonicalKey(), h.Seed)
-		rng := rand.New(rand.NewSource(int64(hash.Sum64())))
-		pps *= 1 + h.RelError*(2*rng.Float64()-1)
+		pps *= 1 + h.RelError*(2*keyrand.Float64(int64(hash.Sum64()))-1)
 	}
 	return pps, nil
 }

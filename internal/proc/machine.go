@@ -118,37 +118,63 @@ const (
 // share — so symmetric assignments (same canonical form) get identical
 // results.
 func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, error) {
-	if err := m.Validate(); err != nil {
-		return Result{}, err
+	res, _, err := m.solve(tasks, links, placement)
+	return res, err
+}
+
+// use is one non-zero effective demand of a task, on the resource
+// instance the task's placement puts it on.
+type use struct {
+	d    float64
+	inst int32 // index into the flat per-instance array
+	r    int32 // the Resource
+}
+
+// demandTable is the placement-dependent part of a solve, built once per
+// call: every task's effective demand and its non-zero entries in
+// resource order.
+type demandTable struct {
+	eff  []Demand // task demand plus link communication
+	uses []use    // task i's entries are uses[end[i-1]:end[i]]
+	end  []int
+	// first[r] is the flat index of resource r's instance 0; the flat
+	// array holds first[NumResources] instances in all.
+	first [NumResources + 1]int
+}
+
+// taskUses returns task i's non-zero demands in resource order.
+func (t *demandTable) taskUses(i int) []use {
+	start := 0
+	if i > 0 {
+		start = t.end[i-1]
 	}
+	return t.uses[start:t.end[i]]
+}
+
+// demands validates the placement and links and builds the demand table.
+func (m *Machine) demands(tasks []Task, links []Link, placement []int) (*demandTable, error) {
 	n := len(tasks)
-	if n == 0 {
-		return Result{}, fmt.Errorf("proc: no tasks")
-	}
-	if len(placement) != n {
-		return Result{}, fmt.Errorf("proc: %d tasks but %d placements", n, len(placement))
-	}
 	v := m.Topo.Contexts()
-	seen := make(map[int]bool, n)
+	seen := make([]bool, v)
 	for i, c := range placement {
 		if c < 0 || c >= v {
-			return Result{}, fmt.Errorf("proc: task %d placed on invalid context %d", i, c)
+			return nil, fmt.Errorf("proc: task %d placed on invalid context %d", i, c)
 		}
 		if seen[c] {
-			return Result{}, fmt.Errorf("proc: context %d assigned twice", c)
+			return nil, fmt.Errorf("proc: context %d assigned twice", c)
 		}
 		seen[c] = true
 	}
 
 	// Effective demands: task demand plus link communication, which depends
 	// on the placement distance of the endpoints.
-	eff := make([]Demand, n)
-	for i, t := range tasks {
-		eff[i] = t.Demand
+	t := &demandTable{eff: make([]Demand, n), end: make([]int, n)}
+	for i, task := range tasks {
+		t.eff[i] = task.Demand
 	}
 	for _, l := range links {
 		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
-			return Result{}, fmt.Errorf("proc: link %v references unknown task", l)
+			return nil, fmt.Errorf("proc: link %v references unknown task", l)
 		}
 		var comm Demand
 		if m.Topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
@@ -157,15 +183,75 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 		} else {
 			comm.Res[L1D] = m.LocalCommL1 * l.Volume
 		}
-		eff[l.A] = eff[l.A].Add(comm)
-		eff[l.B] = eff[l.B].Add(comm)
+		t.eff[l.A] = t.eff[l.A].Add(comm)
+		t.eff[l.B] = t.eff[l.B].Add(comm)
 	}
+
+	// Flat instance layout: one slot per pipe, core or chip-wide instance
+	// of every resource, resource by resource.
+	for r := 0; r < NumResources; r++ {
+		count := 1
+		switch Resource(r).Level() {
+		case t2.IntraPipe:
+			count = m.Topo.Pipes()
+		case t2.IntraCore:
+			count = m.Topo.Cores
+		}
+		t.first[r+1] = t.first[r] + count
+	}
+
+	nonZero := 0
+	for i := range t.eff {
+		for _, d := range t.eff[i].Res {
+			if d != 0 {
+				nonZero++
+			}
+		}
+	}
+	t.uses = make([]use, 0, nonZero)
+	for i, ctx := range placement {
+		pipe, core := m.Topo.PipeOf(ctx), m.Topo.CoreOf(ctx)
+		for r, d := range t.eff[i].Res {
+			if d == 0 {
+				continue
+			}
+			inst := t.first[r]
+			switch Resource(r).Level() {
+			case t2.IntraPipe:
+				inst += pipe
+			case t2.IntraCore:
+				inst += core
+			}
+			t.uses = append(t.uses, use{d: d, inst: int32(inst), r: int32(r)})
+		}
+		t.end[i] = len(t.uses)
+	}
+	return t, nil
+}
+
+// solve is Solve, also returning the demand table it solved.
+func (m *Machine) solve(tasks []Task, links []Link, placement []int) (Result, *demandTable, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, nil, err
+	}
+	n := len(tasks)
+	if n == 0 {
+		return Result{}, nil, fmt.Errorf("proc: no tasks")
+	}
+	if len(placement) != n {
+		return Result{}, nil, fmt.Errorf("proc: %d tasks but %d placements", n, len(placement))
+	}
+	tab, err := m.demands(tasks, links, placement)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	eff := tab.eff
 
 	// Group bookkeeping.
 	maxGroup := 0
 	for _, t := range tasks {
 		if t.Group < 0 {
-			return Result{}, fmt.Errorf("proc: negative group %d", t.Group)
+			return Result{}, nil, fmt.Errorf("proc: negative group %d", t.Group)
 		}
 		if t.Group > maxGroup {
 			maxGroup = t.Group
@@ -173,37 +259,20 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	}
 	numGroups := maxGroup + 1
 
-	// Resource instance index per task and resource kind.
-	instOf := func(task int, r Resource) int {
-		ctx := placement[task]
-		switch r.Level() {
-		case t2.IntraPipe:
-			return m.Topo.PipeOf(ctx)
-		case t2.IntraCore:
-			return m.Topo.CoreOf(ctx)
-		default:
-			return 0
-		}
-	}
-	instances := [NumResources]int{}
-	for r := 0; r < NumResources; r++ {
-		switch Resource(r).Level() {
-		case t2.IntraPipe:
-			instances[r] = m.Topo.Pipes()
-		case t2.IntraCore:
-			instances[r] = m.Topo.Cores
-		default:
-			instances[r] = 1
-		}
-	}
+	// One allocation backs the per-task service times and slowdowns, the
+	// per-group rates and the per-instance utilization.
+	nInst := tab.first[NumResources]
+	buf := make([]float64, 2*n+numGroups+nInst)
+	service := buf[:n:n]
+	slowdown := buf[n : 2*n : 2*n]
+	rate := buf[2*n : 2*n+numGroups : 2*n+numGroups]
+	util := buf[2*n+numGroups:]
 
 	// Fixed point on group rates.
-	service := make([]float64, n)
-	rate := make([]float64, numGroups)
 	for i, d := range eff {
 		s := d.Base()
 		if s <= 0 {
-			return Result{}, fmt.Errorf("proc: task %d has non-positive base service time", i)
+			return Result{}, nil, fmt.Errorf("proc: task %d has non-positive base service time", i)
 		}
 		service[i] = s
 	}
@@ -225,25 +294,16 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	}
 	updateRates()
 
-	util := make([][]float64, NumResources)
-	for r := range util {
-		util[r] = make([]float64, instances[r])
-	}
-
 	iterations := 0
 	for iter := 0; iter < solverMaxIter; iter++ {
 		iterations = iter + 1
 		// Utilization per resource instance under current rates.
-		for r := range util {
-			for j := range util[r] {
-				util[r][j] = 0
-			}
-		}
+		clear(util)
 		for i := range eff {
 			taskRate := rate[groupOf[i]]
-			for r := 0; r < NumResources; r++ {
-				if d := eff[i].Res[r]; d > 0 {
-					util[r][instOf(i, Resource(r))] += taskRate * d
+			for _, u := range tab.taskUses(i) {
+				if u.d > 0 {
+					util[u.inst] += taskRate * u.d
 				}
 			}
 		}
@@ -251,16 +311,12 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 		maxDelta := 0.0
 		for i := range eff {
 			s := eff[i].Serial
-			for r := 0; r < NumResources; r++ {
-				d := eff[i].Res[r]
-				if d == 0 {
-					continue
-				}
+			for _, u := range tab.taskUses(i) {
 				slow := 1.0
-				if u := util[r][instOf(i, Resource(r))]; u > m.Caps[r] {
-					slow = contentionCurve(Resource(r), u/m.Caps[r])
+				if ut := util[u.inst]; ut > m.Caps[u.r] {
+					slow = contentionCurve(Resource(u.r), ut/m.Caps[u.r])
 				}
-				s += d * slow
+				s += u.d * slow
 			}
 			// Damping keeps the utilization↔rate loop from oscillating.
 			newS := 0.5*service[i] + 0.5*s
@@ -278,7 +334,7 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	res := Result{
 		ServiceCycles: service,
 		GroupRate:     rate,
-		Slowdown:      make([]float64, n),
+		Slowdown:      slowdown,
 		Iterations:    iterations,
 	}
 	for g := range rate {
@@ -288,7 +344,7 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	for i := range service {
 		res.Slowdown[i] = service[i] / eff[i].Base()
 	}
-	return res, nil
+	return res, tab, nil
 }
 
 // contentionCurve maps over-subscription (utilization / capacity > 1) to a

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"optassign/internal/t2"
 )
 
 // ResourceUse is the utilization of one resource instance at the solved
@@ -66,59 +64,35 @@ func (p *Profile) Dump(w io.Writer, top int) {
 // simulated equivalent of reading hardware performance counters after a
 // measurement run.
 func (m *Machine) SolveProfile(tasks []Task, links []Link, placement []int) (*Profile, error) {
-	res, err := m.Solve(tasks, links, placement)
+	res, tab, err := m.solve(tasks, links, placement)
 	if err != nil {
 		return nil, err
 	}
 
-	// Recompute effective demands exactly as Solve does (communication
-	// placement included) and accumulate utilization at the final rates.
-	eff := make([]Demand, len(tasks))
-	for i, t := range tasks {
-		eff[i] = t.Demand
-	}
-	for _, l := range links {
-		var comm Demand
-		if m.Topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
-			comm.Res[L2] = m.RemoteCommL2 * l.Volume
-			comm.Res[XBAR] = m.RemoteCommXBar * l.Volume
-		} else {
-			comm.Res[L1D] = m.LocalCommL1 * l.Volume
-		}
-		eff[l.A] = eff[l.A].Add(comm)
-		eff[l.B] = eff[l.B].Add(comm)
-	}
-
-	util := make(map[[2]int]float64)
+	// Accumulate utilization at the final rates over the instances some
+	// task demands.
+	util := make([]float64, tab.first[NumResources])
+	used := make([]bool, len(util))
 	for i := range tasks {
 		rate := res.GroupRate[tasks[i].Group]
-		ctx := placement[i]
-		for r := 0; r < NumResources; r++ {
-			d := eff[i].Res[r]
-			if d == 0 {
-				continue
-			}
-			var inst int
-			switch Resource(r).Level() {
-			case t2.IntraPipe:
-				inst = m.Topo.PipeOf(ctx)
-			case t2.IntraCore:
-				inst = m.Topo.CoreOf(ctx)
-			default:
-				inst = 0
-			}
-			util[[2]int{r, inst}] += rate * d
+		for _, u := range tab.taskUses(i) {
+			util[u.inst] += rate * u.d
+			used[u.inst] = true
 		}
 	}
 
 	prof := &Profile{Result: res}
-	for key, u := range util {
-		prof.Uses = append(prof.Uses, ResourceUse{
-			Resource: Resource(key[0]),
-			Instance: key[1],
-			Util:     u,
-			Cap:      m.Caps[key[0]],
-		})
+	for r := 0; r < NumResources; r++ {
+		for inst := tab.first[r]; inst < tab.first[r+1]; inst++ {
+			if used[inst] {
+				prof.Uses = append(prof.Uses, ResourceUse{
+					Resource: Resource(r),
+					Instance: inst - tab.first[r],
+					Util:     util[inst],
+					Cap:      m.Caps[r],
+				})
+			}
+		}
 	}
 	sort.Slice(prof.Uses, func(i, j int) bool {
 		a, b := prof.Uses[i], prof.Uses[j]
