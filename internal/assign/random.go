@@ -33,9 +33,10 @@ func Random(rng *rand.Rand, topo t2.Topology, tasks int) (Assignment, error) {
 			c := rng.Intn(v)
 			if used[c] {
 				ok = false
-				// Finish drawing so the rejection step consumes the same
-				// variates regardless of where the collision happened, then
-				// clear and retry.
+				// Reject at the first collision: the round's remaining
+				// draws are never made, so a rejected round consumes
+				// only the variates up to its collision. Campaign
+				// journals pin this variate stream. Clear and retry.
 				break
 			}
 			used[c] = true

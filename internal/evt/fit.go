@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"optassign/internal/optimize"
 	"optassign/internal/stats"
 )
 
@@ -83,9 +82,8 @@ func distinctValues(ys []float64) int {
 //
 //	ξ̂ = (1 − m²/v)/2,  σ̂ = m(1 − ξ̂)
 //
-// where m and v are the sample mean and variance. It is both a cheap
-// estimator in its own right (the ablation baseline) and the starting point
-// of the maximum-likelihood search.
+// where m and v are the sample mean and variance: a cheap estimator in its
+// own right, and the ablation baseline behind FitGPDMoments.
 func MomentsEstimate(ys []float64) (GPD, error) {
 	if len(ys) < 2 {
 		return GPD{}, ErrSampleTooSmall
@@ -123,10 +121,12 @@ func MomentsEstimate(ys []float64) (GPD, error) {
 }
 
 // FitGPD computes the maximum-likelihood GPD fit to the exceedances ys
-// (observations already reduced by the threshold, all >= 0) by minimizing
-// the negative log-likelihood with Nelder-Mead, exactly as the paper does
-// with Matlab's fminsearch (§3.3.2 Step 3). The scale is searched in log
-// space so positivity is structural, and support violations return +Inf.
+// (observations already reduced by the threshold, all >= 0). It maximizes
+// the same likelihood the paper maximizes with Matlab's fminsearch
+// (§3.3.2 Step 3), over the same region ξ ∈ (xiFloor, 10], but exactly:
+// the two-parameter search is reduced to Grimshaw's one-dimensional
+// profile in θ = ξ/σ (see profile), scanned on a coarse grid for the
+// right basin and then climbed by safeguarded Newton.
 func FitGPD(ys []float64) (Fit, error) {
 	if len(ys) < 5 {
 		return Fit{}, fmt.Errorf("%w: need at least 5 exceedances, have %d", ErrSampleTooSmall, len(ys))
@@ -134,41 +134,224 @@ func FitGPD(ys []float64) (Fit, error) {
 	if distinctValues(ys) < 3 {
 		return Fit{}, ErrDegenerateTail
 	}
-	start, err := MomentsEstimate(ys)
+	g, _, err := fitProfile(ys)
 	if err != nil {
 		return Fit{}, err
 	}
+	ll := g.LogLikelihood(ys)
+	if math.IsInf(ll, -1) {
+		return Fit{}, errNoFeasibleFit
+	}
+	return Fit{GPD: g, LogLikelihood: ll, Exceedances: len(ys), Method: "mle"}, nil
+}
 
-	negLL := func(p []float64) float64 {
-		xi, sigma := p[0], math.Exp(p[1])
-		if xi <= xiFloor || xi > 10 || !(sigma > 0) || math.IsInf(sigma, 1) {
-			return math.Inf(1)
+// errNoFeasibleFit reports exceedances no GPD in the search region can
+// assign a finite likelihood, such as a negative exceedance.
+var errNoFeasibleFit = errors.New("evt: likelihood maximization failed to find a feasible point")
+
+// xiCeil is the largest shape the fit accepts.
+const xiCeil = 10
+
+// profile is the GPD log-likelihood of the exceedances reduced to one
+// dimension (Grimshaw, 1993). For θ = ξ/σ and fixed θ the likelihood
+//
+//	ℓ(ξ, θ) = −m·log(ξ/θ) − (1 + 1/ξ)·Σ log(1+θy)
+//
+// is unimodal in ξ with its maximum at ξ̂(θ) = mean(log(1+θy)), so the fit
+// is a search over θ ∈ (−1/max(y), ∞) for the maximum of
+//
+//	ℓ*(θ) = −m·log(ξ̂/θ) − m·ξ̂ − m.
+//
+// Where ξ̂(θ) <= xiFloor the constrained maximum over ξ sits on the floor,
+// so there the profile is ℓ(ξ_floor, θ), with ξ_floor the smallest float
+// above xiFloor; that branch is concave in θ and meets ℓ* with equal value
+// and slope. Where ξ̂(θ) > xiCeil the profile is −Inf. With
+// T1 = Σ y/(1+θy) and T2 = Σ (y/(1+θy))² its derivatives are
+//
+//	ℓ'  = m/θ − (1 + 1/ξ)·T1
+//	ℓ'' = −m/θ² + (1 + 1/ξ)·T2 + T1²/(m·ξ²)   (last term off the floor only)
+//
+// At θ = 0 the model is the exponential tail, ξ = 0 and σ = ȳ.
+type profile struct {
+	ys     []float64
+	m      float64
+	passes int // passes over ys so far
+}
+
+// profilePoint is the profile at theta: its value f, the shape xi that
+// attains it, and, when asked for, the derivatives d1 and d2.
+type profilePoint struct {
+	theta, xi, f, d1, d2 float64
+}
+
+// at evaluates the profile at theta in one pass over the exceedances.
+// d1 and d2 are computed only when derivs is set; d2 is NaN at θ = 0.
+func (p *profile) at(theta float64, derivs bool) profilePoint {
+	p.passes++
+	pt := profilePoint{theta: theta}
+	if theta == 0 {
+		var s1, s2 float64
+		for _, y := range p.ys {
+			s1 += y
+			s2 += y * y
 		}
-		ll := (GPD{Xi: xi, Sigma: sigma}).LogLikelihood(ys)
-		return -ll
+		mean := s1 / p.m
+		pt.f = -p.m*math.Log(mean) - p.m
+		pt.d1, pt.d2 = s2/(2*mean)-s1, math.NaN()
+		return pt
+	}
+	var s, t1, t2 float64
+	if derivs {
+		for _, y := range p.ys {
+			d := 1 + theta*y
+			s += math.Log(d)
+			q := y / d
+			t1 += q
+			t2 += q * q
+		}
+	} else {
+		for _, y := range p.ys {
+			s += math.Log(1 + theta*y)
+		}
+	}
+	xi := s / p.m
+	if !(xi <= xiCeil) || math.IsInf(xi, -1) {
+		pt.f = math.Inf(-1)
+		return pt
+	}
+	onFloor := xi <= xiFloor
+	if onFloor {
+		xi = math.Nextafter(xiFloor, 0)
+	}
+	c := 1 + 1/xi
+	pt.xi = xi
+	pt.f = -p.m*math.Log(xi/theta) - c*s
+	if derivs {
+		pt.d1 = p.m/theta - c*t1
+		pt.d2 = -p.m/(theta*theta) + c*t2
+		if !onFloor {
+			pt.d2 += t1 * t1 / (p.m * xi * xi)
+		}
+	}
+	return pt
+}
+
+// gpd returns the distribution the profile point stands for.
+func (pt profilePoint) gpd(mean float64) GPD {
+	if pt.theta == 0 {
+		return GPD{Xi: 0, Sigma: mean}
+	}
+	return GPD{Xi: pt.xi, Sigma: pt.xi / pt.theta}
+}
+
+// fitProfile maximizes the profile likelihood of ys and returns the
+// fitted GPD and the number of passes over ys it took. A fixed grid of θ
+// finds the basins of the profile, and Newton's method climbs each grid
+// point that is higher than its neighbours, inside the bracket they form.
+// The highest summit wins, so the fit never ends below the grid's best
+// point or on a lower local maximum the grid can tell apart.
+func fitProfile(ys []float64) (GPD, int, error) {
+	ymin, ymax, sum := ys[0], ys[0], 0.0
+	for _, y := range ys {
+		ymin, ymax, sum = min(ymin, y), max(ymax, y), sum+y
+	}
+	if ymin < 0 {
+		return GPD{}, 0, errNoFeasibleFit
+	}
+	p := &profile{ys: ys, m: float64(len(ys))}
+	mean := sum / p.m
+
+	// The grid: θ = −1/(max(y)·(1+r)) below zero, which puts the implied
+	// endpoint r·max(y) beyond the sample maximum, densest where the ξ > −1
+	// floor and interior maxima compete; and θ = k/ȳ above zero.
+	pole := -1 / ymax
+	var grid []float64
+	for _, r := range [...]float64{1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 100} {
+		grid = append(grid, pole/(1+r))
+	}
+	for _, k := range [...]float64{1e-3, 0.1, 1, 10} {
+		grid = append(grid, k/mean)
+	}
+	vals := make([]float64, len(grid))
+	for i, t := range grid {
+		vals[i] = p.at(t, false).f
+	}
+	// A profile still rising at the top of the grid is followed up in
+	// fourfold steps until it turns down or leaves the shape range.
+	for n := len(grid); vals[n-1] > vals[n-2]; n++ {
+		t := 4 * grid[n-1]
+		grid, vals = append(grid, t), append(vals, p.at(t, false).f)
 	}
 
-	res, err := optimize.NelderMead(negLL, []float64{start.Xi, math.Log(start.Sigma)}, &optimize.NelderMeadOptions{MaxIter: 2000})
-	if err != nil {
-		return Fit{}, err
+	best := profilePoint{f: math.Inf(-1)}
+	for i, v := range vals {
+		lo, hi := pole, grid[i]
+		left, right := math.Inf(-1), math.Inf(-1)
+		if i > 0 {
+			lo, left = grid[i-1], vals[i-1]
+		}
+		if i < len(grid)-1 {
+			hi, right = grid[i+1], vals[i+1]
+		}
+		if math.IsInf(v, -1) || v < left || v <= right {
+			continue
+		}
+		if top := p.climb(grid[i], lo, hi); top.f > best.f {
+			best = top
+		}
 	}
-	if math.IsInf(res.F, 1) {
-		return Fit{}, errors.New("evt: likelihood maximization failed to find a feasible point")
+	if math.IsInf(best.f, -1) {
+		return GPD{}, p.passes, errNoFeasibleFit
 	}
-	g := GPD{Xi: res.X[0], Sigma: math.Exp(res.X[1])}
+	g := best.gpd(mean)
 	if err := g.Validate(); err != nil {
-		return Fit{}, err
+		return GPD{}, p.passes, err
 	}
-	return Fit{GPD: g, LogLikelihood: -res.F, Exceedances: len(ys), Method: "mle"}, nil
+	return g, p.passes, nil
+}
+
+// climb runs safeguarded Newton from theta toward the profile maximum in
+// (lo, hi), where theta is higher than both ends. A step that leaves the
+// bracket, or a point where the profile is not concave, bisects toward
+// the ascent instead; a step that lowers the profile is not taken and
+// shrinks the bracket. The point returned is the highest one visited.
+func (p *profile) climb(theta, lo, hi float64) profilePoint {
+	cur := p.at(theta, true)
+	for iter := 0; iter < 100 && cur.d1 != 0; iter++ {
+		t := cur.theta - cur.d1/cur.d2
+		if !(cur.d2 < 0) || !(t > lo && t < hi) {
+			if cur.d1 > 0 {
+				t = cur.theta + (hi-cur.theta)/2
+			} else {
+				t = cur.theta - (cur.theta-lo)/2
+			}
+		}
+		if math.Abs(t-cur.theta) <= 1e-10*math.Abs(cur.theta) {
+			break
+		}
+		next := p.at(t, true)
+		switch {
+		case next.f >= cur.f && t > cur.theta:
+			lo, cur = cur.theta, next
+		case next.f >= cur.f:
+			hi, cur = cur.theta, next
+		case t > cur.theta:
+			hi = t
+		default:
+			lo = t
+		}
+	}
+	return cur
 }
 
 // FitGPDMoments packages the method-of-moments estimate in the same Fit
 // shape as FitGPD, for the estimator ablation and for production use as a
 // cheap first-pass estimator. Unlike MomentsEstimate — which stays
-// permissive because it only seeds the likelihood search — FitGPDMoments
-// enforces the estimator's own validity region: an implied shape at the
-// ξ >= 1/2 wall returns ErrMomentsUndefined instead of a clamped garbage
-// fit, and a degenerate exceedance set returns ErrDegenerateTail.
+// permissive, clamping the shape and widening the scale to cover the
+// data — FitGPDMoments enforces the estimator's own validity region: an
+// implied shape at the ξ >= 1/2 wall returns ErrMomentsUndefined instead
+// of a clamped garbage fit, and a degenerate exceedance set returns
+// ErrDegenerateTail.
 func FitGPDMoments(ys []float64) (Fit, error) {
 	if len(ys) < 2 {
 		return Fit{}, ErrSampleTooSmall

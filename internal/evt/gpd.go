@@ -1,10 +1,11 @@
 // Package evt implements the Extreme Value Theory machinery of the paper:
 // the Generalized Pareto Distribution (GPD), the Peak-Over-Threshold (POT)
 // method with sample mean-excess threshold diagnostics, maximum-likelihood
-// parameter estimation (via a Nelder-Mead search, the stdlib equivalent of
-// the Matlab fminsearch the authors used), the Upper Performance Bound (UPB)
-// point estimate u − σ/ξ, and its profile-likelihood confidence interval via
-// Wilks' theorem (paper §3.3).
+// parameter estimation (the likelihood the authors maximized with Matlab's
+// fminsearch, maximized exactly by Newton's method on its one-dimensional
+// profile), the Upper Performance Bound (UPB) point estimate u − σ/ξ, and
+// its profile-likelihood confidence interval via Wilks' theorem (paper
+// §3.3).
 package evt
 
 import (

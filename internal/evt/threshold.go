@@ -122,38 +122,6 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 			ErrSampleTooSmall, n, maxM, o.MaxExceedFraction, o.MinExceedances)
 	}
 
-	// cut selects the threshold keeping ~m observations and returns it
-	// with the index of its first exceedance. The exceedance set is
-	// strictly above u — the same strict `>` the mean-excess plot, the
-	// ECDF tail count 1 − F̂(u) and the planner's exceedance probability
-	// all use — so observations equal to the threshold are never
-	// double-counted into the tail.
-	//
-	// Ties need care: when the m-th order statistic lands inside a run of
-	// repeated values, none of the run is strictly above u and the strict
-	// count can starve below MinExceedances even though plenty of tail
-	// data exists. A tie run is atomic — no threshold can split it — so
-	// the candidate snaps down to the next smaller distinct value, taking
-	// the whole run into the tail. That can overshoot MaxExceedFraction·n;
-	// the overshoot is forced by quantization (discrete performance
-	// populations produce exactly such samples) and is preferred to
-	// failing the analysis outright.
-	cut := func(m int) (u float64, end int) {
-		u = sorted[n-m-1]
-		// first marks the first copy of u, end the first strict exceedance.
-		first := sort.SearchFloat64s(sorted, u)
-		end = first
-		for end < n && sorted[end] == u {
-			end++
-		}
-		for n-end < o.MinExceedances && first > 0 {
-			u = sorted[first-1]
-			end = first
-			first = sort.SearchFloat64s(sorted, u)
-		}
-		return u, end
-	}
-
 	// The threshold for maxM is the lowest any candidate can take (the
 	// snap-down is monotone in m), and the linearity fits only read
 	// mean-excess points at or above their own threshold, so the plot is
@@ -161,7 +129,7 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	// above a candidate's threshold are a suffix, which the line fit
 	// reads in place: the same points, in the same order, that
 	// MeanExcessLinearity would copy out.
-	uMin, _ := cut(maxM)
+	uMin, _ := cutSorted(sorted, maxM, o.MinExceedances)
 	mePoints, err := meanExcessSorted(sorted, sort.SearchFloat64s(sorted, uMin))
 	if err != nil {
 		return Threshold{}, nil, err
@@ -173,7 +141,7 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	}
 
 	build := func(m int) (Threshold, error) {
-		u, end := cut(m)
+		u, end := cutSorted(sorted, m, o.MinExceedances)
 		ys := make([]float64, 0, n-end)
 		for _, x := range sorted[end:] {
 			ys = append(ys, x-u)
@@ -199,16 +167,7 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 		return thr, nil, err
 	}
 
-	// Scan a coarse grid of exceedance counts (scores vary smoothly, so
-	// ~16 candidates suffice and keep the repeated GPD fits cheap).
-	step := (maxM - o.MinExceedances) / 15
-	if step < 1 {
-		step = 1
-	}
-	var ms []int
-	for m := maxM; m >= o.MinExceedances; m -= step {
-		ms = append(ms, m)
-	}
+	ms := scanCounts(maxM, o.MinExceedances)
 	type candidate struct {
 		ok      bool // the candidate could be built and scored
 		thr     Threshold
@@ -303,4 +262,49 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 		}
 	}
 	return best.thr, best.fit, nil
+}
+
+// scanCounts returns the exceedance counts the threshold scan tries, from
+// maxM down to minM: a coarse grid, because scores vary smoothly, so ~16
+// candidates suffice and keep the repeated GPD fits cheap.
+func scanCounts(maxM, minM int) []int {
+	step := max((maxM-minM)/15, 1)
+	var ms []int
+	for m := maxM; m >= minM; m -= step {
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// cutSorted selects the threshold keeping ~m of the ascending sample's
+// observations above it, and returns it with the index of its first
+// exceedance. The exceedance set is strictly above u — the same strict
+// `>` the mean-excess plot, the ECDF tail count 1 − F̂(u) and the
+// planner's exceedance probability all use — so observations equal to
+// the threshold are never double-counted into the tail.
+//
+// Ties need care: when the m-th order statistic lands inside a run of
+// repeated values, none of the run is strictly above u and the strict
+// count can starve below minExceedances even though plenty of tail data
+// exists. A tie run is atomic — no threshold can split it — so the
+// candidate snaps down to the next smaller distinct value, taking the
+// whole run into the tail. That can overshoot the exceedance cap; the
+// overshoot is forced by quantization (discrete performance populations
+// produce exactly such samples) and is preferred to failing the analysis
+// outright.
+func cutSorted(sorted []float64, m, minExceedances int) (u float64, end int) {
+	n := len(sorted)
+	u = sorted[n-m-1]
+	// first marks the first copy of u, end the first strict exceedance.
+	first := sort.SearchFloat64s(sorted, u)
+	end = first
+	for end < n && sorted[end] == u {
+		end++
+	}
+	for n-end < minExceedances && first > 0 {
+		u = sorted[first-1]
+		end = first
+		first = sort.SearchFloat64s(sorted, u)
+	}
+	return u, end
 }

@@ -114,9 +114,10 @@ func UPBConfidenceInterval(u float64, ys []float64, fit Fit, alpha float64) (UPB
 		return UPBInterval{}, err
 	}
 
-	// The profile maximum can exceed the 2-parameter fit's likelihood
-	// slightly if Nelder-Mead stopped early; use the larger as L_max so the
-	// interval always contains the point estimate.
+	// The UPB profile at the point estimate can exceed the fit's
+	// likelihood in the last bits (the two are the same maximum, summed
+	// differently); use the larger as L_max so the interval always
+	// contains the point estimate.
 	lmax := fit.LogLikelihood
 	if pl, _ := ProfileLogLikelihood(u, ys, point); pl > lmax {
 		lmax = pl

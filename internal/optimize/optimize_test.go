@@ -7,166 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNelderMeadQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-3)*(x[0]-3) + 2*(x[1]+1)*(x[1]+1) + 5
-	}
-	res, err := NelderMead(f, []float64{0, 0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-3) > 1e-5 || math.Abs(res.X[1]+1) > 1e-5 {
-		t.Errorf("minimizer = %v, want (3,-1)", res.X)
-	}
-	if math.Abs(res.F-5) > 1e-8 {
-		t.Errorf("minimum = %v, want 5", res.F)
-	}
-	if !res.Converged {
-		t.Error("should have converged")
-	}
-}
-
-func TestNelderMeadRosenbrock(t *testing.T) {
-	// The classic banana function: minimum 0 at (1, 1).
-	f := func(x []float64) float64 {
-		a := 1 - x[0]
-		b := x[1] - x[0]*x[0]
-		return a*a + 100*b*b
-	}
-	res, err := NelderMead(f, []float64{-1.2, 1}, &NelderMeadOptions{MaxIter: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-1) > 1e-4 || math.Abs(res.X[1]-1) > 1e-4 {
-		t.Errorf("minimizer = %v, want (1,1)", res.X)
-	}
-}
-
-func TestNelderMead1D(t *testing.T) {
-	f := func(x []float64) float64 { return math.Abs(x[0] - 7) }
-	res, err := NelderMead(f, []float64{100}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-7) > 1e-4 {
-		t.Errorf("minimizer = %v, want 7", res.X[0])
-	}
-}
-
-func TestNelderMeadConstraintViaInf(t *testing.T) {
-	// Minimize (x−5)² subject to x <= 2, encoded by +Inf.
-	f := func(x []float64) float64 {
-		if x[0] > 2 {
-			return math.Inf(1)
-		}
-		d := x[0] - 5
-		return d * d
-	}
-	res, err := NelderMead(f, []float64{-3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-2) > 1e-4 {
-		t.Errorf("constrained minimizer = %v, want 2", res.X[0])
-	}
-}
-
-func TestNelderMeadNaNTreatedAsInf(t *testing.T) {
-	f := func(x []float64) float64 {
-		if x[0] < 0 {
-			return math.NaN()
-		}
-		return (x[0] - 1) * (x[0] - 1)
-	}
-	res, err := NelderMead(f, []float64{4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-1) > 1e-4 {
-		t.Errorf("minimizer = %v, want 1", res.X[0])
-	}
-}
-
-func TestNelderMeadEmptyStart(t *testing.T) {
-	if _, err := NelderMead(func(x []float64) float64 { return 0 }, nil, nil); err != ErrDimension {
-		t.Errorf("err = %v, want ErrDimension", err)
-	}
-}
-
-func TestNelderMeadZeroStartCoordinate(t *testing.T) {
-	// Regression: a zero coordinate must still receive a perturbation.
-	f := func(x []float64) float64 { return (x[0] + 2) * (x[0] + 2) }
-	res, err := NelderMead(f, []float64{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]+2) > 1e-4 {
-		t.Errorf("minimizer = %v, want -2", res.X[0])
-	}
-}
-
-func TestNelderMeadRandomQuadraticsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(4)
-		center := make([]float64, dim)
-		start := make([]float64, dim)
-		for i := range center {
-			center[i] = r.Float64()*20 - 10
-			start[i] = r.Float64()*20 - 10
-		}
-		obj := func(x []float64) float64 {
-			s := 0.0
-			for i := range x {
-				d := x[i] - center[i]
-				s += d * d
-			}
-			return s
-		}
-		res, err := NelderMead(obj, start, &NelderMeadOptions{MaxIter: 4000})
-		if err != nil {
-			return false
-		}
-		for i := range res.X {
-			if math.Abs(res.X[i]-center[i]) > 1e-3 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	x, fx := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-10)
-	if math.Abs(x-2.5) > 1e-6 {
-		t.Errorf("minimizer = %v, want 2.5", x)
-	}
-	if fx > 1e-10 {
-		t.Errorf("minimum = %v", fx)
-	}
-	// Reversed interval and default tolerance also work.
-	x, _ = GoldenSection(func(x float64) float64 { return math.Cos(x) }, 4, 2, 0)
-	if math.Abs(x-math.Pi) > 1e-6 {
-		t.Errorf("minimizer of cos on [2,4] = %v, want π", x)
-	}
-}
-
-func TestGoldenSectionWithInfRegion(t *testing.T) {
-	f := func(x float64) float64 {
-		if x < 1 {
-			return math.Inf(1)
-		}
-		return (x - 3) * (x - 3)
-	}
-	x, _ := GoldenSection(f, 0, 10, 1e-9)
-	if math.Abs(x-3) > 1e-5 {
-		t.Errorf("minimizer = %v, want 3", x)
-	}
-}
-
 func TestBisect(t *testing.T) {
 	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
 	if err != nil {
@@ -196,5 +36,46 @@ func TestBisectRandomRootsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestBisectDefaultTolerance(t *testing.T) {
+	// A tolerance of zero or below falls back to 1e-12.
+	for _, tol := range []float64{0, -1} {
+		root, err := Bisect(func(x float64) float64 { return math.Exp(x) - 3 }, -5, 5, tol)
+		if err != nil || math.Abs(root-math.Log(3)) > 1e-11 {
+			t.Errorf("tol=%v: root = %v err = %v, want log 3", tol, root, err)
+		}
+	}
+}
+
+func TestBisectNaNEndpoint(t *testing.T) {
+	// An endpoint without a value brackets nothing.
+	f := func(x float64) float64 {
+		if x > 3 {
+			return math.NaN()
+		}
+		return x - 1
+	}
+	if _, err := Bisect(f, 0, 4, 1e-12); err != ErrBracket {
+		t.Errorf("err = %v, want ErrBracket", err)
+	}
+	if _, err := Bisect(f, 4, 0, 1e-12); err != ErrBracket {
+		t.Errorf("reversed: err = %v, want ErrBracket", err)
+	}
+}
+
+func TestBisectRetreatsFromNaN(t *testing.T) {
+	// A midpoint without a value moves the upper end down to it, so a
+	// root below an undefined stretch is still found.
+	f := func(x float64) float64 {
+		if x > 1.5 && x < 4 {
+			return math.NaN()
+		}
+		return x - 1
+	}
+	root, err := Bisect(f, 0, 8, 1e-12)
+	if err != nil || math.Abs(root-1) > 1e-10 {
+		t.Errorf("root = %v err = %v, want 1", root, err)
 	}
 }

@@ -1,3 +1,5 @@
+// Package optimize provides the bisection root finder the EVT analysis
+// uses for the boundaries of its likelihood-ratio confidence intervals.
 package optimize
 
 import (
@@ -8,51 +10,6 @@ import (
 // ErrBracket is returned when a root finder's bracket does not straddle a
 // sign change.
 var ErrBracket = errors.New("optimize: bracket does not straddle a root")
-
-// GoldenSection minimizes a unimodal scalar function on [a, b] using
-// golden-section search. It returns the minimizer and the minimum. The
-// objective may return +Inf/NaN (treated as +Inf) inside the interval; the
-// search simply avoids such regions, which callers use to encode support
-// constraints in profile likelihoods.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (xmin, fmin float64) {
-	if b < a {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	eval := func(x float64) float64 {
-		v := f(x)
-		if math.IsNaN(v) {
-			return math.Inf(1)
-		}
-		return v
-	}
-	const invPhi = 0.6180339887498949  // 1/φ
-	const invPhi2 = 0.3819660112501051 // 1/φ²
-	h := b - a
-	c := a + invPhi2*h
-	d := a + invPhi*h
-	fc, fd := eval(c), eval(d)
-	// ~log_φ((b−a)/tol) iterations suffice; cap generously.
-	for i := 0; i < 400 && h > tol; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			h = b - a
-			c = a + invPhi2*h
-			fc = eval(c)
-		} else {
-			a, c, fc = c, d, fd
-			h = b - a
-			d = a + invPhi*h
-			fd = eval(d)
-		}
-	}
-	if fc < fd {
-		return c, fc
-	}
-	return d, fd
-}
 
 // Bisect finds a root of f in [a, b] where f(a) and f(b) have opposite
 // signs, to absolute tolerance tol on x.
