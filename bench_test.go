@@ -10,6 +10,7 @@ package optassign
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -562,6 +563,36 @@ func BenchmarkIterative(b *testing.B) {
 		}
 		if _, err := core.Iterate(cfg, tb); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIterateCampaign is one serial §5.3 campaign at the shape of
+// a timed benchmark campaign: IPFwd-L1 on 8 instances (24 tasks), the
+// paper's schedule, a 0.01% target that is out of reach, so every run
+// spends its whole 10,000-draw budget over 91 refits. The OnRefit hook
+// counts refits in memory instead of writing a checkpoint, so the cost is
+// search, measurement and refit, with the next round drawn during each
+// refit.
+func BenchmarkIterateCampaign(b *testing.B) {
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	refits := 0
+	cfg := core.IterConfig{
+		Topo: tb.Machine.Topo, Tasks: tb.TaskCount(),
+		AcceptLossPct: 0.01, Ninit: 1000, Ndelta: 100, MaxSamples: 10000, Seed: 1,
+		OnRefit: func(evt.StreamState) error { refits++; return nil },
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		refits = 0
+		if _, err := core.Iterate(cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
+			b.Fatalf("err = %v, want the budget exhausted", err)
+		}
+		if refits != 91 {
+			b.Fatalf("%d refits, want 91", refits)
 		}
 	}
 }

@@ -375,3 +375,67 @@ func TestSample(t *testing.T) {
 		t.Error("0 tasks should error")
 	}
 }
+
+// TestValidateMessages pins Validate's exact errors: which check fires
+// first, and both task indices of a collision, on the stack-table path
+// (a T2's 64 contexts) and on the heap path (128 contexts).
+func TestValidateMessages(t *testing.T) {
+	topo := topoT2()
+	wide := t2.Topology{Cores: 16, PipesPerCore: 2, ContextsPerPipe: 4}
+	cases := []struct {
+		a    Assignment
+		want string
+	}{
+		{Assignment{Topo: topo, Ctx: []int{5, 64}}, "assign: context out of range: task 1 -> context 64 (V=64)"},
+		{Assignment{Topo: topo, Ctx: []int{-2}}, "assign: context out of range: task 0 -> context -2 (V=64)"},
+		{Assignment{Topo: topo, Ctx: []int{7, 3, 9, 3}}, "assign: two tasks mapped to the same context: tasks 1 and 3 -> context 3"},
+		{Assignment{Topo: topo, Ctx: []int{3, 3, 99}}, "assign: two tasks mapped to the same context: tasks 0 and 1 -> context 3"},
+		{Assignment{Topo: topo, Ctx: []int{3, 99, 3}}, "assign: context out of range: task 1 -> context 99 (V=64)"},
+		{Assignment{Topo: wide, Ctx: []int{100, 5, 127, 100}}, "assign: two tasks mapped to the same context: tasks 0 and 3 -> context 100"},
+		{Assignment{Topo: wide, Ctx: []int{128}}, "assign: context out of range: task 0 -> context 128 (V=128)"},
+		{Assignment{Topo: topo}, "assign: assignment has no tasks"},
+		{Assignment{Topo: t2.Topology{Cores: 0, PipesPerCore: 2, ContextsPerPipe: 4}, Ctx: []int{0}},
+			"t2: invalid topology 0 cores × 2 pipes × 4 contexts (0 virtual CPUs): all dimensions must be >= 1"},
+	}
+	for _, c := range cases {
+		err := c.a.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%+v) = %v, want %q", c.a, err, c.want)
+		}
+	}
+	if err := (Assignment{Topo: wide, Ctx: []int{127, 0, 64}}).Validate(); err != nil {
+		t.Errorf("valid 128-context assignment rejected: %v", err)
+	}
+}
+
+// validateDraw is a valid 24-task T2 assignment.
+func validateDraw(t testing.TB) Assignment {
+	a, err := Random(rand.New(rand.NewSource(1)), topoT2(), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestValidateAllocates nothing on a T2: it runs on every measurement.
+func TestValidateAllocates(t *testing.T) {
+	a := validateDraw(t)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkValidate(b *testing.B) {
+	a := validateDraw(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -45,15 +45,22 @@ func (a Assignment) Validate() error {
 		return ErrNoTasks
 	}
 	v := a.Topo.Contexts()
-	seen := make(map[int]int, len(a.Ctx))
+	// used is indexed by context; up to 64 contexts (a whole T2) it lives
+	// on the stack, so validating a draw allocates nothing.
+	var small [64]bool
+	used := small[:]
+	if v > len(small) {
+		used = make([]bool, v)
+	}
 	for i, c := range a.Ctx {
 		if c < 0 || c >= v {
 			return fmt.Errorf("%w: task %d -> context %d (V=%d)", ErrContextOutOfRange, i, c, v)
 		}
-		if j, dup := seen[c]; dup {
+		if used[c] {
+			j := slices.Index(a.Ctx, c)
 			return fmt.Errorf("%w: tasks %d and %d -> context %d", ErrContextCollision, j, i, c)
 		}
-		seen[c] = i
+		used[c] = true
 	}
 	return nil
 }

@@ -201,7 +201,11 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 // the campaign RNG, the pool measures it in chunks of opts.Size draws
 // (one draw when unset) — inline on one worker, fanned out on several —
 // and commit observes the outcomes in draw order. Completed rounds are
-// committed to the search history as units. Given the same IterConfig
+// committed to the search history as units. A strategy sees outcomes
+// only at those commits, so with a tail-safe strategy the next round is
+// drawn on a second goroutine while the committed round is estimated;
+// when the stopping rule ends the campaign that round is dropped, and
+// neither measured, committed nor counted. Given the same IterConfig
 // (seed included) and a deterministic measurement source, every worker
 // count and chunk size visits the identical assignment sequence and
 // produces the identical result and commit stream. IterateContext,
@@ -293,39 +297,56 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	}
 	drawn := func() int { return len(results) + len(res.Quarantined) + priorQuarantined }
 
-	// collect draws and measures `add` fresh assignments as one batch,
-	// committing it to the history when complete. lastAdded feeds the
-	// round event: Ninit on the first round, Ndelta (or the budget
-	// remainder) afterwards.
-	lastAdded := 0
-	collect := func(add int) error {
-		batch := make([]assign.Assignment, 0, add)
-		explore := make([]bool, 0, add)
-		base := hist.Len()
+	// draw proposes the next `add` assignments and pushes them to the
+	// history. It reads and advances only the strategy, rng and hist, so
+	// once a round is committed the next round's draws are fixed: the main
+	// goroutine runs draw inline for the first round (and for strategies
+	// without a refit to overlap), and on a second goroutine for every
+	// later round while the previous round is estimated.
+	draw := func(add int) drawnRound {
+		r := drawnRound{base: hist.Len(), batch: make([]assign.Assignment, 0, add), explore: make([]bool, 0, add)}
 		for i := 0; i < add; i++ {
 			d, err := strategy.Next(rng, hist)
 			if err != nil {
-				return fmt.Errorf("core: strategy %s: %w", strategy.Name(), err)
+				r.err = fmt.Errorf("core: strategy %s: %w", strategy.Name(), err)
+				return r
 			}
 			hist.Push(d)
-			batch = append(batch, d.Assignment)
-			explore = append(explore, d.Explore)
-			if sm != nil {
-				sm.Draws.Inc()
-				if d.Explore {
+			r.batch = append(r.batch, d.Assignment)
+			r.explore = append(r.explore, d.Explore)
+		}
+		return r
+	}
+
+	// collect consumes a drawn round: it counts the round's draws, then
+	// measures them as one batch, committing it to the history when
+	// complete. A round whose drawing failed returns the strategy's error
+	// once its successful draws are counted, as the serial loop did.
+	// lastAdded feeds the round event: Ninit on the first round, Ndelta
+	// (or the budget remainder) afterwards.
+	lastAdded := 0
+	collect := func(r drawnRound) error {
+		if sm != nil {
+			sm.Draws.Add(float64(len(r.batch)))
+			for _, e := range r.explore {
+				if e {
 					sm.Explore.Inc()
 				}
 			}
 		}
-		outs, err := pool.measure(ctx, batch, opts, commit)
+		if r.err != nil {
+			return r.err
+		}
+		base := r.base
+		outs, err := pool.measure(ctx, r.batch, opts, commit)
 		for i, o := range outs {
 			hist.Resolve(base+i, o.Perf, o.Err != nil)
 			if o.Err != nil {
-				res.Quarantined = append(res.Quarantined, Skipped{Assignment: batch[i], Err: o.Err})
+				res.Quarantined = append(res.Quarantined, Skipped{Assignment: r.batch[i], Err: o.Err})
 				continue
 			}
-			results = append(results, SampleResult{Assignment: batch[i], Perf: o.Perf})
-			if !explore[i] {
+			results = append(results, SampleResult{Assignment: r.batch[i], Perf: o.Perf})
+			if !r.explore[i] {
 				if serr := stream.Observe(o.Perf); serr != nil {
 					return fmt.Errorf("core: draw %d: %w", base+i+1, serr)
 				}
@@ -339,7 +360,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		}
 		hist.Commit()
 		publishStream()
-		lastAdded = add
+		lastAdded = len(r.batch)
 		return err
 	}
 
@@ -349,10 +370,30 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	// and therefore the outcomes each strategy draw can see — line up with
 	// the uninterrupted run's no matter where the interruption fell.
 	fitAt := nextFitPoint(cfg, drawn())
+	tailSafe := strategy.TailSafe()
+	// ahead is the next round, drawn on a second goroutine while this
+	// round is estimated. Until it is received the main goroutine leaves
+	// the strategy, rng and hist alone. It is received before the next
+	// round is measured and on every return, so no goroutine outlives the
+	// call; a campaign that stops drops it unmeasured, unjournaled and
+	// uncounted, as if it had never been drawn.
+	var ahead chan drawnRound
+	defer func() {
+		if ahead != nil {
+			<-ahead
+		}
+	}()
 	round := 0
 	for {
 		if add := fitAt - drawn(); add > 0 {
-			if err := collect(add); err != nil {
+			var r drawnRound
+			if ahead != nil {
+				r = <-ahead
+				ahead = nil
+			} else {
+				r = draw(add)
+			}
+			if err := collect(r); err != nil {
 				res.Samples = len(results)
 				if len(results) > 0 {
 					res.Best = results[Best(results)]
@@ -372,7 +413,10 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			m.Quarantined.Set(float64(len(res.Quarantined)))
 			m.BestObserved.Set(res.Best.Perf)
 		}
-		if !strategy.TailSafe() {
+		// The next fit point; a round that ends below the budget draws
+		// towards it during this round's estimation.
+		next := min(fitAt+cfg.Ndelta, cfg.MaxSamples)
+		if !tailSafe {
 			// No i.i.d. tail exists, so no estimate and no stopping rule:
 			// the campaign hunts until the budget runs out.
 			if cfg.Events != nil {
@@ -386,6 +430,13 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				}})
 			}
 		} else {
+			if drawn() < cfg.MaxSamples {
+				// Step 4's draws see only the committed history, which
+				// Step 2 does not change: draw them beside the refit.
+				ch := make(chan drawnRound, 1)
+				go func(add int) { ch <- draw(add) }(next - drawn())
+				ahead = ch
+			}
 			// Step 2 is a scheduled refit of the streaming estimator: the
 			// full threshold scan + MLE + Wilks interval on the maintained
 			// order statistics — the same analysis, on the same sample, as
@@ -461,11 +512,18 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		if drawn() >= cfg.MaxSamples {
 			return res, ErrBudgetExhausted
 		}
-		fitAt += cfg.Ndelta
-		if fitAt > cfg.MaxSamples {
-			fitAt = cfg.MaxSamples
-		}
+		fitAt = next
 	}
+}
+
+// drawnRound is one round of strategy draws, pushed to the history but
+// not yet measured: the assignments and their Explore flags from history
+// index base on, and the strategy's error if drawing stopped short.
+type drawnRound struct {
+	base    int
+	batch   []assign.Assignment
+	explore []bool
+	err     error
 }
 
 // nextFitPoint returns the first point of the estimation schedule
