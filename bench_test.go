@@ -597,6 +597,39 @@ func BenchmarkIterateCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkIterateCampaignCheckpointed is BenchmarkIterateCampaign with
+// the estimator checkpoint a journaled campaign writes: the OnRefit hook
+// saves every refit's state atomically (JSON, temp file, fsync, rename,
+// directory fsync) into a temporary directory. The save runs beside the
+// next round, so the gap to BenchmarkIterateCampaign is what of it stays
+// on the critical path.
+func BenchmarkIterateCampaignCheckpointed(b *testing.B) {
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "campaign.journal.estimator")
+	saves := 0
+	cfg := core.IterConfig{
+		Topo: tb.Machine.Topo, Tasks: tb.TaskCount(),
+		AcceptLossPct: 0.01, Ninit: 1000, Ndelta: 100, MaxSamples: 10000, Seed: 1,
+		OnRefit: func(st evt.StreamState) error {
+			saves++
+			return campaign.SaveEstimatorCheckpoint(path, st)
+		},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		saves = 0
+		if _, err := core.Iterate(cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
+			b.Fatalf("err = %v, want the budget exhausted", err)
+		}
+		if saves != 91 {
+			b.Fatalf("%d checkpoints, want 91", saves)
+		}
+	}
+}
+
 // BenchmarkAssignmentGenerators compares the paper-faithful rejection
 // sampler with the Fisher-Yates generator at two machine loads.
 func BenchmarkAssignmentGenerators(b *testing.B) {

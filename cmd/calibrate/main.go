@@ -82,7 +82,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON document instead of text")
 	minCoverage := flag.Float64("min-coverage", 0, "exit 2 if any coverage scenario falls below this floor (0 disables); for -scenario search the band is symmetric about 0.95")
 	searchSpeedup := flag.Float64("search-speedup", 0, "with -scenario search: exit 2 unless a tail-safe strategy beats uniform's measurement count by this fraction with zero violations (0 disables)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address while calibrating (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz and /debug/pprof/ on this address while calibrating (empty disables)")
 	flag.Parse()
 
 	var fractions []float64
@@ -110,7 +110,7 @@ func main() {
 		}
 		go http.Serve(ml, obs.Mux(reg, nil, detail))
 		defer ml.Close()
-		fmt.Fprintf(os.Stderr, "observability at http://%s/metrics and /healthz\n", ml.Addr())
+		fmt.Fprintf(os.Stderr, "observability at http://%s/metrics, /healthz and /debug/pprof/\n", ml.Addr())
 	}
 
 	var names []string

@@ -18,6 +18,7 @@
 //	POST /campaigns/{id}/cancel    terminate (journal kept, row promoted)
 //	GET  /query?q=EXPR             predicate query over finished campaigns
 //	GET  /metrics, /healthz        Prometheus metrics and health
+//	GET  /debug/pprof/             runtime profiles (CPU, heap, goroutines)
 //
 // Campaigns measure on per-campaign simulated testbeds by default;
 // -registry hosts a fleet membership registry instead, fanning every

@@ -38,7 +38,8 @@
 //
 // Observability: -metrics-addr serves Prometheus text-format metrics at
 // /metrics (connections, requests, measurement latency) and a JSON
-// health report at /healthz; empty (the default) disables the endpoint.
+// health report at /healthz, and the runtime profiles at /debug/pprof/;
+// empty (the default) disables the endpoint.
 package main
 
 import (
@@ -74,7 +75,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "testbed seed")
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "drop a connection idle for this long (0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "how long shutdown waits for live connections to finish")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz and /debug/pprof/ on this address (empty disables)")
 	register := flag.String("register", "", "join the fleet registry at this address (see optassign -registry; empty disables)")
 	advertise := flag.String("advertise", "", "measurement address to advertise to the registry (default: the first -addr)")
 	cacheOn := flag.Bool("cache", false, "memoize measurements by canonical assignment class, shared by every connection this server handles")
@@ -156,7 +157,7 @@ func main() {
 		}
 		obsSrv = &http.Server{Handler: obs.Mux(reg, nil, detail)}
 		go obsSrv.Serve(ml)
-		fmt.Printf("observability at http://%s/metrics and /healthz\n", ml.Addr())
+		fmt.Printf("observability at http://%s/metrics, /healthz and /debug/pprof/\n", ml.Addr())
 	}
 
 	// Fleet membership: announce to the registry, heartbeat for life, and

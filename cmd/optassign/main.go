@@ -81,7 +81,8 @@
 // Observability: -progress keeps a live status line on stderr (sample
 // count, best observed, ÛPB and its CI, the convergence gap, retries and
 // worker utilization); -metrics-addr serves the same state as Prometheus
-// metrics at /metrics plus a JSON /healthz while the campaign runs.
+// metrics at /metrics plus a JSON /healthz, and the runtime profiles at
+// /debug/pprof/, while the campaign runs.
 // Instrumentation only observes — results and journal bytes are
 // identical with it on or off.
 package main
@@ -226,7 +227,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist memoized classes to this directory, shared across runs and processes (implies -cache; delete the directory to invalidate)")
 	batchSize := flag.Int("batch", 0, "hand each worker chunks of this many draws, measured in core-sharded batches on the local testbed (0 disables); combines with -workers and remote measurement")
 	progress := flag.Bool("progress", false, "keep a live status line on stderr as the campaign converges")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address while the campaign runs (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /healthz and /debug/pprof/ on this address while the campaign runs (empty disables)")
 	strategy := flag.String("strategy", "uniform",
 		"search strategy for assignment draws: "+strings.Join(search.Names, ", ")+" (only uniform and stratified keep the tail estimate calibrated)")
 	strategyParams := flag.String("strategy-params", "", "strategy parameters as key=value pairs, comma-separated (e.g. init=200,explore=0.2)")
@@ -391,7 +392,7 @@ func main() {
 		}
 		go http.Serve(ml, obs.Mux(reg, nil, detail))
 		defer ml.Close()
-		fmt.Printf("observability at http://%s/metrics and /healthz\n", ml.Addr())
+		fmt.Printf("observability at http://%s/metrics, /healthz and /debug/pprof/\n", ml.Addr())
 	}
 
 	cfg := core.IterConfig{

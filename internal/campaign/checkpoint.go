@@ -26,9 +26,13 @@ import (
 // Crash ordering is safe in one direction only: measurements hit the
 // journal before the refit that includes them, and Run syncs the journal
 // before each checkpoint it saves, so at any crash — power loss included
-// — the journal is at or ahead of the checkpoint. Resume verifies the rest —
-// the checkpoint's commit-order hash must match the journal's replayed
-// prefix (see core.IterConfig.StreamCheckpoint).
+// — the journal is at or ahead of the checkpoint. The save runs beside
+// the next round (core.IterConfig.OnRefit), whose draws the journal keeps
+// committing meanwhile: that only moves the journal further ahead. A
+// save that fails leaves the previous checkpoint in place and stops the
+// campaign one round later, at most Ndelta draws past it. Resume verifies
+// the rest — the checkpoint's commit-order hash must match the journal's
+// replayed prefix (see core.IterConfig.StreamCheckpoint).
 
 // EstimatorCheckpointPath is the sidecar path for a journal: the journal
 // path with ".estimator" appended.

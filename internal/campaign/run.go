@@ -81,7 +81,9 @@ func run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc
 		cfg.OnRefit = func(st evt.StreamState) error {
 			// The journal reaches stable storage before a checkpoint that
 			// covers it: after a power loss the checkpoint must never hold
-			// more observations than the surviving journal replays.
+			// more observations than the surviving journal replays. The
+			// hook runs beside the next round's commits; the journal's
+			// lock orders the sync with them.
 			if err := j.Sync(); err != nil {
 				return fmt.Errorf("campaign: syncing journal: %w", err)
 			}

@@ -20,10 +20,10 @@ import (
 //	POST /campaigns/{id}/cancel    terminate; journal kept, row promoted
 //	GET  /query?q=EXPR             predicate query over promoted rows
 //
-// plus /metrics and /healthz when a registry is supplied. Conflicts —
-// duplicate ids, a journal locked by another process, lifecycle
-// transitions the state forbids — map to 409; malformed specs and filter
-// expressions to 400; unknown campaigns to 404.
+// plus /metrics, /healthz and /debug/pprof/ when a registry is supplied.
+// Conflicts — duplicate ids, a journal locked by another process,
+// lifecycle transitions the state forbids — map to 409; malformed specs
+// and filter expressions to 400; unknown campaigns to 404.
 func (c *Coordinator) Handler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	if reg != nil {
@@ -38,6 +38,7 @@ func (c *Coordinator) Handler(reg *obs.Registry) http.Handler {
 				"rows":      c.table.Len(),
 			}
 		}))
+		obs.HandleProfiles(mux)
 	}
 
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {

@@ -156,6 +156,14 @@ func TestHTTPAPI(t *testing.T) {
 	if hresp, hbody := getJSON(t, srv.URL+"/healthz"); hresp.StatusCode != http.StatusOK || hbody == nil {
 		t.Fatalf("healthz: %d", hresp.StatusCode)
 	}
+	presp, err := http.Get(srv.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	presp.Body.Close()
+	if presp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/: %d", presp.StatusCode)
+	}
 }
 
 // TestHTTPPauseResume exercises the lifecycle verbs over HTTP against a

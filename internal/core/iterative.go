@@ -94,8 +94,14 @@ type IterConfig struct {
 	StreamCheckpoint *evt.StreamState
 	// OnRefit receives the estimator's serializable state after every
 	// scheduled refit (the campaign layer persists it next to the
-	// journal). An error aborts the campaign: a checkpoint that cannot be
-	// written is a checkpoint that cannot be resumed from.
+	// journal). It runs on a second goroutine while the next round is
+	// measured and committed, so any state it shares with the runner or
+	// the commit chain must be synchronized. At most one call is in
+	// flight; calls arrive in refit order, each with a state of its own.
+	// An error aborts the campaign after the round measured beside the
+	// failed call — at most Ndelta draws past it — or at once if that
+	// refit ended the campaign: a checkpoint that cannot be written is a
+	// checkpoint that cannot be resumed from.
 	OnRefit func(evt.StreamState) error
 }
 
@@ -205,7 +211,9 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 // only at those commits, so with a tail-safe strategy the next round is
 // drawn on a second goroutine while the committed round is estimated;
 // when the stopping rule ends the campaign that round is dropped, and
-// neither measured, committed nor counted. Given the same IterConfig
+// neither measured, committed nor counted. Each refit's OnRefit hook runs
+// on a goroutine of its own beside the next round's measurements and
+// commits, and is joined before that round's refit. Given the same IterConfig
 // (seed included) and a deterministic measurement source, every worker
 // count and chunk size visits the identical assignment sequence and
 // produces the identical result and commit stream. IterateContext,
@@ -383,8 +391,24 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			<-ahead
 		}
 	}()
+	// checkpoint carries the in-flight OnRefit call's error. The call
+	// runs beside the next round and is joined after that round's
+	// collect, before its refit, and on every return, so at most one is
+	// in flight and none outlives the call. Its state is a Snapshot taken
+	// before any further Observe: the hook shares nothing with the loop.
+	var checkpoint chan error
+	join := func() error {
+		if checkpoint == nil {
+			return nil
+		}
+		err := <-checkpoint
+		checkpoint = nil
+		return err
+	}
+	defer join()
 	round := 0
 	for {
+		var err error
 		if add := fitAt - drawn(); add > 0 {
 			var r drawnRound
 			if ahead != nil {
@@ -393,13 +417,20 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			} else {
 				r = draw(add)
 			}
-			if err := collect(r); err != nil {
-				res.Samples = len(results)
-				if len(results) > 0 {
-					res.Best = results[Best(results)]
-				}
-				return res, err
+			err = collect(r)
+		}
+		// If the previous refit's checkpoint failed, the campaign stops
+		// here, one round after it. Its error wins over this round's,
+		// which the synchronous loop would never have reached.
+		if herr := join(); herr != nil {
+			err = herr
+		}
+		if err != nil {
+			res.Samples = len(results)
+			if len(results) > 0 {
+				res.Best = results[Best(results)]
 			}
+			return res, err
 		}
 		res.Samples = len(results)
 		if len(results) == 0 {
@@ -449,9 +480,15 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			}
 			publishStream()
 			if hook := cfg.OnRefit; hook != nil && (err == nil || errors.Is(err, evt.ErrUnboundedTail)) {
-				if herr := hook(stream.Snapshot()); herr != nil {
-					return res, fmt.Errorf("core: estimator checkpoint at %d samples: %w", len(results), herr)
-				}
+				ch := make(chan error, 1)
+				go func(st evt.StreamState, n int) {
+					herr := hook(st)
+					if herr != nil {
+						herr = fmt.Errorf("core: estimator checkpoint at %d samples: %w", n, herr)
+					}
+					ch <- herr
+				}(stream.Snapshot(), len(results))
+				checkpoint = ch
 			}
 			switch {
 			case errors.Is(err, evt.ErrUnboundedTail):
@@ -502,6 +539,10 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 					}})
 				}
 				if satisfied {
+					// A stop still waits for its round's checkpoint.
+					if herr := join(); herr != nil {
+						return res, herr
+					}
 					res.Satisfied = true
 					return res, nil
 				}
@@ -510,6 +551,9 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		// Quarantined draws count against the budget too: at a 100%
 		// failure rate the loop must still terminate.
 		if drawn() >= cfg.MaxSamples {
+			if herr := join(); herr != nil {
+				return res, herr
+			}
 			return res, ErrBudgetExhausted
 		}
 		fitAt = next

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 )
 
 // MetricsHandler serves reg in Prometheus text exposition format.
@@ -46,11 +47,24 @@ func HealthHandler(check func() error, detail func() any) http.Handler {
 }
 
 // Mux wires the conventional observability endpoints — /metrics
-// (Prometheus text format) and /healthz (JSON) — onto one handler,
-// ready for http.Serve on whatever listener the command owns.
+// (Prometheus text format), /healthz (JSON) and the runtime profiles
+// under /debug/pprof/ — onto one handler, ready for http.Serve on
+// whatever listener the command owns.
 func Mux(reg *Registry, check func() error, detail func() any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.Handle("/healthz", HealthHandler(check, detail))
+	HandleProfiles(mux)
 	return mux
+}
+
+// HandleProfiles serves the runtime's profiles (net/http/pprof: CPU,
+// heap, goroutines, execution trace) under /debug/pprof/ on mux, so a
+// running command can be profiled where its metrics are scraped.
+func HandleProfiles(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

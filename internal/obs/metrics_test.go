@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -257,5 +258,39 @@ func TestHTTPHandlers(t *testing.T) {
 	body, _, code = httpGet(t, srv.URL+"/healthz")
 	if code != 503 || !strings.Contains(body, "testbed down") {
 		t.Fatalf("unhealthy /healthz = %d %q", code, body)
+	}
+}
+
+// TestMuxServesProfiles: the runtime profiles sit beside /metrics and
+// /healthz, which answer exactly as they do without them.
+func TestMuxServesProfiles(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total", "requests").Add(7)
+	detail := func() any { return map[string]string{"benchmark": "IPFwd-L1"} }
+	mux := Mux(r, nil, detail)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	body, ct, code := httpGet(t, srv.URL+"/debug/pprof/")
+	if code != 200 || !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ = %d %q (%s)", code, body, ct)
+	}
+	body, _, code = httpGet(t, srv.URL+"/debug/pprof/goroutine?debug=1")
+	if code != 200 || !strings.Contains(body, "goroutine profile") {
+		t.Fatalf("/debug/pprof/goroutine = %d %q", code, body)
+	}
+
+	// The other endpoints are byte-for-byte what their own handlers serve.
+	plain := http.NewServeMux()
+	plain.Handle("/metrics", MetricsHandler(r))
+	plain.Handle("/healthz", HealthHandler(nil, detail))
+	ref := httptest.NewServer(plain)
+	defer ref.Close()
+	for _, path := range []string{"/metrics", "/healthz"} {
+		body, ct, code := httpGet(t, srv.URL+path)
+		wantBody, wantCT, wantCode := httpGet(t, ref.URL+path)
+		if body != wantBody || ct != wantCT || code != wantCode {
+			t.Fatalf("%s = %d %q (%s), want %d %q (%s)", path, code, body, ct, wantCode, wantBody, wantCT)
+		}
 	}
 }
