@@ -160,7 +160,7 @@ func sampleForAblation(b *testing.B) []float64 {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	rs, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), 2000, tb)
+	rs, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), 2000, tb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,9 +365,9 @@ func BenchmarkCachedSampling(b *testing.B) {
 		b.Fatal(err)
 	}
 	const draws = 500
-	sample := func(b *testing.B, runner core.Runner) {
+	sample := func(b *testing.B, runner core.ContextRunner) {
 		rng := rand.New(rand.NewSource(6))
-		if _, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), draws, runner); err != nil {
+		if _, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), draws, runner); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,11 +378,11 @@ func BenchmarkCachedSampling(b *testing.B) {
 	})
 	b.Run("cache-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sample(b, core.NewCachedRunner(tb, core.NewCache(0, nil), tb.Identity()))
+			sample(b, core.NewCachedContextRunner(tb, core.NewCache(0, nil), tb.Identity()))
 		}
 	})
 	b.Run("cache-warm", func(b *testing.B) {
-		cached := core.NewCachedRunner(tb, core.NewCache(0, nil), tb.Identity())
+		cached := core.NewCachedContextRunner(tb, core.NewCache(0, nil), tb.Identity())
 		sample(b, cached) // populate every class before timing
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -516,13 +516,13 @@ func BenchmarkDiskCachedSampling(b *testing.B) {
 		b.Fatal(err)
 	}
 	const draws = 500
-	sample := func(b *testing.B, runner core.Runner) {
+	sample := func(b *testing.B, runner core.ContextRunner) {
 		rng := rand.New(rand.NewSource(6))
-		if _, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), draws, runner); err != nil {
+		if _, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), draws, runner); err != nil {
 			b.Fatal(err)
 		}
 	}
-	diskRunner := func(dir string) core.Runner {
+	diskRunner := func(dir string) core.ContextRunner {
 		store, err := cas.Open(dir)
 		if err != nil {
 			b.Fatal(err)
@@ -530,7 +530,7 @@ func BenchmarkDiskCachedSampling(b *testing.B) {
 		b.Cleanup(func() { store.Close() })
 		c := core.NewCache(0, nil)
 		c.AttachStore(store)
-		return core.NewCachedRunner(tb, c, tb.Identity())
+		return core.NewCachedContextRunner(tb, c, tb.Identity())
 	}
 	b.Run("disk-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -561,7 +561,7 @@ func BenchmarkIterative(b *testing.B) {
 			Topo: tb.Machine.Topo, Tasks: tb.TaskCount(),
 			AcceptLossPct: 5, Ninit: 1000, Ndelta: 100, MaxSamples: 12000, Seed: 1,
 		}
-		if _, err := core.Iterate(cfg, tb); err != nil {
+		if _, err := core.IterateContext(context.Background(), cfg, tb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -588,7 +588,7 @@ func BenchmarkIterateCampaign(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		refits = 0
-		if _, err := core.Iterate(cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
+		if _, err := core.IterateContext(context.Background(), cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
 			b.Fatalf("err = %v, want the budget exhausted", err)
 		}
 		if refits != 91 {
@@ -621,7 +621,7 @@ func BenchmarkIterateCampaignCheckpointed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		saves = 0
-		if _, err := core.Iterate(cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
+		if _, err := core.IterateContext(context.Background(), cfg, tb); !errors.Is(err, core.ErrBudgetExhausted) {
 			b.Fatalf("err = %v, want the budget exhausted", err)
 		}
 		if saves != 91 {

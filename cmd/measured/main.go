@@ -112,7 +112,7 @@ func main() {
 			c.AttachStore(store)
 			fmt.Printf("persistent measurement store at %s: %d classes on disk\n", *cacheDir, store.Len())
 		}
-		runner = core.NewCachedRunner(tb, c, tb.Identity())
+		runner = core.NewCachedContextRunner(tb, c, tb.Identity())
 	}
 	var listeners []net.Listener
 	for _, a := range strings.Split(*addr, ",") {

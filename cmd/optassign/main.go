@@ -375,7 +375,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runner, topo, tasks, name = core.AsContextRunner(tb), tb.Machine.Topo, tb.TaskCount(), app.Name()
+		runner, topo, tasks, name = tb, tb.Machine.Topo, tb.TaskCount(), app.Name()
 		identity = tb.Identity()
 		fmt.Printf("benchmark %s: %d instances (%d tasks) on %s\n", name, *instances, tasks, topo)
 	}
@@ -447,7 +447,7 @@ func main() {
 		if prog != nil {
 			prog.resm = rcfg.Metrics
 		}
-		runner = core.NewResilientRunner(core.AsRunner(runner), rcfg)
+		runner = core.NewResilientRunner(runner, rcfg)
 	}
 
 	// Measurement cache: the paper's symmetry argument (performance depends

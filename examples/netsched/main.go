@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,7 +67,7 @@ func main() {
 		}
 
 		// The paper's algorithm.
-		res, err := core.Iterate(core.IterConfig{
+		res, err := core.IterateContext(context.Background(), core.IterConfig{
 			Topo:          topo,
 			Tasks:         tb.TaskCount(),
 			AcceptLossPct: *loss,

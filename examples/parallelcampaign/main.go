@@ -100,7 +100,7 @@ func main() {
 	}
 	start = time.Now()
 	serial, _, err := core.CollectSampleContext(context.Background(),
-		rand.New(rand.NewSource(seed)), topo, tasks, *samples, core.AsContextRunner(tb))
+		rand.New(rand.NewSource(seed)), topo, tasks, *samples, tb)
 	if err != nil {
 		log.Fatal(err)
 	}

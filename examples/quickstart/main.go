@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,7 @@ func main() {
 
 	// Step 1: measure 5000 iid random assignments.
 	rng := rand.New(rand.NewSource(42))
-	results, err := core.CollectSample(rng, testbed.Machine.Topo, testbed.TaskCount(), 5000, testbed)
+	results, _, err := core.CollectSampleContext(context.Background(), rng, testbed.Machine.Topo, testbed.TaskCount(), 5000, testbed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -192,7 +193,7 @@ func TestDiscretePopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := runner.Measure(a)
+	v, err := runner.MeasureContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}

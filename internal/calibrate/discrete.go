@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -77,7 +78,7 @@ func (p *DiscretePopulation) Values() []float64 {
 
 // Sample implements Population: each draw is a uniformly random assignment
 // looked up by canonical class — the same draw distribution core's
-// CollectSample uses, without the solver cost.
+// CollectSampleContext uses, without the solver cost.
 func (p *DiscretePopulation) Sample(rng *rand.Rand, n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -92,19 +93,19 @@ func (p *DiscretePopulation) Sample(rng *rand.Rand, n int) []float64 {
 	return xs
 }
 
-// Topo and Tasks expose the workload shape for driving core.Iterate
-// against this population.
+// Topo and Tasks expose the workload shape for driving
+// core.IterateContext against this population.
 func (p *DiscretePopulation) Topo() t2.Topology { return p.topo }
 
 // Tasks returns the workload's task count.
 func (p *DiscretePopulation) Tasks() int { return p.tasks }
 
-// Runner returns a core.Runner serving measurements from the precomputed
-// class map. It measures identically to the backing testbed (the map holds
-// MeasureAnalytic values) at map-lookup cost, so iterative-loop
-// calibration can afford thousands of full campaigns.
-func (p *DiscretePopulation) Runner() core.Runner {
-	return core.RunnerFunc(func(a assign.Assignment) (float64, error) {
+// Runner returns a core.ContextRunner serving measurements from the
+// precomputed class map. It measures identically to the backing testbed
+// (the map holds MeasureAnalytic values) at map-lookup cost, so
+// iterative-loop calibration can afford thousands of full campaigns.
+func (p *DiscretePopulation) Runner() core.ContextRunner {
+	return core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 		v, ok := p.perf[a.CanonicalKey()]
 		if !ok {
 			return 0, fmt.Errorf("calibrate: assignment class %q outside the enumerated population", a.CanonicalKey())

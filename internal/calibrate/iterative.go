@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -103,9 +104,9 @@ type iterOutcome struct {
 }
 
 // RunIterative calibrates the iterative algorithm against pop: every
-// replication runs a complete core.Iterate campaign (fresh seed, fresh
-// draws) on the population's class map and compares the claimed loss bound
-// with the realized loss against the enumerated optimum.
+// replication runs a complete core.IterateContext campaign (fresh seed,
+// fresh draws) on the population's class map and compares the claimed
+// loss bound with the realized loss against the enumerated optimum.
 func RunIterative(cfg IterConfig, pop *DiscretePopulation) (IterResult, error) {
 	cfg = cfg.withDefaults()
 	truth := pop.TrueOptimum()
@@ -171,7 +172,7 @@ func RunIterative(cfg IterConfig, pop *DiscretePopulation) (IterResult, error) {
 }
 
 // iterReplicate runs one full campaign.
-func iterReplicate(cfg IterConfig, pop *DiscretePopulation, truth float64, runner core.Runner, r int) iterOutcome {
+func iterReplicate(cfg IterConfig, pop *DiscretePopulation, truth float64, runner core.ContextRunner, r int) iterOutcome {
 	var strat search.Strategy
 	if cfg.NewStrategy != nil {
 		var err error
@@ -180,7 +181,7 @@ func iterReplicate(cfg IterConfig, pop *DiscretePopulation, truth float64, runne
 			return iterOutcome{status: "failed"}
 		}
 	}
-	result, err := core.Iterate(core.IterConfig{
+	result, err := core.IterateContext(context.Background(), core.IterConfig{
 		Topo:          pop.Topo(),
 		Tasks:         pop.Tasks(),
 		AcceptLossPct: cfg.AcceptLossPct,

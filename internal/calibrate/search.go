@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -17,14 +18,15 @@ import (
 
 // AssignPop is an assignment-space population: a performance landscape
 // over the real feasible set with an analytically known optimum, driven
-// through a core.Runner so search strategies — not just i.i.d. samplers —
-// can be calibrated against it. DiscretePopulation satisfies it too.
+// through a core.ContextRunner so search strategies — not just i.i.d.
+// samplers — can be calibrated against it. DiscretePopulation satisfies
+// it too.
 type AssignPop interface {
 	Name() string
 	TrueOptimum() float64
 	Topo() t2.Topology
 	Tasks() int
-	Runner() core.Runner
+	Runner() core.ContextRunner
 }
 
 // HashGPDPopulation is a continuous synthetic landscape over the real
@@ -65,8 +67,8 @@ func (p HashGPDPopulation) Topo() t2.Topology { return p.TopoT }
 func (p HashGPDPopulation) Tasks() int { return p.TasksN }
 
 // Runner implements AssignPop.
-func (p HashGPDPopulation) Runner() core.Runner {
-	return core.RunnerFunc(func(a assign.Assignment) (float64, error) {
+func (p HashGPDPopulation) Runner() core.ContextRunner {
+	return core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 		return p.Loc + p.Tail.Quantile(hashUnit(a.Ctx)), nil
 	})
 }
@@ -137,8 +139,8 @@ func (p *AdditivePopulation) Topo() t2.Topology { return p.TopoT }
 func (p *AdditivePopulation) Tasks() int { return p.TasksN }
 
 // Runner implements AssignPop.
-func (p *AdditivePopulation) Runner() core.Runner {
-	return core.RunnerFunc(func(a assign.Assignment) (float64, error) {
+func (p *AdditivePopulation) Runner() core.ContextRunner {
+	return core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 		s := 0.0
 		for _, c := range a.Ctx {
 			s += p.w[c]
@@ -337,7 +339,7 @@ func RunSearchCoverage(cfg SearchCoverageConfig, pop AssignPop) (SearchCoverageR
 
 // searchCoverageReplicate runs one strategy-driven sampling campaign and
 // one fit.
-func searchCoverageReplicate(cfg SearchCoverageConfig, pop AssignPop, truth float64, runner core.Runner, r int) (searchCoverageOutcome, error) {
+func searchCoverageReplicate(cfg SearchCoverageConfig, pop AssignPop, truth float64, runner core.ContextRunner, r int) (searchCoverageOutcome, error) {
 	strat := search.Strategy(search.Uniform{})
 	if cfg.NewStrategy != nil {
 		var err error
@@ -356,7 +358,7 @@ func searchCoverageReplicate(cfg SearchCoverageConfig, pop AssignPop, truth floa
 			return searchCoverageOutcome{}, err
 		}
 		i := hist.Push(d)
-		perf, err := runner.Measure(d.Assignment)
+		perf, err := runner.MeasureContext(context.Background(), d.Assignment)
 		if err != nil {
 			return searchCoverageOutcome{}, err
 		}

@@ -55,7 +55,7 @@ func cacheEquivStack(withFaults bool, cache *core.Cache) core.ContextRunner {
 	})
 	r := core.ContextRunner(base)
 	if withFaults {
-		r = core.NewResilientRunner(core.AsRunner(r), core.ResilientConfig{
+		r = core.NewResilientRunner(r, core.ResilientConfig{
 			MaxAttempts: 2,
 			BaseDelay:   time.Nanosecond,
 			MaxDelay:    time.Microsecond,

@@ -153,8 +153,7 @@ func TestDiskCacheResumeAfterKill(t *testing.T) {
 				t.Fatalf("recovered %d draws, want %d", st.Draws, killAt)
 			}
 			cfg := equivConfig(seed)
-			cfg.Resume = st.Results
-			cfg.ResumeDraws = st.Draws
+			cfg.ResumeLog = st.Log
 
 			cm := core.NewCacheMetrics(obs.NewRegistry())
 			runner := cacheEquivStack(withFaults, diskCache(t, storeDir, cm))

@@ -48,8 +48,8 @@ type JournalHeader struct {
 
 // JournalEntry is one completed measurement attempt: a performance for a
 // successful one, an error string for a quarantined one. Seq numbers the
-// entries from 1 so a resumed run can fast-forward its RNG by exactly the
-// draws the interrupted run consumed.
+// entries from 1 so a resumed run replays exactly the draws the
+// interrupted run consumed.
 //
 // Perf deliberately has no omitempty: a legitimate perf == 0 success
 // must be journaled explicitly rather than silently eliding the field
@@ -194,7 +194,7 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 // process holds it), loads and verifies the journaled state against h
 // (topology, task count, seed, and benchmark when both name one), then
 // continues the sequence where the interrupted run stopped. The returned
-// state is what the caller feeds to core.IterConfig.Resume / ResumeDraws.
+// state's Log is what the caller feeds to core.IterConfig.ResumeLog.
 func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -363,8 +363,7 @@ func (j *Journal) Close() error {
 // JournalState is everything recovered from a journal file.
 type JournalState struct {
 	Header JournalHeader
-	// Results are the successful measurements, in execution order —
-	// ready for core.IterConfig.Resume.
+	// Results are the successful measurements, in execution order.
 	Results []core.SampleResult
 	// Quarantined counts the journaled failures.
 	Quarantined int
@@ -373,7 +372,7 @@ type JournalState struct {
 	// search strategies replay it to rebuild their state on resume.
 	Log []core.ResumeDraw
 	// Draws is the total number of assignment draws the journaled run
-	// consumed (successes + quarantines) — core.IterConfig.ResumeDraws.
+	// consumed (successes + quarantines), len(Log).
 	Draws int
 	// Truncated reports that the file ended in a partial line (the
 	// process died mid-append); the fragment was ignored.
@@ -506,9 +505,4 @@ func (r JournalRunner) MeasureContext(ctx context.Context, a assign.Assignment) 
 		return 0, jerr
 	}
 	return perf, err
-}
-
-// Measure implements core.Runner with a background context.
-func (r JournalRunner) Measure(a assign.Assignment) (float64, error) {
-	return r.MeasureContext(context.Background(), a)
 }

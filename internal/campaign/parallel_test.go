@@ -43,7 +43,7 @@ func equivStack(withFaults bool) core.ContextRunner {
 	if !withFaults {
 		return base
 	}
-	inj := faulty.NewRunner(core.AsRunner(base), faulty.Config{
+	inj := faulty.NewRunner(base, faulty.Config{
 		Seed:            5,
 		PermanentRate:   0.04,
 		TransientRate:   0.15,
@@ -146,7 +146,7 @@ func equivStackInstrumented(withFaults bool, reg *obs.Registry, sink obs.EventSi
 	if !withFaults {
 		return base
 	}
-	inj := faulty.NewRunner(core.AsRunner(base), faulty.Config{
+	inj := faulty.NewRunner(base, faulty.Config{
 		Seed:            5,
 		PermanentRate:   0.04,
 		TransientRate:   0.15,
@@ -322,8 +322,7 @@ func TestParallelKillAndResumeMatchesSerial(t *testing.T) {
 					t.Fatalf("recovered %d draws, want %d", st.Draws, killAt)
 				}
 				cfg := equivConfig(seed)
-				cfg.Resume = st.Results
-				cfg.ResumeDraws = st.Draws
+				cfg.ResumeLog = st.Log
 				var res core.IterResult
 				var iterErr error
 				if parallelWorkers > 0 {

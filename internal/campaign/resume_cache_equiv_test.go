@@ -5,9 +5,9 @@ package campaign
 // uninterrupted uncached run — whether the resume reuses the warm cache
 // object from the killed process, starts with a cold cache, drops the
 // cache entirely, or moves to a worker pool. The cache sits below the
-// journal, so its warm state must be invisible to the RNG fast-forward
-// that replays the journaled prefix: a hit during replay that consumed or
-// skipped a draw would shift every subsequent assignment.
+// journal, so its warm state must be invisible to the replay of the
+// journaled prefix: a hit during replay that consumed or skipped a draw
+// would shift every subsequent assignment.
 
 import (
 	"bytes"
@@ -82,8 +82,7 @@ func TestResumeCacheCrossover(t *testing.T) {
 						t.Fatalf("recovered %d draws, want %d", st.Draws, killAt)
 					}
 					cfg := equivConfig(seed)
-					cfg.Resume = st.Results
-					cfg.ResumeDraws = st.Draws
+					cfg.ResumeLog = st.Log
 
 					hitsBefore := warmMetrics.Hits.Value()
 					runner := cacheEquivStack(withFaults, tc.cache())

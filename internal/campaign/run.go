@@ -41,8 +41,8 @@ type RunConfig struct {
 // pool of max(1, rc.Workers) workers, committing in draw order through
 // one chain: the journal, then rc.Commit. Journal bytes and the result
 // are identical for every worker count and batch size, and across a
-// kill and resume. Run owns cfg's resume fields and OnRefit whenever rc
-// carries a journal or a recovered state.
+// kill and resume. Run owns cfg's ResumeLog, StreamCheckpoint and
+// OnRefit whenever rc carries a journal or a recovered state.
 //
 // When ctx is done and the campaign ends in any error but
 // core.ErrBudgetExhausted, the error wraps context.Canceled: a remote
@@ -60,8 +60,6 @@ func Run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc
 func run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc RunConfig) (core.IterResult, error) {
 	resumed := rc.State != nil && rc.State.Draws > 0
 	if resumed {
-		cfg.Resume = rc.State.Results
-		cfg.ResumeDraws = rc.State.Draws
 		cfg.ResumeLog = rc.State.Log
 	}
 	commit := rc.Commit

@@ -178,8 +178,6 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							rcfg.Resume = st.Results
-							rcfg.ResumeDraws = st.Draws
 							rcfg.ResumeLog = st.Log
 							rcfg.StreamCheckpoint = ck
 							var resumedStates []evt.StreamState
@@ -372,8 +370,6 @@ func TestStreamCheckpointHashMismatchRejected(t *testing.T) {
 	}
 	defer jr.Close()
 	rcfg := strategyKillConfig(seed)
-	rcfg.Resume = st.Results
-	rcfg.ResumeDraws = st.Draws
 	rcfg.ResumeLog = st.Log
 	rcfg.StreamCheckpoint = ck
 	_, iterErr := core.IterateContext(context.Background(), rcfg,

@@ -386,7 +386,7 @@ func SerialBaseline(dir string, tasks int, cfg CampaignConfig) ([]byte, core.Ite
 	if err != nil {
 		return nil, core.IterResult{}, err
 	}
-	res, data, err := runJournaled(context.Background(), dir+"/serial.journal", core.AsContextRunner(tb),
+	res, data, err := runJournaled(context.Background(), dir+"/serial.journal", tb,
 		fleetIterConfig(tb.Machine.Topo, tb.TaskCount(), cfg), campaign.RunConfig{})
 	return data, res, err
 }

@@ -66,7 +66,7 @@ type localHandle struct {
 	name string
 }
 
-func (h localHandle) Runner() core.ContextRunner { return core.AsContextRunner(h.tb) }
+func (h localHandle) Runner() core.ContextRunner { return h.tb }
 func (h localHandle) Topo() t2.Topology          { return h.tb.Machine.Topo }
 func (h localHandle) Tasks() int                 { return h.tb.TaskCount() }
 func (h localHandle) Name() string               { return h.name }

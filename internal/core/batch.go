@@ -23,14 +23,16 @@ import (
 // cache misses coalesced into one core-sharded pass instead of being
 // measured one by one. Values and errors are index-aligned with as; a
 // per-assignment error must not affect its batchmates. netdps.Testbed
-// satisfies it structurally.
+// satisfies it structurally. Middleware that adds semantics (retry,
+// journaling) deliberately does not: batching through it would change
+// how faults present.
 type BatchMeasurer interface {
 	MeasureBatch(as []assign.Assignment) ([]float64, []error)
 }
 
-// DefaultBatchSize is IterateBatched's and CollectSampleBatched's chunk
-// size when BatchOptions.Size is unset: large enough to amortize batch
-// setup and keep every core busy, small enough that journal commits stay
+// DefaultBatchSize is CollectSampleBatched's chunk size when
+// BatchOptions.Size is unset: large enough to amortize batch setup and
+// keep every core busy, small enough that journal commits stay
 // frequent.
 const DefaultBatchSize = 64
 
@@ -39,33 +41,13 @@ type BatchOptions struct {
 	// Size, when > 0, is the number of draws a worker takes at a time;
 	// a worker that reaches a batch-capable source resolves its chunk
 	// in one cache-deduped, core-sharded batch. Unset, every draw is
-	// its own chunk and is measured on its own (IterateBatched and
-	// CollectSampleBatched default it to DefaultBatchSize instead). On
-	// one worker, chunks are commit units: every outcome of a chunk is
-	// journaled before the next chunk starts measuring.
+	// its own chunk and is measured on its own (CollectSampleBatched
+	// defaults it to DefaultBatchSize instead). On one worker, chunks
+	// are commit units: every outcome of a chunk is journaled before
+	// the next chunk starts measuring.
 	Size int
 	// Metrics observes batch counts and sizes; nil disables.
 	Metrics *BatchMetrics
-}
-
-// batchMeasurerOf extracts the batch capability from a runner stack,
-// looking through the package's own interface adapters. Middleware that
-// adds semantics (retry, journaling) deliberately hides the capability:
-// batching through it would change how faults present.
-func batchMeasurerOf(r any) (BatchMeasurer, bool) {
-	for {
-		if bm, ok := r.(BatchMeasurer); ok {
-			return bm, true
-		}
-		switch v := r.(type) {
-		case legacyRunner:
-			r = v.r
-		case contextOnlyRunner:
-			r = v.cr
-		default:
-			return nil, false
-		}
-	}
 }
 
 // MeasureBatchContext resolves a chunk of assignments through the cache
@@ -93,7 +75,7 @@ func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment,
 	if len(as) == 0 {
 		return perfs, errs
 	}
-	src, hasBatch := batchMeasurerOf(r.inner)
+	src, hasBatch := r.inner.(BatchMeasurer)
 	if r.cache == nil {
 		// Uncached: no class identity to dedup on, measure everything.
 		bm.observe(len(as))
@@ -171,17 +153,6 @@ func CollectSampleBatched(ctx context.Context, rng *rand.Rand, topo t2.Topology,
 		return nil, nil, fmt.Errorf("core: nil runner")
 	}
 	return collectSample(ctx, rng, topo, tasks, n, onePool(runner), opts.withDefaultSize(), commit)
-}
-
-// IterateBatched is IteratePool on runner alone, in chunks of opts.Size
-// draws (DefaultBatchSize if unset): the identical draws, result and
-// commit stream as IterateContext, with only the measurement
-// wall-clock changed.
-func IterateBatched(ctx context.Context, cfg IterConfig, runner *CachedRunner, opts BatchOptions, commit CommitFunc) (IterResult, error) {
-	if runner == nil {
-		return IterResult{}, fmt.Errorf("core: nil runner")
-	}
-	return IteratePool(ctx, cfg, onePool(runner), opts.withDefaultSize(), commit)
 }
 
 func (o BatchOptions) withDefaultSize() BatchOptions {

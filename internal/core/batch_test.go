@@ -18,7 +18,7 @@ import (
 
 func batchTopo() t2.Topology { return t2.Topology{Cores: 2, PipesPerCore: 2, ContextsPerPipe: 2} }
 
-// batchSource mimics netdps.Testbed's shape: a legacy Runner that also
+// batchSource mimics netdps.Testbed's shape: a ContextRunner that also
 // exposes MeasureBatch, both class-deterministic, with counters proving
 // which path ran and how many assignments were actually measured.
 type batchSource struct {
@@ -37,7 +37,9 @@ func (s *batchSource) measure(a assign.Assignment) (float64, error) {
 	return classPerf(a), nil
 }
 
-func (s *batchSource) Measure(a assign.Assignment) (float64, error) { return s.measure(a) }
+func (s *batchSource) MeasureContext(_ context.Context, a assign.Assignment) (float64, error) {
+	return s.measure(a)
+}
 
 func (s *batchSource) MeasureBatch(as []assign.Assignment) ([]float64, []error) {
 	s.batches.Add(1)
@@ -49,22 +51,26 @@ func (s *batchSource) MeasureBatch(as []assign.Assignment) ([]float64, []error) 
 	return perfs, errs
 }
 
-// TestBatchMeasurerOfSeesThroughAdapters: the batch capability must be
-// found through the package's own Runner/ContextRunner adapters (the
-// wrapping cmd/optassign relies on), and must NOT be claimed by a source
-// that lacks it.
+// TestBatchMeasurerOfSeesThroughAdapters: the testbed is its own
+// ContextRunner, so AsContextRunner hands it back unwrapped with its
+// batch capability in view, and a CachedRunner over it gets the batch
+// path; a source without the capability must not claim it.
 func TestBatchMeasurerOfSeesThroughAdapters(t *testing.T) {
-	src := &batchSource{}
-	if _, ok := batchMeasurerOf(src); !ok {
-		t.Fatal("direct BatchMeasurer not detected")
+	tb := newTestbed(t, 2)
+	runner := AsContextRunner(tb)
+	if runner != ContextRunner(tb) {
+		t.Fatalf("AsContextRunner wrapped a testbed that implements MeasureContext: %T", runner)
 	}
-	if _, ok := batchMeasurerOf(AsContextRunner(src)); !ok {
-		t.Fatal("BatchMeasurer hidden by legacyRunner adapter")
+	if _, ok := runner.(BatchMeasurer); !ok {
+		t.Fatal("BatchMeasurer hidden by AsContextRunner")
 	}
-	if _, ok := batchMeasurerOf(AsContextRunner(AsRunner(AsContextRunner(src)))); !ok {
-		t.Fatal("BatchMeasurer hidden by stacked adapters")
+	batched := func(r ContextRunner) bool {
+		return onePool(r).round(nil, BatchOptions{Size: 8}).batch[0] != nil
 	}
-	if _, ok := batchMeasurerOf(&countingRunner{}); ok {
+	if !batched(NewCachedContextRunner(runner, NewCache(64, nil), tb.Identity())) {
+		t.Fatal("CachedRunner over the testbed has no batch path")
+	}
+	if batched(&countingRunner{}) {
 		t.Fatal("plain ContextRunner claimed batch capability")
 	}
 }
@@ -79,10 +85,10 @@ func TestMeasureBatchContextMatchesSerialAndDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &batchSource{}
-	r := NewCachedRunner(src, NewCache(1024, nil), "tb")
+	r := NewCachedContextRunner(src, NewCache(1024, nil), "tb")
 	perfs, errs := r.MeasureBatchContext(context.Background(), as)
 
-	ref := NewCachedRunner(&batchSource{}, NewCache(1024, nil), "tb")
+	ref := NewCachedContextRunner(&batchSource{}, NewCache(1024, nil), "tb")
 	classes := map[string]struct{}{}
 	for i, a := range as {
 		classes[r.key(a)] = struct{}{}
@@ -125,7 +131,7 @@ func TestMeasureBatchContextFailedClassDuplicates(t *testing.T) {
 		}
 		return nil
 	}}
-	r := NewCachedRunner(src, NewCache(64, nil), "tb")
+	r := NewCachedContextRunner(src, NewCache(64, nil), "tb")
 	as := []assign.Assignment{a, a, a}
 	perfs, errs := r.MeasureBatchContext(context.Background(), as)
 	if errs[0] == nil {
@@ -182,7 +188,7 @@ func TestMeasureBatchedCommitSemantics(t *testing.T) {
 					return nil
 				}}
 				// No cache: exercises the raw chunking and commit walk.
-				r := NewCachedContextRunner(AsContextRunner(src), nil, "tb")
+				r := NewCachedContextRunner(src, nil, "tb")
 				pool, err := NewReplicatedPool(r, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -233,9 +239,10 @@ func TestMeasureBatchedCommitSemantics(t *testing.T) {
 }
 
 // TestIterateBatchedMatchesIterateContext is the batch differential gate
-// at the campaign level: same config and seed, same IterResult — Best,
-// Final estimate, history, everything — across batch sizes, with and
-// without the cache dedup in the loop.
+// at the campaign level: IteratePool on one worker with the same config
+// and seed gives the same IterResult — Best, Final estimate, history,
+// everything — across batch sizes, with and without the cache dedup in
+// the loop.
 func TestIterateBatchedMatchesIterateContext(t *testing.T) {
 	cfg := IterConfig{
 		Topo:          batchTopo(),
@@ -247,15 +254,15 @@ func TestIterateBatchedMatchesIterateContext(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 5} {
 		cfg.Seed = seed
-		serial, serialErr := IterateContext(context.Background(), cfg, AsContextRunner(&batchSource{}))
+		serial, serialErr := IterateContext(context.Background(), cfg, &batchSource{})
 		for _, size := range []int{1, 7, 64} {
 			for _, cacheSize := range []int{0, 4096} {
 				var cache *Cache
 				if cacheSize > 0 {
 					cache = NewCache(cacheSize, nil)
 				}
-				runner := NewCachedRunner(&batchSource{}, cache, "tb")
-				got, err := IterateBatched(context.Background(), cfg, runner, BatchOptions{Size: size}, nil)
+				runner := NewCachedContextRunner(&batchSource{}, cache, "tb")
+				got, err := IteratePool(context.Background(), cfg, onePool(runner), BatchOptions{Size: size}, nil)
 				if fmt.Sprint(err) != fmt.Sprint(serialErr) {
 					t.Fatalf("seed %d size %d cache %d: err %v vs serial %v", seed, size, cacheSize, err, serialErr)
 				}
@@ -273,8 +280,8 @@ func TestCollectSampleBatchedMatchesSerial(t *testing.T) {
 	topo := batchTopo()
 	rngA := rand.New(rand.NewSource(77))
 	rngB := rand.New(rand.NewSource(77))
-	serialRes, serialSkip, serialErr := CollectSampleContext(context.Background(), rngA, topo, 5, 150, AsContextRunner(&batchSource{}))
-	runner := NewCachedRunner(&batchSource{}, NewCache(1024, nil), "tb")
+	serialRes, serialSkip, serialErr := CollectSampleContext(context.Background(), rngA, topo, 5, 150, &batchSource{})
+	runner := NewCachedContextRunner(&batchSource{}, NewCache(1024, nil), "tb")
 	batchRes, batchSkip, batchErr := CollectSampleBatched(context.Background(), rngB, topo, 5, 150, runner, BatchOptions{Size: 32}, nil)
 	if serialErr != nil || batchErr != nil {
 		t.Fatalf("errs: %v / %v", serialErr, batchErr)
@@ -288,8 +295,8 @@ func TestCollectSampleBatchedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchMetricsObserved: IterateBatched records batch counts and the
-// deduped batch sizes into the registry's histogram.
+// TestBatchMetricsObserved: a batched IteratePool records batch counts and
+// the deduped batch sizes into the registry's histogram.
 func TestBatchMetricsObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	bm := NewBatchMetrics(reg)
@@ -297,10 +304,10 @@ func TestBatchMetricsObserved(t *testing.T) {
 		Topo: batchTopo(), Tasks: 4,
 		AcceptLossPct: 8, Ninit: 120, Ndelta: 40, MaxSamples: 240, Seed: 2,
 	}
-	runner := NewCachedRunner(&batchSource{}, NewCache(4096, nil), "tb")
+	runner := NewCachedContextRunner(&batchSource{}, NewCache(4096, nil), "tb")
 	// The campaign itself may fail estimation at this tiny sample size;
 	// only the batch accounting is under test here.
-	IterateBatched(context.Background(), cfg, runner, BatchOptions{Size: 16, Metrics: bm}, nil)
+	IteratePool(context.Background(), cfg, onePool(runner), BatchOptions{Size: 16, Metrics: bm}, nil)
 	if bm.Batches.Value() == 0 {
 		t.Fatal("no batches counted")
 	}

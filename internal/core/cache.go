@@ -207,10 +207,11 @@ func (c *Cache) storeLocked(key string, perf float64) {
 }
 
 // CachedRunner wraps a measurement runner with canonical-form memoization
-// against a Cache. It implements both Runner and ContextRunner, so it
-// slots anywhere in the middleware stack; the intended position is
-// directly around the real testbed (inside retries and journaling), so
-// every layer above still sees one measurement per draw.
+// against a Cache. It is a ContextRunner, so it slots anywhere in the
+// middleware stack, and a Runner, so it can back a remote.Server. The
+// intended position is directly around the real testbed (inside retries
+// and journaling), so every layer above still sees one measurement per
+// draw.
 //
 // Memoization assumes the wrapped runner is class-deterministic:
 // symmetric assignments measure identically (true for the simulated
@@ -223,20 +224,16 @@ type CachedRunner struct {
 	prefix string // identity + topology shape, precomputed
 }
 
-// NewCachedRunner wraps a legacy Runner. identity names the measured
-// system (testbed, app, seed — see netdps.Testbed.Identity); it becomes
-// part of every key so distinct testbeds sharing one Cache never serve
-// each other's results.
-func NewCachedRunner(inner Runner, cache *Cache, identity string) *CachedRunner {
-	return NewCachedContextRunner(AsContextRunner(inner), cache, identity)
-}
-
-// NewCachedContextRunner wraps a ContextRunner; see NewCachedRunner.
+// NewCachedContextRunner wraps inner. identity names the measured system
+// (testbed, app, seed — see netdps.Testbed.Identity); it becomes part of
+// every key so distinct testbeds sharing one Cache never serve each
+// other's results.
 func NewCachedContextRunner(inner ContextRunner, cache *Cache, identity string) *CachedRunner {
 	return &CachedRunner{inner: inner, cache: cache, prefix: identity + "\x1f"}
 }
 
-// Measure implements Runner.
+// Measure implements Runner with a background context, so a CachedRunner
+// can back a remote.Server.
 func (r *CachedRunner) Measure(a assign.Assignment) (float64, error) {
 	return r.MeasureContext(context.Background(), a)
 }

@@ -48,26 +48,16 @@ func Attempt(ctx context.Context) int {
 	return 1
 }
 
-// AsContextRunner upgrades any Runner to a ContextRunner. Runners that
-// already implement MeasureContext (remote clients, the resilient wrapper)
-// are returned as-is; legacy runners are wrapped in a shim that checks ctx
-// before starting a measurement but cannot interrupt one in flight — pair
-// such runners with ResilientRunner's per-attempt timeout if they can hang.
+// AsContextRunner upgrades a Runner to a ContextRunner. A runner that
+// already implements MeasureContext is returned as-is; any other is
+// wrapped in a shim that checks ctx before starting a measurement but
+// cannot interrupt one in flight — pair such runners with
+// ResilientRunner's per-attempt timeout if they can hang.
 func AsContextRunner(r Runner) ContextRunner {
 	if cr, ok := r.(ContextRunner); ok {
 		return cr
 	}
 	return legacyRunner{r}
-}
-
-// AsRunner downgrades a ContextRunner to the legacy Runner interface,
-// measuring with a background context. ContextRunners that already
-// implement Measure are returned as-is.
-func AsRunner(cr ContextRunner) Runner {
-	if r, ok := cr.(Runner); ok {
-		return r
-	}
-	return contextOnlyRunner{cr}
 }
 
 type legacyRunner struct{ r Runner }
@@ -77,16 +67,4 @@ func (l legacyRunner) MeasureContext(ctx context.Context, a assign.Assignment) (
 		return 0, err
 	}
 	return l.r.Measure(a)
-}
-
-func (l legacyRunner) Measure(a assign.Assignment) (float64, error) { return l.r.Measure(a) }
-
-type contextOnlyRunner struct{ cr ContextRunner }
-
-func (c contextOnlyRunner) Measure(a assign.Assignment) (float64, error) {
-	return c.cr.MeasureContext(context.Background(), a)
-}
-
-func (c contextOnlyRunner) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
-	return c.cr.MeasureContext(ctx, a)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -139,31 +140,55 @@ func TestCollectSample(t *testing.T) {
 	topo := t2.UltraSPARCT2()
 	rng := rand.New(rand.NewSource(1))
 	calls := 0
-	runner := RunnerFunc(func(a assign.Assignment) (float64, error) {
+	runner := ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 		calls++
 		if err := a.Validate(); err != nil {
 			return 0, err
 		}
 		return float64(a.Ctx[0]), nil
 	})
-	rs, err := CollectSample(rng, topo, 6, 25, runner)
+	ctx := context.Background()
+	rs, _, err := CollectSampleContext(ctx, rng, topo, 6, 25, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 25 || calls != 25 {
 		t.Errorf("len=%d calls=%d", len(rs), calls)
 	}
-	if _, err := CollectSample(rng, topo, 6, 5, nil); err == nil {
+	if _, _, err := CollectSampleContext(ctx, rng, topo, 6, 5, nil); err == nil {
 		t.Error("nil runner accepted")
 	}
-	failing := RunnerFunc(func(assign.Assignment) (float64, error) { return 0, errors.New("boom") })
-	if _, err := CollectSample(rng, topo, 6, 5, failing); err == nil {
+	failing := ContextRunnerFunc(func(context.Context, assign.Assignment) (float64, error) { return 0, errors.New("boom") })
+	if _, _, err := CollectSampleContext(ctx, rng, topo, 6, 5, failing); err == nil {
 		t.Error("runner error not propagated")
 	}
-	if _, err := CollectSample(rng, topo, 0, 5, runner); err == nil {
+	if _, _, err := CollectSampleContext(ctx, rng, topo, 0, 5, runner); err == nil {
 		t.Error("bad task count accepted")
 	}
 }
+
+// TestAsContextRunnerChecksCtx: a Runner without MeasureContext is
+// wrapped in a shim that refuses to start on a done ctx.
+func TestAsContextRunnerChecksCtx(t *testing.T) {
+	calls := 0
+	cr := AsContextRunner(runnerFunc(func(assign.Assignment) (float64, error) { calls++; return 1, nil }))
+	a := assign.Assignment{Topo: t2.UltraSPARCT2(), Ctx: []int{0, 1, 2}}
+	if perf, err := cr.MeasureContext(context.Background(), a); err != nil || perf != 1 {
+		t.Fatalf("live ctx: perf=%v err=%v", perf, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if perf, err := cr.MeasureContext(ctx, a); !errors.Is(err, context.Canceled) || perf != 0 {
+		t.Fatalf("cancelled ctx: perf=%v err=%v, want 0 and context.Canceled", perf, err)
+	}
+	if calls != 1 {
+		t.Fatalf("inner runner called %d times, want 1", calls)
+	}
+}
+
+type runnerFunc func(assign.Assignment) (float64, error)
+
+func (f runnerFunc) Measure(a assign.Assignment) (float64, error) { return f(a) }
 
 func newTestbed(t *testing.T, instances int) *netdps.Testbed {
 	t.Helper()
@@ -177,7 +202,7 @@ func newTestbed(t *testing.T, instances int) *netdps.Testbed {
 func TestEstimateOptimalOnTestbed(t *testing.T) {
 	tb := newTestbed(t, 8)
 	rng := rand.New(rand.NewSource(3))
-	rs, err := CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), 1000, tb)
+	rs, _, err := CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), 1000, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +240,7 @@ func TestIterateConvergesAndRespectsTarget(t *testing.T) {
 
 	loose := base
 	loose.AcceptLossPct = 10
-	rl, err := Iterate(loose, tb)
+	rl, err := IterateContext(context.Background(), loose, tb)
 	if err != nil {
 		t.Fatalf("loose target: %v", err)
 	}
@@ -229,7 +254,7 @@ func TestIterateConvergesAndRespectsTarget(t *testing.T) {
 	tight := base
 	tight.AcceptLossPct = 2.0
 	tight.MaxSamples = 8000
-	rt, err := Iterate(tight, tb)
+	rt, err := IterateContext(context.Background(), tight, tb)
 	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("tight target: %v", err)
 	}
@@ -258,7 +283,7 @@ func TestIterateBudgetExhaustion(t *testing.T) {
 		MaxSamples:    800,
 		Seed:          1,
 	}
-	res, err := Iterate(cfg, tb)
+	res, err := IterateContext(context.Background(), cfg, tb)
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -273,12 +298,12 @@ func TestIterateBudgetExhaustion(t *testing.T) {
 func TestIterateValidation(t *testing.T) {
 	tb := newTestbed(t, 2)
 	cfg := IterConfig{Topo: tb.Machine.Topo, Tasks: tb.TaskCount(), Seed: 1}
-	if _, err := Iterate(cfg, tb); err == nil {
+	if _, err := IterateContext(context.Background(), cfg, tb); err == nil {
 		t.Error("zero acceptable loss accepted")
 	}
 	cfg.AcceptLossPct = 5
 	cfg.Tasks = 0
-	if _, err := Iterate(cfg, tb); err == nil {
+	if _, err := IterateContext(context.Background(), cfg, tb); err == nil {
 		t.Error("bad task count accepted")
 	}
 }
@@ -292,7 +317,7 @@ func TestIterateFasterForLooserTargets(t *testing.T) {
 			Topo: tb.Machine.Topo, Tasks: tb.TaskCount(),
 			AcceptLossPct: loss, Ninit: 500, Ndelta: 100, MaxSamples: 6000, Seed: 42,
 		}
-		res, err := Iterate(cfg, tb)
+		res, err := IterateContext(context.Background(), cfg, tb)
 		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			t.Fatal(err)
 		}

@@ -43,29 +43,17 @@ type IterConfig struct {
 	// without the EVT stopping rule: the campaign hunts a good assignment
 	// until MaxSamples and always ends in ErrBudgetExhausted.
 	Strategy search.Strategy
-	// Resume seeds the algorithm with measurements recovered from an
-	// interrupted campaign (e.g. a write-ahead journal, see
-	// internal/campaign). They count toward Ninit and MaxSamples, so a
-	// resumed run re-measures nothing it already has.
-	Resume []SampleResult
-	// ResumeDraws is the number of random-assignment draws the resumed
-	// campaign had already consumed — measured plus quarantined. The
-	// resumed campaign replays this many draws through the strategy so
-	// that, given the same Seed, it continues the exact assignment
-	// sequence the interrupted one was executing, and the
-	// ResumeDraws-len(Resume) quarantined prefix draws keep counting
-	// toward Ninit and MaxSamples, so the resumed draw and estimation
-	// schedule matches the uninterrupted one exactly. 0 defaults to
-	// len(Resume).
-	ResumeDraws int
-	// ResumeLog is the interrupted campaign's full per-draw outcome log in
-	// draw order (campaign.JournalState.Log). Outcome-driven strategies
-	// need it: replaying the outcomes through the strategy regenerates its
-	// internal state, and each replayed draw is verified against the
-	// journaled assignment — a mismatch means the journal was produced by
-	// a different strategy, seed or configuration. Optional for the
-	// uniform baseline (the historical RNG fast-forward suffices);
-	// required by every other strategy when ResumeDraws > 0.
+	// ResumeLog is an interrupted campaign's full per-draw outcome log in
+	// draw order (campaign.JournalState.Log), and the only resume input.
+	// The resumed campaign replays it through the strategy, which, given
+	// the same Seed, rebuilds its internal state and continues the exact
+	// assignment sequence the interrupted one was executing. Each
+	// replayed draw is verified against the journaled assignment — a
+	// mismatch means the journal was produced by a different strategy,
+	// seed or configuration. The logged measurements seed the sample and
+	// the logged quarantines keep counting toward Ninit and MaxSamples, so
+	// a resumed run re-measures nothing it already has and its draw and
+	// estimation schedule matches the uninterrupted one exactly.
 	ResumeLog []ResumeDraw
 	// Events receives one "round" event per estimation round (§5.3
 	// Fig. 13 iteration): sample sizes, the best observed performance,
@@ -169,7 +157,7 @@ func (r IterResult) CaptureProb(topPct float64) (float64, error) {
 // returned alongside it.
 var ErrBudgetExhausted = errors.New("core: sample budget exhausted before reaching acceptable loss")
 
-// Iterate runs the §5.3 algorithm:
+// IterateContext runs the §5.3 algorithm on runner:
 //
 //	Step 1: execute Ninit random assignments and measure each;
 //	Step 2: estimate the optimal system performance from the sample;
@@ -186,15 +174,12 @@ var ErrBudgetExhausted = errors.New("core: sample budget exhausted before reachi
 // strategy proposes; the estimate in Step 2 is fitted to the strategy's
 // tail-eligible draws only, while Step 3 compares against the best
 // assignment observed anywhere.
-func Iterate(cfg IterConfig, runner Runner) (IterResult, error) {
-	return IterateContext(context.Background(), cfg, AsContextRunner(runner))
-}
-
-// IterateContext is the fault-tolerant Iterate: measurements run under ctx
-// (cancellation stops the campaign at a measurement boundary, returning
-// everything measured so far alongside ctx's error), quarantined
-// assignments are skipped rather than fatal, and cfg.Resume restarts an
-// interrupted campaign from its checkpoint instead of from zero.
+//
+// Measurements run under ctx: cancellation stops the campaign at a
+// measurement boundary, returning everything measured so far alongside
+// ctx's error. Quarantined assignments are skipped rather than fatal, and
+// cfg.ResumeLog restarts an interrupted campaign where it stopped instead
+// of from zero.
 func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (IterResult, error) {
 	if runner == nil {
 		return IterResult{}, fmt.Errorf("core: nil runner")
@@ -216,8 +201,8 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 // commits, and is joined before that round's refit. Given the same IterConfig
 // (seed included) and a deterministic measurement source, every worker
 // count and chunk size visits the identical assignment sequence and
-// produces the identical result and commit stream. IterateContext,
-// IterateParallel and IterateBatched are fixed-option wrappers over it.
+// produces the identical result and commit stream. IterateContext and
+// IterateParallel are fixed-option wrappers over it.
 func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (IterResult, error) {
 	if pool == nil {
 		return IterResult{}, fmt.Errorf("core: nil pool")
@@ -233,30 +218,19 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hist := search.NewHistory(cfg.Topo, cfg.Tasks)
 
-	results := append([]SampleResult(nil), cfg.Resume...)
 	var res IterResult
-	// tailPerfs is the estimator's sample over any resumed prefix:
-	// successful, non-Explore draws. For the uniform baseline it is
-	// exactly Perfs(results).
-	var tailPerfs []float64
-	// priorQuarantined is the count of resumed-prefix draws that were
-	// quarantined rather than measured (ResumeDraws minus the recovered
-	// results). They are gone — the journal keeps only their failure
-	// records — but they consumed draws, so they must keep counting
-	// toward Ninit and MaxSamples exactly as they did before the
-	// interruption; otherwise a resumed campaign draws extra assignments
-	// and diverges from the uninterrupted sequence.
-	priorQuarantined := 0
-	if draws := cfg.resumeDraws(); draws > 0 {
-		if q := draws - len(cfg.Resume); q > 0 {
-			priorQuarantined = q
-		}
-		var err error
-		tailPerfs, err = replayResume(cfg, strategy, rng, hist, draws)
-		if err != nil {
-			return IterResult{}, err
-		}
+	// results and tailPerfs start as the resumed prefix: its measured
+	// draws, and the estimator's sample among them (successful, non-Explore
+	// draws). priorQuarantined counts the prefix draws that were
+	// quarantined rather than measured. They are gone, but they consumed
+	// draws, so they keep counting toward Ninit and MaxSamples exactly as
+	// they did before the interruption; otherwise a resumed campaign draws
+	// extra assignments and diverges from the uninterrupted sequence.
+	results, tailPerfs, err := replayResume(cfg, strategy, rng, hist)
+	if err != nil {
+		return IterResult{}, err
 	}
+	priorQuarantined := len(cfg.ResumeLog) - len(results)
 	// stream maintains the estimator's sample incrementally: the order
 	// statistics, exceedance counts and best-observed update per committed
 	// draw, and each estimation round is a scheduled refit of the same
@@ -590,66 +564,47 @@ func nextFitPoint(cfg IterConfig, drawn int) int {
 	return at
 }
 
-// replayResume drives the interrupted campaign's journaled draws back
-// through the strategy: the RNG advances exactly as it did originally,
-// the strategy rebuilds its internal state from the logged outcomes, and
-// batches commit at the original estimation schedule so post-resume draws
-// see the same committed horizon they would have seen uninterrupted. Each
-// regenerated draw is checked against the journal — divergence means the
-// journal belongs to a different strategy, seed or configuration. It
-// returns the tail-eligible performance sample accumulated over the
-// replayed prefix.
-func replayResume(cfg IterConfig, strategy search.Strategy, rng *rand.Rand, hist *search.History, draws int) ([]float64, error) {
+// replayResume drives the interrupted campaign's journaled draws
+// (cfg.ResumeLog) back through the strategy: the RNG advances exactly as
+// it did originally, the strategy rebuilds its internal state from the
+// logged outcomes, and batches commit at the original estimation schedule
+// so post-resume draws see the same committed horizon they would have
+// seen uninterrupted. Each regenerated draw is checked against the
+// journal — divergence means the journal belongs to a different strategy,
+// seed or configuration. It returns the prefix's measured draws and the
+// tail-eligible performance sample among them.
+func replayResume(cfg IterConfig, strategy search.Strategy, rng *rand.Rand, hist *search.History) ([]SampleResult, []float64, error) {
 	log := cfg.ResumeLog
-	if len(log) == 0 {
-		if _, ok := strategy.(search.Uniform); !ok {
-			return nil, fmt.Errorf("core: resuming strategy %s requires the journal draw log (ResumeLog)", strategy.Name())
-		}
-		// Historical fast path: uniform ignores outcomes, so fast-forward
-		// the RNG by the consumed draws; every recovered result is
-		// tail-eligible.
-		if _, err := assign.Sample(rng, cfg.Topo, cfg.Tasks, draws); err != nil {
-			return nil, fmt.Errorf("core: resume fast-forward: %w", err)
-		}
-		return Perfs(cfg.Resume), nil
-	}
-	if len(log) != draws {
-		return nil, fmt.Errorf("core: resume log has %d draws, ResumeDraws says %d", len(log), draws)
-	}
-	succ := 0
-	for _, d := range log {
-		if !d.Quarantined {
-			succ++
-		}
-	}
-	if succ != len(cfg.Resume) {
-		return nil, fmt.Errorf("core: resume log has %d successful draws, Resume carries %d", succ, len(cfg.Resume))
-	}
+	var results []SampleResult
 	var tailPerfs []float64
-	for i := 0; i < draws; i++ {
+	for i := range log {
 		if i > 0 && onFitSchedule(cfg, i) {
 			hist.Commit()
 		}
 		d, err := strategy.Next(rng, hist)
 		if err != nil {
-			return nil, fmt.Errorf("core: resume replay: strategy %s: %w", strategy.Name(), err)
+			return nil, nil, fmt.Errorf("core: resume replay: strategy %s: %w", strategy.Name(), err)
 		}
 		hist.Push(d)
 		if !sameCtx(d.Assignment.Ctx, log[i].Assignment.Ctx) {
-			return nil, fmt.Errorf("core: resume replay diverged at draw %d: journal has %v, strategy %s regenerated %v (journal from a different strategy, parameters or seed?)",
+			return nil, nil, fmt.Errorf("core: resume replay diverged at draw %d: journal has %v, strategy %s regenerated %v (journal from a different strategy, parameters or seed?)",
 				i+1, log[i].Assignment.Ctx, strategy.Name(), d.Assignment.Ctx)
 		}
 		hist.Resolve(i, log[i].Perf, log[i].Quarantined)
-		if !log[i].Quarantined && !d.Explore {
+		if log[i].Quarantined {
+			continue
+		}
+		results = append(results, SampleResult{Assignment: log[i].Assignment, Perf: log[i].Perf})
+		if !d.Explore {
 			tailPerfs = append(tailPerfs, log[i].Perf)
 		}
 	}
-	if onFitSchedule(cfg, draws) {
+	if len(log) > 0 && onFitSchedule(cfg, len(log)) {
 		// The interruption fell exactly on a batch boundary: the final
 		// batch completed, so its outcomes are visible.
 		hist.Commit()
 	}
-	return tailPerfs, nil
+	return results, tailPerfs, nil
 }
 
 // onFitSchedule reports whether n draws is one of the estimation points —
@@ -674,14 +629,4 @@ func sameCtx(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func (c IterConfig) resumeDraws() int {
-	if c.ResumeDraws > 0 {
-		return c.ResumeDraws
-	}
-	if len(c.ResumeLog) > 0 {
-		return len(c.ResumeLog)
-	}
-	return len(c.Resume)
 }

@@ -99,7 +99,7 @@ func TestCollectSampleParallelMatchesSerial(t *testing.T) {
 // deterministic injector: faults are keyed by (assignment, attempt), so
 // serial and parallel runs meet the identical fault sequence.
 func faultStack() core.ContextRunner {
-	inj := faulty.NewRunner(core.AsRunner(hashRunner(100*time.Microsecond)), faulty.Config{
+	inj := faulty.NewRunner(hashRunner(100*time.Microsecond), faulty.Config{
 		Seed:            3,
 		PermanentRate:   0.03,
 		TransientRate:   0.2,

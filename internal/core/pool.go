@@ -206,7 +206,7 @@ func (p *PoolRunner) round(as []assign.Assignment, opts BatchOptions) round {
 		if !ok {
 			cr = NewCachedContextRunner(w, nil, "")
 		}
-		if _, ok := batchMeasurerOf(cr.inner); ok {
+		if _, ok := cr.inner.(BatchMeasurer); ok {
 			r.batch[i] = cr
 		}
 	}

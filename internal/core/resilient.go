@@ -51,10 +51,9 @@ type ResilientConfig struct {
 	// attempt included). Default 3.
 	MaxAttempts int
 	// Timeout bounds each attempt; 0 disables it. Attempts against
-	// runners that honor ctx are cancelled cleanly; a legacy runner that
-	// ignores ctx is abandoned on its goroutine (it keeps running until
-	// it returns), so prefer ContextRunner implementations when
-	// measurements can genuinely hang.
+	// runners that honor ctx are cancelled cleanly; a runner that
+	// ignores ctx mid-measurement is abandoned on its goroutine (it keeps
+	// running until it returns).
 	Timeout time.Duration
 	// BaseDelay is the backoff before the first retry; it doubles each
 	// retry up to MaxDelay. Defaults 100 ms and 5 s.
@@ -130,8 +129,8 @@ type FailedMeasurement struct {
 // ResilientRunner wraps a measurement runner with retries, exponential
 // backoff with jitter, per-attempt timeouts and graceful degradation: a
 // measurement that keeps failing is quarantined (recorded in Failed and
-// reported as ErrQuarantined) instead of killing the campaign. It
-// implements both Runner and ContextRunner and is safe for concurrent use.
+// reported as ErrQuarantined) instead of killing the campaign. It is a
+// ContextRunner and is safe for concurrent use.
 type ResilientRunner struct {
 	cfg    ResilientConfig
 	runner ContextRunner
@@ -141,13 +140,12 @@ type ResilientRunner struct {
 	failed []FailedMeasurement
 }
 
-// NewResilientRunner wraps runner (upgraded via AsContextRunner if needed)
-// with the given policy.
-func NewResilientRunner(runner Runner, cfg ResilientConfig) *ResilientRunner {
+// NewResilientRunner wraps runner with the given policy.
+func NewResilientRunner(runner ContextRunner, cfg ResilientConfig) *ResilientRunner {
 	cfg = cfg.withDefaults()
 	return &ResilientRunner{
 		cfg:    cfg,
-		runner: AsContextRunner(runner),
+		runner: runner,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -158,11 +156,6 @@ func (r *ResilientRunner) Failed() []FailedMeasurement {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]FailedMeasurement(nil), r.failed...)
-}
-
-// Measure implements Runner with a background context.
-func (r *ResilientRunner) Measure(a assign.Assignment) (float64, error) {
-	return r.MeasureContext(context.Background(), a)
 }
 
 // MeasureContext implements ContextRunner: try up to MaxAttempts times,

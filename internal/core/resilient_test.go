@@ -53,7 +53,7 @@ func noSleep(recorded *[]time.Duration) func(context.Context, time.Duration) err
 func TestResilientRetriesTransient(t *testing.T) {
 	f := &flaky{failures: 2, err: errors.New("transient glitch")}
 	var delays []time.Duration
-	r := NewResilientRunner(AsRunner(f), ResilientConfig{MaxAttempts: 3, sleep: noSleep(&delays)})
+	r := NewResilientRunner(f, ResilientConfig{MaxAttempts: 3, sleep: noSleep(&delays)})
 	perf, err := r.MeasureContext(context.Background(), testAssignment(t))
 	if err != nil || perf != 42 {
 		t.Fatalf("perf=%v err=%v", perf, err)
@@ -81,7 +81,7 @@ func TestResilientRetriesTransient(t *testing.T) {
 
 func TestResilientQuarantinesAfterBudget(t *testing.T) {
 	f := &flaky{failures: 100, err: errors.New("still down")}
-	r := NewResilientRunner(AsRunner(f), ResilientConfig{MaxAttempts: 4, sleep: noSleep(nil)})
+	r := NewResilientRunner(f, ResilientConfig{MaxAttempts: 4, sleep: noSleep(nil)})
 	a := testAssignment(t)
 	_, err := r.MeasureContext(context.Background(), a)
 	if !errors.Is(err, ErrQuarantined) {
@@ -101,7 +101,7 @@ func TestResilientQuarantinesAfterBudget(t *testing.T) {
 
 func TestResilientPermanentFailsFast(t *testing.T) {
 	f := &flaky{failures: 100, err: Permanent(errors.New("invalid assignment"))}
-	r := NewResilientRunner(AsRunner(f), ResilientConfig{MaxAttempts: 5, sleep: noSleep(nil)})
+	r := NewResilientRunner(f, ResilientConfig{MaxAttempts: 5, sleep: noSleep(nil)})
 	_, err := r.MeasureContext(context.Background(), testAssignment(t))
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("err = %v, want ErrQuarantined", err)
@@ -122,7 +122,7 @@ func TestResilientTimeoutCutsHang(t *testing.T) {
 		}
 		return 7, nil
 	})
-	r := NewResilientRunner(AsRunner(hung), ResilientConfig{
+	r := NewResilientRunner(hung, ResilientConfig{
 		MaxAttempts: 2,
 		Timeout:     20 * time.Millisecond,
 		sleep:       noSleep(nil),
@@ -141,7 +141,7 @@ func TestResilientCancelAbortsWithoutQuarantine(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := &flaky{failures: 100, err: errors.New("down")}
-	r := NewResilientRunner(AsRunner(f), ResilientConfig{MaxAttempts: 3, sleep: noSleep(nil)})
+	r := NewResilientRunner(f, ResilientConfig{MaxAttempts: 3, sleep: noSleep(nil)})
 	_, err := r.MeasureContext(ctx, testAssignment(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -234,24 +234,24 @@ func TestIterateResumeContinuesDrawSequence(t *testing.T) {
 		return 1000 + 100*s/float64(len(a.Ctx))
 	}
 	var full, resumedLog []assign.Assignment
-	mkRunner := func(log *[]assign.Assignment) Runner {
-		return RunnerFunc(func(a assign.Assignment) (float64, error) {
+	mkRunner := func(log *[]assign.Assignment) ContextRunner {
+		return ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 			*log = append(*log, a.Clone())
 			return perfOf(a), nil
 		})
 	}
 	cfg := IterConfig{Topo: topo, Tasks: 8, AcceptLossPct: 0.5, Ninit: 300, Ndelta: 100, MaxSamples: 600, Seed: 5}
 
-	fullRes, fullErr := Iterate(cfg, mkRunner(&full))
+	fullRes, fullErr := IterateContext(context.Background(), cfg, mkRunner(&full))
 
-	// "Crash" after 150 measurements: resume with those results.
+	// "Crash" after 150 measurements: resume from their draw log.
 	k := 150
 	resumeCfg := cfg
-	resumeCfg.Resume = make([]SampleResult, k)
+	resumeCfg.ResumeLog = make([]ResumeDraw, k)
 	for i, a := range full[:k] {
-		resumeCfg.Resume[i] = SampleResult{Assignment: a, Perf: perfOf(a)}
+		resumeCfg.ResumeLog[i] = ResumeDraw{Assignment: a, Perf: perfOf(a)}
 	}
-	resumedRes, resumedErr := Iterate(resumeCfg, mkRunner(&resumedLog))
+	resumedRes, resumedErr := IterateContext(context.Background(), resumeCfg, mkRunner(&resumedLog))
 
 	if (fullErr == nil) != (resumedErr == nil) {
 		t.Fatalf("errs differ: %v vs %v", fullErr, resumedErr)

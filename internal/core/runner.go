@@ -9,20 +9,14 @@ import (
 	"optassign/internal/t2"
 )
 
-// Runner executes a task assignment on the target system and reports its
-// measured performance (higher is better; the case study measures packets
-// per second). The netdps.Testbed satisfies this interface with its
-// simulated machine; on real hardware an implementation would bind the
-// workload and read counters, exactly as the paper's Netra DPS setup did.
+// Runner is what a remote.Server backend implements: it executes one
+// task assignment on the target system, with no context, and reports its
+// measured performance (higher is better; the case study measures
+// packets per second). Core's loops, samplers and middleware take a
+// ContextRunner instead.
 type Runner interface {
 	Measure(a assign.Assignment) (float64, error)
 }
-
-// RunnerFunc adapts a plain function to the Runner interface.
-type RunnerFunc func(a assign.Assignment) (float64, error)
-
-// Measure implements Runner.
-func (f RunnerFunc) Measure(a assign.Assignment) (float64, error) { return f(a) }
 
 // SampleResult pairs an executed assignment with its measured performance.
 type SampleResult struct {
@@ -51,25 +45,6 @@ func Perfs(results []SampleResult) []float64 {
 	return out
 }
 
-// CollectSample generates n iid random assignments of `tasks` tasks on
-// topo (the paper's §3.3.2 Step 1), measures each with the runner, and
-// returns the results in execution order. Any measurement failure —
-// including a quarantine — aborts the sample; use CollectSampleContext for
-// the degrade-gracefully semantics of long campaigns.
-func CollectSample(rng *rand.Rand, topo t2.Topology, tasks, n int, runner Runner) ([]SampleResult, error) {
-	if runner == nil {
-		return nil, fmt.Errorf("core: nil runner")
-	}
-	results, skipped, err := CollectSampleContext(context.Background(), rng, topo, tasks, n, AsContextRunner(runner))
-	if err != nil {
-		return nil, err
-	}
-	if len(skipped) > 0 {
-		return nil, fmt.Errorf("core: measuring assignment: %w", skipped[0].Err)
-	}
-	return results, nil
-}
-
 // Skipped records an assignment that was drawn for a sample but never
 // yielded a measurement because its runner quarantined it.
 type Skipped struct {
@@ -77,9 +52,10 @@ type Skipped struct {
 	Err        error
 }
 
-// CollectSampleContext is the fault-tolerant CollectSample: it draws the
-// same n iid assignments from rng, measures them under ctx, and degrades
-// gracefully — an assignment whose measurement reports ErrQuarantined (see
+// CollectSampleContext generates n iid random assignments of `tasks`
+// tasks on topo (the paper's §3.3.2 Step 1), measures each with runner
+// under ctx, and returns the results in execution order. It degrades
+// gracefully: an assignment whose measurement reports ErrQuarantined (see
 // ResilientRunner) is recorded in skipped and the campaign continues, so
 // partial testbed failures cost only the quarantined points. Any other
 // error (including ctx cancellation) aborts and returns the results

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -93,14 +94,18 @@ func (e *Env) Sample(name string, n int) ([]core.SampleResult, error) {
 		// by regenerating the prefix, so Sample(name, 1000) is always a
 		// prefix of Sample(name, 5000).
 		rng := rand.New(rand.NewSource(e.Seed*7919 + int64(len(name))))
-		runner := core.Runner(tb)
+		runner := core.ContextRunner(tb)
 		if e.Resilience != nil {
 			runner = core.NewResilientRunner(runner, *e.Resilience)
 		}
 		if e.Cache != nil {
-			runner = core.NewCachedRunner(runner, e.Cache, tb.Identity())
+			runner = core.NewCachedContextRunner(runner, e.Cache, tb.Identity())
 		}
-		all, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), n, runner)
+		all, skipped, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), n, runner)
+		if err == nil && len(skipped) > 0 {
+			// A study's sample is all n draws: a quarantine fails it.
+			err = fmt.Errorf("exp: measuring assignment: %w", skipped[0].Err)
+		}
 		if err != nil {
 			return nil, err
 		}

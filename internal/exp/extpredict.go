@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -58,7 +59,7 @@ func PredictorStudy(env *Env) ([]PredictorCell, error) {
 		for _, relErr := range PredictorErrorLevels {
 			predictor := predict.NewHeuristic(tb, relErr, env.Seed+100)
 			rng := rand.New(rand.NewSource(env.Seed * 31))
-			predictedSample, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(),
+			predictedSample, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(),
 				samples, predict.Runner{P: predictor})
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -54,7 +55,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := core.Runner(tb)
+	runner := core.ContextRunner(tb)
 	if env.Resilience != nil {
 		runner = core.NewResilientRunner(runner, *env.Resilience)
 	}
@@ -77,7 +78,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			Strategy:      strat,
 			SearchMetrics: sm,
 		}
-		res, err := core.Iterate(cfg, runner)
+		res, err := core.IterateContext(context.Background(), cfg, runner)
 		if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("exp: strategy %s: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestSearchStrategiesHonorLossPromiseOnRealPopulation(t *testing.T) {
 			Seed:          env.Seed,
 			Strategy:      strat,
 		}
-		res, err := core.Iterate(cfg, core.Runner(tb))
+		res, err := core.IterateContext(context.Background(), cfg, tb)
 		if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
 			t.Fatalf("%s: %v", name, err)
 		}

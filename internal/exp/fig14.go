@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +43,7 @@ func Figure14(env *Env) ([]Figure14Cell, error) {
 				MaxSamples:    12000,
 				Seed:          env.Seed,
 			}
-			res, err := core.Iterate(cfg, tb)
+			res, err := core.IterateContext(context.Background(), cfg, tb)
 			if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
 				return nil, fmt.Errorf("exp: %s at %.1f%%: %w", name, loss, err)
 			}

@@ -70,9 +70,9 @@ type Stats struct {
 }
 
 // Runner wraps a measurement runner with deterministic fault injection.
-// It implements core.Runner and core.ContextRunner and is safe for
-// concurrent use (though concurrent callers race for the PRNG sequence;
-// deterministic concurrent tests should set Config.KeyByAssignment, which
+// It implements core.ContextRunner and is safe for concurrent use
+// (though concurrent callers race for the PRNG sequence; deterministic
+// concurrent tests should set Config.KeyByAssignment, which
 // makes every fault independent of interleaving).
 type Runner struct {
 	cfg   Config
@@ -84,13 +84,13 @@ type Runner struct {
 }
 
 // NewRunner wraps inner with the fault policy in cfg.
-func NewRunner(inner core.Runner, cfg Config) *Runner {
+func NewRunner(inner core.ContextRunner, cfg Config) *Runner {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	return &Runner{
 		cfg:   cfg,
-		inner: core.AsContextRunner(inner),
+		inner: inner,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -146,11 +146,6 @@ func (r *Runner) roll(ctx context.Context, a assign.Assignment) fault {
 	default:
 		return faultNone
 	}
-}
-
-// Measure implements core.Runner.
-func (r *Runner) Measure(a assign.Assignment) (float64, error) {
-	return r.MeasureContext(context.Background(), a)
 }
 
 // MeasureContext implements core.ContextRunner.

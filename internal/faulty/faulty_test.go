@@ -13,8 +13,8 @@ import (
 	"optassign/internal/t2"
 )
 
-func constRunner(perf float64) core.Runner {
-	return core.RunnerFunc(func(a assign.Assignment) (float64, error) { return perf, nil })
+func constRunner(perf float64) core.ContextRunner {
+	return core.ContextRunnerFunc(func(context.Context, assign.Assignment) (float64, error) { return perf, nil })
 }
 
 func someAssignment() assign.Assignment {
@@ -27,7 +27,7 @@ func TestFaultSequenceIsDeterministic(t *testing.T) {
 		r := NewRunner(constRunner(1), cfg)
 		var errs []error
 		for i := 0; i < 200; i++ {
-			_, err := r.Measure(someAssignment())
+			_, err := r.MeasureContext(context.Background(), someAssignment())
 			errs = append(errs, err)
 		}
 		return errs
@@ -48,7 +48,7 @@ func TestFaultRatesRoughlyHonored(t *testing.T) {
 	r := NewRunner(constRunner(1), cfg)
 	n := 5000
 	for i := 0; i < n; i++ {
-		r.Measure(someAssignment())
+		r.MeasureContext(context.Background(), someAssignment())
 	}
 	st := r.Stats()
 	if got := float64(st.Transients) / float64(n); math.Abs(got-0.2) > 0.03 {
@@ -64,12 +64,12 @@ func TestFaultRatesRoughlyHonored(t *testing.T) {
 
 func TestFaultClassification(t *testing.T) {
 	r := NewRunner(constRunner(1), Config{PermanentRate: 1})
-	_, err := r.Measure(someAssignment())
+	_, err := r.MeasureContext(context.Background(), someAssignment())
 	if !core.IsPermanent(err) || !errors.Is(err, ErrInjectedPermanent) {
 		t.Errorf("permanent fault misclassified: %v", err)
 	}
 	r = NewRunner(constRunner(1), Config{TransientRate: 1})
-	_, err = r.Measure(someAssignment())
+	_, err = r.MeasureContext(context.Background(), someAssignment())
 	if core.IsPermanent(err) || !errors.Is(err, ErrInjected) {
 		t.Errorf("transient fault misclassified: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestHangHonorsContext(t *testing.T) {
 	}
 	// Without a cancellable context the hang degrades to a transient
 	// error instead of deadlocking.
-	if _, err := r.Measure(someAssignment()); !errors.Is(err, ErrInjected) {
+	if _, err := r.MeasureContext(context.Background(), someAssignment()); !errors.Is(err, ErrInjected) {
 		t.Errorf("uncancellable hang: err = %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestHangHonorsContext(t *testing.T) {
 func TestSpikeDelaysButSucceeds(t *testing.T) {
 	r := NewRunner(constRunner(9), Config{SpikeRate: 1, Spike: 10 * time.Millisecond})
 	start := time.Now()
-	perf, err := r.Measure(someAssignment())
+	perf, err := r.MeasureContext(context.Background(), someAssignment())
 	if err != nil || perf != 9 {
 		t.Fatalf("perf=%v err=%v", perf, err)
 	}
@@ -119,10 +119,10 @@ func TestFaultyCampaignMatchesFaultFree(t *testing.T) {
 		}
 		return 500 + 50*s
 	}
-	base := core.RunnerFunc(func(a assign.Assignment) (float64, error) { return perfOf(a), nil })
+	base := core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) { return perfOf(a), nil })
 
 	clean, _, err := core.CollectSampleContext(context.Background(),
-		rand.New(rand.NewSource(11)), topo, 10, 400, core.AsContextRunner(base))
+		rand.New(rand.NewSource(11)), topo, 10, 400, base)
 	if err != nil {
 		t.Fatal(err)
 	}

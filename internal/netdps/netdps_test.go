@@ -1,6 +1,8 @@
 package netdps
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,6 +64,26 @@ func TestMeasureAnalyticValidatesAssignment(t *testing.T) {
 	}
 	if _, err := tb.MeasureAnalytic(assign.Assignment{Topo: tb.Machine.Topo, Ctx: []int{0, 0, 1, 2, 3, 4}}); err == nil {
 		t.Error("colliding assignment accepted")
+	}
+}
+
+// TestMeasureContextHonorsCancellation: a done ctx returns its error with
+// perf 0; a live one measures what MeasureAnalytic does.
+func TestMeasureContextHonorsCancellation(t *testing.T) {
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 2)
+	a := randomAssignment(t, tb, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if perf, err := tb.MeasureContext(ctx, a); !errors.Is(err, context.Canceled) || perf != 0 {
+		t.Fatalf("cancelled ctx: perf=%v err=%v, want 0 and context.Canceled", perf, err)
+	}
+	want, err := tb.MeasureAnalytic(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tb.MeasureContext(context.Background(), a)
+	if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("live ctx: perf=%v err=%v, want %v", got, err, want)
 	}
 }
 

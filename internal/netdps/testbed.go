@@ -16,6 +16,7 @@
 package netdps
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -134,10 +135,10 @@ func (tb *Testbed) checkAssignment(a assign.Assignment) error {
 
 // Identity names everything that determines this testbed's measured
 // values: the benchmark, instance count, noise seed and level, and the
-// traffic profile. It is the identity string for core.NewCachedRunner, so
-// a shared measurement cache can never serve one testbed's performance for
-// another's. (The machine topology is appended to cache keys by the cache
-// itself.)
+// traffic profile. It is the identity string for
+// core.NewCachedContextRunner, so a shared measurement cache can never
+// serve one testbed's performance for another's. (The machine topology
+// is appended to cache keys by the cache itself.)
 func (tb *Testbed) Identity() string {
 	return fmt.Sprintf("netdps|%s|i%d|s%d|n%g|pf%d,%g,%d-%d,%g,%g",
 		tb.App.Name(), tb.Instances, tb.Seed, tb.Noise,
@@ -170,6 +171,16 @@ func (tb *Testbed) MeasureAnalytic(a assign.Assignment) (float64, error) {
 
 // Measure implements the core.Runner contract with MeasureAnalytic.
 func (tb *Testbed) Measure(a assign.Assignment) (float64, error) { return tb.MeasureAnalytic(a) }
+
+// MeasureContext implements core.ContextRunner with MeasureAnalytic. A
+// done ctx returns its error without measuring; a measurement once
+// started runs to completion.
+func (tb *Testbed) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return tb.MeasureAnalytic(a)
+}
 
 // MeasureBatch measures every assignment at once, sharded across
 // GOMAXPROCS workers, and returns values and errors index-aligned with

@@ -8,6 +8,7 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 
@@ -19,8 +20,8 @@ import (
 )
 
 // Predictor estimates the performance of a task assignment without running
-// it. It deliberately has the same shape as core.Runner, so the whole
-// statistical pipeline works unchanged on predictions.
+// it. Runner adapts it to core.ContextRunner, so the whole statistical
+// pipeline works unchanged on predictions.
 type Predictor interface {
 	Predict(a assign.Assignment) (float64, error)
 }
@@ -150,10 +151,13 @@ func (h *Heuristic) Predict(a assign.Assignment) (float64, error) {
 	return pps, nil
 }
 
-// Runner adapts the predictor to the core.Runner shape so CollectSample,
-// EstimateOptimal and Iterate work unchanged on predictions — the
-// "integrated approach" of §5.4.
+// Runner adapts the predictor to the core.ContextRunner shape so
+// CollectSampleContext, EstimateOptimal and IterateContext work unchanged
+// on predictions — the "integrated approach" of §5.4.
 type Runner struct{ P Predictor }
 
-// Measure implements core.Runner by predicting.
-func (r Runner) Measure(a assign.Assignment) (float64, error) { return r.P.Predict(a) }
+// MeasureContext implements core.ContextRunner by predicting; a
+// prediction is instant, so ctx is not consulted.
+func (r Runner) MeasureContext(_ context.Context, a assign.Assignment) (float64, error) {
+	return r.P.Predict(a)
+}

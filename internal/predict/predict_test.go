@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,7 +144,7 @@ func TestIntegratedApproachEndToEnd(t *testing.T) {
 	// one within a few times the predictor's error scale.
 	tb := testbed(t)
 	rng := rand.New(rand.NewSource(3))
-	measuredSample, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), 1500, tb)
+	measuredSample, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), 1500, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestIntegratedApproachEndToEnd(t *testing.T) {
 	}
 
 	rng = rand.New(rand.NewSource(3)) // same assignments
-	predictedSample, err := core.CollectSample(rng, tb.Machine.Topo, tb.TaskCount(), 1500,
+	predictedSample, _, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), 1500,
 		Runner{P: NewHeuristic(tb, 0.01, 9)})
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			for !stop.Load() {
-				pool.Measure(a)
+				pool.MeasureContext(context.Background(), a)
 			}
 		}()
 	}
@@ -90,7 +90,7 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			for !stop.Load() {
-				pool2.Measure(a)
+				pool2.MeasureContext(context.Background(), a)
 			}
 		}()
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"optassign/internal/assign"
-	"optassign/internal/core"
 	"optassign/internal/t2"
 )
 
@@ -35,7 +34,7 @@ func FuzzFrame(f *testing.F) {
 
 	const fixedPerf = 42.0
 	topo := t2.UltraSPARCT2()
-	runner := core.RunnerFunc(func(a assign.Assignment) (float64, error) {
+	runner := runnerFunc(func(a assign.Assignment) (float64, error) {
 		return fixedPerf, nil
 	})
 

@@ -122,9 +122,9 @@ func (s *poolServer) benched(now time.Time) bool { return now.Before(s.benchedUn
 
 // ClientPool drives a campaign across a dynamic fleet of measurement
 // servers — the many-testbeds generalization of the paper's two-machine
-// setup. It implements core.Runner and core.ContextRunner and is safe for
-// concurrent use: each concurrent measurement grabs whichever member is
-// free (work-stealing — fast servers naturally take more measurements), so
+// setup. It implements core.ContextRunner and is safe for concurrent
+// use: each concurrent measurement grabs whichever member is free
+// (work-stealing — fast servers naturally take more measurements), so
 // wrapping a ClientPool in a core.PoolRunner keeps every testbed busy.
 //
 // Membership is dynamic: servers join mid-campaign (Add, typically driven
@@ -610,11 +610,6 @@ func (p *ClientPool) recordFailure(s *poolServer) {
 	}
 	p.updateGauges()
 	p.mu.Unlock()
-}
-
-// Measure implements core.Runner with a background context.
-func (p *ClientPool) Measure(a assign.Assignment) (float64, error) {
-	return p.MeasureContext(context.Background(), a)
 }
 
 // MeasureContext implements core.ContextRunner: grab a free member,

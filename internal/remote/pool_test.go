@@ -344,7 +344,7 @@ func TestPoolShutdownDuringInflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	_, err = pool.Measure(validAssignment())
+	_, err = pool.MeasureContext(context.Background(), validAssignment())
 	if err == nil || !core.IsPermanent(err) {
 		t.Fatalf("measurement on a closed pool: err = %v, want permanent", err)
 	}

@@ -127,7 +127,7 @@ func TestRegistryJoinMeasureDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.Measure(validAssignmentFor(tb.TaskCount()))
+	got, err := pool.MeasureContext(context.Background(), validAssignmentFor(tb.TaskCount()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRegistryMarksSuspectAndRecovers(t *testing.T) {
 	if v := cfg.Metrics.Suspects.Value(); v != 1 {
 		t.Fatalf("suspects gauge = %v, want 1", v)
 	}
-	if _, err := pool.Measure(validAssignmentFor(tb.TaskCount())); err != nil {
+	if _, err := pool.MeasureContext(context.Background(), validAssignmentFor(tb.TaskCount())); err != nil {
 		t.Fatalf("suspect-only fleet refused a measurement: %v", err)
 	}
 
@@ -382,7 +382,7 @@ func TestPoolCloseIdempotentAndRacesAcquire(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for j := 0; j < 5; j++ {
-				pool.Measure(validAssignmentFor(8))
+				pool.MeasureContext(context.Background(), validAssignmentFor(8))
 			}
 		}()
 	}
@@ -401,7 +401,7 @@ func TestPoolCloseIdempotentAndRacesAcquire(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)
 	}
-	_, err = pool.Measure(validAssignmentFor(8))
+	_, err = pool.MeasureContext(context.Background(), validAssignmentFor(8))
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("measure after close = %v, want ErrPoolClosed", err)
 	}
@@ -414,7 +414,7 @@ func TestPoolEmptyMembershipFailsFast(t *testing.T) {
 	pool := NewPool(fastPoolConfig())
 	defer pool.Close()
 	start := time.Now()
-	_, err := pool.Measure(validAssignmentFor(8))
+	_, err := pool.MeasureContext(context.Background(), validAssignmentFor(8))
 	if !errors.Is(err, ErrNoServers) {
 		t.Fatalf("empty pool measure = %v, want ErrNoServers", err)
 	}
@@ -442,7 +442,7 @@ func TestPoolAllBenchedFailsFastWithStrikeSummary(t *testing.T) {
 	kill2()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err = pool.Measure(validAssignmentFor(8))
+		_, err = pool.MeasureContext(context.Background(), validAssignmentFor(8))
 		if errors.Is(err, ErrNoServers) {
 			break
 		}
@@ -462,7 +462,7 @@ func TestPoolAllBenchedFailsFastWithStrikeSummary(t *testing.T) {
 	}
 	// Fail-fast, not context-deadline spin.
 	start := time.Now()
-	_, err = pool.Measure(validAssignmentFor(8))
+	_, err = pool.MeasureContext(context.Background(), validAssignmentFor(8))
 	if !errors.Is(err, ErrNoServers) {
 		t.Fatalf("benched pool measure = %v, want ErrNoServers", err)
 	}
@@ -500,7 +500,7 @@ func TestPoolDynamicAddAndDrainMidCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pool.Measure(validAssignmentFor(tb.TaskCount()))
+		got, err := pool.MeasureContext(context.Background(), validAssignmentFor(tb.TaskCount()))
 		if err != nil {
 			t.Fatalf("draw %d: %v", i, err)
 		}

@@ -3,8 +3,9 @@
 // traffic, one executing assignments, §4): a Server wraps any core.Runner —
 // typically the simulated testbed here, a thread-pinning harness on real
 // hardware — behind a line-oriented JSON protocol, and a Client implements
-// core.Runner over the connection, so CollectSample, Iterate and the whole
-// statistical pipeline drive a remote machine unchanged.
+// core.ContextRunner over the connection, so CollectSampleContext,
+// IterateContext and the whole statistical pipeline drive a remote machine
+// unchanged.
 //
 // Protocol (newline-delimited JSON over TCP):
 //
@@ -106,7 +107,8 @@ type RegistryFrame struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Server exposes a Runner to remote clients.
+// Server exposes a core.Runner to remote clients: each request is one
+// Measure call.
 type Server struct {
 	Runner core.Runner
 	Topo   t2.Topology
@@ -353,8 +355,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// Client is a core.Runner (and core.ContextRunner) that measures on a
-// remote Server, transparently reconnecting when it owns a dialer.
+// Client is a core.ContextRunner that measures on a remote Server,
+// transparently reconnecting when it owns a dialer.
 type Client struct {
 	cfg ClientConfig
 
@@ -438,11 +440,6 @@ func (c *Client) Topology() t2.Topology { return c.hello.Topology }
 
 // Tasks returns the remote workload's task count.
 func (c *Client) Tasks() int { return c.hello.Tasks }
-
-// Measure implements core.Runner over the wire.
-func (c *Client) Measure(a assign.Assignment) (float64, error) {
-	return c.MeasureContext(context.Background(), a)
-}
 
 // MeasureContext implements core.ContextRunner: ctx cancellation or
 // deadline expiry interrupts the in-flight network round trip. Transport

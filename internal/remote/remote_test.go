@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net"
@@ -62,7 +63,7 @@ func TestRemoteMeasureMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := client.Measure(a)
+		remote, err := client.MeasureContext(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestRemoteDrivesStatisticalPipeline(t *testing.T) {
 
 	// The whole §3 pipeline over the wire.
 	rng := rand.New(rand.NewSource(2))
-	rs, err := core.CollectSample(rng, client.Topology(), client.Tasks(), 1200, client)
+	rs, _, err := core.CollectSampleContext(context.Background(), rng, client.Topology(), client.Tasks(), 1200, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +113,17 @@ func TestRemoteErrorPropagation(t *testing.T) {
 
 	// Wrong task count: server-side validation comes back as an error.
 	short := assign.Assignment{Topo: tb.Machine.Topo, Ctx: []int{0, 1, 2}}
-	if _, err := client.Measure(short); err == nil || !strings.Contains(err.Error(), "tasks") {
+	if _, err := client.MeasureContext(context.Background(), short); err == nil || !strings.Contains(err.Error(), "tasks") {
 		t.Errorf("err = %v", err)
 	}
 	// Colliding assignment: runner-side error crosses the wire.
 	ctx := make([]int, tb.TaskCount())
-	if _, err := client.Measure(assign.Assignment{Topo: tb.Machine.Topo, Ctx: ctx}); err == nil {
+	if _, err := client.MeasureContext(context.Background(), assign.Assignment{Topo: tb.Machine.Topo, Ctx: ctx}); err == nil {
 		t.Error("colliding assignment accepted")
 	}
 	// Topology mismatch is caught client-side without a round trip.
 	other := assign.Assignment{Topo: t2.Topology{Cores: 1, PipesPerCore: 1, ContextsPerPipe: 12}, Ctx: make([]int, 12)}
-	if _, err := client.Measure(other); err == nil {
+	if _, err := client.MeasureContext(context.Background(), other); err == nil {
 		t.Error("topology mismatch accepted")
 	}
 	// The connection survives all those errors.
@@ -131,7 +132,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Measure(a); err != nil {
+	if _, err := client.MeasureContext(context.Background(), a); err != nil {
 		t.Errorf("connection did not survive error traffic: %v", err)
 	}
 }
@@ -159,7 +160,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if _, err := client.Measure(a); err != nil {
+				if _, err := client.MeasureContext(context.Background(), a); err != nil {
 					errs[w] = err
 					return
 				}
@@ -183,7 +184,7 @@ func TestServerValidation(t *testing.T) {
 	if err := (&Server{}).Serve(l); err == nil {
 		t.Error("runner-less server accepted")
 	}
-	runner := core.RunnerFunc(func(assign.Assignment) (float64, error) { return 1, nil })
+	runner := runnerFunc(func(assign.Assignment) (float64, error) { return 1, nil })
 	if err := (&Server{Runner: runner}).Serve(l); err == nil {
 		t.Error("invalid topology accepted")
 	}
@@ -221,7 +222,7 @@ func TestClientServerClosed(t *testing.T) {
 	for i := range a.Ctx {
 		a.Ctx[i] = i
 	}
-	if _, err := client.Measure(a); err == nil {
+	if _, err := client.MeasureContext(context.Background(), a); err == nil {
 		t.Error("measure on closed connection succeeded")
 	}
 	if !errors.Is(client.Close(), net.ErrClosed) && client.Close() == nil {
@@ -229,3 +230,8 @@ func TestClientServerClosed(t *testing.T) {
 		_ = err
 	}
 }
+
+// runnerFunc adapts a plain function to core.Runner, a Server's backend.
+type runnerFunc func(a assign.Assignment) (float64, error)
+
+func (f runnerFunc) Measure(a assign.Assignment) (float64, error) { return f(a) }

@@ -53,7 +53,7 @@ func assertPoisoned(t *testing.T, c *Client) {
 	t.Helper()
 	// Without a dialer the client must fail fast and permanently; a
 	// retry loop should quarantine instead of hammering a dead link.
-	_, err := c.Measure(validAssignment())
+	_, err := c.MeasureContext(context.Background(), validAssignment())
 	if err == nil {
 		t.Fatal("poisoned client accepted a measurement")
 	}
@@ -73,7 +73,7 @@ func TestClientPoisonedByServerDeathMidRequest(t *testing.T) {
 		conn.Close()
 	})
 	defer c.Close()
-	_, err := c.Measure(validAssignment())
+	_, err := c.MeasureContext(context.Background(), validAssignment())
 	if err == nil || !errors.Is(err, ErrStreamBroken) {
 		t.Fatalf("err = %v, want stream-broken", err)
 	}
@@ -90,7 +90,7 @@ func TestClientPoisonedByGarbageResponse(t *testing.T) {
 		conn.Write([]byte("@@not-json@@\n"))
 	})
 	defer c.Close()
-	if _, err := c.Measure(validAssignment()); err == nil || !errors.Is(err, ErrStreamBroken) {
+	if _, err := c.MeasureContext(context.Background(), validAssignment()); err == nil || !errors.Is(err, ErrStreamBroken) {
 		t.Fatalf("err = %v, want stream-broken", err)
 	}
 	assertPoisoned(t, c)
@@ -109,7 +109,7 @@ func TestClientPoisonedByMismatchedResponseID(t *testing.T) {
 		}
 	})
 	defer c.Close()
-	if _, err := c.Measure(validAssignment()); err == nil || !errors.Is(err, ErrStreamBroken) {
+	if _, err := c.MeasureContext(context.Background(), validAssignment()); err == nil || !errors.Is(err, ErrStreamBroken) {
 		t.Fatalf("err = %v, want stream-broken", err)
 	}
 	// Even though the fake server keeps answering, the stream is
@@ -252,7 +252,7 @@ func TestReconnectRejectsChangedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Measure(a); err != nil {
+	if _, err := client.MeasureContext(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
 	// Break the stream; the next measurement redials — onto server B,
@@ -260,7 +260,7 @@ func TestReconnectRejectsChangedServer(t *testing.T) {
 	client.mu.Lock()
 	client.poison(errors.New("test: forced break"))
 	client.mu.Unlock()
-	_, err = client.Measure(a)
+	_, err = client.MeasureContext(context.Background(), a)
 	if err == nil {
 		t.Fatal("identity-changed reconnect accepted")
 	}

@@ -6,6 +6,7 @@ package remote
 // must quarantine the doomed measurement instead of hanging.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -55,7 +56,7 @@ func TestServerReadDeadlineDefeatsSlowloris(t *testing.T) {
 	// on the trickling frame.
 	done := make(chan error, 1)
 	go func() {
-		_, err := resilient.Measure(validAssignmentFor(tb.TaskCount()))
+		_, err := resilient.MeasureContext(context.Background(), validAssignmentFor(tb.TaskCount()))
 		done <- err
 	}()
 	select {
@@ -81,7 +82,7 @@ func TestServerReadDeadlineDefeatsSlowloris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := direct.Measure(validAssignmentFor(tb.TaskCount()))
+	got, err := direct.MeasureContext(context.Background(), validAssignmentFor(tb.TaskCount()))
 	if err != nil {
 		t.Fatalf("server unhealthy after slowloris: %v", err)
 	}

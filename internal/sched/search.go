@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -24,12 +25,15 @@ func (s BestOfN) Name() string { return fmt.Sprintf("Best-of-%d", s.N) }
 
 // Assign measures s.N random assignments with the runner and returns the
 // best one with its measured performance.
-func (s BestOfN) Assign(topo t2.Topology, tasks int, runner core.Runner) (assign.Assignment, float64, error) {
+func (s BestOfN) Assign(topo t2.Topology, tasks int, runner core.ContextRunner) (assign.Assignment, float64, error) {
 	if s.N < 1 {
 		return assign.Assignment{}, 0, fmt.Errorf("sched: best-of-N needs N >= 1, got %d", s.N)
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	results, err := core.CollectSample(rng, topo, tasks, s.N, runner)
+	results, skipped, err := core.CollectSampleContext(context.Background(), rng, topo, tasks, s.N, runner)
+	if err == nil && len(skipped) > 0 {
+		err = skipped[0].Err
+	}
 	if err != nil {
 		return assign.Assignment{}, 0, err
 	}
@@ -56,7 +60,7 @@ func (s LocalSearch) Name() string { return fmt.Sprintf("Local-search-%d", s.Bud
 
 // Assign runs the search and returns the best assignment found with its
 // measured performance. The runner is consulted exactly Budget+1 times.
-func (s LocalSearch) Assign(topo t2.Topology, tasks int, runner core.Runner) (assign.Assignment, float64, error) {
+func (s LocalSearch) Assign(topo t2.Topology, tasks int, runner core.ContextRunner) (assign.Assignment, float64, error) {
 	if s.Budget < 0 {
 		return assign.Assignment{}, 0, fmt.Errorf("sched: negative budget %d", s.Budget)
 	}
@@ -73,7 +77,7 @@ func (s LocalSearch) Assign(topo t2.Topology, tasks int, runner core.Runner) (as
 	if err := cur.Validate(); err != nil {
 		return assign.Assignment{}, 0, err
 	}
-	curPerf, err := runner.Measure(cur)
+	curPerf, err := runner.MeasureContext(context.Background(), cur)
 	if err != nil {
 		return assign.Assignment{}, 0, err
 	}
@@ -99,7 +103,7 @@ func (s LocalSearch) Assign(topo t2.Topology, tasks int, runner core.Runner) (as
 		if occupant >= 0 {
 			cur.Ctx[occupant] = oldCtx
 		}
-		perf, err := runner.Measure(cur)
+		perf, err := runner.MeasureContext(context.Background(), cur)
 		if err != nil {
 			return assign.Assignment{}, 0, err
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func TestLocalSearchBudgetAndErrors(t *testing.T) {
 	tb := testbed(t)
 	topo := tb.Machine.Topo
 	calls := 0
-	counting := core.RunnerFunc(func(a assign.Assignment) (float64, error) {
+	counting := core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
 		calls++
 		return tb.Measure(a)
 	})
@@ -95,7 +96,7 @@ func TestLocalSearchBudgetAndErrors(t *testing.T) {
 	if _, _, err := (LocalSearch{Budget: -1}).Assign(topo, tb.TaskCount(), tb); err == nil {
 		t.Error("negative budget accepted")
 	}
-	boom := core.RunnerFunc(func(assign.Assignment) (float64, error) { return 0, errors.New("boom") })
+	boom := core.ContextRunnerFunc(func(context.Context, assign.Assignment) (float64, error) { return 0, errors.New("boom") })
 	if _, _, err := (LocalSearch{Budget: 5}).Assign(topo, tb.TaskCount(), boom); err == nil {
 		t.Error("runner error not propagated")
 	}
