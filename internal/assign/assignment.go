@@ -100,45 +100,59 @@ func (a Assignment) TasksByCore() map[int][]int {
 // The rendered bytes are exactly canonicalKeyRef's (the straightforward
 // map/sort/fmt construction) — the testbed keys its deterministic
 // measurement noise on this string, so the encoding is part of the
-// reproducibility contract. This implementation is the memoization hot
-// path: it buckets tasks with one CSR pass and renders into preallocated
-// byte buffers instead of allocating maps, per-pipe slices and strings.
+// reproducibility contract. Up to 64 tasks and pipelines the only
+// allocation is the returned string.
 func (a Assignment) CanonicalKey() string {
+	var buf [scratchBytes]byte
+	return string(a.AppendCanonicalKey(buf[:0]))
+}
+
+// AppendCanonicalKey's stack scratch holds up to scratchItems tasks and
+// pipelines and renderings up to scratchBytes long: a full 64-context T2
+// fits, and larger inputs spill to the heap.
+const (
+	scratchItems = 64
+	scratchBytes = 256
+)
+
+// AppendCanonicalKey appends CanonicalKey's bytes to dst and returns the
+// extended buffer. It buckets tasks by pipe with one CSR pass and renders
+// into fixed-size scratch on the stack, so with room in dst it allocates
+// nothing.
+func (a Assignment) AppendCanonicalKey(dst []byte) []byte {
 	nPipes := a.Topo.Pipes()
 	nTasks := len(a.Ctx)
 	if nPipes <= 0 || nTasks == 0 {
-		return ""
+		return dst
 	}
-	// CSR bucketing: counts[p] becomes the end offset of pipe p's tasks.
-	counts := make([]int, nPipes)
+	// CSR bucketing: tasks[pos[p]:pos[p+1]] become pipe p's tasks.
+	var posArr [scratchItems + 1]int
+	var tasksArr [scratchItems]int
+	pos, tasks := scratch(posArr[:], nPipes+1), scratch(tasksArr[:], nTasks)
+	clear(pos)
 	for _, ctx := range a.Ctx {
-		counts[a.Topo.PipeOf(ctx)]++
+		pos[a.Topo.PipeOf(ctx)]++
 	}
 	for p := 1; p < nPipes; p++ {
-		counts[p] += counts[p-1]
+		pos[p] += pos[p-1]
 	}
-	ends := append([]int(nil), counts...)
-	tasks := make([]int, nTasks)
+	pos[nPipes] = nTasks
 	for task := nTasks - 1; task >= 0; task-- {
 		p := a.Topo.PipeOf(a.Ctx[task])
-		counts[p]--
-		tasks[counts[p]] = task
+		pos[p]--
+		tasks[pos[p]] = task
 	}
 	// Render each occupied pipe as "[t0 t1 ...]" (tasks ascending) into one
-	// shared buffer; pipeSeg records the slice per pipe for later sorting.
-	type seg struct{ start, end int }
-	buf := make([]byte, 0, nTasks*4+2*nPipes)
-	pipeSegs := make([]seg, 0, min(nPipes, nTasks))
-	pipeCore := make([]int, 0, min(nPipes, nTasks))
+	// shared buffer; pipeSegs records the slice per pipe for later sorting.
+	var bufArr, coreArr [scratchBytes]byte
+	var pipeArr, coreSegArr [scratchItems]seg
+	buf := bufArr[:0]
+	pipeSegs := pipeArr[:0]
 	for p := 0; p < nPipes; p++ {
-		start := 0
-		if p > 0 {
-			start = ends[p-1]
-		}
-		if start == ends[p] {
+		ts := tasks[pos[p]:pos[p+1]]
+		if len(ts) == 0 {
 			continue // unoccupied pipe: omitted, exactly like the map form
 		}
-		ts := tasks[start:ends[p]]
 		slices.Sort(ts)
 		bStart := len(buf)
 		buf = append(buf, '[')
@@ -149,26 +163,20 @@ func (a Assignment) CanonicalKey() string {
 			buf = strconv.AppendInt(buf, int64(t), 10)
 		}
 		buf = append(buf, ']')
-		pipeSegs = append(pipeSegs, seg{bStart, len(buf)})
-		pipeCore = append(pipeCore, p/a.Topo.PipesPerCore)
+		pipeSegs = append(pipeSegs, seg{bStart, len(buf), p / a.Topo.PipesPerCore})
 	}
 	// Per core: sort its pipe renderings lexicographically and join with
 	// '|'. Pipe segments arrive in ascending pipe (hence core) order, so
 	// each core's segments are contiguous.
-	coreBuf := make([]byte, 0, len(buf)+len(pipeSegs))
-	coreSegs := make([]seg, 0, len(pipeSegs))
+	coreBuf := coreArr[:0]
+	coreSegs := coreSegArr[:0]
 	for i := 0; i < len(pipeSegs); {
 		j := i
-		for j < len(pipeSegs) && pipeCore[j] == pipeCore[i] {
+		for j < len(pipeSegs) && pipeSegs[j].core == pipeSegs[i].core {
 			j++
 		}
 		group := pipeSegs[i:j]
-		// Insertion sort: a core has at most PipesPerCore segments.
-		for x := 1; x < len(group); x++ {
-			for y := x; y > 0 && bytes.Compare(buf[group[y].start:group[y].end], buf[group[y-1].start:group[y-1].end]) < 0; y-- {
-				group[y], group[y-1] = group[y-1], group[y]
-			}
-		}
+		sortSegs(buf, group)
 		cStart := len(coreBuf)
 		for k, s := range group {
 			if k > 0 {
@@ -176,23 +184,40 @@ func (a Assignment) CanonicalKey() string {
 			}
 			coreBuf = append(coreBuf, buf[s.start:s.end]...)
 		}
-		coreSegs = append(coreSegs, seg{cStart, len(coreBuf)})
+		coreSegs = append(coreSegs, seg{cStart, len(coreBuf), 0})
 		i = j
 	}
 	// Sort the core renderings and join with " / ".
-	for x := 1; x < len(coreSegs); x++ {
-		for y := x; y > 0 && bytes.Compare(coreBuf[coreSegs[y].start:coreSegs[y].end], coreBuf[coreSegs[y-1].start:coreSegs[y-1].end]) < 0; y-- {
-			coreSegs[y], coreSegs[y-1] = coreSegs[y-1], coreSegs[y]
-		}
-	}
-	out := make([]byte, 0, len(coreBuf)+3*len(coreSegs))
+	sortSegs(coreBuf, coreSegs)
 	for i, s := range coreSegs {
 		if i > 0 {
-			out = append(out, " / "...)
+			dst = append(dst, " / "...)
 		}
-		out = append(out, coreBuf[s.start:s.end]...)
+		dst = append(dst, coreBuf[s.start:s.end]...)
 	}
-	return string(out)
+	return dst
+}
+
+// scratch returns arr[:n] when it fits, else a fresh slice of length n.
+func scratch[T any](arr []T, n int) []T {
+	if n <= len(arr) {
+		return arr[:n]
+	}
+	return make([]T, n)
+}
+
+// seg is one rendering in a key's scratch buffer: bytes [start, end), of
+// a pipe on core core.
+type seg struct{ start, end, core int }
+
+// sortSegs insertion-sorts segs by the bytes of buf they cover: a core
+// has at most PipesPerCore segments, and the list of cores is short.
+func sortSegs(buf []byte, segs []seg) {
+	for x := 1; x < len(segs); x++ {
+		for y := x; y > 0 && bytes.Compare(buf[segs[y].start:segs[y].end], buf[segs[y-1].start:segs[y-1].end]) < 0; y-- {
+			segs[y], segs[y-1] = segs[y-1], segs[y]
+		}
+	}
 }
 
 // canonicalKeyRef is the original map/sort/fmt construction of the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"optassign/internal/raceflag"
 	"optassign/internal/t2"
 )
 
@@ -100,4 +101,48 @@ func BenchmarkCanonicalKey(b *testing.B) {
 
 func benchLabel(kind string, tasks int) string {
 	return kind + "-" + string(rune('0'+tasks/10)) + string(rune('0'+tasks%10)) + "tasks"
+}
+
+// TestCanonicalKeyAllocatesOnlyItsString: up to a full T2 the key is
+// rendered in stack scratch, and the returned string is the one
+// allocation; AppendCanonicalKey into a buffer with room makes none.
+func TestCanonicalKeyAllocatesOnlyItsString(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	topo := t2.UltraSPARCT2()
+	rng := rand.New(rand.NewSource(3))
+	for _, tasks := range []int{1, 24, 64} {
+		a, err := RandomPermutation(rng, topo, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { a.CanonicalKey() }); n > 1 {
+			t.Errorf("%d tasks: CanonicalKey allocates %v times, want at most 1", tasks, n)
+		}
+		buf := make([]byte, 0, 512)
+		if n := testing.AllocsPerRun(100, func() { buf = a.AppendCanonicalKey(buf[:0]) }); n != 0 {
+			t.Errorf("%d tasks: AppendCanonicalKey allocates %v times, want 0", tasks, n)
+		}
+		if string(buf) != a.CanonicalKey() {
+			t.Errorf("%d tasks: AppendCanonicalKey %q, CanonicalKey %q", tasks, buf, a.CanonicalKey())
+		}
+	}
+}
+
+// TestAppendCanonicalKeyAppends keeps dst's prefix and spills keys past
+// the stack scratch to the heap unchanged.
+func TestAppendCanonicalKeyAppends(t *testing.T) {
+	topo := t2.Topology{Cores: 40, PipesPerCore: 2, ContextsPerPipe: 2} // 160 contexts, 80 pipes
+	rng := rand.New(rand.NewSource(4))
+	for _, tasks := range []int{5, 70, 160} {
+		a, err := RandomPermutation(rng, topo, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := string(a.AppendCanonicalKey([]byte("key:")))
+		if want := "key:" + a.canonicalKeyRef(); got != want {
+			t.Fatalf("%d tasks: AppendCanonicalKey = %q, want %q", tasks, got, want)
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -76,6 +77,10 @@ type Journal struct {
 	seq     int
 	closed  bool
 	metrics *JournalMetrics
+	line    []byte // Append's encode buffer, reused under mu
+	// syncs counts the fsyncs in flight, which run outside mu; Close
+	// waits for them before it closes f.
+	syncs sync.WaitGroup
 }
 
 // JournalMetrics observes the write-ahead journal: entries by kind,
@@ -181,7 +186,7 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 		}
 	}
 	j := &Journal{f: f, path: path, header: h}
-	if err := j.writeLine(h); err != nil {
+	if err := j.writeHeader(h); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
@@ -263,55 +268,127 @@ func (j *Journal) Len() int {
 // NaN or ±Inf, and letting it fail mid-campaign surfaces as an opaque
 // "unsupported value" encode error long after the bad measurement —
 // whereas a testbed reporting a non-finite performance is the actual
-// fault worth reporting.
+// fault worth reporting. The line is appendEntry's encoding, the bytes
+// json.Marshal writes for the JournalEntry, and costs no allocation.
 func (j *Journal) Append(a assign.Assignment, perf float64) error {
 	if math.IsNaN(perf) || math.IsInf(perf, 0) {
 		return fmt.Errorf("campaign: journal: non-finite performance %v for %s (testbed fault?)", perf, a)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.writeLine(JournalEntry{Seq: j.seq + 1, Ctx: a.Ctx, Perf: perf})
+	if j.closed {
+		return errJournalClosed
+	}
+	j.line = append(appendEntry(j.line[:0], j.seq+1, a.Ctx, perf), '\n')
+	if err := j.write(j.line, successLine); err != nil {
+		return err
+	}
+	j.seq++
+	return nil
 }
 
 // AppendFailure journals one quarantined measurement: the draw is
-// consumed, the result is not usable.
+// consumed, the result is not usable. Its line, which carries an escaped
+// error string, is json.Marshal's.
 func (j *Journal) AppendFailure(a assign.Assignment, measureErr error) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return errJournalClosed
+	}
 	msg := "measurement failed"
 	if measureErr != nil {
 		msg = measureErr.Error()
 	}
-	return j.writeLine(JournalEntry{Seq: j.seq + 1, Ctx: a.Ctx, Error: msg})
-}
-
-// writeLine marshals v and appends it as one line. Callers hold j.mu
-// (except construction). The write goes straight to the file descriptor —
-// no userspace buffering — so a crashed process loses nothing that
-// Append returned success for.
-func (j *Journal) writeLine(v any) error {
-	if j.closed {
-		return errors.New("campaign: journal is closed")
-	}
-	line, err := json.Marshal(v)
+	line, err := json.Marshal(JournalEntry{Seq: j.seq + 1, Ctx: a.Ctx, Error: msg})
 	if err != nil {
 		return fmt.Errorf("campaign: journal encode: %w", err)
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if err := j.write(append(line, '\n'), failureLine); err != nil {
+		return err
+	}
+	j.seq++
+	return nil
+}
+
+var errJournalClosed = errors.New("campaign: journal is closed")
+
+// appendEntry appends the JSON encoding of the success entry
+// JournalEntry{Seq: seq, Ctx: ctx, Perf: perf} to dst, byte for byte what
+// json.Marshal writes: a nil ctx is null, and perf, which must be finite,
+// takes encoding/json's float format.
+func appendEntry(dst []byte, seq int, ctx []int, perf float64) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, `,"ctx":`...)
+	if ctx == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range ctx {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(c), 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"perf":`...)
+	dst = appendJSONFloat(dst, perf)
+	return append(dst, '}')
+}
+
+// appendJSONFloat is encoding/json's float64 format: ES6 number to
+// string, 'f' notation unless the magnitude is below 1e-6 or at least
+// 1e21, and no leading zero in a negative exponent.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// clean up e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// The kinds of journal line, as write counts them.
+const (
+	headerLine = iota
+	successLine
+	failureLine
+)
+
+// writeHeader marshals the header as the journal's first line.
+func (j *Journal) writeHeader(h JournalHeader) error {
+	line, err := json.Marshal(h)
+	if err != nil {
+		return fmt.Errorf("campaign: journal encode: %w", err)
+	}
+	return j.write(append(line, '\n'), headerLine)
+}
+
+// write appends one complete line of the given kind. Callers hold j.mu
+// (except construction). The write goes straight to the file descriptor
+// — no userspace buffering — so a crashed process loses nothing that
+// Append returned success for.
+func (j *Journal) write(line []byte, kind int) error {
+	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("campaign: journal write: %w", err)
 	}
 	if m := j.metrics; m != nil {
-		m.Bytes.Add(float64(len(line) + 1))
-		if e, ok := v.(JournalEntry); ok {
-			if e.Error != "" {
-				m.Failures.Inc()
-			} else {
-				m.Successes.Inc()
-			}
+		m.Bytes.Add(float64(len(line)))
+		switch kind {
+		case successLine:
+			m.Successes.Inc()
+		case failureLine:
+			m.Failures.Inc()
 		}
-	}
-	if e, ok := v.(JournalEntry); ok {
-		j.seq = e.Seq
 	}
 	return nil
 }
@@ -333,23 +410,30 @@ func (j *Journal) Commit(a assign.Assignment, perf float64, measureErr error) er
 }
 
 // Sync forces the journal down to stable storage (power-loss safety; a
-// mere process crash never needs it).
+// mere process crash never needs it). Every line appended before the call
+// is covered. The fsync runs outside the journal's lock, so appends go on
+// beside it; Close waits for it to finish.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	f, m := j.f, j.metrics
+	if !j.closed {
+		j.syncs.Add(1)
+		defer j.syncs.Done()
+	}
+	j.mu.Unlock()
 	start := time.Time{}
-	if j.metrics != nil {
+	if m != nil {
 		start = time.Now()
 	}
-	err := j.f.Sync()
-	if m := j.metrics; m != nil {
+	err := f.Sync()
+	if m != nil {
 		m.SyncSeconds.Observe(time.Since(start).Seconds())
 		m.Syncs.Inc()
 	}
 	return err
 }
 
-// Close flushes and closes the journal file.
+// Close waits for any sync in flight, then closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -357,6 +441,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	j.syncs.Wait()
 	return j.f.Close()
 }
 

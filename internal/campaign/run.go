@@ -80,8 +80,9 @@ func run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc
 			// The journal reaches stable storage before a checkpoint that
 			// covers it: after a power loss the checkpoint must never hold
 			// more observations than the surviving journal replays. The
-			// hook runs beside the next round's commits; the journal's
-			// lock orders the sync with them.
+			// hook runs beside the next round's commits: the sync covers
+			// every line appended before the refit, and the next round's
+			// appends go on while it runs.
 			if err := j.Sync(); err != nil {
 				return fmt.Errorf("campaign: syncing journal: %w", err)
 			}

@@ -18,7 +18,6 @@ package netdps
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"strconv"
 	"sync"
@@ -149,24 +148,37 @@ func (tb *Testbed) Identity() string {
 // MeasureAnalytic returns the measured PPS of the assignment using the
 // steady-state solver, with deterministic per-assignment-class measurement
 // noise. Symmetric assignments measure identically, as they would on real
-// hardware.
+// hardware. Up to a full T2 it allocates nothing.
 func (tb *Testbed) MeasureAnalytic(a assign.Assignment) (float64, error) {
 	if err := tb.checkAssignment(a); err != nil {
 		return 0, err
 	}
-	res, err := tb.Machine.Solve(tb.tasks, tb.links, a.Ctx)
+	pps, err := tb.Machine.SolvePPS(tb.tasks, tb.links, a.Ctx)
 	if err != nil {
 		return 0, err
 	}
-	pps := res.TotalPPS
 	if tb.Noise > 0 {
-		var buf [256]byte // on the stack; append moves longer keys to the heap
-		b := strconv.AppendInt(append(append(buf[:0], a.CanonicalKey()...), '|'), tb.Seed, 10)
-		h := fnv.New64a()
-		h.Write(b) // the bytes of fmt's "%s|%d"
-		pps *= 1 + tb.Noise*(2*keyrand.Float64(int64(h.Sum64()))-1)
+		var buf [320]byte // on the stack; append moves longer keys to the heap
+		b := strconv.AppendInt(append(a.AppendCanonicalKey(buf[:0]), '|'), tb.Seed, 10)
+		pps *= 1 + tb.Noise*(2*keyrand.Float64(int64(fnv64a(b)))-1)
 	}
 	return pps, nil
+}
+
+// fnv64a is hash/fnv's 64-bit FNV-1a of b — here the bytes of fmt's
+// "%s|%d" over the canonical key and seed — without the hash.Hash64 the
+// package would allocate.
+func fnv64a(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // Measure implements the core.Runner contract with MeasureAnalytic.

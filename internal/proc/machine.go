@@ -3,6 +3,7 @@ package proc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"optassign/internal/t2"
 )
@@ -116,75 +117,102 @@ const (
 // with damping until rates converge. The solution is deterministic and
 // depends on the placement only through which resource instances tasks
 // share — so symmetric assignments (same canonical form) get identical
-// results.
+// results. The returned slices are the caller's own.
 func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, error) {
-	res, _, err := m.solve(tasks, links, placement)
-	return res, err
-}
-
-// use is one non-zero effective demand of a task, on the resource
-// instance the task's placement puts it on.
-type use struct {
-	d    float64
-	inst int32 // index into the flat per-instance array
-	r    int32 // the Resource
-}
-
-// demandTable is the placement-dependent part of a solve, built once per
-// call: every task's effective demand and its non-zero entries in
-// resource order.
-type demandTable struct {
-	eff  []Demand // task demand plus link communication
-	uses []use    // task i's entries are uses[end[i-1]:end[i]]
-	end  []int
-	// first[r] is the flat index of resource r's instance 0; the flat
-	// array holds first[NumResources] instances in all.
-	first [NumResources + 1]int
-}
-
-// taskUses returns task i's non-zero demands in resource order.
-func (t *demandTable) taskUses(i int) []use {
-	start := 0
-	if i > 0 {
-		start = t.end[i-1]
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	if err := w.solve(m, tasks, links, placement); err != nil {
+		return Result{}, err
 	}
-	return t.uses[start:t.end[i]]
+	return w.result(m), nil
+}
+
+// SolvePPS returns Solve's TotalPPS, bit for bit, without building the
+// Result: a steady stream of calls allocates nothing.
+func (m *Machine) SolvePPS(tasks []Task, links []Link, placement []int) (float64, error) {
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	if err := w.solve(m, tasks, links, placement); err != nil {
+		return 0, err
+	}
+	return w.totalRate() * m.ClockHz, nil
+}
+
+// workspace is one solve's placement-dependent tables and fixed-point
+// buffers. Solves borrow one from workspaces and grow it as needed.
+type workspace struct {
+	seen  []bool    // per context: a task is placed on it
+	eff   []Demand  // task demand plus link communication
+	base  []float64 // eff[i].Base()
+	group []int     // task i's pipeline group
+
+	// Task i's non-zero effective demands, in resource order, are
+	// useD[start[i]:start[i+1]], on the instances in useInst.
+	start   []int
+	useD    []float64
+	useInst []int32
+	// first[r] is the flat index of resource r's instance 0; the flat
+	// per-instance arrays hold first[NumResources] instances in all.
+	first [NumResources + 1]int
+
+	service []float64 // per task
+	rate    []float64 // per group
+	util    []float64 // per instance
+	slow    []float64 // per instance
+
+	iterations int
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // demands validates the placement and links and builds the demand table.
-func (m *Machine) demands(tasks []Task, links []Link, placement []int) (*demandTable, error) {
+func (w *workspace) demands(m *Machine, tasks []Task, links []Link, placement []int) error {
 	n := len(tasks)
-	v := m.Topo.Contexts()
-	seen := make([]bool, v)
+	w.seen = resize(w.seen, m.Topo.Contexts())
+	clear(w.seen)
 	for i, c := range placement {
-		if c < 0 || c >= v {
-			return nil, fmt.Errorf("proc: task %d placed on invalid context %d", i, c)
+		if c < 0 || c >= len(w.seen) {
+			return fmt.Errorf("proc: task %d placed on invalid context %d", i, c)
 		}
-		if seen[c] {
-			return nil, fmt.Errorf("proc: context %d assigned twice", c)
+		if w.seen[c] {
+			return fmt.Errorf("proc: context %d assigned twice", c)
 		}
-		seen[c] = true
+		w.seen[c] = true
 	}
 
 	// Effective demands: task demand plus link communication, which depends
 	// on the placement distance of the endpoints.
-	t := &demandTable{eff: make([]Demand, n), end: make([]int, n)}
-	for i, task := range tasks {
-		t.eff[i] = task.Demand
+	// Adding the link's non-zero components alone matches Demand.Add up
+	// to the sign of a zero, which no use, base or slowdown can see.
+	w.eff = resize(w.eff, n)
+	for i := range tasks {
+		w.eff[i] = tasks[i].Demand
 	}
 	for _, l := range links {
 		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
-			return nil, fmt.Errorf("proc: link %v references unknown task", l)
+			return fmt.Errorf("proc: link %v references unknown task", l)
 		}
-		var comm Demand
+		a, b := &w.eff[l.A].Res, &w.eff[l.B].Res
 		if m.Topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
-			comm.Res[L2] = m.RemoteCommL2 * l.Volume
-			comm.Res[XBAR] = m.RemoteCommXBar * l.Volume
+			l2, xbar := m.RemoteCommL2*l.Volume, m.RemoteCommXBar*l.Volume
+			a[L2] += l2
+			a[XBAR] += xbar
+			b[L2] += l2
+			b[XBAR] += xbar
 		} else {
-			comm.Res[L1D] = m.LocalCommL1 * l.Volume
+			l1d := m.LocalCommL1 * l.Volume
+			a[L1D] += l1d
+			b[L1D] += l1d
 		}
-		t.eff[l.A] = t.eff[l.A].Add(comm)
-		t.eff[l.B] = t.eff[l.B].Add(comm)
 	}
 
 	// Flat instance layout: one slot per pipe, core or chip-wide instance
@@ -197,96 +225,84 @@ func (m *Machine) demands(tasks []Task, links []Link, placement []int) (*demandT
 		case t2.IntraCore:
 			count = m.Topo.Cores
 		}
-		t.first[r+1] = t.first[r] + count
+		w.first[r+1] = w.first[r] + count
 	}
 
-	nonZero := 0
-	for i := range t.eff {
-		for _, d := range t.eff[i].Res {
-			if d != 0 {
-				nonZero++
-			}
-		}
-	}
-	t.uses = make([]use, 0, nonZero)
+	w.start = resize(w.start, n+1)
+	w.useD, w.useInst = w.useD[:0], w.useInst[:0]
 	for i, ctx := range placement {
+		w.start[i] = len(w.useD)
 		pipe, core := m.Topo.PipeOf(ctx), m.Topo.CoreOf(ctx)
-		for r, d := range t.eff[i].Res {
+		for r, d := range &w.eff[i].Res {
 			if d == 0 {
 				continue
 			}
-			inst := t.first[r]
+			inst := w.first[r]
 			switch Resource(r).Level() {
 			case t2.IntraPipe:
 				inst += pipe
 			case t2.IntraCore:
 				inst += core
 			}
-			t.uses = append(t.uses, use{d: d, inst: int32(inst), r: int32(r)})
+			w.useD = append(w.useD, d)
+			w.useInst = append(w.useInst, int32(inst))
 		}
-		t.end[i] = len(t.uses)
 	}
-	return t, nil
+	w.start[n] = len(w.useD)
+	return nil
 }
 
-// solve is Solve, also returning the demand table it solved.
-func (m *Machine) solve(tasks []Task, links []Link, placement []int) (Result, *demandTable, error) {
+// solve runs the fixed point, leaving the converged service times and
+// group rates in w.
+func (w *workspace) solve(m *Machine, tasks []Task, links []Link, placement []int) error {
 	if err := m.Validate(); err != nil {
-		return Result{}, nil, err
+		return err
 	}
 	n := len(tasks)
 	if n == 0 {
-		return Result{}, nil, fmt.Errorf("proc: no tasks")
+		return fmt.Errorf("proc: no tasks")
 	}
 	if len(placement) != n {
-		return Result{}, nil, fmt.Errorf("proc: %d tasks but %d placements", n, len(placement))
+		return fmt.Errorf("proc: %d tasks but %d placements", n, len(placement))
 	}
-	tab, err := m.demands(tasks, links, placement)
-	if err != nil {
-		return Result{}, nil, err
+	if err := w.demands(m, tasks, links, placement); err != nil {
+		return err
 	}
-	eff := tab.eff
 
 	// Group bookkeeping.
+	w.group = resize(w.group, n)
 	maxGroup := 0
-	for _, t := range tasks {
+	for i, t := range tasks {
 		if t.Group < 0 {
-			return Result{}, nil, fmt.Errorf("proc: negative group %d", t.Group)
+			return fmt.Errorf("proc: negative group %d", t.Group)
 		}
-		if t.Group > maxGroup {
-			maxGroup = t.Group
-		}
+		maxGroup = max(maxGroup, t.Group)
+		w.group[i] = t.Group
 	}
-	numGroups := maxGroup + 1
 
-	// One allocation backs the per-task service times and slowdowns, the
-	// per-group rates and the per-instance utilization.
-	nInst := tab.first[NumResources]
-	buf := make([]float64, 2*n+numGroups+nInst)
-	service := buf[:n:n]
-	slowdown := buf[n : 2*n : 2*n]
-	rate := buf[2*n : 2*n+numGroups : 2*n+numGroups]
-	util := buf[2*n+numGroups:]
+	nInst := w.first[NumResources]
+	w.base = resize(w.base, n)
+	w.service = resize(w.service, n)
+	w.rate = resize(w.rate, maxGroup+1)
+	w.util = resize(w.util, nInst)
+	w.slow = resize(w.slow, nInst)
+	service, rate, util, slow := w.service, w.rate, w.util, w.slow
+	group, start, useD, useInst := w.group, w.start, w.useD, w.useInst
 
 	// Fixed point on group rates.
-	for i, d := range eff {
-		s := d.Base()
+	for i := range w.eff {
+		s := w.eff[i].Base()
 		if s <= 0 {
-			return Result{}, nil, fmt.Errorf("proc: task %d has non-positive base service time", i)
+			return fmt.Errorf("proc: task %d has non-positive base service time", i)
 		}
+		w.base[i] = s
 		service[i] = s
 	}
-	groupOf := make([]int, n)
-	for i, t := range tasks {
-		groupOf[i] = t.Group
-	}
 	updateRates := func() {
-		for g := range rate {
-			rate[g] = 0
-		}
-		for i := range service {
-			r := 1 / service[i]
-			g := groupOf[i]
+		clear(rate)
+		for i, s := range service {
+			r := 1 / s
+			g := group[i]
 			if rate[g] == 0 || r < rate[g] {
 				rate[g] = r
 			}
@@ -294,29 +310,36 @@ func (m *Machine) solve(tasks []Task, links []Link, placement []int) (Result, *d
 	}
 	updateRates()
 
-	iterations := 0
+	w.iterations = 0
 	for iter := 0; iter < solverMaxIter; iter++ {
-		iterations = iter + 1
+		w.iterations = iter + 1
 		// Utilization per resource instance under current rates.
 		clear(util)
-		for i := range eff {
-			taskRate := rate[groupOf[i]]
-			for _, u := range tab.taskUses(i) {
-				if u.d > 0 {
-					util[u.inst] += taskRate * u.d
+		for i := 0; i < n; i++ {
+			taskRate := rate[group[i]]
+			insts := useInst[start[i]:start[i+1]]
+			for k, d := range useD[start[i]:start[i+1]] {
+				if d > 0 {
+					util[insts[k]] += taskRate * d
 				}
 			}
 		}
-		// Slowdowns and new service times.
-		maxDelta := 0.0
-		for i := range eff {
-			s := eff[i].Serial
-			for _, u := range tab.taskUses(i) {
-				slow := 1.0
-				if ut := util[u.inst]; ut > m.Caps[u.r] {
-					slow = contentionCurve(Resource(u.r), ut/m.Caps[u.r])
+		// Slowdown per instance, then new service times.
+		for r := 0; r < NumResources; r++ {
+			c := m.Caps[r]
+			for k := w.first[r]; k < w.first[r+1]; k++ {
+				slow[k] = 1
+				if ut := util[k]; ut > c {
+					slow[k] = contentionCurve(Resource(r), ut/c)
 				}
-				s += u.d * slow
+			}
+		}
+		maxDelta := 0.0
+		for i := 0; i < n; i++ {
+			s := w.eff[i].Serial
+			insts := useInst[start[i]:start[i+1]]
+			for k, d := range useD[start[i]:start[i+1]] {
+				s += d * slow[insts[k]]
 			}
 			// Damping keeps the utilization↔rate loop from oscillating.
 			newS := 0.5*service[i] + 0.5*s
@@ -330,21 +353,36 @@ func (m *Machine) solve(tasks []Task, links []Link, placement []int) (Result, *d
 			break
 		}
 	}
+	return nil
+}
 
+// result copies the solve left in w into a Result of fresh slices.
+func (w *workspace) result(m *Machine) Result {
+	n, numGroups := len(w.service), len(w.rate)
+	buf := make([]float64, 2*n+numGroups)
 	res := Result{
-		ServiceCycles: service,
-		GroupRate:     rate,
-		Slowdown:      slowdown,
-		Iterations:    iterations,
+		ServiceCycles: buf[:n:n],
+		Slowdown:      buf[n : 2*n : 2*n],
+		GroupRate:     buf[2*n:],
+		TotalRate:     w.totalRate(),
+		Iterations:    w.iterations,
 	}
-	for g := range rate {
-		res.TotalRate += rate[g]
-	}
+	copy(res.ServiceCycles, w.service)
+	copy(res.GroupRate, w.rate)
 	res.TotalPPS = res.TotalRate * m.ClockHz
-	for i := range service {
-		res.Slowdown[i] = service[i] / eff[i].Base()
+	for i, s := range w.service {
+		res.Slowdown[i] = s / w.base[i]
 	}
-	return res, tab, nil
+	return res
+}
+
+// totalRate is Σ group rates, packets/cycle, summed in group order.
+func (w *workspace) totalRate() float64 {
+	total := 0.0
+	for _, r := range w.rate {
+		total += r
+	}
+	return total
 }
 
 // contentionCurve maps over-subscription (utilization / capacity > 1) to a

@@ -64,30 +64,32 @@ func (p *Profile) Dump(w io.Writer, top int) {
 // simulated equivalent of reading hardware performance counters after a
 // measurement run.
 func (m *Machine) SolveProfile(tasks []Task, links []Link, placement []int) (*Profile, error) {
-	res, tab, err := m.solve(tasks, links, placement)
-	if err != nil {
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	if err := w.solve(m, tasks, links, placement); err != nil {
 		return nil, err
 	}
+	res := w.result(m)
 
 	// Accumulate utilization at the final rates over the instances some
 	// task demands.
-	util := make([]float64, tab.first[NumResources])
+	util := make([]float64, w.first[NumResources])
 	used := make([]bool, len(util))
 	for i := range tasks {
 		rate := res.GroupRate[tasks[i].Group]
-		for _, u := range tab.taskUses(i) {
-			util[u.inst] += rate * u.d
-			used[u.inst] = true
+		for k := w.start[i]; k < w.start[i+1]; k++ {
+			util[w.useInst[k]] += rate * w.useD[k]
+			used[w.useInst[k]] = true
 		}
 	}
 
 	prof := &Profile{Result: res}
 	for r := 0; r < NumResources; r++ {
-		for inst := tab.first[r]; inst < tab.first[r+1]; inst++ {
+		for inst := w.first[r]; inst < w.first[r+1]; inst++ {
 			if used[inst] {
 				prof.Uses = append(prof.Uses, ResourceUse{
 					Resource: Resource(r),
-					Instance: inst - tab.first[r],
+					Instance: inst - w.first[r],
 					Util:     util[inst],
 					Cap:      m.Caps[r],
 				})
