@@ -25,8 +25,8 @@
 // campaign's draws out over the measurement servers (cmd/measured
 // -register) that have joined.
 //
-// Durability: every campaign has a write-ahead journal and an estimator
-// checkpoint under DIR. Kill the daemon at any instant and restart it:
+// Durability: every campaign has a write-ahead journal under DIR, its only
+// record. Kill the daemon at any instant and restart it:
 // every in-flight campaign resumes from its journal and converges to the
 // same result — the same journal bytes — as an uninterrupted run.
 // Finished campaigns are promoted into an indexed table store under DIR,

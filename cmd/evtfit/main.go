@@ -8,11 +8,12 @@
 // method is architecture- and application-independent.
 //
 // Input is either plain numbers (one or more per line, '#' comments) or,
-// with -campaign, the JSON-lines campaign files written by cmd/optassign.
+// with -journal, the write-ahead journals cmd/optassign -journal and
+// campaignd write: the sample is every successful draw, in draw order.
 //
 // Usage:
 //
-//	evtfit [-confidence 0.95] [-maxfrac 0.05] [-minexceed 20] [-campaign]
+//	evtfit [-confidence 0.95] [-maxfrac 0.05] [-minexceed 20] [-journal]
 //	       [-stability] [-stream] [file...]
 //
 // -stream additionally replays the sample through the streaming
@@ -39,7 +40,7 @@ func main() {
 	confidence := flag.Float64("confidence", 0.95, "confidence level for the interval")
 	maxFrac := flag.Float64("maxfrac", 0.05, "maximum fraction of the sample used as exceedances")
 	minExceed := flag.Int("minexceed", 20, "minimum number of exceedances")
-	asCampaign := flag.Bool("campaign", false, "inputs are campaign JSON-lines files (cmd/optassign -record output)")
+	asJournal := flag.Bool("journal", false, "inputs are campaign journals (cmd/optassign -journal output): fit every successful draw, in draw order")
 	stability := flag.Bool("stability", false, "also print the parameter-stability scan (ξ̂ and implied bound per threshold)")
 	stream := flag.Bool("stream", false, "also replay the sample through the streaming estimator, printing the converging bound at each scheduled refit")
 	flag.Parse()
@@ -49,12 +50,14 @@ func main() {
 
 	var sample []float64
 	read := func(f *os.File, name string) error {
-		if *asCampaign {
-			c, err := campaign.Load(f)
+		if *asJournal {
+			st, err := campaign.ReadJournal(f)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", name, err)
 			}
-			sample = append(sample, c.Perfs()...)
+			for _, r := range st.Results {
+				sample = append(sample, r.Perf)
+			}
 			return nil
 		}
 		vals, err := campaign.ReadValues(f, name)

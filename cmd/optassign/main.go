@@ -30,8 +30,9 @@
 // Fault tolerance: -retries/-timeout wrap the measurement source in a
 // resilient runner (retry with backoff, quarantine after the budget);
 // -journal write-ahead logs every measurement so -resume restarts a killed
-// campaign from its checkpoint, re-measuring nothing. Ctrl-C stops the
-// campaign cleanly at a measurement boundary.
+// campaign by replaying its journal, re-measuring nothing. The journal is
+// the campaign's only file; evtfit -journal re-analyzes it offline.
+// Ctrl-C stops the campaign cleanly at a measurement boundary.
 //
 // Parallelism: -workers N measures N assignments concurrently, and
 // -connect accepts a comma-separated server list to fan the campaign out
@@ -79,10 +80,11 @@
 // without opening any journal.
 //
 // Observability: -progress keeps a live status line on stderr (sample
-// count, best observed, ÛPB and its CI, the convergence gap, retries and
-// worker utilization); -metrics-addr serves the same state as Prometheus
-// metrics at /metrics plus a JSON /healthz, and the runtime profiles at
-// /debug/pprof/, while the campaign runs.
+// count, best observed, ÛPB and its CI, the convergence gap, the refits
+// made in this process — the count starts again at a resume — retries
+// and worker utilization); -metrics-addr serves the same state as
+// Prometheus metrics at /metrics plus a JSON /healthz, and the runtime
+// profiles at /debug/pprof/, while the campaign runs.
 // Instrumentation only observes — results and journal bytes are
 // identical with it on or off.
 package main
@@ -157,6 +159,8 @@ func (p *progressPrinter) Emit(e obs.Event) {
 		}
 		fmt.Fprintf(&b, " CI=[%.6g, %.6g] gap=%.2f%%", lo, hi, e.Field("headroom_hi_pct"))
 	}
+	// refits counts the refits made in this process: a resumed campaign
+	// rebuilds its estimator from the journal, so the count starts again.
 	if p.streamm != nil {
 		if refits := p.streamm.RefitCount.Value(); refits > 0 {
 			fmt.Fprintf(&b, " tail=%.0f refits=%.0f", p.streamm.TailExceedances.Value(), refits)
@@ -213,7 +217,6 @@ func main() {
 	maxSamples := flag.Int("max", 12000, "sample budget")
 	seed := flag.Int64("seed", 1, "random seed")
 	verbose := flag.Bool("v", false, "print every iteration")
-	record := flag.String("record", "", "write every measurement to this campaign file (JSON lines)")
 	connect := flag.String("connect", "", "measure on remote testbeds served by cmd/measured: one address or a comma-separated pool")
 	registry := flag.String("registry", "", "host a fleet registry on this address and measure on servers that register with it (see measured -register)")
 	minServers := flag.Int("min-servers", 1, "with -registry, wait for this many registered servers before starting the campaign")
@@ -500,12 +503,6 @@ func main() {
 		defer rc.Journal.Close()
 	}
 
-	var recorded *campaign.Campaign
-	if *record != "" {
-		recorded = campaign.New(name, topo, *seed)
-		rc.Commit = recorded.Commit
-	}
-
 	if rc.Workers <= 0 && poolSize > 1 {
 		rc.Workers = poolSize // keep every pooled testbed busy
 	}
@@ -520,8 +517,8 @@ func main() {
 		rc.Batch.Metrics = core.NewBatchMetrics(reg)
 	}
 	if rc.Workers > 1 {
-		// Parallel fan-out: completions still commit to the journal and
-		// the recorded campaign strictly in draw order.
+		// Parallel fan-out: completions still commit to the journal
+		// strictly in draw order.
 		rc.PoolMetrics = core.NewPoolMetrics(reg, rc.Workers)
 		if prog != nil {
 			prog.poolm, prog.workers = rc.PoolMetrics, rc.Workers
@@ -539,19 +536,6 @@ func main() {
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !errors.Is(err, core.ErrBudgetExhausted) && !interrupted {
 		log.Fatal(err)
-	}
-	if recorded != nil {
-		f, err := os.Create(*record)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := recorded.Save(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recorded %d measurements to %s\n", recorded.Len(), *record)
 	}
 	if interrupted {
 		fmt.Printf("interrupted after %d measurements", res.Samples)

@@ -1,159 +1,9 @@
 package campaign
 
 import (
-	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-
-	"optassign/internal/assign"
-	"optassign/internal/core"
-	"optassign/internal/t2"
 )
-
-func sampleCampaign(t *testing.T, n int) *Campaign {
-	t.Helper()
-	topo := t2.UltraSPARCT2()
-	c := New("IPFwd-L1", topo, 7)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		a, err := assign.RandomPermutation(rng, topo, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Add(a, 1e6+float64(i))
-	}
-	return c
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	c := sampleCampaign(t, 50)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Header != c.Header {
-		t.Errorf("header %+v != %+v", loaded.Header, c.Header)
-	}
-	if loaded.Len() != 50 {
-		t.Fatalf("records = %d", loaded.Len())
-	}
-	for i := range c.Records {
-		if loaded.Records[i].Perf != c.Records[i].Perf {
-			t.Fatalf("record %d perf differs", i)
-		}
-		for j := range c.Records[i].Ctx {
-			if loaded.Records[i].Ctx[j] != c.Records[i].Ctx[j] {
-				t.Fatalf("record %d ctx differs", i)
-			}
-		}
-	}
-}
-
-func TestResultsAndPerfs(t *testing.T) {
-	c := sampleCampaign(t, 10)
-	rs := c.Results()
-	if len(rs) != 10 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	for _, r := range rs {
-		if err := r.Assignment.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := c.Perfs()
-	if len(ps) != 10 || ps[3] != 1e6+3 {
-		t.Errorf("perfs = %v", ps[:4])
-	}
-	// Mutating a result must not corrupt the campaign.
-	rs[0].Assignment.Ctx[0] = 63
-	if c.Records[0].Ctx[0] == 63 && rs[0].Assignment.Ctx[0] == c.Records[0].Ctx[0] {
-		t.Error("Results shares backing arrays with the campaign")
-	}
-}
-
-func TestAddResults(t *testing.T) {
-	topo := t2.UltraSPARCT2()
-	c := New("x", topo, 1)
-	rng := rand.New(rand.NewSource(2))
-	a, err := assign.RandomPermutation(rng, topo, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.AddResults([]core.SampleResult{{Assignment: a, Perf: 5}})
-	if c.Len() != 1 || c.Records[0].Perf != 5 {
-		t.Errorf("campaign: %+v", c.Records)
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	c := sampleCampaign(t, 3)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := *c
-	bad.Records = append([]Record(nil), c.Records...)
-	bad.Records[1] = Record{Perf: 1, Ctx: []int{0, 0}}
-	if err := bad.Validate(); err == nil {
-		t.Error("colliding record accepted")
-	}
-	bad.Records[1] = Record{Perf: -1, Ctx: []int{0, 1}}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative perf accepted")
-	}
-	bad2 := *c
-	bad2.Header.Format = 99
-	if err := bad2.Validate(); err == nil {
-		t.Error("unknown format accepted")
-	}
-	bad3 := *c
-	bad3.Header.Topo = t2.Topology{}
-	if err := bad3.Validate(); err == nil {
-		t.Error("invalid topology accepted")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"format":1,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4}}` + "\n" + `{"perf":1,"ctx":[0,0]}` + "\n")); err == nil {
-		t.Error("invalid record accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"format":1,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4}}` + "\ngarbage\n")); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := sampleCampaign(t, 5)
-	b := sampleCampaign(t, 7)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 12 {
-		t.Errorf("merged = %d", m.Len())
-	}
-	// Topology mismatch.
-	other := New("x", t2.Topology{Cores: 1, PipesPerCore: 1, ContextsPerPipe: 8}, 0)
-	if _, err := Merge(a, other); err == nil {
-		t.Error("topology mismatch accepted")
-	}
-	// Benchmark mismatch.
-	c2 := sampleCampaign(t, 1)
-	c2.Header.Benchmark = "Stateful"
-	if _, err := Merge(a, c2); err == nil {
-		t.Error("benchmark mismatch accepted")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-}
 
 func TestReadValues(t *testing.T) {
 	in := "1.5 2.5\n# comment\n3.5 # trailing\n\n4\n"

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,18 +14,17 @@ import (
 	"optassign/internal/evt"
 )
 
-// TestRunCheckpointFailureThenResume: a checkpoint save that fails at
-// one refit mid-campaign stops the campaign at most one round later. The
-// sidecar it leaves is the previous refit's state and verifies against
-// the journal, and a Run resumed from the two writes the journal and
-// returns the result of the uninterrupted campaign.
+// TestRunCheckpointFailureThenResume: a journal sync that fails at one
+// refit mid-campaign stops the campaign at most one round later, and a
+// Run resumed from the journal alone writes the journal and returns the
+// result of the uninterrupted campaign.
 //
 // Run owns OnRefit only when it holds the journal, so the failing run
 // hands Run the journal's commit and a copy of Run's own hook — sync the
-// journal, then save — whose save fails at one refit.
+// journal — that fails at one refit.
 func TestRunCheckpointFailureThenResume(t *testing.T) {
-	const seed, failAt = 3, 3 // the third refit's save fails
-	errSave := errors.New("no space left on device")
+	const seed, failAt = 3, 3 // the third refit's sync fails
+	errSync := errors.New("input/output error")
 	for _, withFaults := range []bool{false, true} {
 		refBytes, refRes, refErr := runReference(t, seed, withFaults)
 		var states []evt.StreamState
@@ -38,32 +36,28 @@ func TestRunCheckpointFailureThenResume(t *testing.T) {
 		if len(states) <= failAt {
 			t.Fatalf("%d refits; the campaign must go on past refit %d", len(states), failAt)
 		}
-		failed, kept := states[failAt-1], states[failAt-2]
+		failed := states[failAt-1]
 
 		for _, p := range runPaths {
 			t.Run(fmt.Sprintf("faults=%v-%s", withFaults, p.name), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "run.journal")
-				ckptPath := EstimatorCheckpointPath(path)
 				j, err := CreateJournal(path, equivHeader(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
 				refits := 0
 				cfg := streamKillConfig(seed)
-				cfg.OnRefit = func(st evt.StreamState) error {
-					if err := j.Sync(); err != nil {
-						return err
-					}
+				cfg.OnRefit = func(evt.StreamState) error {
 					if refits++; refits == failAt {
-						return errSave
+						return errSync
 					}
-					return SaveEstimatorCheckpoint(ckptPath, st)
+					return j.Sync()
 				}
 				rc := p.rc
 				rc.Commit = j.Commit
 				_, runErr := Run(context.Background(), equivStack(withFaults), cfg, rc)
-				if !errors.Is(runErr, errSave) {
-					t.Fatalf("err = %v, want the failed save's", runErr)
+				if !errors.Is(runErr, errSync) {
+					t.Fatalf("err = %v, want the failed sync's", runErr)
 				}
 				if want := fmt.Sprintf("estimator checkpoint at %d samples", failed.N); !strings.Contains(runErr.Error(), want) {
 					t.Fatalf("err = %q, want it to name %q", runErr, want)
@@ -72,25 +66,14 @@ func TestRunCheckpointFailureThenResume(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// The journal ran at most one round past the failed
-				// checkpoint, and the sidecar is the refit before it.
+				// The journal ran at most one round past the failed sync.
 				st, err := LoadJournal(path)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(st.Results) < failed.N || len(st.Results) > failed.N+cfg.Ndelta {
-					t.Fatalf("journal holds %d successes; want at most %d past the failed checkpoint's %d",
+					t.Fatalf("journal holds %d successes; want at most %d past the failed sync's %d",
 						len(st.Results), cfg.Ndelta, failed.N)
-				}
-				ck, err := LoadEstimatorCheckpoint(ckptPath)
-				if err != nil || ck == nil {
-					t.Fatalf("no sidecar after %d good refits: %v", failAt-1, err)
-				}
-				if !reflect.DeepEqual(*ck, kept) {
-					t.Fatalf("sidecar holds refit %d at n %d; want refit %d at n %d", ck.RefitCount, ck.N, kept.RefitCount, kept.N)
-				}
-				if got := evt.CommitOrderHash(core.Perfs(st.Results)[:ck.N]); got != ck.Hash {
-					t.Fatalf("sidecar hash %s does not match the journal's first %d observations (%s)", ck.Hash, ck.N, got)
 				}
 
 				j, js, err := ResumeJournal(path, equivHeader(seed))

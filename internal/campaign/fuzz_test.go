@@ -1,55 +1,115 @@
 package campaign
 
 import (
-	"bytes"
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"optassign/internal/assign"
-	"optassign/internal/t2"
+	"optassign/internal/core"
 )
 
-// FuzzLoad ensures arbitrary campaign files never panic the loader and
-// that everything it accepts re-validates and round-trips.
-func FuzzLoad(f *testing.F) {
-	topo := t2.UltraSPARCT2()
-	c := New("IPFwd-L1", topo, 1)
-	rng := rand.New(rand.NewSource(1))
-	a, err := assign.RandomPermutation(rng, topo, 6)
+// FuzzLoadJournal fuzzes ReadJournal, the parser every resume trusts.
+// Arbitrary input must never panic it. Whatever it accepts must number
+// its entries 1, 2, 3, ... with Draws == len(Log), and its Results must
+// be exactly the Log's successful entries, in order. Each accepted state
+// is then written out again through CreateJournal, Append and
+// AppendFailure and reloaded, and the reloaded Log must equal the
+// original.
+func FuzzLoadJournal(f *testing.F) {
+	h := journalHeader()
+	path := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := CreateJournal(path, h)
 	if err != nil {
 		f.Fatal(err)
 	}
-	c.Add(a, 1e6)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	as, err := assign.Sample(rand.New(rand.NewSource(9)), h.Topo, h.Tasks, 3)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.String())
+	j.Append(as[0], 1e6)
+	j.AppendFailure(as[1], errors.New("gave up"))
+	j.Append(as[2], 0)
+	j.Close()
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(valid))
 	f.Add("")
 	f.Add("{}")
-	f.Add(`{"format":1,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4}}` + "\n" + `{"perf":-1,"ctx":[0]}`)
+	f.Add(string(valid) + `{"seq":4,"ctx":[1,`)
+	f.Add(`{"format":1,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4},"tasks":1}` + "\n\n" + `{"seq":1,"ctx":[0],"perf":-1}` + "\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		loaded, err := Load(strings.NewReader(input))
+		st, err := ReadJournal(strings.NewReader(input))
 		if err != nil {
 			return
 		}
-		if err := loaded.Validate(); err != nil {
-			t.Errorf("Load accepted a campaign that fails Validate: %v", err)
+		if st.Draws != len(st.Log) {
+			t.Fatalf("Draws = %d, len(Log) = %d", st.Draws, len(st.Log))
 		}
-		var out bytes.Buffer
-		if err := loaded.Save(&out); err != nil {
-			t.Errorf("accepted campaign failed to save: %v", err)
-			return
+		// Every complete entry line carries the next sequence number.
+		lines := strings.Split(input, "\n")
+		seq := 0
+		for _, line := range lines[1 : len(lines)-1] {
+			if strings.TrimSpace(line) == "" {
+				continue
+			}
+			var e JournalEntry
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("accepted entry line %q does not decode: %v", line, err)
+			}
+			if seq++; e.Seq != seq {
+				t.Fatalf("accepted entry %d has seq %d", seq, e.Seq)
+			}
 		}
-		again, err := Load(&out)
+		if seq != st.Draws {
+			t.Fatalf("%d entry lines, Draws = %d", seq, st.Draws)
+		}
+		quarantined := 0
+		var successes []core.SampleResult
+		for _, d := range st.Log {
+			if d.Quarantined {
+				quarantined++
+				continue
+			}
+			successes = append(successes, core.SampleResult{Assignment: d.Assignment, Perf: d.Perf})
+		}
+		if quarantined != st.Quarantined || !reflect.DeepEqual(st.Results, successes) {
+			t.Fatalf("Results (%d) are not the Log's %d successes; %d quarantined, state says %d",
+				len(st.Results), len(successes), quarantined, st.Quarantined)
+		}
+
+		again := filepath.Join(t.TempDir(), "again.journal")
+		j, err := CreateJournal(again, st.Header)
 		if err != nil {
-			t.Errorf("round trip failed: %v", err)
-			return
+			t.Fatalf("accepted header does not create a journal: %v", err)
 		}
-		if again.Len() != loaded.Len() {
-			t.Errorf("round trip changed record count: %d -> %d", loaded.Len(), again.Len())
+		for _, d := range st.Log {
+			if d.Quarantined {
+				err = j.AppendFailure(d.Assignment, errors.New("quarantined"))
+			} else {
+				err = j.Append(d.Assignment, d.Perf)
+			}
+			if err != nil {
+				t.Fatalf("accepted entry does not re-journal: %v", err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadJournal(again)
+		if err != nil {
+			t.Fatalf("re-journaled state does not reload: %v", err)
+		}
+		if reloaded.Header != st.Header || !reflect.DeepEqual(reloaded.Log, st.Log) {
+			t.Fatalf("round trip changed the journal: %d draws -> %d", len(st.Log), len(reloaded.Log))
 		}
 	})
 }

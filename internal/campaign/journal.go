@@ -22,10 +22,7 @@ import (
 	"optassign/internal/t2"
 )
 
-// JournalVersion identifies the write-ahead journal's on-disk layout. It
-// is versioned alongside FormatVersion but evolves independently: the
-// journal is an execution log (it keeps quarantined failures and a draw
-// count), the campaign file is the cleaned result.
+// JournalVersion identifies the write-ahead journal's on-disk layout.
 const JournalVersion = 1
 
 // JournalHeader is the journal's first JSON line: enough identity to
@@ -72,7 +69,6 @@ type JournalEntry struct {
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	header  JournalHeader
 	seq     int
 	closed  bool
@@ -185,7 +181,7 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 			return nil, fmt.Errorf("campaign: truncating journal %s: %w", path, err)
 		}
 	}
-	j := &Journal{f: f, path: path, header: h}
+	j := &Journal{f: f, header: h}
 	if err := j.writeHeader(h); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -214,7 +210,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error
 	}
 	// Load through the locked descriptor: no other process can append or
 	// truncate between the load and our first append.
-	st, err := loadJournal(f)
+	st, err := ReadJournal(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -249,7 +245,7 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error
 			return nil, nil, err
 		}
 	}
-	return &Journal{f: f, path: path, header: st.Header, seq: st.Draws}, st, nil
+	return &Journal{f: f, header: st.Header, seq: st.Draws}, st, nil
 }
 
 // Header returns the journal's identity line.
@@ -473,27 +469,25 @@ type JournalState struct {
 // the header); callers like the coordinator recreate such journals.
 var ErrJournalNoHeader = errors.New("campaign: journal has no header")
 
-// LoadJournal reads a journal written by Journal, tolerating a torn final
-// line — the expected crash signature for a process killed mid-append.
-// Corruption anywhere else is an error.
+// LoadJournal reads the journal file at path with ReadJournal.
 func LoadJournal(path string) (*JournalState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return loadJournal(f)
+	return ReadJournal(f)
 }
 
-// loadJournal stream-parses a journal from r through a fixed-size read
-// buffer: resident memory is proportional to the parsed entries, never to
-// the file size, so a coordinator can scan thousands of journals at
-// startup without O(total-bytes) memory. (The historical loader slurped
-// the whole file with os.ReadFile and held it alongside the parsed
-// state.) Torn-tail handling is unchanged: a final line without its
-// newline is the crash signature, reported via Truncated and excluded
-// from validBytes.
-func loadJournal(r io.Reader) (*JournalState, error) {
+// ReadJournal parses a journal written by Journal, tolerating a torn
+// final line — the expected crash signature for a process killed
+// mid-append, reported via Truncated and excluded from validBytes.
+// Corruption anywhere else is an error. It reads through a fixed-size
+// buffer: resident memory is proportional to the parsed entries, never
+// to the file size, so a coordinator can scan thousands of journals at
+// startup without O(total-bytes) memory. Every resume trusts this
+// parser, so it is fuzzed (FuzzLoadJournal).
+func ReadJournal(r io.Reader) (*JournalState, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	st := &JournalState{}
 	var spill []byte // reassembles lines longer than the read buffer
@@ -560,16 +554,6 @@ func loadJournal(r io.Reader) (*JournalState, error) {
 		return nil, ErrJournalNoHeader
 	}
 	return st, nil
-}
-
-// Campaign converts the recovered measurements into a regular campaign
-// (quarantined entries dropped), for the save/merge/analyze workflow.
-func (s *JournalState) Campaign() *Campaign {
-	c := New(s.Header.Benchmark, s.Header.Topo, s.Header.Seed)
-	for _, r := range s.Results {
-		c.Add(r.Assignment, r.Perf)
-	}
-	return c
 }
 
 // JournalRunner is a core.ContextRunner middleware that write-ahead logs

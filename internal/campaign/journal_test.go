@@ -68,8 +68,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.Header != journalHeaderWithFormat() {
 		t.Errorf("header = %+v", st.Header)
 	}
-	if c := st.Campaign(); c.Len() != 4 || c.Validate() != nil {
-		t.Errorf("campaign conversion broken: len=%d err=%v", c.Len(), c.Validate())
+	for i, r := range st.Results {
+		if err := r.Assignment.Validate(); err != nil || r.Perf <= 0 {
+			t.Errorf("result %d = %+v (%v)", i, r, err)
+		}
 	}
 }
 
@@ -199,6 +201,29 @@ func TestLoadJournalRejectsMidFileCorruption(t *testing.T) {
 	}
 	if _, err := LoadJournal(path); err == nil {
 		t.Error("mid-file corruption accepted")
+	}
+}
+
+// TestReadJournalRejectsGarbage: ReadJournal refuses input that is not
+// a journal, an entry whose assignment is invalid on the header's
+// topology, and a garbage line after the header.
+func TestReadJournalRejectsGarbage(t *testing.T) {
+	const header = `{"format":1,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4},"tasks":2}` + "\n"
+	for name, input := range map[string]string{
+		"not json":      "not json\n",
+		"bad format":    `{"format":99,"topology":{"Cores":8,"PipesPerCore":2,"ContextsPerPipe":4},"tasks":2}` + "\n",
+		"bad topology":  `{"format":1,"topology":{},"tasks":2}` + "\n",
+		"colliding ctx": header + `{"seq":1,"ctx":[0,0],"perf":1}` + "\n",
+		"ctx off topo":  header + `{"seq":1,"ctx":[0,64],"perf":1}` + "\n",
+		"sequence gap":  header + `{"seq":2,"ctx":[0,1],"perf":1}` + "\n",
+		"trailing junk": header + `{"seq":1,"ctx":[0,1],"perf":1}` + "\ngarbage\n",
+	} {
+		if _, err := ReadJournal(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ReadJournal(strings.NewReader(header + `{"seq":1,"ctx":[0,1],"perf":1}` + "\n")); err != nil {
+		t.Fatalf("well-formed journal refused: %v", err)
 	}
 }
 

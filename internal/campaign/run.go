@@ -11,14 +11,14 @@ import (
 
 // RunConfig says how Run executes and persists a campaign.
 type RunConfig struct {
-	// Journal write-ahead logs every committed draw and anchors the
-	// estimator checkpoint (EstimatorCheckpointPath of its path). nil
-	// runs the campaign unjournaled and uncheckpointed.
+	// Journal write-ahead logs every committed draw, and is synced to
+	// stable storage once per estimation round. nil runs the campaign
+	// unjournaled.
 	Journal *Journal
 	// State is what ResumeJournal recovered from Journal. With recorded
-	// draws the campaign continues where the interrupted one stopped,
-	// restoring the estimator checkpoint if one exists; nil (or a state
-	// without draws) starts fresh.
+	// draws the campaign replays them and continues where the
+	// interrupted one stopped; nil (or a state without draws) starts
+	// fresh.
 	State *JournalState
 	// Workers is how many measurements run concurrently on a
 	// core.ReplicatedPool over the runner; values below 1 mean one, a
@@ -41,8 +41,10 @@ type RunConfig struct {
 // pool of max(1, rc.Workers) workers, committing in draw order through
 // one chain: the journal, then rc.Commit. Journal bytes and the result
 // are identical for every worker count and batch size, and across a
-// kill and resume. Run owns cfg's ResumeLog, StreamCheckpoint and
-// OnRefit whenever rc carries a journal or a recovered state.
+// kill and resume. The journal is the campaign's only record: a resume
+// replays it, estimator included, and Run writes no other file. Run owns
+// cfg's ResumeLog whenever rc carries a recovered state, and its OnRefit
+// whenever rc carries a journal.
 //
 // When ctx is done and the campaign ends in any error but
 // core.ErrBudgetExhausted, the error wraps context.Canceled: a remote
@@ -58,35 +60,21 @@ func Run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc
 }
 
 func run(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc RunConfig) (core.IterResult, error) {
-	resumed := rc.State != nil && rc.State.Draws > 0
-	if resumed {
+	if rc.State != nil {
 		cfg.ResumeLog = rc.State.Log
 	}
 	commit := rc.Commit
 	if j := rc.Journal; j != nil {
 		commit = core.ChainCommits(j.Commit, rc.Commit)
-		ckptPath := EstimatorCheckpointPath(j.path)
-		if resumed {
-			// The checkpoint's hash is verified against the replayed
-			// sample before it is trusted. Absent (killed before the first
-			// refit) the state is rebuilt from the replay.
-			ckpt, err := LoadEstimatorCheckpoint(ckptPath)
-			if err != nil {
-				return core.IterResult{}, err
-			}
-			cfg.StreamCheckpoint = ckpt
-		}
-		cfg.OnRefit = func(st evt.StreamState) error {
-			// The journal reaches stable storage before a checkpoint that
-			// covers it: after a power loss the checkpoint must never hold
-			// more observations than the surviving journal replays. The
-			// hook runs beside the next round's commits: the sync covers
-			// every line appended before the refit, and the next round's
-			// appends go on while it runs.
+		cfg.OnRefit = func(evt.StreamState) error {
+			// One sync per estimation round bounds what a power loss can
+			// take from the journal. The hook runs beside the next round's
+			// commits: the sync covers every line appended before the
+			// refit, and the next round's appends go on while it runs.
 			if err := j.Sync(); err != nil {
 				return fmt.Errorf("campaign: syncing journal: %w", err)
 			}
-			return SaveEstimatorCheckpoint(ckptPath, st)
+			return nil
 		}
 	}
 

@@ -10,17 +10,18 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
+	"optassign/internal/evt"
 	"optassign/internal/obs"
 )
 
@@ -220,9 +221,9 @@ func TestRunInterruptWrapsCanceled(t *testing.T) {
 	}
 }
 
-// TestRunSyncsJournalBeforeEveryCheckpoint: each estimator checkpoint
-// is preceded by a journal sync, so the checkpoint never covers draws
-// that a power loss could take from the journal.
+// TestRunSyncsJournalBeforeEveryCheckpoint: a journaled Run syncs its
+// journal once per estimation round, which bounds what a power loss can
+// take from it, and writes no file beside it.
 func TestRunSyncsJournalBeforeEveryCheckpoint(t *testing.T) {
 	const seed = 3
 	for _, p := range runPaths {
@@ -243,56 +244,101 @@ func TestRunSyncsJournalBeforeEveryCheckpoint(t *testing.T) {
 				t.Fatalf("err = %v", err)
 			}
 			j.Close()
-			ckpt, err := LoadEstimatorCheckpoint(EstimatorCheckpointPath(path))
-			if err != nil {
-				t.Fatal(err)
+			n := rounds.Count("round")
+			if n < 2 {
+				t.Fatalf("%d rounds, want several", n)
 			}
-			if ckpt == nil {
-				t.Fatal("no checkpoint written")
+			if got := jm.Syncs.Value(); got != float64(n) {
+				t.Fatalf("journal synced %v times in %d rounds", got, n)
 			}
-			checkpoints := rounds.Count("round")
-			if checkpoints < 2 || ckpt.RefitCount != checkpoints {
-				t.Fatalf("%d rounds, last checkpoint at refit %d", checkpoints, ckpt.RefitCount)
-			}
-			if got := jm.Syncs.Value(); got != float64(checkpoints) {
-				t.Fatalf("journal synced %v times for %d checkpoints", got, checkpoints)
-			}
+			assertOnlyJournal(t, path)
 		})
 	}
 }
 
-// TestRunResumeVerifiesCheckpoint: a resumed Run restores the estimator
-// checkpoint, and one that does not match the journal is refused rather
-// than silently rebuilt.
-func TestRunResumeVerifiesCheckpoint(t *testing.T) {
+// assertOnlyJournal fails unless the journal at path is the only file in
+// its directory.
+func assertOnlyJournal(t *testing.T, path string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("campaign directory holds %v, want only %s", names, filepath.Base(path))
+	}
+}
+
+// TestRunResumeIgnoresSidecar: the journal is a campaign's only record.
+// A journaled Run writes no estimator sidecar on the serial, 3-worker
+// and batched paths, and a stale or garbage <journal>.estimator beside a
+// resumed journal changes neither the resumed bytes nor the result; Run
+// leaves the file as it found it.
+func TestRunResumeIgnoresSidecar(t *testing.T) {
 	const seed, killAt = 3, 137
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := CreateJournal(path, equivHeader(seed))
+	refBytes, refRes, refErr := runReference(t, seed, false)
+	stale, err := json.Marshal(evt.StreamState{N: 5, Sorted: []float64{1, 2, 3, 4, 5}, Best: 5, Fitted: true, U: 2, TailCount: 3, RefitCount: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &successRecorder{kill: killAt}
-	if _, err := Run(context.Background(), equivStack(false), streamKillConfig(seed),
-		RunConfig{Journal: j, Commit: rec.commit}); !errors.Is(err, errKilled) {
-		t.Fatalf("kill: err = %v", err)
-	}
-	j.Close()
-	ckptPath := EstimatorCheckpointPath(path)
-	ckpt, err := LoadEstimatorCheckpoint(ckptPath)
-	if err != nil || ckpt == nil {
-		t.Fatalf("no checkpoint after the first refit: %v", err)
-	}
-	ckpt.Hash = "tampered"
-	if err := SaveEstimatorCheckpoint(ckptPath, *ckpt); err != nil {
-		t.Fatal(err)
-	}
-	j, st, err := ResumeJournal(path, equivHeader(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	_, err = Run(context.Background(), equivStack(false), streamKillConfig(seed), RunConfig{Journal: j, State: st})
-	if err == nil || !strings.Contains(err.Error(), "estimator checkpoint hash") {
-		t.Fatalf("resume over a tampered checkpoint: err = %v", err)
+	sidecars := map[string][]byte{"stale": stale, "garbage": []byte("not an estimator state\n")}
+	for _, p := range []struct {
+		name string
+		rc   RunConfig
+	}{
+		{"serial", RunConfig{}},
+		{"workers3", RunConfig{Workers: 3}},
+		{"batch16", RunConfig{Batch: core.BatchOptions{Size: 16}}},
+	} {
+		for kind, sidecar := range sidecars {
+			t.Run(p.name+"-"+kind, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "run.journal")
+				j, err := CreateJournal(path, equivHeader(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &successRecorder{kill: killAt}
+				rc := p.rc
+				rc.Journal, rc.Commit = j, rec.commit
+				if _, err := Run(context.Background(), equivStack(false), streamKillConfig(seed), rc); !errors.Is(err, errKilled) {
+					t.Fatalf("kill: err = %v", err)
+				}
+				j.Close()
+				assertOnlyJournal(t, path)
+
+				ckptPath := path + ".estimator"
+				if err := os.WriteFile(ckptPath, sidecar, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				j, st, err := ResumeJournal(path, equivHeader(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc = p.rc
+				rc.Journal, rc.State = j, st
+				res, runErr := Run(context.Background(), equivStack(false), streamKillConfig(seed), rc)
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(runErr) != fmt.Sprint(refErr) {
+					t.Fatalf("resumed: err = %v, reference %v", runErr, refErr)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, refBytes) {
+					t.Fatalf("resumed journal differs from the reference: %d bytes vs %d", len(data), len(refBytes))
+				}
+				assertSameResult(t, res, refRes)
+				if got, err := os.ReadFile(ckptPath); err != nil || !bytes.Equal(got, sidecar) {
+					t.Fatalf("Run touched the sidecar beside its journal (err %v)", err)
+				}
+			})
+		}
 	}
 }

@@ -1,14 +1,15 @@
 package campaign
 
-// Streaming-estimator equivalence at the campaign layer: the estimator
-// checkpoint sidecar must be a pure restart accelerator. A campaign
-// killed mid-flight and resumed from its checkpoint must write a journal
-// byte-identical to the uninterrupted run's AND produce the identical
-// refit sequence (every scheduled refit's full serialized state), across
-// worker counts, with the measurement cache on or off, per strategy,
-// faults included. And every checkpointed state must be bitwise-faithful:
-// restoring it and refitting must match a from-scratch evt.Analyze of the
-// journal's committed tail prefix.
+// Streaming-estimator equivalence at the campaign layer: the journal is
+// the only resume input. A campaign killed mid-flight and resumed from
+// its journal alone must write a journal byte-identical to the
+// uninterrupted run's AND produce the identical refit sequence (every
+// scheduled refit's full state, its refit count restarting at the
+// resume), across worker counts, with the measurement cache on or off,
+// per strategy, faults included. And every refit must be bitwise-faithful
+// to the journal: an estimator rebuilt from the journal's committed tail
+// prefix, as a resume rebuilds it, must refit as a from-scratch
+// evt.Analyze of that prefix.
 
 import (
 	"bytes"
@@ -19,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"optassign/internal/core"
@@ -74,13 +76,14 @@ func runStreamUninterrupted(t *testing.T, name string, params search.Params, see
 }
 
 // TestStreamCheckpointKillResumeMatchesUninterrupted kills a campaign per
-// strategy at two points — mid-initial-batch, before any refit could
-// write a checkpoint, and past the first estimation boundaries, where the
-// sidecar holds real estimator state — then resumes from the journal plus
-// the checkpoint serially and on 4- and 16-worker pools, cache off and
-// on. The resumed journal must be byte-identical to the uninterrupted
-// run's, and the killed run's refit sequence followed by the resumed
-// run's must equal the uninterrupted sequence state-for-state.
+// strategy at two points — mid-initial-batch, before any refit, and past
+// the first estimation boundaries, where the estimator holds fitted
+// state — then resumes from the journal alone serially and on 4- and
+// 16-worker pools, cache off and on. The resumed journal must be
+// byte-identical to the uninterrupted run's, and the killed run's refit
+// sequence followed by the resumed run's must equal the uninterrupted
+// sequence state-for-state, except that the resumed estimator, rebuilt
+// from the journal, counts its refits from 1 again.
 func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 3
 	for _, withFaults := range []bool{false, true} {
@@ -106,10 +109,8 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()
 					path := filepath.Join(dir, "killed.journal")
-					ckptPath := EstimatorCheckpointPath(path)
 
-					// Kill: the campaign persists its checkpoint at every
-					// refit and dies after killAt journaled draws.
+					// Kill: the campaign dies after killAt journaled draws.
 					jk, err := CreateJournal(path, strategyHeader(seed, specStr))
 					if err != nil {
 						t.Fatal(err)
@@ -121,13 +122,7 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 					cfg := streamKillConfig(seed)
 					cfg.Strategy = kstrat
 					var killedStates []evt.StreamState
-					capture := captureRefits(&killedStates)
-					cfg.OnRefit = func(st evt.StreamState) error {
-						if err := capture(st); err != nil {
-							return err
-						}
-						return SaveEstimatorCheckpoint(ckptPath, st)
-					}
+					cfg.OnRefit = captureRefits(&killedStates)
 					stack := core.ContextRunner(JournalRunner{Journal: jk, Runner: cacheEquivStack(withFaults, nil)})
 					_, iterErr := core.IterateContext(context.Background(), cfg, killSerialAfter(stack, jk, killAt))
 					if !errors.Is(iterErr, errKilled) {
@@ -136,33 +131,23 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 					jk.Close()
 
 					// The killed refit sequence must be a prefix of the
-					// uninterrupted one, and the sidecar must hold its last
-					// state — or not exist when the kill preceded all refits.
+					// uninterrupted one.
 					if len(killedStates) > len(fullStates) ||
 						(len(killedStates) > 0 && !reflect.DeepEqual(killedStates, fullStates[:len(killedStates)])) {
 						t.Fatalf("killed run's %d refits are not a prefix of the uninterrupted %d", len(killedStates), len(fullStates))
 					}
-					ck, err := LoadEstimatorCheckpoint(ckptPath)
-					if err != nil {
-						t.Fatal(err)
+					if killAt == 137 && strat.TailSafe() && len(killedStates) == 0 {
+						t.Fatal("kill past the estimation boundary came before any refit")
 					}
-					switch {
-					case len(killedStates) == 0 && ck != nil:
-						t.Fatal("checkpoint file exists before any refit")
-					case len(killedStates) > 0 && ck == nil:
-						t.Fatal("refits ran but no checkpoint was persisted")
-					case ck != nil && !reflect.DeepEqual(*ck, killedStates[len(killedStates)-1]):
-						t.Fatal("sidecar does not hold the last refit's state")
-					}
-					if killAt == 137 && strat.TailSafe() && ck == nil {
-						t.Fatal("kill past the estimation boundary left no checkpoint to restore")
+					// The resumed estimator counts its own refits.
+					resumedFrom := 0
+					if len(killedStates) > 0 {
+						resumedFrom = killedStates[len(killedStates)-1].RefitCount
 					}
 
 					for _, workers := range []int{0, 4, 16} {
 						for _, withCache := range []bool{false, true} {
-							// Reset the journal to the killed prefix; the
-							// sidecar is untouched by resumes (capture-only
-							// hook) and stays the crash-time checkpoint.
+							// Reset the journal to the killed prefix.
 							if err := os.WriteFile(path, journalPrefix(t, uninterrupted, killAt), 0o644); err != nil {
 								t.Fatal(err)
 							}
@@ -179,7 +164,6 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 								t.Fatal(err)
 							}
 							rcfg.ResumeLog = st.Log
-							rcfg.StreamCheckpoint = ck
 							var resumedStates []evt.StreamState
 							rcfg.OnRefit = captureRefits(&resumedStates)
 							var cache *core.Cache
@@ -216,8 +200,13 @@ func TestStreamCheckpointKillResumeMatchesUninterrupted(t *testing.T) {
 							// The refit sequence is seamless across the kill:
 							// killed refits + resumed refits = uninterrupted
 							// refits, state for state (threshold, order
-							// statistics, interval, schedule, hash).
-							whole := append(append([]evt.StreamState(nil), killedStates...), resumedStates...)
+							// statistics, interval), with the resumed
+							// count shifted by the killed run's.
+							whole := append([]evt.StreamState(nil), killedStates...)
+							for _, rs := range resumedStates {
+								rs.RefitCount += resumedFrom
+								whole = append(whole, rs)
+							}
 							if !reflect.DeepEqual(whole, fullStates) {
 								t.Fatalf("workers=%d cache=%v: refit sequence differs: killed %d + resumed %d vs uninterrupted %d",
 									workers, withCache, len(killedStates), len(resumedStates), len(fullStates))
@@ -269,14 +258,13 @@ func bitsEqual(a, b reflect.Value) bool {
 	}
 }
 
-// TestStreamCheckpointDifferentialAtRefitBoundaries proves each persisted
-// checkpoint is bitwise-faithful to the journal it rides next to: for
-// every refit state a uniform campaign emitted, the journal's committed
-// tail prefix of the same length hashes to the checkpoint's commit-order
-// hash, and restoring the checkpoint and refitting yields a report
-// bit-for-bit identical to a from-scratch evt.Analyze of that prefix —
-// with injected faults leaving quarantine holes in the draw sequence and
-// without.
+// TestStreamCheckpointDifferentialAtRefitBoundaries proves each refit is
+// bitwise-faithful to the journal: for every refit state a uniform
+// campaign emitted, the state's order statistics are the sorted journal
+// tail prefix of the same length, and an estimator rebuilt from that
+// prefix — as a resume rebuilds it — refits bit-for-bit as a
+// from-scratch evt.Analyze of the prefix, with injected faults leaving
+// quarantine holes in the draw sequence and without.
 func TestStreamCheckpointDifferentialAtRefitBoundaries(t *testing.T) {
 	const seed = 11
 	for _, withFaults := range []bool{false, true} {
@@ -314,20 +302,22 @@ func TestStreamCheckpointDifferentialAtRefitBoundaries(t *testing.T) {
 					t.Fatalf("refit %d: checkpoint holds %d observations, journal has %d", i, cs.N, len(perfs))
 				}
 				prefix := perfs[:cs.N]
-				if got := evt.CommitOrderHash(prefix); got != cs.Hash {
-					t.Fatalf("refit %d: checkpoint hash %s, journal prefix hashes to %s", i, cs.Hash, got)
+				sorted := append([]float64(nil), prefix...)
+				sort.Float64s(sorted)
+				if !reflect.DeepEqual(cs.Sorted, sorted) {
+					t.Fatalf("refit %d: state's order statistics are not the journal's first %d observations", i, cs.N)
 				}
-				restored, err := evt.RestoreStream(cs, evt.StreamOptions{POT: cfg.POT})
-				if err != nil {
-					t.Fatalf("refit %d: restore: %v", i, err)
+				rebuilt := evt.NewStreamEstimator(evt.StreamOptions{POT: cfg.POT})
+				if err := rebuilt.ObserveAll(prefix); err != nil {
+					t.Fatalf("refit %d: rebuild: %v", i, err)
 				}
-				repStream, errStream := restored.Refit()
+				repStream, errStream := rebuilt.Refit()
 				repBatch, errBatch := evt.Analyze(prefix, cfg.POT)
 				if fmt.Sprint(errStream) != fmt.Sprint(errBatch) {
 					t.Fatalf("refit %d: stream err %v, batch err %v", i, errStream, errBatch)
 				}
 				if errStream == nil && !bitsEqual(reflect.ValueOf(repStream), reflect.ValueOf(repBatch)) {
-					t.Fatalf("refit %d (n=%d): restored refit differs bitwise from batch Analyze:\nstream %+v\nbatch  %+v",
+					t.Fatalf("refit %d (n=%d): rebuilt refit differs bitwise from batch Analyze:\nstream %+v\nbatch  %+v",
 						i, cs.N, repStream, repBatch)
 				}
 			}
@@ -335,85 +325,29 @@ func TestStreamCheckpointDifferentialAtRefitBoundaries(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointHashMismatchRejected: a checkpoint whose
-// commit-order hash does not match the journal it sits next to — wrong
-// campaign, wrong seed, tampered file — must abort the resume instead of
-// silently diverging the estimator from the sample.
-func TestStreamCheckpointHashMismatchRejected(t *testing.T) {
-	const seed, killAt = 3, 137
-	path := filepath.Join(t.TempDir(), "tampered.journal")
-	ckptPath := EstimatorCheckpointPath(path)
-	j, err := CreateJournal(path, equivHeader(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := strategyKillConfig(seed)
-	cfg.OnRefit = func(st evt.StreamState) error { return SaveEstimatorCheckpoint(ckptPath, st) }
-	stack := core.ContextRunner(JournalRunner{Journal: j, Runner: equivStack(false)})
-	if _, iterErr := core.IterateContext(context.Background(), cfg, killSerialAfter(stack, j, killAt)); !errors.Is(iterErr, errKilled) {
-		t.Fatalf("kill: %v", iterErr)
-	}
-	j.Close()
-
-	ck, err := LoadEstimatorCheckpoint(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck == nil {
-		t.Fatal("no checkpoint written before the kill")
-	}
-	ck.Hash = "deadbeefdeadbeef"
-
-	jr, st, err := ResumeJournal(path, equivHeader(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
-	rcfg := strategyKillConfig(seed)
-	rcfg.ResumeLog = st.Log
-	rcfg.StreamCheckpoint = ck
-	_, iterErr := core.IterateContext(context.Background(), rcfg,
-		JournalRunner{Journal: jr, Runner: equivStack(false)})
-	if iterErr == nil || !bytes.Contains([]byte(iterErr.Error()), []byte("does not match")) {
-		t.Fatalf("tampered checkpoint: err = %v, want hash mismatch", iterErr)
-	}
-}
-
-// TestEstimatorCheckpointSaveLoad covers the sidecar file lifecycle: a
-// missing checkpoint is (nil, nil), a saved one round-trips exactly, and
-// a re-save atomically replaces it.
+// TestEstimatorCheckpointSaveLoad covers the sidecar save the benchmark
+// module still calls: a saved state reads back exactly, and a re-save
+// atomically replaces it.
 func TestEstimatorCheckpointSaveLoad(t *testing.T) {
 	path := EstimatorCheckpointPath(filepath.Join(t.TempDir(), "c.journal"))
-	ck, err := LoadEstimatorCheckpoint(path)
-	if err != nil || ck != nil {
-		t.Fatalf("missing checkpoint: (%v, %v), want (nil, nil)", ck, err)
-	}
 	st := evt.StreamState{
-		N: 3, Hash: "0102030405060708",
+		N:      3,
 		Sorted: []float64{1.5, 2.5, 4},
 		Best:   4, Fitted: true, U: 2, TailCount: 2,
 		UPBPoint: 5, UPBLo: 4.5, HiUnbounded: true,
-		RefitCount: 1, LastRefitN: 3, NextRefitN: 6,
+		RefitCount: 1, LastRefitN: 3,
 	}
 	if err := SaveEstimatorCheckpoint(path, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadEstimatorCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*got, st) {
-		t.Fatalf("round-trip: %+v, want %+v", *got, st)
+	if got := readSidecar(t, path); !reflect.DeepEqual(got, st) {
+		t.Fatalf("round-trip: %+v, want %+v", got, st)
 	}
 	st.N, st.Sorted, st.RefitCount = 4, append(st.Sorted, 9), 2
 	if err := SaveEstimatorCheckpoint(path, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err = LoadEstimatorCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 4 || got.RefitCount != 2 {
+	if got := readSidecar(t, path); got.N != 4 || got.RefitCount != 2 {
 		t.Fatalf("re-save did not replace: %+v", got)
 	}
 }

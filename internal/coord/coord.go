@@ -1,7 +1,7 @@
 // Package coord is the campaign-as-a-service layer: a multi-tenant
 // coordinator that runs many statistical task-assignment campaigns
 // concurrently over the existing engine, each with its own write-ahead
-// journal and estimator checkpoint under one data directory, and promotes
+// journal (its only record) under one data directory, and promotes
 // finished campaigns into an indexed table store queryable without ever
 // reopening a journal.
 //
@@ -190,8 +190,8 @@ func (st Status) Summary() string {
 // Config configures a coordinator.
 type Config struct {
 	// DataDir holds everything the coordinator persists: campaigns/
-	// (spec files), journals/ (one journal + estimator checkpoint per
-	// campaign) and table/ (the promoted result store).
+	// (spec files), journals/ (one journal per campaign, its only
+	// record) and table/ (the promoted result store).
 	DataDir string
 	// MaxConcurrent bounds simultaneously running campaigns (default 4).
 	MaxConcurrent int

@@ -72,24 +72,16 @@ type IterConfig struct {
 	// CI width — updated per committed batch, not just per estimation
 	// round. nil disables; never influences the campaign.
 	StreamMetrics *obs.StreamMetrics
-	// StreamCheckpoint restores the streaming estimator from a state
-	// captured by OnRefit, so a resumed campaign rebuilds its tail state
-	// from the checkpoint plus the post-checkpoint journal delta instead
-	// of re-feeding the whole sample. The checkpoint's commit-order hash
-	// is verified against the replayed journal prefix: a mismatch —
-	// checkpoint from a different campaign, seed or strategy — is fatal
-	// rather than silently diverging.
-	StreamCheckpoint *evt.StreamState
-	// OnRefit receives the estimator's serializable state after every
-	// scheduled refit (the campaign layer persists it next to the
-	// journal). It runs on a second goroutine while the next round is
-	// measured and committed, so any state it shares with the runner or
-	// the commit chain must be synchronized. At most one call is in
-	// flight; calls arrive in refit order, each with a state of its own.
-	// An error aborts the campaign after the round measured beside the
-	// failed call — at most Ndelta draws past it — or at once if that
-	// refit ended the campaign: a checkpoint that cannot be written is a
-	// checkpoint that cannot be resumed from.
+	// OnRefit runs after every scheduled refit; a journaled campaign
+	// syncs its journal there, once per estimation round. It runs on a
+	// second goroutine while the next round is measured and committed, so
+	// any state it shares with the runner or the commit chain must be
+	// synchronized. At most one call is in flight, and calls arrive in
+	// refit order. An error aborts the campaign after the round measured
+	// beside the failed call — at most Ndelta draws past it — or at once
+	// if that refit ended the campaign. The estimator state it receives,
+	// a Snapshot of its own, is kept only for the benchmark module, which
+	// persists it; the argument goes with the benchmark revision.
 	OnRefit func(evt.StreamState) error
 }
 
@@ -235,24 +227,10 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	// statistics, exceedance counts and best-observed update per committed
 	// draw, and each estimation round is a scheduled refit of the same
 	// pipeline Analyze runs — bitwise-identical by construction, proven by
-	// the differential suite in internal/evt. A checkpoint skips
-	// re-feeding the restored prefix; without one, the replayed sample is
-	// fed in journal order, reproducing the uninterrupted stream exactly.
+	// the differential suite in internal/evt. A resumed campaign feeds
+	// the replayed sample in journal order, reproducing the uninterrupted
+	// stream exactly.
 	stream := evt.NewStreamEstimator(evt.StreamOptions{POT: cfg.POT})
-	if st := cfg.StreamCheckpoint; st != nil {
-		if st.N > len(tailPerfs) {
-			return IterResult{}, fmt.Errorf("core: estimator checkpoint holds %d observations but the journal replay recovered only %d (checkpoint from a different campaign?)", st.N, len(tailPerfs))
-		}
-		if got := evt.CommitOrderHash(tailPerfs[:st.N]); got != st.Hash {
-			return IterResult{}, fmt.Errorf("core: estimator checkpoint hash %s does not match the journal's first %d tail observations (%s) — checkpoint from a different campaign, seed or strategy", st.Hash, st.N, got)
-		}
-		restored, err := evt.RestoreStream(*st, evt.StreamOptions{POT: cfg.POT})
-		if err != nil {
-			return IterResult{}, fmt.Errorf("core: estimator checkpoint: %w", err)
-		}
-		stream = restored
-		tailPerfs = tailPerfs[st.N:]
-	}
 	if err := stream.ObserveAll(tailPerfs); err != nil {
 		return IterResult{}, fmt.Errorf("core: resumed sample: %w", err)
 	}

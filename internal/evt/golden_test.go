@@ -143,6 +143,22 @@ func goldenRecords(t testing.TB) []goldenRecord {
 	return recs
 }
 
+// FNV-1a over the IEEE-754 bits of each value, in order: the digest a
+// golden record keeps for a float64 slice.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func foldHash(h uint64, x float64) uint64 {
+	bits := math.Float64bits(x)
+	for i := 0; i < 64; i += 8 {
+		h ^= (bits >> i) & 0xff
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // goldenRecordOf renders "label token..." with v's fields in declaration
 // order, or "label error <message>".
 func goldenRecordOf(label string, v any, err error) goldenRecord {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -16,8 +15,7 @@ import (
 //     cheap monotone updates — an O(√n)-ish insertion into a chunked
 //     order-statistics structure, the running best, the count of
 //     observations above the last fitted threshold (the live ECDF tail
-//     mass), and a commit-order hash that lets a resumed campaign verify
-//     a restored checkpoint against its journal;
+//     mass);
 //
 //   - per refit (a scheduled boundary): the full pipeline — threshold
 //     scan, GPD maximum-likelihood fit, Wilks profile-likelihood
@@ -38,36 +36,12 @@ import (
 // would differ in bits. Performance samples are magnitudes and never
 // produce −0.0.
 
-// StreamOptions configures a StreamEstimator. The zero value runs the
-// paper-default POT analysis with refits driven entirely by explicit
-// Refit calls (the engine mode: core.iterate refits on its Ninit/+Ndelta
-// estimation schedule).
+// StreamOptions configures a StreamEstimator. Refits are driven entirely
+// by explicit Refit calls: core.iterate refits on its Ninit/+Ndelta
+// estimation schedule, and cmd/evtfit -stream on its own doubling one.
 type StreamOptions struct {
 	// POT configures each refit's analysis, exactly as for Analyze.
 	POT POTOptions
-	// AutoRefit enables the standalone doubling schedule: Observe
-	// triggers a refit whenever the sample reaches the next scheduled
-	// size. Off in engine mode, where the caller owns the schedule.
-	AutoRefit bool
-	// FirstRefit is the sample size of the first automatic refit
-	// (default 64). Ignored without AutoRefit.
-	FirstRefit int
-	// Growth multiplies the sample size between automatic refits
-	// (default 2 — refit at 64, 128, 256, ...). Each refit costs one
-	// full analysis of the sample so far; geometric spacing keeps the
-	// total refit work linear in the final sample size. Ignored without
-	// AutoRefit.
-	Growth float64
-}
-
-func (o StreamOptions) withDefaults() StreamOptions {
-	if o.FirstRefit <= 0 {
-		o.FirstRefit = 64
-	}
-	if o.Growth <= 1 {
-		o.Growth = 2
-	}
-	return o
 }
 
 // StreamLive is the estimator's cheap live summary: everything updated
@@ -90,12 +64,12 @@ type StreamLive struct {
 	// interval. Hi is +Inf when the last refit could not reject an
 	// unbounded tail at the interval's confidence level.
 	UPB, Lo, Hi float64
-	// RefitCount counts successful refits; LastRefitN is the sample size
-	// of the last one; NextRefitN the next automatic refit size (0 when
-	// AutoRefit is off).
+	// RefitCount counts the successful refits of this estimator, which a
+	// resumed campaign rebuilds by re-feeding its journal, so the count
+	// starts again at resume; LastRefitN is the sample size of the last
+	// one.
 	RefitCount int
 	LastRefitN int
-	NextRefitN int
 }
 
 // CIWidth is the confidence interval's width, +Inf while the upper bound
@@ -107,20 +81,17 @@ func (l StreamLive) CIWidth() float64 {
 	return l.Hi - l.Lo
 }
 
-// StreamState is the serializable checkpoint of a StreamEstimator. It
-// carries the complete sorted multiset of observations — a restored
-// estimator refits without re-reading the original sample — plus the
-// commit-order hash that ties the state to the exact measurement prefix
-// that produced it, so a resumed campaign can verify the checkpoint
-// against its replayed journal before trusting it.
+// StreamState is a serializable copy of a StreamEstimator: the complete
+// sorted multiset of observations and the live summary. It is kept only
+// because the benchmark module still persists it through
+// campaign.SaveEstimatorCheckpoint, and goes with the benchmark
+// revision: a campaign resumes by re-feeding its journal, never from a
+// saved state.
 //
-// Two fields exist only to survive encoding/json: Hash is the FNV-1a
-// value as a hex string (a uint64 above 2^53 does not round-trip through
-// a JSON number), and HiUnbounded stands in for UPBHi = +Inf (JSON has
-// no Inf; UPBHi is 0 when HiUnbounded is set).
+// HiUnbounded exists only to survive encoding/json: it stands in for
+// UPBHi = +Inf (JSON has no Inf; UPBHi is 0 when HiUnbounded is set).
 type StreamState struct {
 	N           int       `json:"n"`
-	Hash        string    `json:"hash"`
 	Sorted      []float64 `json:"sorted"`
 	Best        float64   `json:"best"`
 	Fitted      bool      `json:"fitted,omitempty"`
@@ -132,14 +103,13 @@ type StreamState struct {
 	HiUnbounded bool      `json:"hi_unbounded,omitempty"`
 	RefitCount  int       `json:"refit_count,omitempty"`
 	LastRefitN  int       `json:"last_refit_n,omitempty"`
-	NextRefitN  int       `json:"next_refit_n,omitempty"`
 }
 
-// Chunk sizing for the order-statistics structure: chunks are rebuilt at
-// streamChunkTarget on bulk loads and split in half once an insertion
-// grows one past streamChunkMax, so a single insert moves at most
-// streamChunkMax float64s and the chunk directory stays small enough
-// that its binary search is noise.
+// Chunk sizing for the order-statistics structure: the first chunk starts
+// with room for streamChunkTarget values, and a chunk is split in half
+// once an insertion grows it past streamChunkMax, so a single insert
+// moves at most streamChunkMax float64s and the chunk directory stays
+// small enough that its binary search is noise.
 const (
 	streamChunkTarget = 512
 	streamChunkMax    = 1024
@@ -187,20 +157,6 @@ func (o *orderStats) insert(x float64) {
 	}
 }
 
-// fromSorted bulk-loads an already-sorted slice, copying it into fresh
-// chunks (the input is not retained).
-func (o *orderStats) fromSorted(sorted []float64) {
-	o.chunks = nil
-	for len(sorted) > 0 {
-		n := streamChunkTarget
-		if n > len(sorted) {
-			n = len(sorted)
-		}
-		o.chunks = append(o.chunks, append(make([]float64, 0, streamChunkMax), sorted[:n]...))
-		sorted = sorted[n:]
-	}
-}
-
 // materialize returns the sorted multiset as one fresh slice of length n.
 func (o *orderStats) materialize(n int) []float64 {
 	out := make([]float64, 0, n)
@@ -210,46 +166,11 @@ func (o *orderStats) materialize(n int) []float64 {
 	return out
 }
 
-// FNV-1a over the IEEE-754 bits of each observation in commit order.
-// Insertion-order sensitivity is the point: the hash identifies the
-// exact measurement prefix, so a checkpoint restored against a journal
-// that committed the same values in a different order — a different
-// campaign — is rejected.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func foldHash(h uint64, x float64) uint64 {
-	bits := math.Float64bits(x)
-	for i := 0; i < 64; i += 8 {
-		h ^= (bits >> i) & 0xff
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func hashHex(h uint64) string {
-	return fmt.Sprintf("%016x", h)
-}
-
-// CommitOrderHash is the hash a StreamEstimator would carry after
-// observing xs in order. Resume paths use it to verify a checkpoint's
-// Hash against the journal-replayed prefix.
-func CommitOrderHash(xs []float64) string {
-	h := uint64(fnvOffset64)
-	for _, x := range xs {
-		h = foldHash(h, x)
-	}
-	return hashHex(h)
-}
-
 // StreamEstimator maintains POT state incrementally over a stream of
 // committed observations. Observe is the cheap per-commit update; Refit
 // runs the full analysis on the maintained order statistics and is
 // bitwise-equal to Analyze on the same observations in any order. The
-// zero value is not usable; construct with NewStreamEstimator or
-// RestoreStream.
+// zero value is not usable; construct with NewStreamEstimator.
 //
 // All methods are safe for concurrent use, though the engine's commit
 // path is already serial; the lock mainly lets progress displays read
@@ -260,27 +181,17 @@ type StreamEstimator struct {
 	os   orderStats
 	n    int
 	best float64
-	hash uint64
 	live StreamLive
 }
 
 // NewStreamEstimator returns an empty estimator.
 func NewStreamEstimator(opts StreamOptions) *StreamEstimator {
-	opts = opts.withDefaults()
-	s := &StreamEstimator{opts: opts, hash: fnvOffset64}
-	if opts.AutoRefit {
-		s.live.NextRefitN = opts.FirstRefit
-	}
-	return s
+	return &StreamEstimator{opts: opts}
 }
 
-// Observe commits one observation: order-statistics insertion, hash
-// fold, monotone live-summary updates, and — in AutoRefit mode — a refit
-// when the schedule comes due (automatic refit errors are not fatal to
-// the stream: an early sample may be legitimately too small or its tail
-// still unbounded, and the schedule simply advances; call Refit for the
-// error). Non-finite observations are rejected with ErrNonFiniteSample
-// before touching any state.
+// Observe commits one observation: order-statistics insertion and the
+// monotone live-summary updates. Non-finite observations are rejected
+// with ErrNonFiniteSample before touching any state.
 func (s *StreamEstimator) Observe(x float64) error {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return fmt.Errorf("%w: observation %d is %v", ErrNonFiniteSample, s.N(), x)
@@ -288,16 +199,12 @@ func (s *StreamEstimator) Observe(x float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.os.insert(x)
-	s.hash = foldHash(s.hash, x)
 	s.n++
 	if s.n == 1 || x > s.best {
 		s.best = x
 	}
 	if s.live.Fitted && x > s.live.U {
 		s.live.TailCount++
-	}
-	if s.opts.AutoRefit && s.n >= s.live.NextRefitN {
-		s.refitLocked()
 	}
 	return nil
 }
@@ -320,14 +227,6 @@ func (s *StreamEstimator) N() int {
 	return s.n
 }
 
-// HashHex is the commit-order hash over everything observed so far, in
-// the format CommitOrderHash produces.
-func (s *StreamEstimator) HashHex() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return hashHex(s.hash)
-}
-
 // Live returns the current live summary.
 func (s *StreamEstimator) Live() StreamLive {
 	s.mu.Lock()
@@ -348,27 +247,12 @@ func (s *StreamEstimator) liveLocked() StreamLive {
 // Refit runs the full §3.3 analysis on the committed observations. On
 // success the live summary adopts the new threshold, interval and tail
 // count; on error (sample too small, degenerate or unbounded tail, ...)
-// the live summary keeps the previous fit and only the automatic
-// schedule advances. The returned Report is bitwise-equal to
-// Analyze(sample, opts.POT) for any commit order of the same sample.
+// the live summary keeps the previous fit. The returned Report is
+// bitwise-equal to Analyze(sample, opts.POT) for any commit order of the
+// same sample.
 func (s *StreamEstimator) Refit() (Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.refitLocked()
-}
-
-func (s *StreamEstimator) refitLocked() (Report, error) {
-	if s.opts.AutoRefit {
-		next := s.opts.FirstRefit
-		for next <= s.n {
-			grown := int(math.Ceil(float64(next) * s.opts.Growth))
-			if grown <= next {
-				grown = next + 1
-			}
-			next = grown
-		}
-		s.live.NextRefitN = next
-	}
 	rep, err := analyzeSorted(s.os.materialize(s.n), s.opts.POT)
 	if err != nil {
 		return Report{}, err
@@ -384,14 +268,15 @@ func (s *StreamEstimator) refitLocked() (Report, error) {
 	return rep, nil
 }
 
-// Snapshot captures the estimator's complete serializable state.
+// Snapshot captures the estimator's complete serializable state. Kept
+// only for core.IterConfig.OnRefit's state argument, which the benchmark
+// module persists; it goes with the benchmark revision.
 func (s *StreamEstimator) Snapshot() StreamState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l := s.liveLocked()
 	st := StreamState{
 		N:          s.n,
-		Hash:       hashHex(s.hash),
 		Sorted:     s.os.materialize(s.n),
 		Best:       s.best,
 		Fitted:     l.Fitted,
@@ -401,7 +286,6 @@ func (s *StreamEstimator) Snapshot() StreamState {
 		UPBLo:      l.Lo,
 		RefitCount: l.RefitCount,
 		LastRefitN: l.LastRefitN,
-		NextRefitN: l.NextRefitN,
 	}
 	if math.IsInf(l.Hi, 1) {
 		st.HiUnbounded = true
@@ -409,52 +293,4 @@ func (s *StreamEstimator) Snapshot() StreamState {
 		st.UPBHi = l.Hi
 	}
 	return st
-}
-
-// RestoreStream rebuilds an estimator from a checkpoint. The state is
-// validated structurally — observation count, sortedness, finiteness,
-// hash syntax — but the hash itself can only be verified by whoever
-// holds the original commit-order prefix (see CommitOrderHash); resume
-// paths do that against the replayed journal before feeding new
-// observations.
-func RestoreStream(st StreamState, opts StreamOptions) (*StreamEstimator, error) {
-	if st.N != len(st.Sorted) {
-		return nil, fmt.Errorf("evt: stream checkpoint carries %d observations but claims n=%d", len(st.Sorted), st.N)
-	}
-	if err := checkFiniteSample(st.Sorted); err != nil {
-		return nil, fmt.Errorf("evt: stream checkpoint: %w", err)
-	}
-	for i := 1; i < len(st.Sorted); i++ {
-		if st.Sorted[i] < st.Sorted[i-1] {
-			return nil, fmt.Errorf("evt: stream checkpoint observations not sorted at index %d", i)
-		}
-	}
-	hash := uint64(fnvOffset64)
-	if st.N > 0 {
-		var err error
-		hash, err = strconv.ParseUint(st.Hash, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("evt: stream checkpoint hash %q: %w", st.Hash, err)
-		}
-	}
-	s := NewStreamEstimator(opts)
-	s.os.fromSorted(st.Sorted)
-	s.n = st.N
-	s.hash = hash
-	s.best = st.Best
-	s.live.Fitted = st.Fitted
-	s.live.U = st.U
-	s.live.TailCount = st.TailCount
-	s.live.UPB = st.UPBPoint
-	s.live.Lo = st.UPBLo
-	s.live.Hi = st.UPBHi
-	if st.HiUnbounded {
-		s.live.Hi = math.Inf(1)
-	}
-	s.live.RefitCount = st.RefitCount
-	s.live.LastRefitN = st.LastRefitN
-	if st.NextRefitN > 0 {
-		s.live.NextRefitN = st.NextRefitN
-	}
-	return s, nil
 }

@@ -14,8 +14,8 @@ import (
 // The differential suite behind the streaming estimator's central claim:
 // at every refit boundary, StreamEstimator.Refit is bitwise-equal to a
 // from-scratch Analyze on the same observations in commit order — for
-// any commit order, any interleaving of refits, and across a
-// snapshot/JSON/restore cycle.
+// any commit order, any interleaving of refits, and across a resume that
+// rebuilds the estimator by re-feeding the committed prefix.
 
 // reportBitsEqual walks two Reports field by field, comparing every
 // float64 by its IEEE-754 bits. Plain equality would hide exactly the
@@ -154,9 +154,11 @@ func TestStreamMatchesAnalyzeRandomized(t *testing.T) {
 	}
 }
 
-// TestStreamSnapshotRestoreContinues snapshots mid-stream, round-trips
-// the state through JSON, and requires the restored estimator to track
-// the original — and the batch analysis — bitwise from there on.
+// TestStreamSnapshotRestoreContinues: a campaign resumes its estimator
+// by re-feeding the committed prefix. A snapshot taken mid-stream holds
+// that prefix's sorted multiset and survives JSON; an estimator rebuilt
+// from the prefix and fed the rest refits bitwise as the original and
+// as the batch analysis.
 func TestStreamSnapshotRestoreContinues(t *testing.T) {
 	opts := streamTestOpts()
 	rng := rand.New(rand.NewSource(13))
@@ -172,8 +174,10 @@ func TestStreamSnapshotRestoreContinues(t *testing.T) {
 	}
 
 	st := s.Snapshot()
-	if got := CommitOrderHash(xs[:cut]); st.Hash != got {
-		t.Fatalf("snapshot hash %s, commit-order hash %s", st.Hash, got)
+	want := append([]float64(nil), xs[:cut]...)
+	sort.Float64s(want)
+	if st.N != cut || !reflect.DeepEqual(st.Sorted, want) {
+		t.Fatalf("snapshot n=%d does not hold the sorted prefix of %d observations", st.N, cut)
 	}
 	data, err := json.Marshal(st)
 	if err != nil {
@@ -183,32 +187,29 @@ func TestStreamSnapshotRestoreContinues(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreStream(decoded, StreamOptions{POT: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.N() != cut || restored.HashHex() != st.Hash {
-		t.Fatalf("restored n=%d hash=%s, want n=%d hash=%s", restored.N(), restored.HashHex(), cut, st.Hash)
-	}
-	if !reflect.DeepEqual(restored.Live(), s.Live()) {
-		t.Fatalf("restored live %+v differs from original %+v", restored.Live(), s.Live())
+	if !reflect.DeepEqual(decoded, st) {
+		t.Fatalf("snapshot changed across JSON: %+v", decoded)
 	}
 
-	for _, est := range []*StreamEstimator{s, restored} {
+	rebuilt := NewStreamEstimator(StreamOptions{POT: opts})
+	if err := rebuilt.ObserveAll(xs[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	for _, est := range []*StreamEstimator{s, rebuilt} {
 		if err := est.ObserveAll(xs[cut:]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	origRep, origErr := s.Refit()
-	restRep, restErr := restored.Refit()
+	rebuiltRep, rebuiltErr := rebuilt.Refit()
 	batchRep, batchErr := Analyze(xs, opts)
-	if origErr != nil || restErr != nil || batchErr != nil {
-		t.Fatalf("refit errors: orig %v, restored %v, batch %v", origErr, restErr, batchErr)
+	if origErr != nil || rebuiltErr != nil || batchErr != nil {
+		t.Fatalf("refit errors: orig %v, rebuilt %v, batch %v", origErr, rebuiltErr, batchErr)
 	}
-	reportBitsEqual(t, "restored-vs-original", restRep, origRep)
-	reportBitsEqual(t, "restored-vs-batch", restRep, batchRep)
-	if s.HashHex() != restored.HashHex() {
-		t.Fatalf("hashes diverged: %s vs %s", s.HashHex(), restored.HashHex())
+	reportBitsEqual(t, "rebuilt-vs-original", rebuiltRep, origRep)
+	reportBitsEqual(t, "rebuilt-vs-batch", rebuiltRep, batchRep)
+	if got := rebuilt.Live().RefitCount; got != 1 {
+		t.Fatalf("rebuilt estimator counts %d refits, want 1: the count is this estimator's", got)
 	}
 }
 
@@ -233,12 +234,8 @@ func TestStreamStateUnboundedHiJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreStream(decoded, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi := restored.Live().Hi; !math.IsInf(hi, 1) {
-		t.Fatalf("restored Hi = %v, want +Inf", hi)
+	if !decoded.HiUnbounded || decoded.UPBHi != 0 {
+		t.Fatalf("decoded state lost the unbounded Hi: %+v", decoded)
 	}
 }
 
@@ -250,43 +247,13 @@ func TestStreamObserveRejectsNonFinite(t *testing.T) {
 		if err := s.Observe(1.5); err != nil {
 			t.Fatal(err)
 		}
-		before := s.HashHex()
+		before := s.Snapshot()
 		if err := s.Observe(bad); !errors.Is(err, ErrNonFiniteSample) {
 			t.Errorf("Observe(%v) = %v, want ErrNonFiniteSample", bad, err)
 		}
-		if s.N() != 1 || s.HashHex() != before {
+		if s.N() != 1 || !reflect.DeepEqual(s.Snapshot(), before) {
 			t.Errorf("Observe(%v) mutated state: n=%d", bad, s.N())
 		}
-	}
-}
-
-// TestStreamAutoRefitSchedule: the doubling schedule fires at 64, 128,
-// 256, 512, ...; refits whose sample is still too small fail silently
-// (the stream keeps observing) and do not count, while the schedule
-// still advances.
-func TestStreamAutoRefitSchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := NewStreamEstimator(StreamOptions{
-		POT:       POTOptions{Threshold: ThresholdOptions{MaxExceedFraction: 0.3}},
-		AutoRefit: true,
-	})
-	if err := s.ObserveAll(GPD{Xi: -0.3, Sigma: 5}.Sample(rng, 600)); err != nil {
-		t.Fatal(err)
-	}
-	l := s.Live()
-	// n=64 allows at most 19 exceedances at fraction 0.3 (< the minimum
-	// 20): that refit fails and is not counted; 128, 256 and 512 succeed.
-	if l.RefitCount != 3 {
-		t.Errorf("RefitCount = %d, want 3 (refits at 128, 256, 512; 64 too small)", l.RefitCount)
-	}
-	if l.LastRefitN != 512 {
-		t.Errorf("LastRefitN = %d, want 512", l.LastRefitN)
-	}
-	if l.NextRefitN != 1024 {
-		t.Errorf("NextRefitN = %d, want 1024", l.NextRefitN)
-	}
-	if !l.Fitted || l.UPB <= l.Best {
-		t.Errorf("live summary after auto refits: %+v", l)
 	}
 }
 
@@ -349,44 +316,5 @@ func TestOrderStatsMatchesSort(t *testing.T) {
 		if len(c) == 0 || len(c) > streamChunkMax {
 			t.Fatalf("chunk %d has %d elements", i, len(c))
 		}
-	}
-}
-
-// TestRestoreStreamValidates: corrupt checkpoints must be refused.
-func TestRestoreStreamValidates(t *testing.T) {
-	good := StreamState{N: 3, Hash: CommitOrderHash([]float64{3, 1, 2}), Sorted: []float64{1, 2, 3}, Best: 3}
-	if _, err := RestoreStream(good, StreamOptions{}); err != nil {
-		t.Fatalf("valid state refused: %v", err)
-	}
-	cases := map[string]StreamState{
-		"count-mismatch": {N: 4, Hash: good.Hash, Sorted: []float64{1, 2, 3}},
-		"unsorted":       {N: 3, Hash: good.Hash, Sorted: []float64{2, 1, 3}},
-		"non-finite":     {N: 3, Hash: good.Hash, Sorted: []float64{1, 2, math.Inf(1)}},
-		"bad-hash":       {N: 3, Hash: "not-hex", Sorted: []float64{1, 2, 3}},
-	}
-	for name, st := range cases {
-		if _, err := RestoreStream(st, StreamOptions{}); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestCommitOrderHashOrderSensitive: the hash identifies the commit
-// order, not just the multiset, and matches the estimator's running
-// value.
-func TestCommitOrderHashOrderSensitive(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if CommitOrderHash(xs) == CommitOrderHash([]float64{1, 2, 3, 4, 5}) {
-		t.Fatal("hash ignores commit order")
-	}
-	s := NewStreamEstimator(StreamOptions{})
-	if err := s.ObserveAll(xs); err != nil {
-		t.Fatal(err)
-	}
-	if s.HashHex() != CommitOrderHash(xs) {
-		t.Fatalf("estimator hash %s, CommitOrderHash %s", s.HashHex(), CommitOrderHash(xs))
-	}
-	if NewStreamEstimator(StreamOptions{}).HashHex() != CommitOrderHash(nil) {
-		t.Fatal("empty-stream hash differs from CommitOrderHash(nil)")
 	}
 }

@@ -35,6 +35,6 @@ func NewStreamMetrics(r *Registry) *StreamMetrics {
 		UPBCIWidth:      r.Gauge("optassign_stream_upb_ci_width", "Width of the streaming UPB confidence interval (+Inf while the tail cannot be bounded)."),
 		TailExceedances: r.Gauge("optassign_stream_tail_exceedances", "Observations above the current POT threshold, updated per commit."),
 		TailMass:        r.Gauge("optassign_stream_tail_mass", "ECDF mass above the current POT threshold (exceedances / observations)."),
-		RefitCount:      r.Gauge("optassign_stream_refit_count", "Full refits (threshold scan + MLE + Wilks CI) completed."),
+		RefitCount:      r.Gauge("optassign_stream_refit_count", "Full refits (threshold scan + MLE + Wilks CI) completed by this process; starts again at a resume."),
 	}
 }
