@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"optassign/internal/cas"
 	"optassign/internal/evt"
+	"optassign/internal/wal"
 )
 
 // The journal is a campaign's only record: Run resumes by replaying it,
@@ -21,12 +21,12 @@ func EstimatorCheckpointPath(journalPath string) string {
 }
 
 // SaveEstimatorCheckpoint atomically replaces the file at path with st
-// (cas.WriteFileAtomic: temp file, fsync, rename, directory fsync), so a
+// (wal.WriteFileAtomic: temp file, fsync, rename, directory fsync), so a
 // crash at any instant leaves either the previous or the new state fully
 // intact. Kept for the benchmark module only: nothing in this module
 // reads the file back.
 func SaveEstimatorCheckpoint(path string, st evt.StreamState) error {
-	err := cas.WriteFileAtomic(path, 0o600, func(w io.Writer) error {
+	err := wal.WriteFileAtomic(path, 0o600, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(st)
 	})
 	if err != nil {

@@ -59,7 +59,7 @@ func TestRunCheckpointFailureThenResume(t *testing.T) {
 				if !errors.Is(runErr, errSync) {
 					t.Fatalf("err = %v, want the failed sync's", runErr)
 				}
-				if want := fmt.Sprintf("estimator checkpoint at %d samples", failed.N); !strings.Contains(runErr.Error(), want) {
+				if want := fmt.Sprintf("refit hook at %d samples", failed.N); !strings.Contains(runErr.Error(), want) {
 					t.Fatalf("err = %q, want it to name %q", runErr, want)
 				}
 				if err := j.Close(); err != nil {

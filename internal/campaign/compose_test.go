@@ -24,11 +24,12 @@ import (
 
 // batchable gives a source the core.BatchMeasurer capability, the shape
 // of netdps.Testbed, so that Batch chunks take the batch path. Each draw
-// costs a few microseconds, long enough for every pool worker to get
-// chunks.
+// costs a few microseconds; a non-nil gate holds the first batch until a
+// second one has started.
 type batchable struct {
 	core.ContextRunner
 	batches *atomic.Int64
+	gate    *pairGate
 }
 
 func (b batchable) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
@@ -37,6 +38,7 @@ func (b batchable) MeasureContext(ctx context.Context, a assign.Assignment) (flo
 }
 
 func (b batchable) MeasureBatch(as []assign.Assignment) ([]float64, []error) {
+	b.gate.enter(context.Background())
 	b.batches.Add(1)
 	perfs, errs := make([]float64, len(as)), make([]error, len(as))
 	for i, a := range as {
@@ -45,12 +47,52 @@ func (b batchable) MeasureBatch(as []assign.Assignment) ([]float64, []error) {
 	return perfs, errs
 }
 
+// pairGate holds the first measurement that enters it until a second one
+// has entered, so several pool workers are sure to share a round however
+// fast cache hits let one worker drain the chunks. The second caller
+// comes from another worker, since the first one's is held. A nil gate
+// lets every call through.
+type pairGate struct {
+	entered atomic.Int64
+	second  chan struct{}
+}
+
+func newPairGate() *pairGate { return &pairGate{second: make(chan struct{})} }
+
+func (g *pairGate) enter(ctx context.Context) {
+	if g == nil {
+		return
+	}
+	switch g.entered.Add(1) {
+	case 1:
+		select {
+		case <-g.second:
+		case <-ctx.Done():
+		}
+	case 2:
+		close(g.second)
+	}
+}
+
+// gated holds its runner's first measurement at gate, for stacks whose
+// outer runner already hides any batch capability.
+type gated struct {
+	core.ContextRunner
+	gate *pairGate
+}
+
+func (g gated) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
+	g.gate.enter(ctx)
+	return g.ContextRunner.MeasureContext(ctx, a)
+}
+
 // TestBatchComposesWithWorkers: Batch{Size: 16} on 1 and 3 workers, with
 // the cache on and off and faults on and off, writes the journal and
 // returns the result of the serial reference stack. Without faults the
 // source is batch-capable, so chunks really go through the batch path;
 // with faults the resilient runner hides that capability and chunks are
-// measured draw by draw. Three workers really share the work.
+// measured draw by draw. Three workers really share the work: the first
+// measurement waits at a pairGate until a second worker has started one.
 func TestBatchComposesWithWorkers(t *testing.T) {
 	const seed = 3
 	for _, withFaults := range []bool{false, true} {
@@ -62,18 +104,22 @@ func TestBatchComposesWithWorkers(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				t.Run(fmt.Sprintf("faults=%v-cache=%v-workers%d", withFaults, cached, workers), func(t *testing.T) {
 					var batches atomic.Int64
+					var gate *pairGate
+					if workers > 1 {
+						gate = newPairGate()
+					}
 					var runner core.ContextRunner
 					cfg, wantBytes, wantRes, wantErr := streamKillConfig(seed), refBytes, refRes, refErr
 					switch {
 					case !cached && !withFaults:
-						runner = batchable{equivStack(false), &batches}
+						runner = batchable{equivStack(false), &batches, gate}
 					case !cached:
-						runner = equivStack(true)
+						runner = gated{equivStack(true), gate}
 					case !withFaults:
-						runner = core.NewCachedContextRunner(batchable{cacheEquivStack(false, nil), &batches},
+						runner = core.NewCachedContextRunner(batchable{cacheEquivStack(false, nil), &batches, gate},
 							core.NewCache(0, nil), "cache-equiv-tb")
 					default:
-						runner = cacheEquivStack(true, core.NewCache(0, nil))
+						runner = gated{cacheEquivStack(true, core.NewCache(0, nil)), gate}
 					}
 					if cached {
 						cfg, wantBytes, wantRes, wantErr = equivConfig(seed), cacheRefBytes, cacheRefRes, cacheRefErr

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,10 +15,10 @@ import (
 	"time"
 
 	"optassign/internal/assign"
-	"optassign/internal/cas"
 	"optassign/internal/core"
 	"optassign/internal/obs"
 	"optassign/internal/t2"
+	"optassign/internal/wal"
 )
 
 // JournalVersion identifies the write-ahead journal's on-disk layout.
@@ -33,27 +32,22 @@ type JournalHeader struct {
 	Topo      t2.Topology `json:"topology"`
 	Tasks     int         `json:"tasks"`
 	Seed      int64       `json:"seed,omitempty"`
-	// Strategy is the search strategy's canonical spec (search.Spec):
-	// name plus sorted parameters, e.g. "greedy(explore=0.1,init=200)".
-	// The draw sequence is a deterministic function of (seed, strategy,
-	// outcomes), so resuming under a different strategy would diverge
-	// from the journaled draws — ResumeJournal refuses the mismatch. The
-	// uniform baseline's spec is the empty string, which omitempty elides:
-	// journals written before strategies existed parse as uniform and
-	// uniform journals stay byte-identical to the historical format.
+	// Strategy is the search strategy's canonical spec (search.Spec),
+	// e.g. "greedy(explore=0.1,init=200)". The draws are a deterministic
+	// function of (seed, strategy, outcomes), so ResumeJournal refuses a
+	// different strategy. Uniform's spec is "", which omitempty elides:
+	// journals from before strategies parse as uniform, and uniform
+	// journals keep the older format byte for byte.
 	Strategy string `json:"strategy,omitempty"`
 }
 
 // JournalEntry is one completed measurement attempt: a performance for a
-// successful one, an error string for a quarantined one. Seq numbers the
-// entries from 1 so a resumed run replays exactly the draws the
-// interrupted run consumed.
+// success, an error string for a quarantine. Seq numbers the entries
+// from 1, so a resume replays exactly the draws the killed run consumed.
 //
-// Perf deliberately has no omitempty: a legitimate perf == 0 success
-// must be journaled explicitly rather than silently eliding the field
-// and making the entry read like a failure record missing its error.
-// (Entries distinguish success from quarantine by Error alone, so old
-// journals without the field still load.)
+// Perf has no omitempty: a perf == 0 success is journaled explicitly,
+// not read as a failure missing its error. Success and quarantine differ
+// by Error alone, so old journals without the field still load.
 type JournalEntry struct {
 	Seq   int     `json:"seq"`
 	Ctx   []int   `json:"ctx"`
@@ -65,24 +59,20 @@ type JournalEntry struct {
 // (and pushed to the OS) as it completes, so a killed campaign loses at
 // most the measurement in flight. At ~1.5 s of testbed time per
 // measurement (§5.4) that turns a crash from "lose 2 hours" into "lose
-// 1.5 seconds". It is safe for concurrent use.
+// 1.5 seconds". It is safe for concurrent use. After a failed write or
+// sync it fails closed (wal.ErrFailed); ResumeJournal is the way on.
 type Journal struct {
 	mu      sync.Mutex
-	f       *os.File
+	f       *wal.File
 	header  JournalHeader
 	seq     int
-	closed  bool
 	metrics *JournalMetrics
 	line    []byte // Append's encode buffer, reused under mu
-	// syncs counts the fsyncs in flight, which run outside mu; Close
-	// waits for them before it closes f.
-	syncs sync.WaitGroup
 }
 
 // JournalMetrics observes the write-ahead journal: entries by kind,
-// bytes persisted, and sync latency (the fsync cost an operator trades
-// for power-loss safety). Constructed via NewJournalMetrics; a nil
-// bundle disables recording per the internal/obs conventions.
+// bytes persisted, and sync latency. Constructed via NewJournalMetrics;
+// a nil bundle disables recording per the internal/obs conventions.
 type JournalMetrics struct {
 	Successes   *obs.Counter
 	Failures    *obs.Counter
@@ -116,36 +106,29 @@ func (j *Journal) Instrument(m *JournalMetrics) {
 }
 
 // ErrJournalExists reports a CreateJournal against a path that already
-// holds a journal. Before this error existed, re-running a campaign
-// command without -resume silently truncated the old journal — hours of
-// measurements gone for a forgotten flag. Overwriting now requires the
-// explicit Force option.
+// holds a journal — hours of measurements a forgotten -resume would
+// destroy. Only the Force option overwrites one.
 var ErrJournalExists = errors.New("campaign: journal already exists (resume it, or force overwrite)")
 
 // ErrJournalBusy reports that another process (or another open handle in
-// this one) holds the journal's exclusive lock. Two writers appending to
-// one journal would interleave entries and corrupt the sequence, so the
-// second opener is refused instead. The coordinator surfaces this as
-// HTTP 409.
-var ErrJournalBusy = errors.New("campaign: journal is in use by another process")
+// this one) holds the journal's exclusive lock: two writers would
+// interleave entries. It wraps wal.ErrLocked; the coordinator surfaces
+// it as HTTP 409.
+var ErrJournalBusy = fmt.Errorf("campaign: journal is in use by another process: %w", wal.ErrLocked)
 
 // CreateOption adjusts CreateJournal's behavior.
 type CreateOption func(*createOptions)
 
 type createOptions struct{ force bool }
 
-// Force lets CreateJournal overwrite an existing journal. Without it a
-// create against an existing path fails with ErrJournalExists. The
-// truncation happens only after the exclusive lock is acquired, so even
-// a forced create cannot destroy a journal another process is appending
-// to — that fails with ErrJournalBusy instead.
+// Force lets CreateJournal overwrite an existing journal. It truncates
+// only under the exclusive lock, so it cannot destroy a journal another
+// process is appending to: that fails with ErrJournalBusy.
 func Force() CreateOption { return func(o *createOptions) { o.force = true } }
 
-// CreateJournal starts a fresh journal at path and writes its header. An
-// existing journal is never silently truncated: the create fails with
-// ErrJournalExists unless the Force option is passed. The journal holds
-// an exclusive flock until Close, so no concurrent process can append to
-// (or force-recreate) the same file.
+// CreateJournal starts a fresh journal at path and writes its header; an
+// existing journal is ErrJournalExists unless Force is passed. The
+// journal holds an exclusive flock until Close.
 func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal, error) {
 	var o createOptions
 	for _, opt := range opts {
@@ -155,28 +138,23 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 	if err := h.Topo.Validate(); err != nil {
 		return nil, fmt.Errorf("campaign: journal header: %w", err)
 	}
-	flags := os.O_RDWR | os.O_CREATE | os.O_EXCL
+	flags := os.O_CREATE | os.O_EXCL
 	if o.force {
 		// No O_TRUNC: the truncation must wait for the lock, or a forced
 		// create could destroy a journal mid-append by a live process.
-		flags = os.O_RDWR | os.O_CREATE
+		flags = os.O_CREATE
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if errors.Is(err, fs.ErrExist) {
+	f, err := wal.OpenLocked(path, flags)
+	switch {
+	case errors.Is(err, fs.ErrExist):
 		return nil, fmt.Errorf("%w: %s", ErrJournalExists, path)
-	}
-	if err != nil {
+	case errors.Is(err, wal.ErrLocked):
+		return nil, fmt.Errorf("%w: %s", ErrJournalBusy, path)
+	case err != nil:
 		return nil, err
 	}
-	if err := cas.TryLockEx(f); err != nil {
-		f.Close()
-		if errors.Is(err, cas.ErrLocked) {
-			return nil, fmt.Errorf("%w: %s", ErrJournalBusy, path)
-		}
-		return nil, fmt.Errorf("campaign: locking journal %s: %w", path, err)
-	}
 	if o.force {
-		if err := f.Truncate(0); err != nil {
+		if err := f.TruncateTo(0); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("campaign: truncating journal %s: %w", path, err)
 		}
@@ -190,62 +168,54 @@ func CreateJournal(path string, h JournalHeader, opts ...CreateOption) (*Journal
 	return j, nil
 }
 
-// ResumeJournal reopens an existing journal for appending: it takes the
-// journal's exclusive lock (refusing with ErrJournalBusy if another
-// process holds it), loads and verifies the journaled state against h
-// (topology, task count, seed, and benchmark when both name one), then
-// continues the sequence where the interrupted run stopped. The returned
-// state's Log is what the caller feeds to core.IterConfig.ResumeLog.
+// ResumeJournal reopens an existing journal for appending under its
+// exclusive lock (ErrJournalBusy if held), loads it, verifies its header
+// against h and continues the sequence where the interrupted run
+// stopped. The state's Log is core.IterConfig.ResumeLog.
 func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := wal.OpenLocked(path, 0)
+	if errors.Is(err, wal.ErrLocked) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrJournalBusy, path)
+	}
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := cas.TryLockEx(f); err != nil {
-		f.Close()
-		if errors.Is(err, cas.ErrLocked) {
-			return nil, nil, fmt.Errorf("%w: %s", ErrJournalBusy, path)
-		}
-		return nil, nil, fmt.Errorf("campaign: locking journal %s: %w", path, err)
 	}
 	// Load through the locked descriptor: no other process can append or
-	// truncate between the load and our first append.
+	// truncate between the load and our first append. A partial final
+	// line left by a crash is cut off, so the next append starts on a
+	// fresh, well-formed line.
 	st, err := ReadJournal(f)
+	if err == nil {
+		err = st.Header.resumableAs(h)
+	}
+	if err == nil {
+		err = f.TruncateTo(st.validBytes)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	if st.Header.Topo != h.Topo {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal topology %v does not match testbed %v", st.Header.Topo, h.Topo)
-	}
-	if st.Header.Tasks != h.Tasks {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal has %d tasks, testbed runs %d", st.Header.Tasks, h.Tasks)
-	}
-	if st.Header.Seed != h.Seed {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal seed %d does not match campaign seed %d (resume would draw different assignments)", st.Header.Seed, h.Seed)
-	}
-	if st.Header.Benchmark != "" && h.Benchmark != "" && st.Header.Benchmark != h.Benchmark {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal benchmark %q does not match %q", st.Header.Benchmark, h.Benchmark)
-	}
-	if st.Header.Strategy != h.Strategy {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal strategy %q does not match campaign strategy %q (resume would draw different assignments)",
-			st.Header.Strategy, h.Strategy)
-	}
-	if st.Truncated {
-		// The crash left a partial final line; cut it off so the next
-		// append starts on a fresh, well-formed line. O_APPEND writes
-		// land at the new end of file.
-		if err := f.Truncate(st.validBytes); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
 	return &Journal{f: f, header: st.Header, seq: st.Draws}, st, nil
+}
+
+// resumableAs reports why a campaign with header want cannot continue
+// the journal headed h: another topology, task count, seed, benchmark
+// (when both name one) or search strategy.
+func (h JournalHeader) resumableAs(want JournalHeader) error {
+	switch {
+	case h.Topo != want.Topo:
+		return fmt.Errorf("campaign: journal topology %v does not match testbed %v", h.Topo, want.Topo)
+	case h.Tasks != want.Tasks:
+		return fmt.Errorf("campaign: journal has %d tasks, testbed runs %d", h.Tasks, want.Tasks)
+	case h.Seed != want.Seed:
+		return fmt.Errorf("campaign: journal seed %d does not match campaign seed %d (resume would draw different assignments)", h.Seed, want.Seed)
+	case h.Benchmark != "" && want.Benchmark != "" && h.Benchmark != want.Benchmark:
+		return fmt.Errorf("campaign: journal benchmark %q does not match %q", h.Benchmark, want.Benchmark)
+	case h.Strategy != want.Strategy:
+		return fmt.Errorf("campaign: journal strategy %q does not match campaign strategy %q (resume would draw different assignments)",
+			h.Strategy, want.Strategy)
+	}
+	return nil
 }
 
 // Header returns the journal's identity line.
@@ -259,25 +229,22 @@ func (j *Journal) Len() int {
 	return j.seq
 }
 
-// Append journals one successful measurement. A non-finite perf is
-// rejected up front with a clear error: encoding/json cannot represent
-// NaN or ±Inf, and letting it fail mid-campaign surfaces as an opaque
-// "unsupported value" encode error long after the bad measurement —
-// whereas a testbed reporting a non-finite performance is the actual
-// fault worth reporting. The line is appendEntry's encoding, the bytes
-// json.Marshal writes for the JournalEntry, and costs no allocation.
+// Append journals one successful measurement. A non-finite perf, which
+// JSON cannot represent, is rejected as the testbed fault it is. The line
+// is appendEntry's encoding, json.Marshal's bytes for the JournalEntry,
+// and costs no allocation.
 func (j *Journal) Append(a assign.Assignment, perf float64) error {
 	if math.IsNaN(perf) || math.IsInf(perf, 0) {
 		return fmt.Errorf("campaign: journal: non-finite performance %v for %s (testbed fault?)", perf, a)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errJournalClosed
-	}
 	j.line = append(appendEntry(j.line[:0], j.seq+1, a.Ctx, perf), '\n')
-	if err := j.write(j.line, successLine); err != nil {
+	if err := j.write(j.line); err != nil {
 		return err
+	}
+	if m := j.metrics; m != nil {
+		m.Successes.Inc()
 	}
 	j.seq++
 	return nil
@@ -289,9 +256,6 @@ func (j *Journal) Append(a assign.Assignment, perf float64) error {
 func (j *Journal) AppendFailure(a assign.Assignment, measureErr error) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errJournalClosed
-	}
 	msg := "measurement failed"
 	if measureErr != nil {
 		msg = measureErr.Error()
@@ -300,8 +264,11 @@ func (j *Journal) AppendFailure(a assign.Assignment, measureErr error) error {
 	if err != nil {
 		return fmt.Errorf("campaign: journal encode: %w", err)
 	}
-	if err := j.write(append(line, '\n'), failureLine); err != nil {
+	if err := j.write(append(line, '\n')); err != nil {
 		return err
+	}
+	if m := j.metrics; m != nil {
+		m.Failures.Inc()
 	}
 	j.seq++
 	return nil
@@ -353,38 +320,27 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// The kinds of journal line, as write counts them.
-const (
-	headerLine = iota
-	successLine
-	failureLine
-)
-
 // writeHeader marshals the header as the journal's first line.
 func (j *Journal) writeHeader(h JournalHeader) error {
 	line, err := json.Marshal(h)
 	if err != nil {
 		return fmt.Errorf("campaign: journal encode: %w", err)
 	}
-	return j.write(append(line, '\n'), headerLine)
+	return j.write(append(line, '\n'))
 }
 
-// write appends one complete line of the given kind. Callers hold j.mu
-// (except construction). The write goes straight to the file descriptor
-// — no userspace buffering — so a crashed process loses nothing that
-// Append returned success for.
-func (j *Journal) write(line []byte, kind int) error {
-	if _, err := j.f.Write(line); err != nil {
+// write appends one complete line. Callers hold j.mu (except
+// construction). The write goes straight to the file descriptor — no
+// userspace buffering — so a crashed process loses nothing that Append
+// returned success for.
+func (j *Journal) write(line []byte) error {
+	if err := j.f.Append(line); errors.Is(err, os.ErrClosed) {
+		return errJournalClosed
+	} else if err != nil {
 		return fmt.Errorf("campaign: journal write: %w", err)
 	}
 	if m := j.metrics; m != nil {
 		m.Bytes.Add(float64(len(line)))
-		switch kind {
-		case successLine:
-			m.Successes.Inc()
-		case failureLine:
-			m.Failures.Inc()
-		}
 	}
 	return nil
 }
@@ -405,41 +361,26 @@ func (j *Journal) Commit(a assign.Assignment, perf float64, measureErr error) er
 	return nil
 }
 
-// Sync forces the journal down to stable storage (power-loss safety; a
-// mere process crash never needs it). Every line appended before the call
-// is covered. The fsync runs outside the journal's lock, so appends go on
-// beside it; Close waits for it to finish.
+// Sync forces every line appended before the call to stable storage
+// (power-loss safety). Appends go on beside the fsync, and Close waits
+// for it; it is counted before it starts, so every sync Close waited for
+// is counted when Close returns.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	f, m := j.f, j.metrics
-	if !j.closed {
-		j.syncs.Add(1)
-		defer j.syncs.Done()
-	}
+	m := j.metrics
 	j.mu.Unlock()
-	start := time.Time{}
-	if m != nil {
-		start = time.Now()
+	if m == nil {
+		return j.f.Sync()
 	}
-	err := f.Sync()
-	if m != nil {
-		m.SyncSeconds.Observe(time.Since(start).Seconds())
-		m.Syncs.Inc()
-	}
+	m.Syncs.Inc()
+	start := time.Now()
+	err := j.f.Sync()
+	m.SyncSeconds.Observe(time.Since(start).Seconds())
 	return err
 }
 
 // Close waits for any sync in flight, then closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	j.syncs.Wait()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.f.Close() }
 
 // JournalState is everything recovered from a journal file.
 type JournalState struct {
@@ -480,65 +421,39 @@ func LoadJournal(path string) (*JournalState, error) {
 }
 
 // ReadJournal parses a journal written by Journal, tolerating a torn
-// final line — the expected crash signature for a process killed
-// mid-append, reported via Truncated and excluded from validBytes.
-// Corruption anywhere else is an error. It reads through a fixed-size
-// buffer: resident memory is proportional to the parsed entries, never
-// to the file size, so a coordinator can scan thousands of journals at
-// startup without O(total-bytes) memory. Every resume trusts this
-// parser, so it is fuzzed (FuzzLoadJournal).
+// final line — a process killed mid-append — reported via Truncated.
+// Corruption anywhere else is an error. Through wal.ScanLines, its memory
+// tracks the parsed entries, never the file size. Every resume trusts
+// this parser, so it is fuzzed (FuzzLoadJournal).
 func ReadJournal(r io.Reader) (*JournalState, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
 	st := &JournalState{}
-	var spill []byte // reassembles lines longer than the read buffer
-	line := 0        // complete lines consumed; the header is line 1
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if errors.Is(err, bufio.ErrBufferFull) {
-			spill = append(spill, chunk...)
-			continue
-		}
-		if err != nil && !errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("campaign: reading journal: %w", err)
-		}
-		raw := chunk
-		if len(spill) > 0 {
-			spill = append(spill, chunk...)
-			raw = spill
-		}
-		if err != nil {
-			// EOF: anything unterminated is a torn tail — the process
-			// died mid-append — and the fragment is ignored.
-			st.Truncated = len(raw) > 0
-			break
-		}
+	line := 0 // complete lines consumed; the header is line 1
+	valid, torn, err := wal.ScanLines(r, func(content []byte) error {
 		line++
-		st.validBytes += int64(len(raw))
-		content := raw[:len(raw)-1]
 		switch {
 		case line == 1:
 			if err := json.Unmarshal(content, &st.Header); err != nil {
-				return nil, fmt.Errorf("campaign: journal header: %w", err)
+				return fmt.Errorf("campaign: journal header: %w", err)
 			}
 			if st.Header.Format != JournalVersion {
-				return nil, fmt.Errorf("campaign: unsupported journal format %d", st.Header.Format)
+				return fmt.Errorf("campaign: unsupported journal format %d", st.Header.Format)
 			}
 			if err := st.Header.Topo.Validate(); err != nil {
-				return nil, fmt.Errorf("campaign: journal header: %w", err)
+				return fmt.Errorf("campaign: journal header: %w", err)
 			}
 		case len(bytes.TrimSpace(content)) == 0:
 		default:
 			var e JournalEntry
 			if err := json.Unmarshal(content, &e); err != nil {
-				return nil, fmt.Errorf("campaign: journal entry %d: %w", line-1, err)
+				return fmt.Errorf("campaign: journal entry %d: %w", line-1, err)
 			}
 			if e.Seq != st.Draws+1 {
-				return nil, fmt.Errorf("campaign: journal entry %d: sequence %d, want %d", line-1, e.Seq, st.Draws+1)
+				return fmt.Errorf("campaign: journal entry %d: sequence %d, want %d", line-1, e.Seq, st.Draws+1)
 			}
 			st.Draws = e.Seq
 			a := assign.Assignment{Topo: st.Header.Topo, Ctx: e.Ctx}
 			if err := a.Validate(); err != nil {
-				return nil, fmt.Errorf("campaign: journal entry %d: %w", line-1, err)
+				return fmt.Errorf("campaign: journal entry %d: %w", line-1, err)
 			}
 			if e.Error != "" {
 				st.Quarantined++
@@ -548,20 +463,22 @@ func ReadJournal(r io.Reader) (*JournalState, error) {
 				st.Results = append(st.Results, core.SampleResult{Assignment: a, Perf: e.Perf})
 			}
 		}
-		spill = spill[:0]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if line == 0 {
 		return nil, ErrJournalNoHeader
 	}
+	st.validBytes, st.Truncated = valid, torn
 	return st, nil
 }
 
 // JournalRunner is a core.ContextRunner middleware that write-ahead logs
-// every completed measurement through Journal.Commit: successes and
-// quarantines are journaled, campaign-cancellation errors are not — the
-// draw never completed and the resumed run will re-execute it. Campaigns
-// commit through Run instead; JournalRunner remains for callers that
-// drive core.IterateContext directly.
+// every completed measurement through Journal.Commit. Campaigns commit
+// through Run instead; JournalRunner remains for callers that drive
+// core.IterateContext directly.
 type JournalRunner struct {
 	Journal *Journal
 	Runner  core.ContextRunner

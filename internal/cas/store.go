@@ -17,13 +17,12 @@
 // key are harmless (first-writer-wins in the index — the value is a pure
 // function of the key, so duplicates carry the same performance).
 //
-// Crash safety: each Put is a single O_APPEND write followed by fsync. A
-// crash mid-append leaves a torn tail that fails its length or CRC check;
-// Open (and any writer holding the exclusive lock) truncates the torn
-// tail away, while lock-free readers simply stop scanning at it. A torn
-// tail can therefore never poison the index — it is detected, rejected
-// and removed, and only whole fsynced records survive a kill at any
-// instant.
+// Crash safety: each Put is a single O_APPEND write followed by fsync,
+// through a wal.File. A crash mid-append leaves a torn tail that fails
+// its length or CRC check; Open (and any writer holding the exclusive
+// lock) truncates it away, while lock-free readers stop scanning at it,
+// so only whole fsynced records ever reach the index. A failed append or
+// fsync fails the store closed for writing (wal.ErrFailed).
 //
 // Concurrency: one process may share a Store across goroutines (all
 // methods lock s.mu). Several PROCESSES may share one directory: appends
@@ -35,6 +34,7 @@
 package cas
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,6 +44,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"optassign/internal/wal"
 )
 
 // segmentName is the single append-only data file inside a store
@@ -71,8 +73,7 @@ var ErrCorruptHeader = errors.New("cas: segment header mismatch (not a measureme
 // Store is an open measurement store. Safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	dir     string
-	seg     *os.File // O_APPEND data file
+	seg     *wal.File
 	lock    *os.File // flock target for cross-process append ordering
 	index   map[string]float64
 	scanned int64 // segment bytes validated into the index
@@ -89,62 +90,41 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	seg, err := os.OpenFile(filepath.Join(dir, segmentName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	seg, err := wal.Open(filepath.Join(dir, segmentName), os.O_CREATE)
 	if err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	s := &Store{dir: dir, seg: seg, lock: lock, index: make(map[string]float64)}
+	s := &Store{seg: seg, lock: lock, index: make(map[string]float64)}
 
-	// Header and torn-tail repair happen under the exclusive lock: no
-	// other process can be mid-append, so an invalid tail is a crash
-	// leftover and safe to cut.
-	if err := flockEx(lock); err != nil {
-		s.closeFiles()
+	// Header and torn-tail repair happen under the exclusive lock.
+	if err := wal.LockEx(lock); err != nil {
+		seg.Close()
+		lock.Close()
 		return nil, fmt.Errorf("cas: locking %s: %w", dir, err)
 	}
-	defer funlock(lock)
-	fi, err := seg.Stat()
-	if err != nil {
-		s.closeFiles()
-		return nil, fmt.Errorf("cas: %w", err)
+	defer wal.Unlock(lock)
+	size, err := seg.Size()
+	if err == nil && size == 0 {
+		if err = seg.Append(header); err == nil {
+			err = seg.Sync()
+		}
+		if err != nil {
+			err = fmt.Errorf("cas: writing header: %w", err)
+		}
+	} else if err == nil {
+		err = s.checkHeader()
 	}
-	switch {
-	case fi.Size() == 0:
-		if _, err := seg.Write(header); err != nil {
-			s.closeFiles()
-			return nil, fmt.Errorf("cas: writing header: %w", err)
-		}
-		if err := seg.Sync(); err != nil {
-			s.closeFiles()
-			return nil, fmt.Errorf("cas: %w", err)
-		}
+	if err == nil {
 		s.scanned = int64(len(header))
-	default:
-		if err := s.checkHeader(); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		s.scanned = int64(len(header))
-		if err := s.catchUpLocked(); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		// Whatever failed validation past s.scanned is a torn tail; cut it
-		// so future appends extend a clean log.
-		if fi2, err := seg.Stat(); err == nil && fi2.Size() > s.scanned {
-			if err := seg.Truncate(s.scanned); err != nil {
-				s.closeFiles()
-				return nil, fmt.Errorf("cas: truncating torn tail: %w", err)
-			}
-		}
+		err = s.catchUpExclusive()
+	}
+	if err != nil {
+		seg.Close()
+		lock.Close()
+		return nil, err
 	}
 	return s, nil
-}
-
-func (s *Store) closeFiles() {
-	s.seg.Close()
-	s.lock.Close()
 }
 
 // checkHeader validates the segment's leading bytes.
@@ -153,10 +133,8 @@ func (s *Store) checkHeader() error {
 	if _, err := s.seg.ReadAt(buf, 0); err != nil {
 		return fmt.Errorf("cas: reading header: %w", err)
 	}
-	for i, b := range header {
-		if buf[i] != b {
-			return ErrCorruptHeader
-		}
+	if !bytes.Equal(buf, header) {
+		return ErrCorruptHeader
 	}
 	return nil
 }
@@ -168,11 +146,10 @@ func (s *Store) checkHeader() error {
 // writer's half-visible append) presents, and the caller decides whether
 // to truncate (exclusive-lock holders) or ignore it (readers).
 func (s *Store) catchUpLocked() error {
-	fi, err := s.seg.Stat()
+	size, err := s.seg.Size()
 	if err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	size := fi.Size()
 	if size < s.scanned {
 		// The segment shrank under us — only a torn-tail truncation by
 		// another writer can do that, and it only removes bytes that never
@@ -204,13 +181,27 @@ func (s *Store) catchUpLocked() error {
 			return nil // bit rot or torn write: reject the tail
 		}
 		key := string(payload[:keyLen])
-		perf := bitsToFloat(payload[keyLen:])
+		perf := math.Float64frombits(binary.LittleEndian.Uint64(payload[keyLen:]))
 		if _, ok := s.index[key]; !ok {
 			s.index[key] = perf
 		}
 		off += int64(8 + len(payload))
 		s.scanned = off
 	}
+}
+
+// catchUpExclusive is catchUpLocked for a holder of the exclusive lock:
+// no other process can be mid-append, so whatever fails validation past
+// s.scanned is a torn tail, and it is cut so the next append extends a
+// clean log.
+func (s *Store) catchUpExclusive() error {
+	if err := s.catchUpLocked(); err != nil {
+		return err
+	}
+	if err := s.seg.TruncateTo(s.scanned); err != nil {
+		return fmt.Errorf("cas: truncating torn tail: %w", err)
+	}
+	return nil
 }
 
 // Get returns the stored performance for key. A warm hit is a single map
@@ -246,30 +237,24 @@ func (s *Store) Put(key string, perf float64) error {
 	if _, ok := s.index[key]; ok {
 		return nil
 	}
-	if err := flockEx(s.lock); err != nil {
+	if err := wal.LockEx(s.lock); err != nil {
 		return fmt.Errorf("cas: locking: %w", err)
 	}
-	defer funlock(s.lock)
+	defer wal.Unlock(s.lock)
 	// Under the exclusive lock: absorb peers' appends (the key may have
-	// landed already), and cut any crash-torn tail so our record extends
-	// a clean log.
-	if err := s.catchUpLocked(); err != nil {
+	// landed already), and cut any crash-torn tail.
+	if err := s.catchUpExclusive(); err != nil {
 		return err
 	}
 	if _, ok := s.index[key]; ok {
 		return nil
 	}
-	if fi, err := s.seg.Stat(); err == nil && fi.Size() > s.scanned {
-		if err := s.seg.Truncate(s.scanned); err != nil {
-			return fmt.Errorf("cas: truncating torn tail: %w", err)
-		}
-	}
 	rec := make([]byte, 8+len(key)+8)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
 	copy(rec[8:], key)
-	floatToBits(rec[8+len(key):], perf)
+	binary.LittleEndian.PutUint64(rec[8+len(key):], math.Float64bits(perf))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
-	if _, err := s.seg.Write(rec); err != nil {
+	if err := s.seg.Append(rec); err != nil {
 		return fmt.Errorf("cas: appending record: %w", err)
 	}
 	if err := s.seg.Sync(); err != nil {
@@ -295,29 +280,13 @@ func (s *Store) Bytes() int64 {
 	return s.scanned
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the store's files. The segment needs no final flush —
 // every Put synced itself.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err1 := s.seg.Close()
-	err2 := s.lock.Close()
-	if err1 != nil {
-		return fmt.Errorf("cas: %w", err1)
-	}
-	if err2 != nil {
-		return fmt.Errorf("cas: %w", err2)
+	if err := errors.Join(s.seg.Close(), s.lock.Close()); err != nil {
+		return fmt.Errorf("cas: %w", err)
 	}
 	return nil
-}
-
-func bitsToFloat(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func floatToBits(b []byte, f float64) {
-	binary.LittleEndian.PutUint64(b, math.Float64bits(f))
 }

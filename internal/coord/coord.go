@@ -39,11 +39,11 @@ import (
 	"time"
 
 	"optassign/internal/campaign"
-	"optassign/internal/cas"
 	"optassign/internal/core"
 	"optassign/internal/obs"
 	"optassign/internal/search"
 	"optassign/internal/table"
+	"optassign/internal/wal"
 )
 
 // Spec is one campaign submission.
@@ -345,11 +345,11 @@ func (c *Coordinator) JournalPath(id string) string {
 	return filepath.Join(c.cfg.DataDir, "journals", id+".journal")
 }
 
-// writeSpec persists a spec file atomically (cas.WriteFileAtomic: temp
+// writeSpec persists a spec file atomically (wal.WriteFileAtomic: temp
 // + fsync + rename + directory fsync — the journal's durability
 // discipline).
 func (c *Coordinator) writeSpec(sf specFile) error {
-	err := cas.WriteFileAtomic(c.specPath(sf.Spec.ID), 0o600, func(w io.Writer) error {
+	err := wal.WriteFileAtomic(c.specPath(sf.Spec.ID), 0o600, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(sf)
 	})
 	if err != nil {

@@ -167,7 +167,7 @@ func TestCheckpointOverlapErrorAtNextBoundary(t *testing.T) {
 				if !errors.Is(err, errCheckpoint) {
 					t.Fatalf("err = %v, want the hook's error", err)
 				}
-				if want := fmt.Sprintf("core: estimator checkpoint at %d samples", c.n); !strings.Contains(err.Error(), want) {
+				if want := fmt.Sprintf("core: refit hook at %d samples", c.n); !strings.Contains(err.Error(), want) {
 					t.Fatalf("err = %q, want it to name %q", err, want)
 				}
 				if res.Samples < c.n || res.Samples > c.n+cfg.Ndelta || commits != res.Samples {

@@ -77,9 +77,12 @@ type IterConfig struct {
 	// second goroutine while the next round is measured and committed, so
 	// any state it shares with the runner or the commit chain must be
 	// synchronized. At most one call is in flight, and calls arrive in
-	// refit order. An error aborts the campaign after the round measured
-	// beside the failed call — at most Ndelta draws past it — or at once
-	// if that refit ended the campaign. The estimator state it receives,
+	// refit order. An error, wrapped as "core: refit hook at <n> samples"
+	// with n the sample count of the hook's own refit, aborts the campaign
+	// after the round measured beside the failed call — at most Ndelta
+	// draws past it — or at once if that refit ended the campaign. The
+	// wording names no operation because the caller chooses the hook:
+	// campaign.Run's is a journal sync. The estimator state it receives,
 	// a Snapshot of its own, is kept only for the benchmark module, which
 	// persists it; the argument goes with the benchmark revision.
 	OnRefit func(evt.StreamState) error
@@ -436,7 +439,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				go func(st evt.StreamState, n int) {
 					herr := hook(st)
 					if herr != nil {
-						herr = fmt.Errorf("core: estimator checkpoint at %d samples: %w", n, herr)
+						herr = fmt.Errorf("core: refit hook at %d samples: %w", n, herr)
 					}
 					ch <- herr
 				}(stream.Snapshot(), len(results))

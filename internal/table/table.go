@@ -8,12 +8,11 @@
 //
 // Layout: a directory holding schema.json (the typed schema, written once
 // at create) and rows.tab (JSON-lines, one array of column values per
-// line, append-only). Durability follows the journal's discipline: rows
-// buffer in memory until Commit, which appends them in one write and
-// fsyncs; a crash mid-append leaves a torn final line that Open truncates
-// away under the table's exclusive flock. Committed rows are immutable
-// and never rewritten — the store only grows, so yesterday's query
-// results stay reproducible.
+// line, append-only). Rows buffer in memory until Commit appends them in
+// one write and fsyncs, through a wal.File: Open cuts the torn final line
+// a crash mid-append leaves, and a failed append or fsync fails the table
+// closed until it is reopened. Committed rows are never rewritten, so
+// yesterday's query results stay reproducible.
 //
 // Concurrency: one process owns a table at a time (the open handle holds
 // an exclusive flock on rows.tab; a second opener gets ErrTableBusy), and
@@ -24,7 +23,6 @@
 package table
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,7 +34,7 @@ import (
 	"strconv"
 	"sync"
 
-	"optassign/internal/cas"
+	"optassign/internal/wal"
 )
 
 // FormatVersion identifies the on-disk layout.
@@ -165,8 +163,8 @@ var (
 	// ErrTableMissing reports an Open against a directory with no table.
 	ErrTableMissing = errors.New("table: no table in directory")
 	// ErrTableBusy reports that another process holds the table's
-	// exclusive lock.
-	ErrTableBusy = errors.New("table: table is in use by another process")
+	// exclusive lock. It wraps wal.ErrLocked.
+	ErrTableBusy = fmt.Errorf("table: table is in use by another process: %w", wal.ErrLocked)
 	// ErrSchemaMismatch reports an Open whose expected schema differs
 	// from the persisted one.
 	ErrSchemaMismatch = errors.New("table: schema does not match the stored table")
@@ -176,9 +174,8 @@ var (
 // process may hold it open.
 type Table struct {
 	mu      sync.Mutex
-	dir     string
 	schema  Schema
-	f       *os.File // rows.tab, holds the exclusive flock
+	f       *wal.File // rows.tab, holds the exclusive flock
 	rows    []Row
 	buf     []Row
 	bufSize int
@@ -209,7 +206,7 @@ func Create(dir string, s Schema, bufSize int) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("table: encoding schema: %w", err)
 	}
-	f, err := lockRows(dir)
+	t, err := open(dir, s, bufSize)
 	if err != nil {
 		return nil, err
 	}
@@ -217,15 +214,15 @@ func Create(dir string, s Schema, bufSize int) (*Table, error) {
 	// rows file, and the loser sees the winner's schema. It is installed
 	// atomically, so a crash never leaves an empty or torn schema.json
 	// that Open would refuse.
-	err = cas.WriteFileAtomic(sp, 0o644, func(w io.Writer) error {
+	err = wal.WriteFileAtomic(sp, 0o644, func(w io.Writer) error {
 		_, err := w.Write(append(data, '\n'))
 		return err
 	})
 	if err != nil {
-		f.Close()
+		t.f.Close()
 		return nil, fmt.Errorf("table: writing schema: %w", err)
 	}
-	return &Table{dir: dir, schema: s, f: f, bufSize: normBuf(bufSize), index: buildIndex(s, nil)}, nil
+	return t, nil
 }
 
 // Open opens an existing table, verifying the persisted schema against
@@ -253,27 +250,7 @@ func Open(dir string, want Schema, bufSize int) (*Table, error) {
 	if want.Name != "" && !ps.Schema.equal(want) {
 		return nil, fmt.Errorf("%w: %s", ErrSchemaMismatch, dir)
 	}
-	f, err := lockRows(dir)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{dir: dir, schema: ps.Schema, f: f, bufSize: normBuf(bufSize)}
-	valid, err := t.scan()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Whatever follows the last complete line is a torn append from a
-	// crashed writer; cut it under our exclusive lock so the next commit
-	// extends a clean log.
-	if fi, err := f.Stat(); err == nil && fi.Size() > valid {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("table: truncating torn tail: %w", err)
-		}
-	}
-	t.index = buildIndex(t.schema, t.rows)
-	return t, nil
+	return open(dir, ps.Schema, bufSize)
 }
 
 // OpenOrCreate opens dir's table (verifying its schema) or creates it if
@@ -286,63 +263,39 @@ func OpenOrCreate(dir string, s Schema, bufSize int) (*Table, error) {
 	return t, err
 }
 
-// lockRows opens the rows file and takes the table's exclusive lock.
-func lockRows(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, rowsName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// open takes the table's exclusive lock on dir's rows file, creating it
+// if need be, and loads its rows under schema s. A torn final line, a
+// crashed writer's append, is cut so the next commit extends a clean log;
+// corruption anywhere else is an error.
+func open(dir string, s Schema, bufSize int) (*Table, error) {
+	f, err := wal.OpenLocked(filepath.Join(dir, rowsName), os.O_CREATE)
+	if errors.Is(err, wal.ErrLocked) {
+		return nil, fmt.Errorf("%w: %s", ErrTableBusy, dir)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table: %w", err)
 	}
-	if err := cas.TryLockEx(f); err != nil {
-		f.Close()
-		if errors.Is(err, cas.ErrLocked) {
-			return nil, fmt.Errorf("%w: %s", ErrTableBusy, dir)
-		}
-		return nil, fmt.Errorf("table: locking %s: %w", dir, err)
+	if bufSize <= 0 {
+		bufSize = 64
 	}
-	return f, nil
-}
-
-func normBuf(n int) int {
-	if n <= 0 {
-		return 64
-	}
-	return n
-}
-
-// scan stream-parses the rows file, returning the byte length of the
-// well-formed prefix. A torn final line is tolerated (the caller
-// truncates it); corruption anywhere else is an error.
-func (t *Table) scan() (int64, error) {
-	br := bufio.NewReaderSize(t.f, 64*1024)
-	var valid int64
-	var spill []byte
-	line := 0
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if errors.Is(err, bufio.ErrBufferFull) {
-			spill = append(spill, chunk...)
-			continue
-		}
-		if err != nil && !errors.Is(err, io.EOF) {
-			return 0, fmt.Errorf("table: reading rows: %w", err)
-		}
-		raw := chunk
-		if len(spill) > 0 {
-			spill = append(spill, chunk...)
-			raw = spill
-		}
+	t := &Table{schema: s, f: f, bufSize: bufSize}
+	valid, _, err := wal.ScanLines(f, func(line []byte) error {
+		row, err := t.parseRow(line)
 		if err != nil {
-			return valid, nil // clean EOF, or a torn tail the caller cuts
-		}
-		line++
-		row, perr := t.parseRow(raw[:len(raw)-1])
-		if perr != nil {
-			return 0, fmt.Errorf("table: row %d: %w", line, perr)
+			return fmt.Errorf("table: row %d: %w", len(t.rows)+1, err)
 		}
 		t.rows = append(t.rows, row)
-		valid += int64(len(raw))
-		spill = spill[:0]
+		return nil
+	})
+	if err == nil {
+		err = f.TruncateTo(valid)
 	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	t.index = buildIndex(s, t.rows)
+	return t, nil
 }
 
 // parseRow decodes one JSON-array line into a normalized Row.
@@ -392,9 +345,6 @@ func (t *Table) parseRow(line []byte) (Row, error) {
 
 // Schema returns the table's schema.
 func (t *Table) Schema() Schema { return t.schema }
-
-// Dir returns the table's directory.
-func (t *Table) Dir() string { return t.dir }
 
 // Len reports the committed row count. Buffered rows are invisible until
 // Commit.
@@ -472,8 +422,9 @@ func normalize(c Column, v any) (any, error) {
 }
 
 // Commit appends every buffered row to the rows file in one write,
-// fsyncs, and makes them visible to queries. An error leaves the buffer
-// intact for a retry — nothing half-committed becomes visible.
+// fsyncs, and makes them visible to queries. After a failed append or
+// fsync, Commit and Close return wal.ErrFailed and write nothing, so no
+// row lands behind a torn one or twice; reopening recovers every row.
 func (t *Table) Commit() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -493,7 +444,7 @@ func (t *Table) commitLocked() error {
 		out = append(out, line...)
 		out = append(out, '\n')
 	}
-	if _, err := t.f.Write(out); err != nil {
+	if err := t.f.Append(out); err != nil {
 		return fmt.Errorf("table: appending rows: %w", err)
 	}
 	if err := t.f.Sync(); err != nil {
@@ -596,16 +547,15 @@ func (t *Table) Lookup(col string, val any) ([]int, error) {
 	return append([]int(nil), ids...), nil
 }
 
-// Close commits any buffered rows and releases the table's lock.
+// Close commits any buffered rows and releases the table's lock; rows it
+// could not commit are dropped with the error. Closing twice is harmless,
+// and a Commit after Close fails.
 func (t *Table) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.f == nil {
-		return nil
-	}
 	cerr := t.commitLocked()
+	t.buf = nil
 	ferr := t.f.Close()
-	t.f = nil
 	if cerr != nil {
 		return cerr
 	}
