@@ -23,7 +23,8 @@
 // stratified are tail-safe: every draw feeds the EVT optimum estimate.
 // Greedy marks its adaptive moves as exploration, excluded from the fit
 // so the confidence interval stays calibrated; anneal's biased sample
-// makes the reported optimum estimate advisory only. The strategy's
+// gets no optimum estimate and no stopping rule, so it runs to the -max
+// budget and reports "no estimate". The strategy's
 // canonical spec is stamped into the journal header, and -resume refuses
 // to continue a journal under a different strategy.
 //
@@ -121,10 +122,10 @@ import (
 	"optassign/internal/t2"
 )
 
-// progressPrinter renders the campaign's "round" events as a live status
-// line on stderr, augmented with retry counts and worker utilization read
-// from the metric bundles. Only "round" events mutate its state, and those
-// arrive from the single iterate loop, so Emit needs no locking.
+// progressPrinter renders the campaign's completed rounds as a live
+// status line, augmented with retry counts, cache hits and worker
+// utilization read from the metric bundles. Rounds arrive one at a time
+// on the campaign loop's goroutine, so it needs no locking.
 type progressPrinter struct {
 	out     io.Writer
 	start   time.Time
@@ -132,46 +133,43 @@ type progressPrinter struct {
 	resm    *core.ResilientMetrics
 	poolm   *core.PoolMetrics
 	cachem  *core.CacheMetrics
-	streamm *obs.StreamMetrics
 	last    int // previous line length, for overwrite padding
 }
 
-// Emit implements obs.EventSink.
-func (p *progressPrinter) Emit(e obs.Event) {
-	if e.Name != "round" {
+// round overwrites the status line with r; a nil printer prints nothing.
+func (p *progressPrinter) round(r core.Round) {
+	if p == nil {
 		return
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "round %v: n=%v best=%.6g", e.Field("round"), e.Field("samples"), e.Field("best"))
-	if tu, _ := e.Field("tail_unbounded").(bool); tu {
-		b.WriteString(" tail unbounded, sampling more")
-	} else {
-		// The live converging bound: the streaming refit's point estimate
-		// with its half-width — "upb=X ±Y" narrows round over round as the
+	fmt.Fprintf(&b, "round %d: n=%d best=%.6g", r.N, r.Samples, r.Best)
+	switch e := r.Estimate; r.Kind {
+	case core.RoundEstimated:
+		// The live converging bound: the refit's point estimate with its
+		// half-width — "upb=X ±Y" narrows round over round as the
 		// campaign converges. The half-width is omitted while the upper
 		// bound is unbounded (the CI shows the honest [lo, +Inf]).
-		upb, _ := e.Field("upb").(float64)
-		lo, _ := e.Field("upb_lo").(float64)
-		hi, _ := e.Field("upb_hi").(float64)
-		fmt.Fprintf(&b, " upb=%.6g", upb)
-		if !math.IsInf(hi, 1) {
-			fmt.Fprintf(&b, " ±%.3g", (hi-lo)/2)
+		fmt.Fprintf(&b, " upb=%.6g", e.Optimal)
+		if !math.IsInf(e.Hi, 1) {
+			fmt.Fprintf(&b, " ±%.3g", (e.Hi-e.Lo)/2)
 		}
-		fmt.Fprintf(&b, " CI=[%.6g, %.6g] gap=%.2f%%", lo, hi, e.Field("headroom_hi_pct"))
+		fmt.Fprintf(&b, " CI=[%.6g, %.6g] gap=%.2f%%", e.Lo, e.Hi, e.HeadroomHiPct)
+	case core.RoundUnbounded:
+		b.WriteString(" no estimate: tail not yet bounded, sampling more")
+	case core.RoundTailUnsafe:
+		b.WriteString(" " + notTailSafe)
 	}
 	// refits counts the refits made in this process: a resumed campaign
 	// rebuilds its estimator from the journal, so the count starts again.
-	if p.streamm != nil {
-		if refits := p.streamm.RefitCount.Value(); refits > 0 {
-			fmt.Fprintf(&b, " tail=%.0f refits=%.0f", p.streamm.TailExceedances.Value(), refits)
-		}
+	if refits := r.Stream.RefitCount; refits > 0 {
+		fmt.Fprintf(&b, " tail=%d refits=%d", r.Stream.TailCount, refits)
 	}
-	if q, ok := e.Field("quarantined").(int); ok && q > 0 {
-		fmt.Fprintf(&b, " quarantined=%d", q)
+	if r.Quarantined > 0 {
+		fmt.Fprintf(&b, " quarantined=%d", r.Quarantined)
 	}
 	if p.resm != nil {
-		if r := p.resm.Retries.Value(); r > 0 {
-			fmt.Fprintf(&b, " retries=%.0f", r)
+		if n := p.resm.Retries.Value(); n > 0 {
+			fmt.Fprintf(&b, " retries=%.0f", n)
 		}
 	}
 	if p.cachem != nil {
@@ -189,10 +187,7 @@ func (p *progressPrinter) Emit(e obs.Event) {
 		}
 	}
 	line := b.String()
-	pad := p.last - len(line)
-	if pad < 0 {
-		pad = 0
-	}
+	pad := max(p.last-len(line), 0)
 	p.last = len(line)
 	fmt.Fprintf(p.out, "\r%s%s", line, strings.Repeat(" ", pad))
 }
@@ -202,6 +197,48 @@ func (p *progressPrinter) done() {
 	if p != nil && p.last > 0 {
 		fmt.Fprintln(p.out)
 	}
+}
+
+// notTailSafe explains the missing estimate of a strategy that is not
+// tail-safe: its biased sample is never fitted.
+const notTailSafe = "no estimate: the strategy is not tail-safe"
+
+// report prints a finished campaign's result and says whether the
+// requirement was met. A campaign without an estimate says so instead of
+// printing a zero optimum and loss bound.
+func report(w io.Writer, res core.IterResult, tailSafe bool, loss float64) bool {
+	fmt.Fprintf(w, "measured %d assignments\n", res.Samples)
+	if n := len(res.Quarantined); n > 0 {
+		fmt.Fprintf(w, "quarantined %d assignment(s) whose measurements kept failing; they are excluded from the sample\n", n)
+	}
+	fmt.Fprintf(w, "best assignment: %s\n", res.Best.Assignment)
+	fmt.Fprintf(w, "  measured performance:   %.6g PPS\n", res.Best.Perf)
+	if len(res.History) == 0 {
+		reason := "no estimate: the tail was never bounded"
+		if !tailSafe {
+			reason = notTailSafe
+		}
+		fmt.Fprintf(w, "  estimated optimum:      %s\n", reason)
+		fmt.Fprintf(w, "sample budget exhausted with no estimate to check the %.2f%% requirement against\n", loss)
+		return false
+	}
+	fmt.Fprintf(w, "  estimated optimum:      %.6g PPS (0.95 CI [%.6g, %.6g])\n",
+		res.Final.Optimal, res.Final.Lo, res.Final.Hi)
+	fmt.Fprintf(w, "  guaranteed loss bound:  %.2f%%\n", res.Final.HeadroomHiPct)
+	if planner, err := core.NewPlanner(res.Final); err == nil {
+		if prob, err := planner.ProbImprove(1000); err == nil {
+			fmt.Fprintf(w, "  P(1000 more samples improve the best): %.1f%%\n", prob*100)
+		}
+		if median, err := planner.MedianBestOfN(10 * res.Samples); err == nil {
+			fmt.Fprintf(w, "  median best if the campaign were 10x longer: %.6g PPS\n", median)
+		}
+	}
+	if res.Satisfied {
+		fmt.Fprintf(w, "requirement met: loss <= %.2f%% with 0.95 confidence\n", loss)
+		return true
+	}
+	fmt.Fprintf(w, "sample budget exhausted before meeting the %.2f%% requirement\n", loss)
+	return false
 }
 
 func main() {
@@ -297,10 +334,8 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	var prog *progressPrinter
-	var events obs.EventSink
 	if *progress {
 		prog = &progressPrinter{out: os.Stderr, start: time.Now()}
-		events = prog
 	}
 
 	var (
@@ -317,13 +352,11 @@ func main() {
 		// start once enough have been identity-verified into the pool.
 		// Members keep joining and leaving while the campaign runs.
 		pool := remote.NewPool(remote.PoolConfig{
-			Client:  remote.ClientConfig{Events: events, Metrics: remote.NewClientMetrics(reg)},
-			Events:  events,
+			Client:  remote.ClientConfig{Metrics: remote.NewClientMetrics(reg)},
 			Metrics: remote.NewPoolMetrics(reg),
 		})
 		defer pool.Close()
 		fleet := remote.NewRegistry(pool, remote.RegistryConfig{
-			Events:  events,
 			Metrics: remote.NewMembershipMetrics(reg),
 		})
 		l, err := net.Listen("tcp", *registry)
@@ -343,8 +376,7 @@ func main() {
 		fmt.Printf("fleet ready: %d server(s), %d tasks on %s\n", poolSize, tasks, topo)
 	case len(addrs) > 1:
 		pool, err := remote.DialPool(addrs, remote.PoolConfig{
-			Client:  remote.ClientConfig{Events: events, Metrics: remote.NewClientMetrics(reg)},
-			Events:  events,
+			Client:  remote.ClientConfig{Metrics: remote.NewClientMetrics(reg)},
 			Metrics: remote.NewPoolMetrics(reg),
 		})
 		if err != nil {
@@ -359,7 +391,6 @@ func main() {
 		addr := addrs[0]
 		client, err := remote.DialConfig(remote.ClientConfig{
 			Dial:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			Events:  events,
 			Metrics: remote.NewClientMetrics(reg),
 		})
 		if err != nil {
@@ -406,18 +437,21 @@ func main() {
 		Ndelta:        *ndelta,
 		MaxSamples:    *maxSamples,
 		Seed:          *seed,
-		Events:        events,
-		Metrics:       core.NewIterMetrics(reg),
-		StreamMetrics: obs.NewStreamMetrics(reg),
 	}
-	if prog != nil {
-		prog.streamm = cfg.StreamMetrics
+	// Every completed round feeds the metric bundle and the status line.
+	im := core.NewIterMetrics(reg)
+	if im != nil {
+		cfg.OnRound = func(r core.Round) {
+			im.Observe(r)
+			prog.round(r)
+		}
 	}
 
 	// Search strategy: the default uniform draw keeps cfg.Strategy nil so
 	// the campaign takes the legacy sampler path (and its journals stay
 	// headerless, readable by older builds). Any explicit non-uniform
 	// choice is constructed here, instrumented into the same registry.
+	tailSafe := true
 	if strategySpec != "" {
 		sm := search.NewMetrics(reg, *strategy)
 		strat, serr := search.New(*strategy, sparams, sm)
@@ -425,9 +459,11 @@ func main() {
 			log.Fatal(serr)
 		}
 		cfg.Strategy = strat
-		cfg.SearchMetrics = sm
-		if !strat.TailSafe() {
-			fmt.Printf("note: strategy %s biases the sample toward its incumbent; the optimum estimate is fit on i.i.d. draws only\n", strat.Name())
+		if im != nil {
+			im.Search = sm
+		}
+		if tailSafe = strat.TailSafe(); !tailSafe {
+			fmt.Printf("note: strategy %s biases the sample toward its incumbent, so the campaign fits no optimum estimate and has no stopping rule: it runs to the -max budget\n", strat.Name())
 		}
 		fmt.Printf("search strategy: %s\n", strategySpec)
 	}
@@ -439,7 +475,6 @@ func main() {
 			MaxAttempts: *retries + 1,
 			Timeout:     *timeout,
 			Seed:        *seed,
-			Events:      events,
 			Metrics:     core.NewResilientMetrics(reg),
 		}
 		if *verbose {
@@ -554,29 +589,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("executed %d random assignments\n", res.Samples)
-	if n := len(res.Quarantined); n > 0 {
-		fmt.Printf("quarantined %d assignment(s) whose measurements kept failing; they are excluded from the sample\n", n)
+	if !report(os.Stdout, res, tailSafe, *loss) {
+		os.Exit(2)
 	}
-	fmt.Printf("best assignment: %s\n", res.Best.Assignment)
-	fmt.Printf("  measured performance:   %.6g PPS\n", res.Best.Perf)
-	fmt.Printf("  estimated optimum:      %.6g PPS (0.95 CI [%.6g, %.6g])\n",
-		res.Final.Optimal, res.Final.Lo, res.Final.Hi)
-	fmt.Printf("  guaranteed loss bound:  %.2f%%\n", res.Final.HeadroomHiPct)
-	if planner, err := core.NewPlanner(res.Final); err == nil {
-		if prob, err := planner.ProbImprove(1000); err == nil {
-			fmt.Printf("  P(1000 more samples improve the best): %.1f%%\n", prob*100)
-		}
-		if median, err := planner.MedianBestOfN(10 * res.Samples); err == nil {
-			fmt.Printf("  median best if the campaign were 10x longer: %.6g PPS\n", median)
-		}
-	}
-	if res.Satisfied {
-		fmt.Printf("requirement met: loss <= %.2f%% with 0.95 confidence\n", *loss)
-		return
-	}
-	fmt.Printf("sample budget exhausted before meeting the %.2f%% requirement\n", *loss)
-	os.Exit(2)
 }
 
 // runClient talks to a campaignd service instead of measuring locally:

@@ -131,27 +131,19 @@ func Run(cfg Config, pop Population) (Result, error) {
 	}
 
 	outcomes := make([]repOutcome, cfg.Replications)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for r := 0; r < cfg.Replications; r++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			outcomes[r] = replicate(cfg, pop, truth, r)
-			if m := cfg.Metrics; m != nil {
-				m.Replications.Inc()
-				if outcomes[r].covered {
-					m.Covered.Inc()
-				}
-				if !outcomes[r].ok {
-					m.Rejected.Inc()
-				}
+	fanOut(cfg.Replications, cfg.Workers, func(r int) error {
+		outcomes[r] = replicate(cfg, pop, truth, r)
+		if m := cfg.Metrics; m != nil {
+			m.Replications.Inc()
+			if outcomes[r].covered {
+				m.Covered.Inc()
 			}
-		}(r)
-	}
-	wg.Wait()
+			if !outcomes[r].ok {
+				m.Rejected.Inc()
+			}
+		}
+		return nil
+	})
 
 	res := Result{
 		Scenario:     pop.Name(),
@@ -230,6 +222,33 @@ func Run(cfg Config, pop Population) (Result, error) {
 		m.Coverage.Set(res.Coverage)
 	}
 	return res, nil
+}
+
+// fanOut runs fn for every replication r in [0, n) on at most workers
+// goroutines and returns the error of the lowest failing replication.
+// Each replication writes only its own outcome slot, and every reduction
+// runs serially afterwards in replication order, so results never depend
+// on scheduling or on the worker count.
+func fanOut(n, workers int, fn func(r int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(r int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[r] = fn(r)
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // replicate runs one synthetic campaign.

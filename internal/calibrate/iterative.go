@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"optassign/internal/core"
 	"optassign/internal/evt"
@@ -105,32 +104,24 @@ type iterOutcome struct {
 
 // RunIterative calibrates the iterative algorithm against pop: every
 // replication runs a complete core.IterateContext campaign (fresh seed,
-// fresh draws) on the population's class map and compares the claimed
-// loss bound with the realized loss against the enumerated optimum.
-func RunIterative(cfg IterConfig, pop *DiscretePopulation) (IterResult, error) {
+// fresh draws) on the population's landscape and compares the claimed
+// loss bound with the realized loss against the known optimum.
+func RunIterative(cfg IterConfig, pop AssignPop) (IterResult, error) {
 	cfg = cfg.withDefaults()
 	truth := pop.TrueOptimum()
 	if !(truth > 0) {
-		return IterResult{}, fmt.Errorf("calibrate: discrete population optimum must be positive, got %v", truth)
+		return IterResult{}, fmt.Errorf("calibrate: population optimum must be positive, got %v", truth)
 	}
 	runner := pop.Runner()
 
 	outcomes := make([]iterOutcome, cfg.Replications)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for r := 0; r < cfg.Replications; r++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			outcomes[r] = iterReplicate(cfg, pop, truth, runner, r)
-			if m := cfg.Metrics; m != nil {
-				m.Replications.Inc()
-			}
-		}(r)
-	}
-	wg.Wait()
+	fanOut(cfg.Replications, cfg.Workers, func(r int) error {
+		outcomes[r] = iterReplicate(cfg, pop, truth, runner, r)
+		if m := cfg.Metrics; m != nil {
+			m.Replications.Inc()
+		}
+		return nil
+	})
 
 	res := IterResult{
 		Scenario:      pop.Name(),
@@ -172,7 +163,7 @@ func RunIterative(cfg IterConfig, pop *DiscretePopulation) (IterResult, error) {
 }
 
 // iterReplicate runs one full campaign.
-func iterReplicate(cfg IterConfig, pop *DiscretePopulation, truth float64, runner core.ContextRunner, r int) iterOutcome {
+func iterReplicate(cfg IterConfig, pop AssignPop, truth float64, runner core.ContextRunner, r int) iterOutcome {
 	var strat search.Strategy
 	if cfg.NewStrategy != nil {
 		var err error

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
@@ -272,27 +271,12 @@ func RunSearchCoverage(cfg SearchCoverageConfig, pop AssignPop) (SearchCoverageR
 	runner := pop.Runner()
 
 	outcomes := make([]searchCoverageOutcome, cfg.Replications)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	var firstErr error
-	var errOnce sync.Once
-	for r := 0; r < cfg.Replications; r++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			o, err := searchCoverageReplicate(cfg, pop, truth, runner, r)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			outcomes[r] = o
-		}(r)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return SearchCoverageResult{}, firstErr
+	err := fanOut(cfg.Replications, cfg.Workers, func(r int) (err error) {
+		outcomes[r], err = searchCoverageReplicate(cfg, pop, truth, runner, r)
+		return err
+	})
+	if err != nil {
+		return SearchCoverageResult{}, err
 	}
 
 	res := SearchCoverageResult{

@@ -1,8 +1,13 @@
 package calibrate
 
 import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"optassign/internal/evt"
 	"optassign/internal/search"
 	"optassign/internal/t2"
 )
@@ -168,5 +173,52 @@ func TestSearchStudyEfficiencyGate(t *testing.T) {
 	// Pin the winner so silent regressions in either direction surface.
 	if res.BestStrategy != "stratified" {
 		t.Errorf("pinned winner drifted: %s (%.1f%% savings), want stratified", res.BestStrategy, res.BestSavingsPct)
+	}
+}
+
+// TestRunIterativeHashGPDWorkerInvariance: the stopping-rule calibration
+// runs on a continuous AssignPop, not only on the enumerated discrete
+// population, and its result does not depend on the worker count.
+func TestRunIterativeHashGPDWorkerInvariance(t *testing.T) {
+	pop := HashGPDPopulation{TopoT: t2.UltraSPARCT2(), TasksN: 8, Loc: 100, Tail: evt.GPD{Xi: -0.3, Sigma: 30}}
+	cfg := IterConfig{Replications: 8, AcceptLossPct: 5, Ninit: 400, Ndelta: 100, MaxSamples: 800, Seed: 11}
+	var results []IterResult
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		res, err := RunIterative(cfg, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("workers 1: %+v\nworkers 4: %+v", results[0], results[1])
+	}
+	if r := results[0]; r.Failed > 0 || r.Satisfied+r.Exhausted != cfg.Replications || r.TrueOptimum != pop.TrueOptimum() {
+		t.Fatalf("result %+v", r)
+	}
+}
+
+// TestFanOutReportsLowestFailingReplication: every replication runs, and
+// the error returned is the lowest failing replication's, whichever
+// finished first.
+func TestFanOutReportsLowestFailingReplication(t *testing.T) {
+	var ran atomic.Int32
+	err := fanOut(10, 4, func(r int) error {
+		ran.Add(1)
+		switch r {
+		case 3:
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("replication %d", r)
+		case 7:
+			return fmt.Errorf("replication %d", r)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "replication 3" {
+		t.Fatalf("err = %v, want replication 3's", err)
+	}
+	if ran.Load() != 10 {
+		t.Fatalf("%d replications ran, want 10", ran.Load())
 	}
 }

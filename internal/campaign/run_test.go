@@ -236,15 +236,14 @@ func TestRunSyncsJournalBeforeEveryCheckpoint(t *testing.T) {
 			jm := NewJournalMetrics(obs.NewRegistry())
 			j.Instrument(jm)
 			cfg := streamKillConfig(seed)
-			rounds := &obs.CollectorSink{}
-			cfg.Events = rounds
+			n := 0
+			cfg.OnRound = func(core.Round) { n++ }
 			rc := p.rc
 			rc.Journal = j
 			if _, err := Run(context.Background(), equivStack(false), cfg, rc); !errors.Is(err, core.ErrBudgetExhausted) {
 				t.Fatalf("err = %v", err)
 			}
 			j.Close()
-			n := rounds.Count("round")
 			if n < 2 {
 				t.Fatalf("%d rounds, want several", n)
 			}

@@ -40,7 +40,6 @@ import (
 
 	"optassign/internal/campaign"
 	"optassign/internal/core"
-	"optassign/internal/obs"
 	"optassign/internal/search"
 	"optassign/internal/table"
 	"optassign/internal/wal"
@@ -225,8 +224,8 @@ type campState struct {
 	cancel  context.CancelFunc
 	pending State // what a context cancellation means: paused or cancelled
 
-	// Live convergence figures, updated from round events while running,
-	// frozen from the result (or the table row) when terminal.
+	// Live convergence figures, updated from each reported round while
+	// running, frozen from the result (or the table row) when terminal.
 	samples     int
 	quarantined int
 	best        float64
@@ -358,6 +357,19 @@ func (c *Coordinator) writeSpec(sf specFile) error {
 	return nil
 }
 
+// decodeSpec decodes the spec file of campaign id, refusing one that
+// names another campaign.
+func decodeSpec(id string, data []byte) (specFile, error) {
+	var sf specFile
+	if err := json.Unmarshal(data, &sf); err != nil {
+		return specFile{}, fmt.Errorf("coord: decoding spec %s: %w", id, err)
+	}
+	if sf.Spec.ID != id {
+		return specFile{}, fmt.Errorf("coord: spec file %s names campaign %q", id, sf.Spec.ID)
+	}
+	return sf, nil
+}
+
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
@@ -385,12 +397,9 @@ func (c *Coordinator) recover() error {
 		if err != nil {
 			return fmt.Errorf("coord: %w", err)
 		}
-		var sf specFile
-		if err := json.Unmarshal(data, &sf); err != nil {
-			return fmt.Errorf("coord: decoding spec %s: %w", id, err)
-		}
-		if sf.Spec.ID != id {
-			return fmt.Errorf("coord: spec file %s names campaign %q", id, sf.Spec.ID)
+		sf, err := decodeSpec(id, data)
+		if err != nil {
+			return err
 		}
 		cs := &campState{spec: sf.Spec, created: sf.CreatedUnix, testbed: c.cfg.Source.Testbed()}
 		cs.strategy, _ = sf.Spec.strategySpec()
@@ -576,41 +585,17 @@ func (c *Coordinator) kickLocked() {
 	}
 }
 
-// roundSink feeds a campaign's live status from the engine's per-round
-// events. It observes only — journal bytes are identical with it on or
-// off (the engine guarantees that for every sink).
-type roundSink struct {
-	c  *Coordinator
-	cs *campState
-}
-
-func (s roundSink) Emit(e obs.Event) {
-	if e.Name != "round" {
-		return
-	}
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	cs := s.cs
-	if v, ok := e.Field("samples").(int); ok {
-		cs.samples = v
-	}
-	if v, ok := e.Field("best").(float64); ok {
-		cs.best = v
-	}
-	if v, ok := e.Field("upb").(float64); ok {
-		cs.upb = fin(v)
-	}
-	if v, ok := e.Field("upb_lo").(float64); ok {
-		cs.upbLo = fin(v)
-	}
-	if v, ok := e.Field("upb_hi").(float64); ok {
-		cs.upbHi = fin(v)
-	}
-	if v, ok := e.Field("headroom_hi_pct").(float64); ok {
-		cs.gapPct = fin(v)
-	}
-	if v, ok := e.Field("quarantined").(int); ok {
-		cs.quarantined = v
+// roundStatus feeds a campaign's live status from the engine's completed
+// rounds. It observes only — journal bytes are identical with it on or
+// off. The bound fields change only on rounds that estimated.
+func (c *Coordinator) roundStatus(cs *campState) func(core.Round) {
+	return func(r core.Round) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		cs.samples, cs.quarantined, cs.best = r.Samples, r.Quarantined, r.Best
+		if e := r.Estimate; r.Kind == core.RoundEstimated {
+			cs.upb, cs.upbLo, cs.upbHi, cs.gapPct = fin(e.Optimal), fin(e.Lo), fin(e.Hi), fin(e.HeadroomHiPct)
+		}
 	}
 }
 
@@ -645,7 +630,7 @@ func (c *Coordinator) run(cs *campState, ctx context.Context) {
 		Ndelta:        spec.Ndelta,
 		MaxSamples:    spec.MaxSamples,
 		Seed:          spec.Seed,
-		Events:        roundSink{c: c, cs: cs},
+		OnRound:       c.roundStatus(cs),
 	}
 	if hdr.Strategy != "" {
 		params, err := search.ParseParams(spec.StrategyParams)

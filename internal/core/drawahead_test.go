@@ -156,10 +156,15 @@ func TestDrawAheadStopJournalsCommittedRounds(t *testing.T) {
 			t.Run(fmt.Sprintf("loss%v-%s", c.loss, p.name), func(t *testing.T) {
 				probe := &probeStrategy{}
 				reg := obs.NewRegistry()
-				sm := search.NewMetrics(reg, probe.Name())
-				events := &obs.CollectorSink{}
+				im := core.NewIterMetrics(reg)
+				im.Search = search.NewMetrics(reg, probe.Name())
+				rounds := 0
 				cfg := drawAheadConfig(c.loss)
-				cfg.Strategy, cfg.SearchMetrics, cfg.Events = probe, sm, events
+				cfg.Strategy = probe
+				cfg.OnRound = func(r core.Round) {
+					rounds++
+					im.Observe(r)
+				}
 				commits := 0
 				res, err := p.run(context.Background(), cfg, func(assign.Assignment, float64, error) error {
 					commits++
@@ -171,11 +176,11 @@ func TestDrawAheadStopJournalsCommittedRounds(t *testing.T) {
 				if commits != c.draws || res.Samples+len(res.Quarantined) != c.draws {
 					t.Fatalf("%d commits, %d results; want %d", commits, res.Samples+len(res.Quarantined), c.draws)
 				}
-				if got := events.Count("round"); got != c.rounds {
-					t.Fatalf("%d round events, want %d", got, c.rounds)
+				if rounds != c.rounds {
+					t.Fatalf("%d rounds reported, want %d", rounds, c.rounds)
 				}
-				if got := sm.Draws.Value(); got != float64(c.draws) {
-					t.Fatalf("SearchMetrics.Draws = %v, want the %d committed draws", got, c.draws)
+				if got := im.Search.Draws.Value(); got != float64(c.draws) {
+					t.Fatalf("search draws counter = %v, want the %d committed draws", got, c.draws)
 				}
 				if got := int(probe.calls.Load()); got != c.draws+c.dropped {
 					t.Fatalf("strategy drew %d, want %d committed + %d dropped", got, c.draws, c.dropped)
@@ -188,24 +193,27 @@ func TestDrawAheadStopJournalsCommittedRounds(t *testing.T) {
 // TestDrawAheadNextErrorOnlyIfContinuing: a strategy that fails in round
 // k+1 fails the campaign only when the rule lets it reach round k+1. At
 // a 1% loss the campaign certifies at 160 draws, so a failure at draw
-// 170 is drawn ahead and dropped; at 0.1% it surfaces, after the draws
-// before it are counted.
+// 170 is drawn ahead and dropped; at 0.1% it surfaces once the 170
+// draws before it are proposed. The failed round is not reported, so the
+// search draw counter holds the 160 draws of the rounds that completed.
 func TestDrawAheadNextErrorOnlyIfContinuing(t *testing.T) {
 	const failAt = 170
 	for _, p := range drawAheadPaths {
 		t.Run(p.name, func(t *testing.T) {
 			for _, loss := range []float64{1, 0.1} {
 				probe := &probeStrategy{failAt: failAt}
-				sm := search.NewMetrics(obs.NewRegistry(), probe.Name())
+				reg := obs.NewRegistry()
+				im := core.NewIterMetrics(reg)
+				im.Search = search.NewMetrics(reg, probe.Name())
 				cfg := drawAheadConfig(loss)
-				cfg.Strategy, cfg.SearchMetrics = probe, sm
+				cfg.Strategy, cfg.OnRound = probe, im.Observe
 				res, err := p.run(context.Background(), cfg, nil)
 				if loss == 1 {
 					if err != nil || !res.Satisfied || res.Samples != 160 {
 						t.Fatalf("loss 1%%: err = %v, satisfied %v at %d samples; want certified at 160", err, res.Satisfied, res.Samples)
 					}
-					if got := sm.Draws.Value(); got != 160 {
-						t.Fatalf("loss 1%%: SearchMetrics.Draws = %v, want 160", got)
+					if got := im.Search.Draws.Value(); got != 160 {
+						t.Fatalf("loss 1%%: search draws counter = %v, want 160", got)
 					}
 					continue
 				}
@@ -215,8 +223,11 @@ func TestDrawAheadNextErrorOnlyIfContinuing(t *testing.T) {
 				if res.Samples != 160 {
 					t.Fatalf("loss 0.1%%: %d samples, want the 160 committed", res.Samples)
 				}
-				if got := sm.Draws.Value(); got != failAt {
-					t.Fatalf("loss 0.1%%: SearchMetrics.Draws = %v, want %d", got, failAt)
+				if got := probe.calls.Load(); got != failAt+1 {
+					t.Fatalf("loss 0.1%%: strategy called %d times, want %d draws and the failing call", got, failAt)
+				}
+				if got := im.Search.Draws.Value(); got != 160 {
+					t.Fatalf("loss 0.1%%: search draws counter = %v, want the 160 of the completed rounds", got)
 				}
 			}
 		})

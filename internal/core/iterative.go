@@ -8,7 +8,6 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/evt"
-	"optassign/internal/obs"
 	"optassign/internal/search"
 	"optassign/internal/t2"
 )
@@ -55,23 +54,13 @@ type IterConfig struct {
 	// a resumed run re-measures nothing it already has and its draw and
 	// estimation schedule matches the uninterrupted one exactly.
 	ResumeLog []ResumeDraw
-	// Events receives one "round" event per estimation round (§5.3
-	// Fig. 13 iteration): sample sizes, the best observed performance,
-	// ÛPB with its confidence interval, and the convergence gap. This is
-	// what live progress displays subscribe to. nil disables.
-	Events obs.EventSink
-	// Metrics publishes the same per-round state as gauges for scraping.
-	// nil disables. Neither hook influences the campaign: draws, RNG
-	// consumption and results are identical with observability on or off.
-	Metrics *IterMetrics
-	// SearchMetrics counts draws, exploration draws and best-improvements,
-	// labeled by strategy. nil disables; never influences the campaign.
-	SearchMetrics *search.Metrics
-	// StreamMetrics publishes the streaming tail estimator's live state —
-	// committed observations, current threshold exceedances, UPB point and
-	// CI width — updated per committed batch, not just per estimation
-	// round. nil disables; never influences the campaign.
-	StreamMetrics *obs.StreamMetrics
+	// OnRound receives every completed round (§5.3 Fig. 13 iteration) as
+	// one Round record, synchronously on the loop's goroutine: live
+	// progress displays and metric bundles (IterMetrics.Observe) subscribe
+	// here. A round that ends the campaign in an error is not reported. nil
+	// builds nothing. The hook only observes: draws, RNG consumption and
+	// results are identical with it set or not.
+	OnRound func(Round)
 	// OnRefit runs after every scheduled refit; a journaled campaign
 	// syncs its journal there, once per estimation round. It runs on a
 	// second goroutine while the next round is measured and committed, so
@@ -86,6 +75,40 @@ type IterConfig struct {
 	// a Snapshot of its own, is kept only for the benchmark module, which
 	// persists it; the argument goes with the benchmark revision.
 	OnRefit func(evt.StreamState) error
+}
+
+// RoundKind says what a round's Step 2 found.
+type RoundKind int
+
+const (
+	// RoundEstimated rounds refit the tail; Round.Estimate holds the result.
+	RoundEstimated RoundKind = iota
+	// RoundUnbounded rounds found a tail not yet distinguishable from an
+	// unbounded one, so there is no estimate and sampling goes on.
+	RoundUnbounded
+	// RoundTailUnsafe rounds ran a strategy that is not tail-safe: no
+	// i.i.d. tail exists, so there is no estimate and no stopping rule.
+	RoundTailUnsafe
+)
+
+// Round records one completed round of the §5.3 loop, as
+// IterConfig.OnRound receives it.
+type Round struct {
+	N           int     // the round's number in this process, from 1
+	Samples     int     // successful measurements so far
+	Quarantined int     // draws quarantined so far in this process
+	Added       int     // draws measured in this round
+	Explore     int     // exploration draws among Added, excluded from the tail fit
+	Improved    int     // draws among Added that raised the best observed performance
+	Best        float64 // best measured performance so far
+	// Stream is the streaming tail estimator's state at the round's end,
+	// after its refit if it had one.
+	Stream evt.StreamLive
+	Kind   RoundKind
+	// Estimate is the round's estimate when Kind is RoundEstimated, and
+	// Satisfied whether it met the acceptable loss and stops the campaign.
+	Estimate  Estimate
+	Satisfied bool
 }
 
 // ResumeDraw is one journaled draw of an interrupted campaign: the
@@ -237,23 +260,6 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	if err := stream.ObserveAll(tailPerfs); err != nil {
 		return IterResult{}, fmt.Errorf("core: resumed sample: %w", err)
 	}
-	publishStream := func() {
-		m := cfg.StreamMetrics
-		if m == nil {
-			return
-		}
-		l := stream.Live()
-		m.Observed.Set(float64(l.N))
-		m.Best.Set(l.Best)
-		m.TailExceedances.Set(float64(l.TailCount))
-		m.TailMass.Set(l.TailMass)
-		m.RefitCount.Set(float64(l.RefitCount))
-		if l.Fitted {
-			m.UPBPoint.Set(l.UPB)
-			m.UPBCIWidth.Set(l.CIWidth())
-		}
-	}
-	sm := cfg.SearchMetrics
 	bestPerf, haveBest := 0.0, false
 	if i := Best(results); i >= 0 {
 		bestPerf, haveBest = results[i].Perf, true
@@ -281,22 +287,12 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		return r
 	}
 
-	// collect consumes a drawn round: it counts the round's draws, then
-	// measures them as one batch, committing it to the history when
-	// complete. A round whose drawing failed returns the strategy's error
-	// once its successful draws are counted, as the serial loop did.
-	// lastAdded feeds the round event: Ninit on the first round, Ndelta
-	// (or the budget remainder) afterwards.
-	lastAdded := 0
+	// rd is the round in progress, reported to OnRound once complete.
+	var rd Round
+	// collect consumes a drawn round: it measures the round's draws as one
+	// batch, committing it to the history when complete, and counts them
+	// into rd. A round whose drawing failed returns the strategy's error.
 	collect := func(r drawnRound) error {
-		if sm != nil {
-			sm.Draws.Add(float64(len(r.batch)))
-			for _, e := range r.explore {
-				if e {
-					sm.Explore.Inc()
-				}
-			}
-		}
 		if r.err != nil {
 			return r.err
 		}
@@ -316,15 +312,27 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			}
 			if !haveBest || o.Perf > bestPerf {
 				bestPerf, haveBest = o.Perf, true
-				if sm != nil {
-					sm.Improved.Inc()
-				}
+				rd.Improved++
 			}
 		}
 		hist.Commit()
-		publishStream()
-		lastAdded = len(r.batch)
+		rd.Added = len(r.batch)
+		for _, e := range r.explore {
+			if e {
+				rd.Explore++
+			}
+		}
 		return err
+	}
+	// report hands the completed round to OnRound.
+	report := func(kind RoundKind, est Estimate, satisfied bool) {
+		if cfg.OnRound == nil {
+			return
+		}
+		rd.Samples, rd.Quarantined, rd.Best = len(results), len(res.Quarantined), res.Best.Perf
+		rd.Stream = stream.Live()
+		rd.Kind, rd.Estimate, rd.Satisfied = kind, est, satisfied
+		cfg.OnRound(rd)
 	}
 
 	// fitAt walks the estimation schedule: Ninit, then +Ndelta per round,
@@ -361,8 +369,8 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		return err
 	}
 	defer join()
-	round := 0
-	for {
+	for round := 1; ; round++ {
+		rd = Round{N: round}
 		var err error
 		if add := fitAt - drawn(); add > 0 {
 			var r drawnRound
@@ -392,29 +400,13 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			return res, fmt.Errorf("core: every assignment of the initial sample was quarantined: %w", ErrQuarantined)
 		}
 		res.Best = results[Best(results)]
-		round++
-		if m := cfg.Metrics; m != nil {
-			m.Rounds.Inc()
-			m.Samples.Set(float64(len(results)))
-			m.Quarantined.Set(float64(len(res.Quarantined)))
-			m.BestObserved.Set(res.Best.Perf)
-		}
 		// The next fit point; a round that ends below the budget draws
 		// towards it during this round's estimation.
 		next := min(fitAt+cfg.Ndelta, cfg.MaxSamples)
 		if !tailSafe {
 			// No i.i.d. tail exists, so no estimate and no stopping rule:
 			// the campaign hunts until the budget runs out.
-			if cfg.Events != nil {
-				cfg.Events.Emit(obs.Event{Name: "round", Fields: []obs.Field{
-					{Key: "round", Value: round},
-					{Key: "samples", Value: len(results)},
-					{Key: "quarantined", Value: len(res.Quarantined)},
-					{Key: "added", Value: lastAdded},
-					{Key: "best", Value: res.Best.Perf},
-					{Key: "tail_unsafe", Value: true},
-				}})
-			}
+			report(RoundTailUnsafe, Estimate{}, false)
 		} else {
 			if drawn() < cfg.MaxSamples {
 				// Step 4's draws see only the committed history, which
@@ -433,7 +425,6 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			if err == nil {
 				est = estimateFromReport(rep, res.Best.Perf)
 			}
-			publishStream()
 			if hook := cfg.OnRefit; hook != nil && (err == nil || errors.Is(err, evt.ErrUnboundedTail)) {
 				ch := make(chan error, 1)
 				go func(st evt.StreamState, n int) {
@@ -450,16 +441,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				// The sample's tail is not yet distinguishable from an
 				// unbounded one (ξ̂ >= 0), so the optimum cannot be bounded.
 				// More observations sharpen the tail; keep sampling.
-				if cfg.Events != nil {
-					cfg.Events.Emit(obs.Event{Name: "round", Fields: []obs.Field{
-						{Key: "round", Value: round},
-						{Key: "samples", Value: len(results)},
-						{Key: "quarantined", Value: len(res.Quarantined)},
-						{Key: "added", Value: lastAdded},
-						{Key: "best", Value: res.Best.Perf},
-						{Key: "tail_unbounded", Value: true},
-					}})
-				}
+				report(RoundUnbounded, Estimate{}, false)
 			case err != nil:
 				return res, fmt.Errorf("core: estimation at %d samples: %w", len(results), err)
 			default:
@@ -470,29 +452,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				// optimum is within the acceptable loss of the best observed
 				// assignment.
 				satisfied := est.HeadroomHiPct <= cfg.AcceptLossPct
-				if m := cfg.Metrics; m != nil {
-					m.UPB.Set(est.Optimal)
-					m.UPBLo.Set(est.Lo)
-					m.UPBHi.Set(est.Hi)
-					m.HeadroomHiPct.Set(est.HeadroomHiPct)
-					if satisfied {
-						m.Satisfied.Set(1)
-					}
-				}
-				if cfg.Events != nil {
-					cfg.Events.Emit(obs.Event{Name: "round", Fields: []obs.Field{
-						{Key: "round", Value: round},
-						{Key: "samples", Value: len(results)},
-						{Key: "quarantined", Value: len(res.Quarantined)},
-						{Key: "added", Value: lastAdded},
-						{Key: "best", Value: res.Best.Perf},
-						{Key: "upb", Value: est.Optimal},
-						{Key: "upb_lo", Value: est.Lo},
-						{Key: "upb_hi", Value: est.Hi},
-						{Key: "headroom_hi_pct", Value: est.HeadroomHiPct},
-						{Key: "satisfied", Value: satisfied},
-					}})
-				}
+				report(RoundEstimated, est, satisfied)
 				if satisfied {
 					// A stop still waits for its round's checkpoint.
 					if herr := join(); herr != nil {

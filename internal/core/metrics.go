@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"optassign/internal/obs"
+	"optassign/internal/search"
 )
 
 // This file defines the package's metric bundles: one struct per
@@ -292,9 +293,14 @@ func (m *BatchMetrics) observe(n int) {
 	m.Size.Observe(float64(n))
 }
 
-// IterMetrics publishes the live state of the §5.3 iterative algorithm:
-// the per-round estimate (ÛPB and its confidence interval), the best
-// observed performance, and the convergence gap the loop thresholds on.
+// IterMetrics publishes the live state of the §5.3 iterative algorithm
+// from its Round records (Observe): the per-round estimate (ÛPB and its
+// confidence interval), the best observed performance, the convergence
+// gap the loop thresholds on, and the streaming tail estimator's state —
+// committed observations, exceedances above the current threshold and
+// their ECDF mass, and the last refit's UPB point, CI width and count.
+// Search, when set, receives the engine-side search counters (draws,
+// exploration draws, improvements of the best).
 type IterMetrics struct {
 	Rounds        *obs.Counter
 	Samples       *obs.Gauge
@@ -305,10 +311,20 @@ type IterMetrics struct {
 	UPBHi         *obs.Gauge
 	HeadroomHiPct *obs.Gauge
 	Satisfied     *obs.Gauge
+
+	StreamObserved        *obs.Gauge
+	StreamBest            *obs.Gauge
+	StreamUPBPoint        *obs.Gauge
+	StreamUPBCIWidth      *obs.Gauge
+	StreamTailExceedances *obs.Gauge
+	StreamTailMass        *obs.Gauge
+	StreamRefitCount      *obs.Gauge
+
+	Search *search.Metrics
 }
 
-// NewIterMetrics registers the campaign-progress series on r; a nil
-// registry yields a nil bundle.
+// NewIterMetrics registers the campaign-progress and streaming-estimator
+// series on r; a nil registry yields a nil bundle.
 func NewIterMetrics(r *obs.Registry) *IterMetrics {
 	if r == nil {
 		return nil
@@ -323,5 +339,48 @@ func NewIterMetrics(r *obs.Registry) *IterMetrics {
 		UPBHi:         r.Gauge("optassign_campaign_upb_hi", "Upper confidence bound on the optimum (may be +Inf)."),
 		HeadroomHiPct: r.Gauge("optassign_campaign_headroom_hi_pct", "Convergence gap: conservative headroom of the best observed assignment vs the CI upper bound, percent."),
 		Satisfied:     r.Gauge("optassign_campaign_satisfied", "1 once the acceptable-loss requirement is met."),
+
+		StreamObserved:        r.Gauge("optassign_stream_observed", "Committed tail-eligible observations in the streaming estimator."),
+		StreamBest:            r.Gauge("optassign_stream_best_observed", "Best committed observation in the streaming estimator."),
+		StreamUPBPoint:        r.Gauge("optassign_stream_upb_point", "Streaming UPB point estimate from the last scheduled refit."),
+		StreamUPBCIWidth:      r.Gauge("optassign_stream_upb_ci_width", "Width of the streaming UPB confidence interval (+Inf while the tail cannot be bounded)."),
+		StreamTailExceedances: r.Gauge("optassign_stream_tail_exceedances", "Observations above the current POT threshold, updated per commit."),
+		StreamTailMass:        r.Gauge("optassign_stream_tail_mass", "ECDF mass above the current POT threshold (exceedances / observations)."),
+		StreamRefitCount:      r.Gauge("optassign_stream_refit_count", "Full refits (threshold scan + MLE + Wilks CI) completed by this process; starts again at a resume."),
+	}
+}
+
+// Observe publishes one completed round; a nil bundle records nothing.
+func (m *IterMetrics) Observe(r Round) {
+	if m == nil {
+		return
+	}
+	m.Rounds.Inc()
+	m.Samples.Set(float64(r.Samples))
+	m.Quarantined.Set(float64(r.Quarantined))
+	m.BestObserved.Set(r.Best)
+	if r.Kind == RoundEstimated {
+		m.UPB.Set(r.Estimate.Optimal)
+		m.UPBLo.Set(r.Estimate.Lo)
+		m.UPBHi.Set(r.Estimate.Hi)
+		m.HeadroomHiPct.Set(r.Estimate.HeadroomHiPct)
+		if r.Satisfied {
+			m.Satisfied.Set(1)
+		}
+	}
+	l := r.Stream
+	m.StreamObserved.Set(float64(l.N))
+	m.StreamBest.Set(l.Best)
+	m.StreamTailExceedances.Set(float64(l.TailCount))
+	m.StreamTailMass.Set(l.TailMass)
+	m.StreamRefitCount.Set(float64(l.RefitCount))
+	if l.Fitted {
+		m.StreamUPBPoint.Set(l.UPB)
+		m.StreamUPBCIWidth.Set(l.CIWidth())
+	}
+	if s := m.Search; s != nil {
+		s.Draws.Add(float64(r.Added))
+		s.Explore.Add(float64(r.Explore))
+		s.Improved.Add(float64(r.Improved))
 	}
 }

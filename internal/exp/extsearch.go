@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"optassign/internal/core"
-	"optassign/internal/obs"
 	"optassign/internal/search"
 )
 
@@ -61,12 +60,11 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 	}
 	var cells []SearchStrategyCell
 	for _, name := range search.Names {
-		reg := obs.NewRegistry()
-		sm := search.NewMetrics(reg, name)
-		strat, err := search.New(name, nil, sm)
+		strat, err := search.New(name, nil, nil)
 		if err != nil {
 			return nil, err
 		}
+		explore := 0
 		cfg := core.IterConfig{
 			Topo:          tb.Machine.Topo,
 			Tasks:         tb.TaskCount(),
@@ -76,7 +74,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			MaxSamples:    6000,
 			Seed:          env.Seed,
 			Strategy:      strat,
-			SearchMetrics: sm,
+			OnRound:       func(r core.Round) { explore += r.Explore },
 		}
 		res, err := core.IterateContext(context.Background(), cfg, runner)
 		if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
@@ -87,7 +85,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			TailSafe:  strat.TailSafe(),
 			Satisfied: res.Satisfied,
 			Samples:   res.Samples,
-			Explore:   int(sm.Explore.Value()),
+			Explore:   explore,
 			Best:      res.Best.Perf,
 			Optimal:   res.Final.Optimal,
 			Lo:        res.Final.Lo,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -101,7 +102,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		Ndelta:        200,
 		MaxSamples:    1500,
 		Seed:          4,
-		Metrics:       core.NewIterMetrics(reg),
+	}
+	im := core.NewIterMetrics(reg)
+	rounds := 0
+	cfg.OnRound = func(r core.Round) {
+		rounds++
+		im.Observe(r)
 	}
 	res, err := core.IterateContext(context.Background(), cfg, runner)
 	if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
@@ -133,6 +139,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		if !strings.Contains(final, want) {
 			t.Errorf("final scrape lacks %q", want)
 		}
+	}
+	// The round counter counts the rounds the campaign reported.
+	if rounds == 0 || !strings.Contains(final, fmt.Sprintf("\noptassign_campaign_rounds_total %d\n", rounds)) {
+		t.Errorf("final scrape does not count the %d rounds reported", rounds)
 	}
 	// The wire agrees with itself: every request the client sent is a
 	// request the server saw (single client, so the counts match exactly).

@@ -7,8 +7,9 @@ import (
 // Metrics observes the search layer, labeled by strategy so dashboards
 // can compare policies: draws proposed, adaptive (Explore) draws,
 // improvements of the campaign best, and accepted annealing moves. The
-// engine-side counters (Draws/Explore/Improved) are incremented by
-// core.iterate; Accepted by the annealer itself. Per the internal/obs
+// engine-side counters (Draws/Explore/Improved) are added from each
+// completed round by core.IterMetrics.Observe; Accepted by the annealer
+// itself. Per the internal/obs
 // conventions a nil bundle disables recording, and instrumentation never
 // perturbs draws or journal bytes.
 type Metrics struct {
