@@ -326,8 +326,8 @@ func main() {
 	}
 
 	// Observability: one registry feeds both the -progress status line and
-	// the -metrics-addr scrape endpoint. Everything below passes events
-	// and metric bundles down as nil when neither is requested, so the
+	// the -metrics-addr scrape endpoint. Everything below passes metric
+	// bundles down as nil when neither is requested, so the
 	// uninstrumented campaign pays nothing.
 	var reg *obs.Registry
 	if *progress || *metricsAddr != "" {

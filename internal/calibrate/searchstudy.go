@@ -30,12 +30,10 @@ func BuiltinStrategies() []StrategySpec {
 }
 
 // SearchStudyConfig parameterizes the head-to-head strategy study: every
-// strategy runs the full iterative campaign against the same known-optimum
-// population, and every tail-safe strategy additionally runs the coverage
-// calibration on a continuous landscape.
+// built-in strategy runs the full iterative campaign against the same
+// known-optimum population, and every tail-safe one additionally runs the
+// coverage calibration on a continuous landscape.
 type SearchStudyConfig struct {
-	// Strategies to compare; nil means BuiltinStrategies().
-	Strategies []StrategySpec
 	// Iter configures the per-strategy efficiency campaigns (the strategy
 	// fields are overwritten per entry).
 	Iter IterConfig
@@ -63,10 +61,7 @@ type SearchStudyResult struct {
 // coverage on covPop (a continuous landscape, so coverage is measured
 // against the analytic endpoint rather than a tie-dominated finite max).
 func RunSearchStudy(cfg SearchStudyConfig, effPop *DiscretePopulation, covPop AssignPop) (SearchStudyResult, error) {
-	specs := cfg.Strategies
-	if specs == nil {
-		specs = BuiltinStrategies()
-	}
+	specs := BuiltinStrategies()
 	var res SearchStudyResult
 	for _, spec := range specs {
 		ic := cfg.Iter

@@ -137,9 +137,9 @@ func TestParallelJournalMatchesSerial(t *testing.T) {
 	}
 }
 
-// equivStackInstrumented is equivStack with the resilient layer's events
-// and metrics attached, for the instrumented-determinism test.
-func equivStackInstrumented(withFaults bool, reg *obs.Registry, sink obs.EventSink) core.ContextRunner {
+// equivStackInstrumented is equivStack with the resilient layer's metrics
+// attached, for the instrumented-determinism test.
+func equivStackInstrumented(withFaults bool, reg *obs.Registry) core.ContextRunner {
 	base := core.ContextRunnerFunc(func(ctx context.Context, a assign.Assignment) (float64, error) {
 		return equivPerf(a), nil
 	})
@@ -156,7 +156,6 @@ func equivStackInstrumented(withFaults bool, reg *obs.Registry, sink obs.EventSi
 		MaxAttempts: 2,
 		BaseDelay:   time.Nanosecond,
 		MaxDelay:    time.Microsecond,
-		Events:      sink,
 		Metrics:     core.NewResilientMetrics(reg),
 	})
 }
@@ -164,7 +163,7 @@ func equivStackInstrumented(withFaults bool, reg *obs.Registry, sink obs.EventSi
 // TestInstrumentedJournalMatchesUninstrumentedSerial is the
 // zero-influence guarantee of internal/obs put to the proof: a campaign
 // with every instrument attached — resilient, pool, journal and
-// iteration metrics plus an event sink — writes the same journal bytes
+// iteration metrics — writes the same journal bytes
 // and returns the same result as a bare serial run, at every worker
 // count.
 func TestInstrumentedJournalMatchesUninstrumentedSerial(t *testing.T) {
@@ -174,14 +173,13 @@ func TestInstrumentedJournalMatchesUninstrumentedSerial(t *testing.T) {
 		for _, workers := range []int{1, 4, 16} {
 			t.Run(fmt.Sprintf("faults=%v-workers%d", withFaults, workers), func(t *testing.T) {
 				reg := obs.NewRegistry()
-				sink := &obs.CollectorSink{}
 				path := filepath.Join(t.TempDir(), "instrumented.journal")
 				j, err := CreateJournal(path, equivHeader(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
 				j.Instrument(NewJournalMetrics(reg))
-				pool, err := core.NewReplicatedPool(equivStackInstrumented(withFaults, reg, sink), workers)
+				pool, err := core.NewReplicatedPool(equivStackInstrumented(withFaults, reg), workers)
 				if err != nil {
 					t.Fatal(err)
 				}

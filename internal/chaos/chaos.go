@@ -65,7 +65,6 @@ type Fleet struct {
 	cfg FleetConfig
 
 	Obs          *obs.Registry
-	Events       *obs.CollectorSink
 	Pool         *remote.ClientPool
 	Registry     *remote.Registry
 	PoolMetrics  *remote.PoolMetrics
@@ -78,15 +77,13 @@ type Fleet struct {
 }
 
 // NewFleet wires an empty fleet: a membership pool, a registry serving on
-// loopback, and a shared metrics registry + event collector watching both.
+// loopback, and a shared metrics registry watching both.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
-	sink := &obs.CollectorSink{}
 	f := &Fleet{
 		cfg:          cfg,
 		Obs:          reg,
-		Events:       sink,
 		PoolMetrics:  remote.NewPoolMetrics(reg),
 		FleetMetrics: remote.NewMembershipMetrics(reg),
 		members:      make(map[string]*Member),
@@ -99,14 +96,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		},
 		QuarantineAfter: 3,
 		Cooldown:        50 * time.Millisecond,
-		Events:          sink,
 		Metrics:         f.PoolMetrics,
 	})
 	f.Registry = remote.NewRegistry(f.Pool, remote.RegistryConfig{
 		HeartbeatInterval: cfg.Heartbeat,
 		SuspectAfter:      4 * cfg.Heartbeat,
 		EvictAfter:        16 * cfg.Heartbeat,
-		Events:            sink,
 		Metrics:           f.FleetMetrics,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -194,7 +189,6 @@ func (f *Fleet) Join(ctx context.Context, name string) (*Member, error) {
 		Identity:  tb.Identity(),
 		RetryBase: 5 * time.Millisecond,
 		RetryMax:  250 * time.Millisecond,
-		Events:    f.Events,
 	})
 	if err != nil {
 		srv.Close()

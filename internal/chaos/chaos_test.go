@@ -128,8 +128,8 @@ func TestChaosServerKilledMidCampaign(t *testing.T) {
 	if err := f.VerifyTelemetry(); err != nil {
 		t.Fatalf("telemetry after kill: %v", err)
 	}
-	if f.Events.Count("member_left") == 0 {
-		t.Error("no member_left event for the killed server")
+	if v := f.FleetMetrics.Leaves.Value(); v < 1 {
+		t.Errorf("leaves counter = %v, want >= 1 for the killed server", v)
 	}
 }
 
@@ -169,18 +169,18 @@ func TestChaosHeartbeatLossSuspectsAndRecovers(t *testing.T) {
 			if got := f.Pool.Members()[victim.Addr()]; got != "suspect" {
 				t.Errorf("pool sees %q while registry sees suspect", got)
 			}
+			if v := f.FleetMetrics.Suspects.Value(); v != 1 {
+				t.Errorf("suspects gauge = %v while the member is suspect, want 1", v)
+			}
 			victim.HealRegistry()
 			waitUntil(t, "recovery", func() bool {
 				return f.Registry.Members()[victim.Addr()] == "active"
 			})
+			if v := f.FleetMetrics.Suspects.Value(); v != 0 {
+				t.Errorf("suspects gauge = %v after recovery, want 0", v)
+			}
 		},
 	})
-	if f.Events.Count("member_suspect") == 0 {
-		t.Error("no member_suspect event recorded")
-	}
-	if f.Events.Count("member_recovered") == 0 {
-		t.Error("no member_recovered event recorded")
-	}
 	if err := f.VerifyTelemetry(); err != nil {
 		t.Fatalf("telemetry after recovery: %v", err)
 	}
@@ -209,8 +209,8 @@ func TestChaosEvictionAndRejoin(t *testing.T) {
 	if f.Pool.Size() != 3 {
 		t.Fatalf("fleet has %d members after rejoin, want 3", f.Pool.Size())
 	}
-	if f.Events.Count("member_left") == 0 {
-		t.Error("no member_left event for the eviction")
+	if v := f.FleetMetrics.Leaves.Value(); v < 1 {
+		t.Errorf("leaves counter = %v, want >= 1 for the eviction", v)
 	}
 	if f.FleetMetrics.Joins.Value() < 4 {
 		t.Errorf("joins counter = %v, want >= 4 (3 joins + 1 rejoin)", f.FleetMetrics.Joins.Value())
@@ -246,9 +246,6 @@ func TestChaosGracefulDrainLosesNothing(t *testing.T) {
 	}
 	if v := f.FleetMetrics.Drains.Value(); v != 1 {
 		t.Errorf("drains counter = %v, want 1", v)
-	}
-	if f.Events.Count("member_draining") == 0 {
-		t.Error("no member_draining event recorded")
 	}
 	if err := f.VerifyTelemetry(); err != nil {
 		t.Fatalf("telemetry after drain: %v", err)

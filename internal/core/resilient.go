@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"optassign/internal/assign"
-	"optassign/internal/obs"
 )
 
 // ErrQuarantined marks a measurement that was abandoned after exhausting
@@ -43,9 +42,14 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &p)
 }
 
+// backoffJitter spreads each retry delay uniformly over ±20% of itself so
+// that concurrent workers do not retry in lockstep.
+const backoffJitter = 0.2
+
 // ResilientConfig parameterizes ResilientRunner. The zero value is usable:
-// 3 attempts, 100 ms base backoff doubling to 5 s, 20% jitter, no
-// per-attempt timeout.
+// 3 attempts, 100 ms base backoff doubling to 5 s, no per-attempt timeout.
+// Every delay is jittered by ±20%, and every error is retried except those
+// marked with Permanent, which are quarantined at once.
 type ResilientConfig struct {
 	// MaxAttempts is the total number of tries per measurement (first
 	// attempt included). Default 3.
@@ -58,25 +62,13 @@ type ResilientConfig struct {
 	// BaseDelay is the backoff before the first retry; it doubles each
 	// retry up to MaxDelay. Defaults 100 ms and 5 s.
 	BaseDelay, MaxDelay time.Duration
-	// Jitter spreads each delay uniformly over ±Jitter·delay to avoid
-	// retry lockstep. Default 0.2; negative disables.
-	Jitter float64
 	// Seed makes the jitter sequence reproducible. 0 means seed 1.
 	Seed int64
-	// Classify overrides error classification: return true if the error
-	// is transient (retryable). The default treats everything as
-	// transient except errors marked with Permanent.
-	Classify func(error) bool
 	// OnRetry, if set, observes every failed attempt that will be
 	// retried (for logging).
 	OnRetry func(a assign.Assignment, attempt int, err error)
-	// Events receives the runner's lifecycle as structured events:
-	// "retry", "quarantine", "attempt_abandoned" and — when an abandoned
-	// attempt's goroutine eventually returns — "attempt_late_result"
-	// with the outcome that would otherwise vanish. nil disables.
-	Events obs.EventSink
 	// Metrics counts attempts, retries, backoff time, quarantines and
-	// abandoned attempts. nil disables.
+	// abandoned attempts with their eventual late outcomes. nil disables.
 	Metrics *ResilientMetrics
 	// sleep is a test seam; nil means a ctx-aware time.Sleep.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -92,14 +84,8 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 5 * time.Second
 	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Classify == nil {
-		c.Classify = func(err error) bool { return !IsPermanent(err) }
 	}
 	if c.sleep == nil {
 		c.sleep = sleepCtx
@@ -176,7 +162,7 @@ func (r *ResilientRunner) MeasureContext(ctx context.Context, a assign.Assignmen
 			return 0, ctx.Err()
 		}
 		lastErr = err
-		if !r.cfg.Classify(err) {
+		if IsPermanent(err) {
 			return 0, r.quarantine(a, attempt, err)
 		}
 		if attempt == r.cfg.MaxAttempts {
@@ -186,13 +172,6 @@ func (r *ResilientRunner) MeasureContext(ctx context.Context, a assign.Assignmen
 			r.cfg.OnRetry(a, attempt, err)
 		}
 		r.cfg.Metrics.retries().Inc()
-		if r.cfg.Events != nil {
-			r.cfg.Events.Emit(obs.Event{Name: "retry", Fields: []obs.Field{
-				{Key: "assignment", Value: a.String()},
-				{Key: "attempt", Value: attempt},
-				{Key: "error", Value: err.Error()},
-			}})
-		}
 		delay := r.backoff(attempt)
 		r.cfg.Metrics.backoffSeconds().Add(delay.Seconds())
 		if err := r.cfg.sleep(ctx, delay); err != nil {
@@ -231,35 +210,13 @@ func (r *ResilientRunner) attempt(ctx context.Context, a assign.Assignment) (flo
 		// used to vanish silently — the assignment could be quarantined
 		// even though a measurement later succeeded, and the operator had
 		// no evidence Timeout was set too tight. Record the abandonment
-		// and, when observability is on, keep a watcher around to report
-		// the late outcome once the goroutine returns.
+		// and, when metrics are on, keep a watcher around to count the
+		// late outcome once the goroutine returns.
 		r.cfg.Metrics.abandoned().Inc()
-		if r.cfg.Events != nil {
-			r.cfg.Events.Emit(obs.Event{Name: "attempt_abandoned", Fields: []obs.Field{
-				{Key: "assignment", Value: a.String()},
-				{Key: "attempt", Value: Attempt(ctx)},
-				{Key: "cause", Value: ctx.Err().Error()},
-			}})
-		}
-		if r.cfg.Events != nil || r.cfg.Metrics != nil {
-			abandonedAt := time.Now()
-			attempt := Attempt(ctx)
+		if r.cfg.Metrics != nil {
 			go func() {
 				o := <-ch
 				r.cfg.Metrics.lateOutcome(o.err == nil).Inc()
-				if r.cfg.Events != nil {
-					fields := []obs.Field{
-						{Key: "assignment", Value: a.String()},
-						{Key: "attempt", Value: attempt},
-						{Key: "late_by_seconds", Value: time.Since(abandonedAt).Seconds()},
-					}
-					if o.err == nil {
-						fields = append(fields, obs.Field{Key: "perf", Value: o.perf})
-					} else {
-						fields = append(fields, obs.Field{Key: "error", Value: o.err.Error()})
-					}
-					r.cfg.Events.Emit(obs.Event{Name: "attempt_late_result", Fields: fields})
-				}
 			}()
 		}
 		return 0, fmt.Errorf("core: measurement attempt: %w", ctx.Err())
@@ -267,19 +224,16 @@ func (r *ResilientRunner) attempt(ctx context.Context, a assign.Assignment) (flo
 }
 
 // backoff returns the delay before retry number `attempt` (1-based):
-// BaseDelay·2^(attempt−1) capped at MaxDelay, jittered by ±Jitter.
+// BaseDelay·2^(attempt−1) capped at MaxDelay, jittered by ±backoffJitter.
 func (r *ResilientRunner) backoff(attempt int) time.Duration {
 	d := r.cfg.BaseDelay << (attempt - 1)
 	if d > r.cfg.MaxDelay || d <= 0 { // <= 0 guards shift overflow
 		d = r.cfg.MaxDelay
 	}
-	if r.cfg.Jitter > 0 {
-		r.mu.Lock()
-		u := r.rng.Float64()
-		r.mu.Unlock()
-		d = time.Duration(float64(d) * (1 + r.cfg.Jitter*(2*u-1)))
-	}
-	return d
+	r.mu.Lock()
+	u := r.rng.Float64()
+	r.mu.Unlock()
+	return time.Duration(float64(d) * (1 + backoffJitter*(2*u-1)))
 }
 
 func (r *ResilientRunner) quarantine(a assign.Assignment, attempts int, cause error) error {
@@ -287,12 +241,5 @@ func (r *ResilientRunner) quarantine(a assign.Assignment, attempts int, cause er
 	r.failed = append(r.failed, FailedMeasurement{Assignment: a.Clone(), Attempts: attempts, Err: cause})
 	r.mu.Unlock()
 	r.cfg.Metrics.quarantines().Inc()
-	if r.cfg.Events != nil {
-		r.cfg.Events.Emit(obs.Event{Name: "quarantine", Fields: []obs.Field{
-			{Key: "assignment", Value: a.String()},
-			{Key: "attempts", Value: attempts},
-			{Key: "error", Value: cause.Error()},
-		}})
-	}
 	return fmt.Errorf("%w after %d attempt(s): %w", ErrQuarantined, attempts, cause)
 }

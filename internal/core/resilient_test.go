@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"optassign/internal/assign"
+	"optassign/internal/obs"
 	"optassign/internal/t2"
 )
 
@@ -135,6 +138,77 @@ func TestResilientTimeoutCutsHang(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("hang was not cut short: %v", elapsed)
 	}
+}
+
+// attemptGoroutines counts the live goroutines ResilientRunner.attempt
+// started: abandoned measurements and their late-outcome watchers.
+func attemptGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by optassign/internal/core.(*ResilientRunner).attempt")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResilientLateOutcomeCounted abandons attempts at their timeout and
+// then lets the ctx-ignoring runner return: the late success and the late
+// failure each land on their labelled counter. Without metrics no watcher
+// is started, so nothing but the measurement itself outlives the return.
+func TestResilientLateOutcomeCounted(t *testing.T) {
+	waitFor(t, "earlier tests' attempts to exit", func() bool { return attemptGoroutines() == 0 })
+	release := make(chan error)
+	late := ContextRunnerFunc(func(context.Context, assign.Assignment) (float64, error) {
+		if err := <-release; err != nil {
+			return 0, err
+		}
+		return 5, nil
+	})
+	a := testAssignment(t)
+	m := NewResilientMetrics(obs.NewRegistry())
+	r := NewResilientRunner(late, ResilientConfig{MaxAttempts: 1, Timeout: time.Millisecond, Metrics: m})
+	for i, outcome := range []error{nil, errors.New("late failure")} {
+		if _, err := r.MeasureContext(context.Background(), a); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("attempt %d: err = %v, want ErrQuarantined", i, err)
+		}
+		if got := m.Abandoned.Value(); got != float64(i+1) {
+			t.Fatalf("abandoned = %v, want %d", got, i+1)
+		}
+		if n := attemptGoroutines(); n != 2 {
+			t.Fatalf("%d attempt goroutines after abandonment, want the measurement and its watcher", n)
+		}
+		release <- outcome
+		waitFor(t, "late outcome counted", func() bool {
+			return m.LateSuccesses.Value()+m.LateFailures.Value() == float64(i+1)
+		})
+	}
+	if s, f := m.LateSuccesses.Value(), m.LateFailures.Value(); s != 1 || f != 1 {
+		t.Errorf("late outcomes success=%v failure=%v, want 1 and 1", s, f)
+	}
+	waitFor(t, "watchers to exit", func() bool { return attemptGoroutines() == 0 })
+
+	r = NewResilientRunner(late, ResilientConfig{MaxAttempts: 1, Timeout: time.Millisecond})
+	if _, err := r.MeasureContext(context.Background(), a); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("err = %v, want ErrQuarantined", err)
+	}
+	if n := attemptGoroutines(); n != 1 {
+		t.Fatalf("%d attempt goroutines without metrics, want only the abandoned measurement", n)
+	}
+	release <- nil
+	waitFor(t, "abandoned measurement to exit", func() bool { return attemptGoroutines() == 0 })
 }
 
 func TestResilientCancelAbortsWithoutQuarantine(t *testing.T) {

@@ -21,6 +21,10 @@ type SearchStrategyCell struct {
 	Samples   int     // measurements consumed
 	Explore   int     // adaptive draws excluded from the EVT fit
 	Best      float64 // best measured performance
+	// Estimated reports whether the campaign produced an estimate at all;
+	// without one (a strategy that is not tail-safe, or a tail never
+	// bounded) Optimal, Lo, Hi and LossBound are zero and mean nothing.
+	Estimated bool
 	Optimal   float64 // estimated optimum at stop
 	Lo, Hi    float64 // its 0.95 confidence interval
 	LossBound float64 // guaranteed loss bound at stop, percent
@@ -87,6 +91,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			Samples:   res.Samples,
 			Explore:   explore,
 			Best:      res.Best.Perf,
+			Estimated: len(res.History) > 0,
 			Optimal:   res.Final.Optimal,
 			Lo:        res.Final.Lo,
 			Hi:        res.Final.Hi,
@@ -106,8 +111,12 @@ func PrintSearchStrategyStudy(w io.Writer, cells []SearchStrategyCell) {
 		if c.Satisfied {
 			stopped = "promise"
 		}
-		fmt.Fprintf(w, "%-12s %-9t %-9s %8d %8d %12.6g %12.6g %10.2f\n",
-			c.Strategy, c.TailSafe, stopped, c.Samples, c.Explore, c.Best, c.Optimal, c.LossBound)
+		opt, bound := "none", "none"
+		if c.Estimated {
+			opt, bound = fmt.Sprintf("%.6g", c.Optimal), fmt.Sprintf("%.2f", c.LossBound)
+		}
+		fmt.Fprintf(w, "%-12s %-9t %-9s %8d %8d %12.6g %12s %10s\n",
+			c.Strategy, c.TailSafe, stopped, c.Samples, c.Explore, c.Best, opt, bound)
 	}
-	fmt.Fprintf(w, "(exploration draws are excluded from the EVT fit; non-tail-safe strategies report an advisory estimate only)\n")
+	fmt.Fprintln(w, "(exploration draws are excluded from the EVT fit; strategies that are not tail-safe have no estimate and no stopping rule, and run to the budget)")
 }

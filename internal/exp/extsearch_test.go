@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"optassign/internal/core"
@@ -67,5 +68,37 @@ func TestSearchStrategiesHonorLossPromiseOnRealPopulation(t *testing.T) {
 		if !res.Satisfied {
 			t.Errorf("tail-safe strategy %s exhausted the %d-sample budget without satisfying the promise", name, cfg.MaxSamples)
 		}
+	}
+}
+
+// TestPrintSearchStrategyStudyNoEstimate renders a tail-safe cell beside
+// one whose strategy is not tail-safe: the latter must print no optimum
+// and no loss bound, rather than zeros that read as a certificate.
+func TestPrintSearchStrategyStudyNoEstimate(t *testing.T) {
+	var b strings.Builder
+	PrintSearchStrategyStudy(&b, []SearchStrategyCell{
+		{Strategy: "greedy", TailSafe: true, Satisfied: true, Samples: 700, Explore: 180,
+			Best: 1.5e6, Estimated: true, Optimal: 1.5007e6, LossBound: 0.05},
+		{Strategy: "anneal", Samples: 6000, Explore: 150, Best: 1.49e6},
+	})
+	lines := strings.Split(b.String(), "\n")
+	var greedy, anneal string
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "greedy "):
+			greedy = l
+		case strings.HasPrefix(l, "anneal "):
+			anneal = l
+		}
+	}
+	if f := strings.Fields(greedy); len(f) != 8 || f[6] != "1.5007e+06" || f[7] != "0.05" {
+		t.Errorf("estimated row = %q, want its optimum and loss bound", greedy)
+	}
+	if f := strings.Fields(anneal); len(f) != 8 || f[2] != "budget" || f[6] != "none" || f[7] != "none" {
+		t.Errorf("no-estimate row = %q, want none under est. opt and loss<=%%", anneal)
+	}
+	if strings.Contains(b.String(), "advisory") ||
+		!strings.Contains(b.String(), "have no estimate and no stopping rule, and run to the budget") {
+		t.Errorf("footnote does not say non-tail-safe strategies go without an estimate:\n%s", b.String())
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the repo's observability layer: a dependency-free
-// metrics registry (counters, gauges, histograms) plus a structured
-// event-sink contract, with Prometheus text-format exposition over HTTP.
+// metrics registry (counters, gauges, histograms) with Prometheus
+// text-format exposition over HTTP.
 //
 // A measurement campaign is hours of testbed time (§5.4); once it runs
 // on a farm of remote testbeds behind retries and failover, operators
@@ -12,8 +12,7 @@
 //  1. Zero overhead when disabled. Every instrument is nil-safe — a
 //     method on a nil *Counter, *Gauge, *Histogram or a nil *Registry is
 //     a no-op — so instrumented code paths pay one nil check and no
-//     allocation when nobody is watching. Event emission sites must
-//     guard with `if sink != nil` before building fields.
+//     allocation when nobody is watching.
 //  2. No influence on the campaign. Instruments only observe; they
 //     never touch the RNG, the draw order or the commit sequence, so
 //     the deterministic-equivalence guarantee (journal bytes identical

@@ -123,10 +123,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	Emit(nil, "anything", F("k", "v"))
-	if MultiSink(nil, nil) != nil {
-		t.Fatal("MultiSink of nils is not nil")
-	}
 }
 
 func TestRegistryReusesSeries(t *testing.T) {
@@ -196,31 +192,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `errs_total{cause="read \"x\"\nfailed"} 1`) {
 		t.Fatalf("labels not escaped:\n%s", b.String())
-	}
-}
-
-func TestLogSink(t *testing.T) {
-	var b strings.Builder
-	s := &LogSink{W: &b}
-	Emit(s, "retry", F("attempt", 2), F("error", "broken pipe detected"))
-	if got, want := b.String(), "retry attempt=2 error=\"broken pipe detected\"\n"; got != want {
-		t.Fatalf("log line = %q, want %q", got, want)
-	}
-}
-
-func TestCollectorAndMultiSink(t *testing.T) {
-	var a, b CollectorSink
-	s := MultiSink(&a, nil, &b)
-	Emit(s, "quarantine", F("attempts", 3))
-	Emit(s, "retry")
-	if a.Count("quarantine") != 1 || b.Count("quarantine") != 1 || a.Count("retry") != 1 {
-		t.Fatalf("multi sink did not fan out: %v / %v", a.Events(), b.Events())
-	}
-	if got := a.Events()[0].Field("attempts"); got != 3 {
-		t.Fatalf("field attempts = %v, want 3", got)
-	}
-	if a.Events()[0].Field("missing") != nil {
-		t.Fatal("missing field is non-nil")
 	}
 }
 

@@ -24,10 +24,10 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 	tb, addr, shutdown := startTestbedServer(t, &Server{Name: "sim"})
 	defer shutdown()
 
-	events := &obs.CollectorSink{}
-	pool := NewPool(PoolConfig{Events: events})
+	fleet := NewMembershipMetrics(obs.NewRegistry()) // shared by both registries
+	pool := NewPool(PoolConfig{})
 	defer pool.Close()
-	reg := NewRegistry(pool, RegistryConfig{Events: events}) // default 1s heartbeat
+	reg := NewRegistry(pool, RegistryConfig{Metrics: fleet}) // default 1s heartbeat
 	defer reg.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +41,6 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 		Hello:    Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: "sim"},
 		Addr:     addr,
 		Identity: tb.Identity(),
-		Events:   events,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +74,9 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 	l.Close()
 	pool.Close()
 	time.Sleep(500 * time.Millisecond)
-	pool2 := NewPool(PoolConfig{Events: events})
+	pool2 := NewPool(PoolConfig{})
 	defer pool2.Close()
-	reg2 := NewRegistry(pool2, RegistryConfig{Events: events})
+	reg2 := NewRegistry(pool2, RegistryConfig{Metrics: fleet})
 	defer reg2.Close()
 	l2, err := net.Listen("tcp", regAddr)
 	if err != nil {
@@ -100,9 +99,8 @@ func TestDrainAtDefaultTimingsSurvivesRegistryRestart(t *testing.T) {
 	defer dcancel()
 	start := time.Now()
 	if err := registrant.Drain(dctx); err != nil {
-		t.Fatalf("drain after %v: %v (events: joins=%d drains=%d left=%d)",
-			time.Since(start), err,
-			events.Count("member_joined"), events.Count("member_draining"), events.Count("member_left"))
+		t.Fatalf("drain after %v: %v (fleet: joins=%v drains=%v leaves=%v)",
+			time.Since(start), err, fleet.Joins.Value(), fleet.Drains.Value(), fleet.Leaves.Value())
 	}
 	t.Logf("drain completed in %v", time.Since(start))
 	if err := <-runErr; err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
-	"optassign/internal/obs"
 	"optassign/internal/t2"
 )
 
@@ -31,16 +30,6 @@ type PoolConfig struct {
 	QuarantineAfter int
 	// Cooldown is how long a benched server stays unpreferred. Default 5 s.
 	Cooldown time.Duration
-	// Failover is how many distinct servers one measurement may try before
-	// reporting the last transport error (which is transient — a
-	// core.ResilientRunner above the pool retries the whole cycle with
-	// backoff). 0 means every current member.
-	Failover int
-	// Events receives "failover", "server_benched", "server_unbenched",
-	// "server_joined", "server_left" and "server_drained" events, each
-	// carrying the server address. nil disables. Per-connection events
-	// (reconnects, poisonings) come from the Client config above.
-	Events obs.EventSink
 	// Metrics counts failovers and bench/membership churn. nil disables.
 	Metrics *PoolMetrics
 	// now is a test seam; nil means time.Now.
@@ -256,7 +245,6 @@ func (p *ClientPool) add(key, addr string) error {
 	if m := p.cfg.Metrics; m != nil {
 		m.Joins.Inc()
 	}
-	p.emit("server_joined", obs.Field{Key: "server", Value: key})
 	p.updateGauges()
 	p.cond.Broadcast()
 	return nil
@@ -359,22 +347,9 @@ func (p *ClientPool) finalizeLocked(s *poolServer, reason string) []func() {
 			m.Drains.Inc()
 		}
 	}
-	name := "server_left"
-	if reason == "drained" {
-		name = "server_drained"
-	}
-	p.emit(name, obs.Field{Key: "server", Value: s.addr}, obs.Field{Key: "reason", Value: reason})
 	p.updateGauges()
 	p.cond.Broadcast()
 	return s.onDrained
-}
-
-// emit sends a pool event; callers may hold p.mu (sinks must not call
-// back into the pool).
-func (p *ClientPool) emit(name string, fields ...obs.Field) {
-	if p.cfg.Events != nil {
-		p.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
-	}
 }
 
 // updateGauges recomputes the membership gauges. Callers hold p.mu.
@@ -576,11 +551,8 @@ func (p *ClientPool) recordSuccess(s *poolServer) {
 	wasBenched := s.benched(p.cfg.now())
 	s.strikes = 0
 	s.benchedUntil = time.Time{}
-	if wasBenched {
-		if m := p.cfg.Metrics; m != nil {
-			m.Unbenches.Inc()
-		}
-		p.emit("server_unbenched", obs.Field{Key: "server", Value: s.addr})
+	if m := p.cfg.Metrics; wasBenched && m != nil {
+		m.Unbenches.Inc()
 	}
 	p.updateGauges()
 	p.mu.Unlock()
@@ -598,15 +570,8 @@ func (p *ClientPool) recordFailure(s *poolServer) {
 		s.benchedUntil = now.Add(p.cfg.Cooldown)
 		benched = !wasBenched
 	}
-	strikes := s.strikes
-	if benched {
-		if m := p.cfg.Metrics; m != nil {
-			m.Benches.Inc()
-		}
-		p.emit("server_benched",
-			obs.Field{Key: "server", Value: s.addr},
-			obs.Field{Key: "strikes", Value: strikes},
-			obs.Field{Key: "cooldown", Value: p.cfg.Cooldown.String()})
+	if m := p.cfg.Metrics; benched && m != nil {
+		m.Benches.Inc()
 	}
 	p.updateGauges()
 	p.mu.Unlock()
@@ -615,17 +580,13 @@ func (p *ClientPool) recordFailure(s *poolServer) {
 // MeasureContext implements core.ContextRunner: grab a free member,
 // measure, fail over to another on a transport error. Permanent errors
 // (server-side measurement failures, identity mismatches) return
-// immediately — they would fail identically everywhere. If Failover
-// distinct members all fail transiently the last transport error is
-// returned as-is (transient), for an outer ResilientRunner to retry.
+// immediately — they would fail identically everywhere. One measurement
+// tries at most as many distinct servers as the pool has members; if
+// they all fail transiently the last transport error is returned as-is
+// (transient), for an outer ResilientRunner to retry the whole cycle
+// with backoff.
 func (p *ClientPool) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
-	failover := p.cfg.Failover
-	if n := p.Size(); failover <= 0 || failover > n {
-		failover = n
-	}
-	if failover < 1 {
-		failover = 1
-	}
+	failover := max(p.Size(), 1)
 	var lastErr error
 	for try := 0; try < failover; try++ {
 		s, err := p.acquire(ctx)
@@ -650,10 +611,6 @@ func (p *ClientPool) MeasureContext(ctx context.Context, a assign.Assignment) (f
 			if m := p.cfg.Metrics; m != nil {
 				m.Failovers.Inc()
 			}
-			p.emit("failover",
-				obs.Field{Key: "server", Value: s.addr},
-				obs.Field{Key: "try", Value: try + 1},
-				obs.Field{Key: "error", Value: err.Error()})
 		}
 	}
 	return 0, fmt.Errorf("remote: %d server(s) failed, last: %w", failover, lastErr)

@@ -9,8 +9,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"optassign/internal/obs"
 )
 
 // RegistryConfig tunes the controller-side fleet registry.
@@ -30,10 +28,6 @@ type RegistryConfig struct {
 	// task-count check: return an error to refuse the server (wrong
 	// testbed identity, unknown operator, ...).
 	Verify func(h Hello, identity string) error
-	// Events receives "member_joined", "member_rejected",
-	// "member_suspect", "member_recovered", "member_draining" and
-	// "member_left" events. nil disables.
-	Events obs.EventSink
 	// Metrics counts membership churn and heartbeat traffic. nil
 	// disables.
 	Metrics *MembershipMetrics
@@ -180,12 +174,6 @@ func (r *Registry) Members() map[string]string {
 	return out
 }
 
-func (r *Registry) emit(name string, fields ...obs.Field) {
-	if r.cfg.Events != nil {
-		r.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
-	}
-}
-
 // updateGaugesLocked refreshes the membership gauges. Callers hold r.mu.
 func (r *Registry) updateGaugesLocked() {
 	m := r.cfg.Metrics
@@ -207,7 +195,6 @@ func (r *Registry) reject(conn net.Conn, enc *json.Encoder, reason string) {
 	if m := r.cfg.Metrics; m != nil {
 		m.RejectedJoins.Inc()
 	}
-	r.emit("member_rejected", obs.Field{Key: "error", Value: reason})
 	enc.Encode(RegistryFrame{Type: FrameReject, Error: reason})
 	conn.Close()
 }
@@ -273,9 +260,6 @@ func (r *Registry) handle(conn net.Conn) {
 	if mm := r.cfg.Metrics; mm != nil {
 		mm.Joins.Inc()
 	}
-	r.emit("member_joined",
-		obs.Field{Key: "server", Value: ann.Addr},
-		obs.Field{Key: "identity", Value: ann.Identity})
 
 	// Heartbeat watch. Frames arrive on a reader goroutine so the state
 	// machine can also wake on timers; closing the connection unblocks a
@@ -353,11 +337,6 @@ func (r *Registry) setSuspect(m *fleetMember, suspect bool) {
 	r.updateGaugesLocked()
 	r.mu.Unlock()
 	r.pool.SetSuspect(m.addr, suspect)
-	if suspect {
-		r.emit("member_suspect", obs.Field{Key: "server", Value: m.addr})
-	} else {
-		r.emit("member_recovered", obs.Field{Key: "server", Value: m.addr})
-	}
 }
 
 // startDrain begins the graceful-departure handshake: the pool stops
@@ -374,12 +353,11 @@ func (r *Registry) startDrain(m *fleetMember, enc *json.Encoder) {
 	m.draining = true
 	r.updateGaugesLocked()
 	r.mu.Unlock()
-	r.emit("member_draining", obs.Field{Key: "server", Value: m.addr})
 	r.pool.Drain(m.addr, func() {
 		if mm := r.cfg.Metrics; mm != nil {
 			mm.Drains.Inc()
 		}
-		r.forgetLeft(m, "drained")
+		r.forgetLeft(m)
 		enc.Encode(RegistryFrame{Type: FrameDrained})
 		m.conn.Close() // unblocks the reader; the handler exits via !ok
 	})
@@ -395,23 +373,17 @@ func (r *Registry) leave(m *fleetMember, reason string) {
 	if mm := r.cfg.Metrics; mm != nil {
 		mm.Leaves.Inc()
 	}
-	r.emit("member_left",
-		obs.Field{Key: "server", Value: m.addr},
-		obs.Field{Key: "reason", Value: reason})
 }
 
 // forgetLeft drops the registration of a member that already left the
-// pool (a completed drain) and emits the leave accounting.
-func (r *Registry) forgetLeft(m *fleetMember, reason string) {
+// pool (a completed drain) and counts the leave.
+func (r *Registry) forgetLeft(m *fleetMember) {
 	if !r.forget(m) {
 		return
 	}
 	if mm := r.cfg.Metrics; mm != nil {
 		mm.Leaves.Inc()
 	}
-	r.emit("member_left",
-		obs.Field{Key: "server", Value: m.addr},
-		obs.Field{Key: "reason", Value: reason})
 }
 
 // forget removes the registry record if m is still current; it reports
@@ -443,9 +415,6 @@ type RegistrantConfig struct {
 	// registry link: RetryBase doubling up to RetryMax. Defaults 200 ms
 	// and 5 s.
 	RetryBase, RetryMax time.Duration
-	// Events receives "registered", "registration_lost" and
-	// "drain_acknowledged" events. nil disables.
-	Events obs.EventSink
 }
 
 func (c RegistrantConfig) withDefaults() RegistrantConfig {
@@ -496,12 +465,6 @@ func NewRegistrant(cfg RegistrantConfig) (*Registrant, error) {
 	}, nil
 }
 
-func (g *Registrant) emit(name string, fields ...obs.Field) {
-	if g.cfg.Events != nil {
-		g.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
-	}
-}
-
 // Run maintains the registration until ctx is cancelled, the registry
 // rejects the announcement (ErrRejected), or a requested drain completes
 // (nil). Lost links are re-dialed with exponential backoff and announced
@@ -525,7 +488,6 @@ func (g *Registrant) Run(ctx context.Context) error {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		}
-		g.emit("registration_lost", obs.Field{Key: "error", Value: err.Error()})
 		if !errors.Is(err, errSessionLost) {
 			// Dial or handshake failure: back off harder each time.
 			if delay *= 2; delay > g.cfg.RetryMax {
@@ -605,8 +567,6 @@ func (g *Registrant) session(ctx context.Context, conn net.Conn) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	g.emit("registered", obs.Field{Key: "interval", Value: interval.String()})
-
 	// A drain requested while we were disconnected is sent as soon as
 	// the session is up.
 	g.mu.Lock()
@@ -638,7 +598,6 @@ func (g *Registrant) session(ctx context.Context, conn net.Conn) error {
 			}
 			switch f.Type {
 			case FrameDrained:
-				g.emit("drain_acknowledged")
 				g.mu.Lock()
 				select {
 				case <-g.drainDone:

@@ -37,7 +37,6 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
-	"optassign/internal/obs"
 	"optassign/internal/t2"
 )
 
@@ -333,9 +332,6 @@ type ClientConfig struct {
 	// RedialBase and RedialMax shape the backoff between redials:
 	// RedialBase doubling up to RedialMax. Defaults 100 ms and 3 s.
 	RedialBase, RedialMax time.Duration
-	// Events receives "stream_poisoned", "reconnect" and
-	// "reconnect_failed" events. nil disables.
-	Events obs.EventSink
 	// Metrics counts requests, poisonings and reconnects; a bundle
 	// shared between clients (e.g. across a pool) aggregates them. nil
 	// disables.
@@ -485,12 +481,12 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 		m.Requests.Inc()
 	}
 	if err := c.enc.Encode(req); err != nil {
-		c.poison(err)
+		c.poison()
 		return 0, fmt.Errorf("remote: send: %w (%w)", err, ErrStreamBroken)
 	}
 	var resp Response
 	if err := c.dec.Decode(&resp); err != nil {
-		c.poison(err)
+		c.poison()
 		if errors.Is(err, io.EOF) {
 			return 0, fmt.Errorf("remote: server closed the connection (%w)", ErrStreamBroken)
 		}
@@ -499,7 +495,7 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 	if resp.ID != req.ID {
 		// The stream is desynced: some earlier response is still in
 		// flight. Nothing read from this connection can be trusted.
-		c.poison(fmt.Errorf("response id %d for request %d", resp.ID, req.ID))
+		c.poison()
 		return 0, fmt.Errorf("remote: response id %d for request %d (%w)", resp.ID, req.ID, ErrStreamBroken)
 	}
 	if resp.Error != "" {
@@ -513,18 +509,13 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 
 // poison marks the stream unusable and drops the connection. Callers hold
 // c.mu.
-func (c *Client) poison(cause error) {
+func (c *Client) poison() {
 	c.broken = true
 	if c.conn != nil {
 		c.conn.Close()
 	}
 	if m := c.cfg.Metrics; m != nil {
 		m.StreamPoisonings.Inc()
-	}
-	if c.cfg.Events != nil {
-		c.cfg.Events.Emit(obs.Event{Name: "stream_poisoned", Fields: []obs.Field{
-			{Key: "error", Value: cause.Error()},
-		}})
 	}
 }
 
@@ -545,11 +536,6 @@ func (c *Client) reconnect(ctx context.Context) error {
 			if err = c.attach(conn, false); err == nil {
 				if m := c.cfg.Metrics; m != nil {
 					m.Reconnects.Inc()
-				}
-				if c.cfg.Events != nil {
-					c.cfg.Events.Emit(obs.Event{Name: "reconnect", Fields: []obs.Field{
-						{Key: "attempts", Value: attempt},
-					}})
 				}
 				return nil
 			}
@@ -574,12 +560,6 @@ func (c *Client) reconnect(ctx context.Context) error {
 	}
 	if m := c.cfg.Metrics; m != nil {
 		m.ReconnectFailures.Inc()
-	}
-	if c.cfg.Events != nil {
-		c.cfg.Events.Emit(obs.Event{Name: "reconnect_failed", Fields: []obs.Field{
-			{Key: "attempts", Value: c.cfg.RedialAttempts},
-			{Key: "error", Value: fmt.Sprint(lastErr)},
-		}})
 	}
 	return fmt.Errorf("remote: reconnect failed after %d attempts: %w (%w)", c.cfg.RedialAttempts, lastErr, ErrStreamBroken)
 }

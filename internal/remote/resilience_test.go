@@ -258,7 +258,7 @@ func TestReconnectRejectsChangedServer(t *testing.T) {
 	// Break the stream; the next measurement redials — onto server B,
 	// whose identity does not match. That must be a permanent error.
 	client.mu.Lock()
-	client.poison(errors.New("test: forced break"))
+	client.poison()
 	client.mu.Unlock()
 	_, err = client.MeasureContext(context.Background(), a)
 	if err == nil {
