@@ -6,9 +6,9 @@
 package assign
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -100,100 +100,98 @@ func (a Assignment) TasksByCore() map[int][]int {
 // The rendered bytes are exactly canonicalKeyRef's (the straightforward
 // map/sort/fmt construction) — the testbed keys its deterministic
 // measurement noise on this string, so the encoding is part of the
-// reproducibility contract. Up to 64 tasks and pipelines the only
-// allocation is the returned string.
+// reproducibility contract. Up to a full T2 the only allocation is the
+// returned string.
 func (a Assignment) CanonicalKey() string {
-	var buf [scratchBytes]byte
+	var buf [256]byte
 	return string(a.AppendCanonicalKey(buf[:0]))
 }
 
-// AppendCanonicalKey's stack scratch holds up to scratchItems tasks and
-// pipelines and renderings up to scratchBytes long: a full 64-context T2
-// fits, and larger inputs spill to the heap.
-const (
-	scratchItems = 64
-	scratchBytes = 256
-)
+// keyPipes is how many pipes AppendCanonicalKey's stack scratch holds, a
+// full T2's 16, with one word of task mask each (up to 64 tasks) plus the
+// occupied-pipe bitmask. Larger inputs spill to the heap.
+const keyPipes = 16
 
 // AppendCanonicalKey appends CanonicalKey's bytes to dst and returns the
-// extended buffer. It buckets tasks by pipe with one CSR pass and renders
-// into fixed-size scratch on the stack, so with room in dst it allocates
+// extended buffer. Each pipe's tasks become a bitmask, whose set bits list
+// them in ascending order; the occupied pipes of each core, then the
+// occupied cores, are put in the order their renderings compare bytewise
+// (pipeHead.before), and the key is rendered once, in that order,
+// straight into dst. With room in dst and up to a full T2 it allocates
 // nothing.
 func (a Assignment) AppendCanonicalKey(dst []byte) []byte {
-	nPipes := a.Topo.Pipes()
-	nTasks := len(a.Ctx)
+	ppc := a.Topo.PipesPerCore
+	nPipes, nTasks := a.Topo.Pipes(), len(a.Ctx)
 	if nPipes <= 0 || nTasks == 0 {
 		return dst
 	}
-	// CSR bucketing: tasks[pos[p]:pos[p+1]] become pipe p's tasks.
-	var posArr [scratchItems + 1]int
-	var tasksArr [scratchItems]int
-	pos, tasks := scratch(posArr[:], nPipes+1), scratch(tasksArr[:], nTasks)
-	clear(pos)
-	for _, ctx := range a.Ctx {
-		pos[a.Topo.PipeOf(ctx)]++
+	// One scratch holds the occupied-pipe bitmask, then w words of task
+	// mask per pipe.
+	w, nOcc := (nTasks+63)/64, (nPipes+63)/64
+	var wordArr [keyPipes + 1]uint64
+	words := scratch(wordArr[:], nOcc+nPipes*w)
+	occ, masks := words[:nOcc], words[nOcc:]
+	for t, ctx := range a.Ctx {
+		p := a.Topo.PipeOf(ctx)
+		occ[p/64] |= 1 << (p % 64)
+		masks[p*w+t/64] |= 1 << (t % 64)
 	}
-	for p := 1; p < nPipes; p++ {
-		pos[p] += pos[p-1]
-	}
-	pos[nPipes] = nTasks
-	for task := nTasks - 1; task >= 0; task-- {
-		p := a.Topo.PipeOf(a.Ctx[task])
-		pos[p]--
-		tasks[pos[p]] = task
-	}
-	// Render each occupied pipe as "[t0 t1 ...]" (tasks ascending) into one
-	// shared buffer; pipeSegs records the slice per pipe for later sorting.
-	var bufArr, coreArr [scratchBytes]byte
-	var pipeArr, coreSegArr [scratchItems]seg
-	buf := bufArr[:0]
-	pipeSegs := pipeArr[:0]
-	for p := 0; p < nPipes; p++ {
-		ts := tasks[pos[p]:pos[p+1]]
-		if len(ts) == 0 {
-			continue // unoccupied pipe: omitted, exactly like the map form
-		}
-		slices.Sort(ts)
-		bStart := len(buf)
-		buf = append(buf, '[')
-		for i, t := range ts {
-			if i > 0 {
-				buf = append(buf, ' ')
+	mask := func(p int) []uint64 { return masks[p*w : p*w+w] }
+
+	// pipes lists the occupied pipes core by core (they arrive in
+	// ascending order), each core's run sorted; cores holds one span of
+	// pipes per occupied core, sorted by the core's first pipe.
+	var pipeArr [keyPipes]pipeHead
+	var coreArr [keyPipes]span
+	pipes := scratch(pipeArr[:], min(nPipes, nTasks))[:0]
+	cores := scratch(coreArr[:], min(nPipes, nTasks))[:0]
+	coreEnd := 0 // first pipe past the current core
+	for wi, word := range occ {
+		for ; word != 0; word &= word - 1 {
+			p := wi*64 + bits.TrailingZeros64(word)
+			if p >= coreEnd {
+				coreEnd = (p/ppc + 1) * ppc
+				cores = append(cores, span{len(pipes), len(pipes)})
 			}
-			buf = strconv.AppendInt(buf, int64(t), 10)
-		}
-		buf = append(buf, ']')
-		pipeSegs = append(pipeSegs, seg{bStart, len(buf), p / a.Topo.PipesPerCore})
-	}
-	// Per core: sort its pipe renderings lexicographically and join with
-	// '|'. Pipe segments arrive in ascending pipe (hence core) order, so
-	// each core's segments are contiguous.
-	coreBuf := coreArr[:0]
-	coreSegs := coreSegArr[:0]
-	for i := 0; i < len(pipeSegs); {
-		j := i
-		for j < len(pipeSegs) && pipeSegs[j].core == pipeSegs[i].core {
-			j++
-		}
-		group := pipeSegs[i:j]
-		sortSegs(buf, group)
-		cStart := len(coreBuf)
-		for k, s := range group {
-			if k > 0 {
-				coreBuf = append(coreBuf, '|')
+			first := nextTask(mask(p), 0)
+			pipes = append(pipes, pipeHead{p, first, nextTask(mask(p), first+1) >= 0})
+			c := &cores[len(cores)-1]
+			c.hi++
+			// Insertion sort: a core has only PipesPerCore pipes.
+			for y := c.hi - 1; y > c.lo && pipes[y].before(pipes[y-1]); y-- {
+				pipes[y], pipes[y-1] = pipes[y-1], pipes[y]
 			}
-			coreBuf = append(coreBuf, buf[s.start:s.end]...)
 		}
-		coreSegs = append(coreSegs, seg{cStart, len(coreBuf), 0})
-		i = j
 	}
-	// Sort the core renderings and join with " / ".
-	sortSegs(coreBuf, coreSegs)
-	for i, s := range coreSegs {
+	// A core renders as its sorted pipes joined by '|', and the first
+	// pipes of two cores differ before either ends: the core whose first
+	// pipe renders first renders first.
+	for x := 1; x < len(cores); x++ {
+		for y := x; y > 0 && pipes[cores[y].lo].before(pipes[cores[y-1].lo]); y-- {
+			cores[y], cores[y-1] = cores[y-1], cores[y]
+		}
+	}
+
+	for i, c := range cores {
 		if i > 0 {
 			dst = append(dst, " / "...)
 		}
-		dst = append(dst, coreBuf[s.start:s.end]...)
+		for j, ph := range pipes[c.lo:c.hi] {
+			if j > 0 {
+				dst = append(dst, '|')
+			}
+			dst = append(dst, '[')
+			for wi, word := range mask(ph.pipe) {
+				for ; word != 0; word &= word - 1 {
+					t := wi*64 + bits.TrailingZeros64(word)
+					if t != ph.first {
+						dst = append(dst, ' ')
+					}
+					dst = appendTask(dst, t)
+				}
+			}
+			dst = append(dst, ']')
+		}
 	}
 	return dst
 }
@@ -206,18 +204,69 @@ func scratch[T any](arr []T, n int) []T {
 	return make([]T, n)
 }
 
-// seg is one rendering in a key's scratch buffer: bytes [start, end), of
-// a pipe on core core.
-type seg struct{ start, end, core int }
+// appendTask appends task t in decimal.
+func appendTask(dst []byte, t int) []byte {
+	if t < 10 {
+		return append(dst, byte('0'+t))
+	}
+	return strconv.AppendInt(dst, int64(t), 10)
+}
 
-// sortSegs insertion-sorts segs by the bytes of buf they cover: a core
-// has at most PipesPerCore segments, and the list of cores is short.
-func sortSegs(buf []byte, segs []seg) {
-	for x := 1; x < len(segs); x++ {
-		for y := x; y > 0 && bytes.Compare(buf[segs[y].start:segs[y].end], buf[segs[y-1].start:segs[y-1].end]) < 0; y-- {
-			segs[y], segs[y-1] = segs[y-1], segs[y]
+// span is the run pipes[lo:hi] of one core's occupied pipes.
+type span struct{ lo, hi int }
+
+// pipeHead is an occupied pipe with what orders its rendering "[t0 t1
+// ...]" among the others: its lowest task and whether more follow. Two
+// pipes hold disjoint tasks, so their renderings part within the first
+// task's digits or at the byte after them.
+type pipeHead struct {
+	pipe, first int
+	more        bool
+}
+
+// before reports whether x renders before y, bytewise. Tasks with as many
+// digits compare as numbers. When the lower task d has fewer digits than
+// e, d's digits compare with e's leading ones, and when those match
+// (d = 1, e = 12) d's follower decides: ' ' sorts before a digit, ']'
+// after one.
+func (x pipeHead) before(y pipeHead) bool {
+	if x.first > y.first {
+		return !y.before(x)
+	}
+	d, e := x.first, y.first
+	nd, ne := decimalDigits(d), decimalDigits(e)
+	if nd == ne {
+		return true
+	}
+	for ; ne > nd; ne-- {
+		e /= 10
+	}
+	if e != d {
+		return d < e
+	}
+	return x.more
+}
+
+// nextTask returns the lowest task of mask m at or above t, or -1.
+func nextTask(m []uint64, t int) int {
+	for i := t / 64; i < len(m); i++ {
+		word := m[i]
+		if i == t/64 {
+			word &= ^uint64(0) << (t % 64)
+		}
+		if word != 0 {
+			return i*64 + bits.TrailingZeros64(word)
 		}
 	}
+	return -1
+}
+
+func decimalDigits(n int) int {
+	k := 1
+	for ; n >= 10; n /= 10 {
+		k++
+	}
+	return k
 }
 
 // canonicalKeyRef is the original map/sort/fmt construction of the

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"optassign/internal/raceflag"
@@ -10,13 +11,17 @@ import (
 
 // canonicalTopos are the topologies the byte-compatibility property runs
 // over: the case-study T2, a degenerate single-core machine, a deep
-// single-slot machine and a wide shallow one.
+// single-slot machine, a wide shallow one, and two with 128 contexts,
+// whose draws reach multi-word task masks, heap scratch and three-digit
+// task IDs.
 var canonicalTopos = []t2.Topology{
 	{Cores: 8, PipesPerCore: 2, ContextsPerPipe: 4},
 	{Cores: 1, PipesPerCore: 1, ContextsPerPipe: 8},
 	{Cores: 4, PipesPerCore: 3, ContextsPerPipe: 1},
 	{Cores: 2, PipesPerCore: 2, ContextsPerPipe: 2},
 	{Cores: 16, PipesPerCore: 1, ContextsPerPipe: 2},
+	{Cores: 16, PipesPerCore: 2, ContextsPerPipe: 4},
+	{Cores: 4, PipesPerCore: 4, ContextsPerPipe: 8},
 }
 
 // TestCanonicalKeyMatchesReference pins the rewritten CanonicalKey to the
@@ -54,9 +59,9 @@ func TestCanonicalKeyMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyDoesNotMutate verifies the CSR rewrite never reorders
-// the caller's Ctx slice (the reference sorted freshly allocated copies;
-// the rewrite must be equally side-effect free).
+// TestCanonicalKeyDoesNotMutate verifies the encoder never reorders the
+// caller's Ctx slice (the reference sorted freshly allocated copies; the
+// encoder must be equally side-effect free).
 func TestCanonicalKeyDoesNotMutate(t *testing.T) {
 	topo := t2.UltraSPARCT2()
 	a := Assignment{Topo: topo, Ctx: []int{9, 1, 8, 0, 33}}
@@ -69,12 +74,13 @@ func TestCanonicalKeyDoesNotMutate(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonicalKey compares the preallocated-buffer encoder against
-// the original map/sort/fmt construction on the case-study workload size
-// (24 tasks) and on a full 64-task machine.
+// BenchmarkCanonicalKey compares the mask encoder against the original
+// map/sort/fmt construction on a 6-task draw (perfbench's sample-cached
+// shape), the case-study workload size (24 tasks) and a full 64-task
+// machine.
 func BenchmarkCanonicalKey(b *testing.B) {
 	topo := t2.UltraSPARCT2()
-	for _, tasks := range []int{24, 64} {
+	for _, tasks := range []int{6, 24, 64} {
 		rng := rand.New(rand.NewSource(11))
 		a, err := RandomPermutation(rng, topo, tasks)
 		if err != nil {
@@ -145,4 +151,43 @@ func TestAppendCanonicalKeyAppends(t *testing.T) {
 			t.Fatalf("%d tasks: AppendCanonicalKey = %q, want %q", tasks, got, want)
 		}
 	}
+}
+
+// FuzzCanonicalKey is the differential check of AppendCanonicalKey
+// against canonicalKeyRef over arbitrary shapes: up to 20 cores of up to
+// 4 pipes of up to 8 slots, and up to 256 tasks placed injectively by
+// data. The prefix in dst must survive, the bytes after it must be the
+// reference's, and Ctx must come back unmodified.
+func FuzzCanonicalKey(f *testing.F) {
+	f.Add(uint8(8), uint8(2), uint8(4), uint8(5), []byte{3, 1, 4, 1, 5, 9})
+	f.Add(uint8(8), uint8(2), uint8(4), uint8(63), []byte{})
+	f.Add(uint8(16), uint8(2), uint8(4), uint8(120), []byte{2, 7, 1, 8})
+	f.Add(uint8(4), uint8(4), uint8(8), uint8(255), []byte{0})
+	f.Fuzz(func(t *testing.T, cores, pipes, slots, tasks uint8, data []byte) {
+		topo := t2.Topology{Cores: 1 + int(cores)%20, PipesPerCore: 1 + int(pipes)%4, ContextsPerPipe: 1 + int(slots)%8}
+		free := make([]int, topo.Contexts())
+		for i := range free {
+			free[i] = i
+		}
+		ctx := make([]int, 1+int(tasks)%len(free))
+		for i := range ctx {
+			r := i
+			if len(data) > 0 {
+				r += 131 * int(data[i%len(data)])
+			}
+			j := r % len(free)
+			ctx[i] = free[j]
+			free[j] = free[len(free)-1]
+			free = free[:len(free)-1]
+		}
+		a := Assignment{Topo: topo, Ctx: ctx}
+		before := append([]int(nil), ctx...)
+		want := "key:" + a.canonicalKeyRef()
+		if got := string(a.AppendCanonicalKey([]byte("key:"))); got != want {
+			t.Fatalf("topo %v ctx %v: AppendCanonicalKey = %q, want %q", topo, ctx, got, want)
+		}
+		if !slices.Equal(ctx, before) {
+			t.Fatalf("Ctx mutated: %v, want %v", ctx, before)
+		}
+	})
 }

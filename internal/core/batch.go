@@ -88,13 +88,23 @@ func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment,
 		return perfs, errs
 	}
 
+	// Every draw's key renders into one buffer, and most draws end at its
+	// L1 probe; only an L1 miss keeps its key as a string, for the L2
+	// probe, the dedup, the insert and the duplicates' lookup.
+	var buf [keyBytes]byte
+	kb := buf[:0]
 	keys := make([]string, len(as))
 	resolved := make([]bool, len(as))
 	seen := make(map[string]struct{}, len(as))
 	var uniq []int // first unresolved occurrence per class, in draw order
 	for i, a := range as {
-		keys[i] = r.key(a)
-		if perf, ok := r.cache.lookup(keys[i]); ok {
+		kb = r.appendKey(kb[:0], a)
+		if perf, ok := r.cache.probe(kb); ok {
+			perfs[i], resolved[i] = perf, true
+			continue
+		}
+		keys[i] = string(kb)
+		if perf, ok := r.cache.lookupStore(keys[i]); ok {
 			perfs[i], resolved[i] = perf, true
 			continue
 		}

@@ -91,7 +91,7 @@ func TestMeasureBatchContextMatchesSerialAndDedups(t *testing.T) {
 	ref := NewCachedContextRunner(&batchSource{}, NewCache(1024, nil), "tb")
 	classes := map[string]struct{}{}
 	for i, a := range as {
-		classes[r.key(a)] = struct{}{}
+		classes[string(r.appendKey(nil, a))] = struct{}{}
 		want, werr := ref.MeasureContext(context.Background(), a)
 		if errs[i] != nil || werr != nil {
 			t.Fatalf("draw %d: errs %v / %v", i, errs[i], werr)

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"strconv"
-	"strings"
 	"sync"
 
 	"optassign/internal/assign"
@@ -80,25 +79,25 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// do returns the memoized value for key, joining an in-flight measurement
-// when one exists and otherwise leading one via measure.
+// do returns the memoized value for key kb, joining an in-flight measurement
+// when one exists and otherwise leading one via measure. The L1 and
+// flight probes index the maps with string(kb), which copies nothing;
+// the key string is allocated only by a leader, which stores it.
 //
 // Metric discipline: the hit, miss and coalesced counters are bumped in
 // the same critical section as the map state they describe, so a /metrics
 // scrape can never observe hits+misses smaller than the lookups already
 // answered (the counters may run ahead of returns, never behind the
 // cache's visible state).
-func (c *Cache) do(ctx context.Context, key string, measure func() (float64, error)) (float64, error) {
+func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, error)) (float64, error) {
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.order.MoveToFront(el)
-			perf := el.Value.(*cacheEntry).perf
-			c.m.hits().Inc()
+		if el, ok := c.entries[string(kb)]; ok {
+			perf := c.hitLocked(el)
 			c.mu.Unlock()
 			return perf, nil
 		}
-		if f, ok := c.flights[key]; ok {
+		if f, ok := c.flights[string(kb)]; ok {
 			c.m.coalesced().Inc()
 			c.mu.Unlock()
 			select {
@@ -118,6 +117,7 @@ func (c *Cache) do(ctx context.Context, key string, measure func() (float64, err
 			}
 			continue
 		}
+		key := string(kb)
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.mu.Unlock()
@@ -156,20 +156,44 @@ func (c *Cache) do(ctx context.Context, key string, measure func() (float64, err
 	}
 }
 
+// hitLocked serves an L1 entry: it becomes the most recently used and
+// counts a hit. Caller holds c.mu.
+func (c *Cache) hitLocked(el *list.Element) float64 {
+	c.order.MoveToFront(el)
+	c.m.hits().Inc()
+	return el.Value.(*cacheEntry).perf
+}
+
+// probe serves key from L1 alone, without allocating: string(key) in the
+// map index copies nothing. It is the batch path's first probe, which
+// most draws end at; a miss goes on to lookupStore with the key string.
+func (c *Cache) probe(key []byte) (float64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[string(key)]; ok {
+		return c.hitLocked(el), true
+	}
+	return 0, false
+}
+
 // lookup probes both cache tiers for key without joining or leading a
-// flight; a disk hit is promoted into L1. It is the batch path's probe:
-// the batched collector separates hits from misses up front, then
-// measures all misses in one core-sharded pass.
+// flight; a disk hit is promoted into L1. The batched collector
+// separates hits from misses up front (probe, then lookupStore), then
+// measures all misses in one core-sharded pass and settles their
+// duplicates with lookup.
 func (c *Cache) lookup(key string) (float64, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		perf := el.Value.(*cacheEntry).perf
-		c.m.hits().Inc()
+		perf := c.hitLocked(el)
 		c.mu.Unlock()
 		return perf, true
 	}
 	c.mu.Unlock()
+	return c.lookupStore(key)
+}
+
+// lookupStore is lookup's L2 half, for a key L1 just missed.
+func (c *Cache) lookupStore(key string) (float64, bool) {
 	if perf, ok := c.storeGet(key); ok {
 		c.mu.Lock()
 		c.storeLocked(key, perf)
@@ -221,8 +245,13 @@ func (c *Cache) storeLocked(key string, perf float64) {
 type CachedRunner struct {
 	inner  ContextRunner
 	cache  *Cache
-	prefix string // identity + topology shape, precomputed
+	prefix string // identity + "\x1f"
 }
+
+// keyBytes sizes the stack buffer a cache key renders into: a testbed
+// identity, the shape and a full T2's canonical form fit, and longer keys
+// move to the heap.
+const keyBytes = 320
 
 // NewCachedContextRunner wraps inner. identity names the measured system
 // (testbed, app, seed — see netdps.Testbed.Identity); it becomes part of
@@ -246,28 +275,25 @@ func (r *CachedRunner) MeasureContext(ctx context.Context, a assign.Assignment) 
 	if r.cache == nil {
 		return r.inner.MeasureContext(ctx, a)
 	}
-	return r.cache.do(ctx, r.key(a), func() (float64, error) {
+	var buf [keyBytes]byte
+	return r.cache.do(ctx, r.appendKey(buf[:0], a), func() (float64, error) {
 		return r.inner.MeasureContext(ctx, a)
 	})
 }
 
-// key renders the full cache key: identity, topology shape, canonical
-// form. The shape is required because CanonicalKey's output alone does not
-// pin the topology (the same task grouping can arise on machines with
-// different pipe/core structure).
-func (r *CachedRunner) key(a assign.Assignment) string {
-	ck := a.CanonicalKey()
-	var b strings.Builder
-	b.Grow(len(r.prefix) + len(ck) + 16)
-	b.WriteString(r.prefix)
-	b.WriteString(strconv.Itoa(a.Topo.Cores))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(a.Topo.PipesPerCore))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(a.Topo.ContextsPerPipe))
-	b.WriteByte(0x1f)
-	b.WriteString(ck)
-	return b.String()
+// appendKey appends the full cache key to dst: identity, topology shape,
+// canonical form. The shape is required because CanonicalKey's output
+// alone does not pin the topology (the same task grouping can arise on
+// machines with different pipe/core structure).
+func (r *CachedRunner) appendKey(dst []byte, a assign.Assignment) []byte {
+	dst = append(dst, r.prefix...)
+	dst = strconv.AppendInt(dst, int64(a.Topo.Cores), 10)
+	dst = append(dst, 'x')
+	dst = strconv.AppendInt(dst, int64(a.Topo.PipesPerCore), 10)
+	dst = append(dst, 'x')
+	dst = strconv.AppendInt(dst, int64(a.Topo.ContextsPerPipe), 10)
+	dst = append(dst, 0x1f)
+	return a.AppendCanonicalKey(dst)
 }
 
 var _ Runner = (*CachedRunner)(nil)

@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"optassign/internal/apps"
 	"optassign/internal/assign"
+	"optassign/internal/netdps"
 	"optassign/internal/obs"
+	"optassign/internal/raceflag"
 	"optassign/internal/t2"
 )
 
@@ -324,4 +327,106 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("waiter returned %v, want deadline exceeded", err)
 	}
 	<-leaderDone
+}
+
+// cacheKeyGolden is a CachedRunner key for the 6-task netdps testbed and
+// the assignment below: identity, \x1f, topology shape, \x1f, canonical
+// form.
+const cacheKeyGolden = "netdps|IPFwd-L1|i2|s1|n0.004|pf4096,1.2,64-800,0.8,0.1\x1f8x2x4\x1f[0 1]|[2] / [3 5] / [4]"
+
+// TestCacheKeyGolden pins the exact bytes of a cache key. cas persists
+// these bytes, so a drift would silently turn every existing cache
+// directory into misses (netdps's TestIdentityGolden pins only the
+// identity part). Both the one-draw path and the batch path must hand the
+// L2 store the golden key.
+func TestCacheKeyGolden(t *testing.T) {
+	tb := newTestbed(t, 2)
+	// Pipe 3 holds tasks 0 and 1, pipe 2 task 2 (both on core 1), pipe 8
+	// tasks 3 and 5 (core 4) and pipe 0 task 4 (core 0).
+	a := assign.Assignment{Topo: tb.Machine.Topo, Ctx: []int{13, 12, 8, 33, 2, 34}}
+	newRunner := func() (*CachedRunner, *fakeStore) {
+		c := NewCache(0, nil)
+		st := newFakeStore()
+		c.AttachStore(st)
+		return NewCachedContextRunner(AsContextRunner(tb), c, tb.Identity()), st
+	}
+	r, _ := newRunner()
+	if got := string(r.appendKey([]byte("p:"), a)); got != "p:"+cacheKeyGolden {
+		t.Fatalf("appendKey = %q, golden %q", got, "p:"+cacheKeyGolden)
+	}
+	r, st := newRunner()
+	if _, err := r.MeasureContext(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.data[cacheKeyGolden]; !ok || len(st.data) != 1 {
+		t.Fatalf("MeasureContext stored %v, want only the golden key", st.data)
+	}
+	r, st = newRunner()
+	if _, errs := r.MeasureBatchContext(context.Background(), []assign.Assignment{a, a}); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	if _, ok := st.data[cacheKeyGolden]; !ok || len(st.data) != 1 {
+		t.Fatalf("MeasureBatchContext stored %v, want only the golden key", st.data)
+	}
+}
+
+// TestCachedRunnerHitAllocatesNothing: a draw served by L1 renders its
+// key into a stack buffer and probes the map without building a string.
+func TestCachedRunnerHitAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tb := newTestbed(t, 2)
+	r := NewCachedContextRunner(AsContextRunner(tb), NewCache(0, nil), tb.Identity())
+	a := assign.Assignment{Topo: tb.Machine.Topo, Ctx: []int{13, 12, 8, 33, 2, 34}}
+	ctx := context.Background()
+	if _, err := r.MeasureContext(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.MeasureContext(ctx, a) }); n != 0 {
+		t.Errorf("MeasureContext on an L1 hit allocates %v times, want 0", n)
+	}
+	var buf [keyBytes]byte
+	if n := testing.AllocsPerRun(100, func() { r.cache.probe(r.appendKey(buf[:0], a)) }); n != 0 {
+		t.Errorf("the batch path's L1 probe allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkCachedRunnerKey times the draw that ends at an L1 hit, the
+// common draw of a cached sample: rendering the key and probing L1, on
+// its own (the batch path's probe) and behind MeasureContext. Draws are
+// perfbench sample-cached's shape, 6 tasks on a T2.
+func BenchmarkCachedRunnerKey(b *testing.B) {
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, err := assign.Sample(rand.New(rand.NewSource(1)), tb.Machine.Topo, tb.TaskCount(), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewCachedContextRunner(AsContextRunner(tb), NewCache(0, nil), tb.Identity())
+	ctx := context.Background()
+	for _, a := range as {
+		if _, err := r.MeasureContext(ctx, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("probe", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf [keyBytes]byte
+		for i := 0; i < b.N; i++ {
+			if _, ok := r.cache.probe(r.appendKey(buf[:0], as[i%len(as)])); !ok {
+				b.Fatal("L1 miss")
+			}
+		}
+	})
+	b.Run("measure", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.MeasureContext(ctx, as[i%len(as)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package table_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -82,6 +83,59 @@ func FuzzTableRows(f *testing.F) {
 		defer tb.Close()
 		if back := rowsOf(tb); !reflect.DeepEqual(back, rows) {
 			t.Fatalf("re-committed rows came back as %v, want %v", back, rows)
+		}
+	})
+}
+
+// FuzzParseFilter feeds arbitrary expressions to ParseFilter, the parser
+// behind campaignd's GET /query?filter=. It must not panic, every error
+// must wrap ErrBadFilter (the HTTP layer maps that family to a 400), and
+// every accepted condition must name a schema column, carry a value of
+// that column's type and use an operator the type supports.
+func FuzzParseFilter(f *testing.F) {
+	schema := coord.CampaignsSchema()
+	for _, seed := range []string{
+		"",
+		"benchmark=IPFwd-L1,gap_pct<2,testbed~local,satisfied=true",
+		"seed>=3, samples!=0 ,loss_pct<=2.5e-1",
+		"status~run,,finished_unix>1700000000",
+		"satisfied<true",
+		"tasks~4",
+		"nope=1",
+		"=x",
+		"gap_pct<NaN",
+		"seed=0x10",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		flt, err := table.ParseFilter(expr, schema)
+		if err != nil {
+			if !errors.Is(err, table.ErrBadFilter) {
+				t.Fatalf("ParseFilter(%q): error %v does not wrap ErrBadFilter", expr, err)
+			}
+			return
+		}
+		for _, c := range flt.Conds {
+			_, col, ok := schema.Col(c.Col)
+			if !ok {
+				t.Fatalf("ParseFilter(%q): condition on unknown column %q", expr, c.Col)
+			}
+			var typed bool
+			switch col.Type {
+			case table.String:
+				_, typed = c.Val.(string)
+			case table.Int:
+				_, typed = c.Val.(int64)
+			case table.Float:
+				_, typed = c.Val.(float64)
+			case table.Bool:
+				_, typed = c.Val.(bool)
+				typed = typed && (c.Op == table.OpEq || c.Op == table.OpNe)
+			}
+			if !typed || c.Op > table.OpHas || (c.Op == table.OpHas && col.Type != table.String) {
+				t.Fatalf("ParseFilter(%q): condition %s %v %#v does not fit %s column", expr, c.Col, c.Op, c.Val, col.Type)
+			}
 		}
 	})
 }
