@@ -17,12 +17,17 @@
 // key are harmless (first-writer-wins in the index — the value is a pure
 // function of the key, so duplicates carry the same performance).
 //
-// Crash safety: each Put is a single O_APPEND write followed by fsync,
-// through a wal.File. A crash mid-append leaves a torn tail that fails
-// its length or CRC check; Open (and any writer holding the exclusive
-// lock) truncates it away, while lock-free readers stop scanning at it,
-// so only whole fsynced records ever reach the index. A failed append or
-// fsync fails the store closed for writing (wal.ErrFailed).
+// Crash safety: each PutBatch is a group commit, a single O_APPEND write
+// of all its new records followed by one fsync, through a wal.File; Put
+// is a batch of one. A crash can tear only the tail of the last batch:
+// the scan serves the whole records before the first one that fails its
+// length or CRC check, Open (and any writer holding the exclusive lock)
+// truncates the rest away, and lock-free readers stop scanning at it. A
+// failed append or fsync fails the store closed for writing
+// (wal.ErrFailed). The batch is the durability unit its caller picks:
+// core's batch path writes a chunk's measurements as one batch before
+// any of the chunk's outcomes is committed, so a crash loses only cache
+// entries of draws no journal holds, and those re-measure bit for bit.
 //
 // Concurrency: one process may share a Store across goroutines (all
 // methods lock s.mu). Several PROCESSES may share one directory: appends
@@ -225,44 +230,101 @@ func (s *Store) Get(key string) (float64, bool) {
 	return perf, ok
 }
 
-// Put appends (key, perf) and fsyncs it. Appends from all processes
-// serialize on the lock file; a key already present (here or appended by
-// a peer since our last scan) is not written again.
+// Put appends (key, perf) and fsyncs it: a PutBatch of one key.
 func (s *Store) Put(key string, perf float64) error {
-	if key == "" || len(key) > maxKeyLen {
-		return fmt.Errorf("cas: invalid key length %d", len(key))
+	return s.PutBatch([]string{key}, []float64{perf})
+}
+
+// PutBatch appends (keys[i], perfs[i]) for every key not yet stored, as
+// one group commit: under one hold of the lock file, one catch-up with
+// peers' appends (which cuts a torn tail), one append of all the records
+// and one fsync. A key already present, here or appended by a peer since
+// our last scan, or repeated earlier in keys, is not written again. On
+// nil every key is durable; on an error none of the batch's records is
+// in the index, and what a crash or a short write left of the append is
+// a torn tail, which the next lock holder cuts back to the whole records
+// before it.
+func (s *Store) PutBatch(keys []string, perfs []float64) error {
+	if len(keys) != len(perfs) {
+		return fmt.Errorf("cas: %d keys for %d values", len(keys), len(perfs))
+	}
+	size := 0
+	for _, key := range keys {
+		if key == "" || len(key) > maxKeyLen {
+			return fmt.Errorf("cas: invalid key length %d", len(key))
+		}
+		size += recordOverhead + len(key)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[key]; ok {
+	if s.allIndexedLocked(keys) {
 		return nil
 	}
 	if err := wal.LockEx(s.lock); err != nil {
 		return fmt.Errorf("cas: locking: %w", err)
 	}
 	defer wal.Unlock(s.lock)
-	// Under the exclusive lock: absorb peers' appends (the key may have
+	// Under the exclusive lock: absorb peers' appends (some keys may have
 	// landed already), and cut any crash-torn tail.
 	if err := s.catchUpExclusive(); err != nil {
 		return err
 	}
-	if _, ok := s.index[key]; ok {
+	// A new key enters the index as its record is encoded, which skips
+	// its repeats later in the batch; s.mu hides it from every reader
+	// until the fsync, and a failure takes it out again.
+	recs := make([]byte, 0, size)
+	var added []string
+	for i, key := range keys {
+		if _, ok := s.index[key]; ok {
+			continue
+		}
+		s.index[key] = perfs[i]
+		added = append(added, key)
+		recs = appendRecord(recs, key, perfs[i])
+	}
+	if len(added) == 0 {
 		return nil
 	}
-	rec := make([]byte, 8+len(key)+8)
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
-	copy(rec[8:], key)
-	binary.LittleEndian.PutUint64(rec[8+len(key):], math.Float64bits(perf))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
-	if err := s.seg.Append(rec); err != nil {
-		return fmt.Errorf("cas: appending record: %w", err)
+	err := s.seg.Append(recs)
+	if err != nil {
+		err = fmt.Errorf("cas: appending %d records: %w", len(added), err)
+	} else if err = s.seg.Sync(); err != nil {
+		err = fmt.Errorf("cas: syncing %d records: %w", len(added), err)
 	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("cas: syncing record: %w", err)
+	if err != nil {
+		for _, key := range added {
+			delete(s.index, key)
+		}
+		return err
 	}
-	s.index[key] = perf
-	s.scanned += int64(len(rec))
+	s.scanned += int64(len(recs))
 	return nil
+}
+
+// allIndexedLocked reports whether every key is in the index already.
+// Caller holds s.mu.
+func (s *Store) allIndexedLocked(keys []string) bool {
+	for _, key := range keys {
+		if _, ok := s.index[key]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// recordOverhead is a record's length and CRC prefix plus its perf.
+const recordOverhead = 16
+
+// appendRecord appends key's record, laid out as the package comment
+// shows, to dst.
+func appendRecord(dst []byte, key string, perf float64) []byte {
+	off := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = append(dst, 0, 0, 0, 0) // the CRC, once the payload is in
+	dst = append(dst, key...)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(perf))
+	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(dst[off+8:]))
+	return dst
 }
 
 // Len reports the number of distinct keys in the index.
@@ -281,7 +343,7 @@ func (s *Store) Bytes() int64 {
 }
 
 // Close releases the store's files. The segment needs no final flush —
-// every Put synced itself.
+// every PutBatch synced itself.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

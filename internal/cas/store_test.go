@@ -211,6 +211,178 @@ func TestStoreCrashConsistency(t *testing.T) {
 	}
 }
 
+// TestStorePutBatch: a batch writes one record per new key, skipping keys
+// already stored and keys repeated in the batch (the first value wins),
+// and refuses mismatched or invalid input without writing anything.
+func TestStorePutBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("old", 1); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Bytes()
+	if err := s.PutBatch([]string{"old", "a", "bb", "a"}, []float64{9, 2, 3, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if grew, want := s.Bytes()-before, int64(2*recordOverhead+len("a")+len("bb")); grew != want {
+		t.Fatalf("batch grew the segment by %d bytes, want %d (one record each for a and bb)", grew, want)
+	}
+	for k, v := range map[string]float64{"old": 1, "a": 2, "bb": 3} {
+		if got, ok := s.Get(k); !ok || got != v {
+			t.Fatalf("Get(%q) = %v, %v; want %v", k, got, ok, v)
+		}
+	}
+	before = s.Bytes()
+	if err := s.PutBatch([]string{"c"}, nil); err == nil {
+		t.Fatal("PutBatch accepted 1 key for 0 values")
+	}
+	if err := s.PutBatch([]string{"c", ""}, []float64{4, 5}); err == nil {
+		t.Fatal("PutBatch accepted an empty key")
+	}
+	if err := s.PutBatch(nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if _, ok := s.Get("c"); ok || s.Bytes() != before {
+		t.Fatalf("a refused batch wrote: Get(c) %v, %d -> %d bytes", ok, before, s.Bytes())
+	}
+	s.Close()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 3 {
+		t.Fatalf("reopened store holds %d keys, want 3", re.Len())
+	}
+}
+
+// TestStoreTornGroupCommit cuts a multi-record PutBatch append at every
+// byte offset, as a crash mid-write can: reopening must serve exactly the
+// whole records before the cut, truncate the rest, and accept further
+// appends that survive another reopen.
+func TestStoreTornGroupCommit(t *testing.T) {
+	src := t.TempDir()
+	s, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("before", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	clean := s.Bytes()
+	keys := []string{"k", "key-two", "a-rather-longer-third-key", "k4"}
+	perfs := []float64{1, 2, 3, 4}
+	if err := s.PutBatch(keys, perfs); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	full, err := os.ReadFile(segPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is where the batch's record i ends.
+	ends := make([]int64, len(keys))
+	end := clean
+	for i, k := range keys {
+		end += int64(recordOverhead + len(k))
+		ends[i] = end
+	}
+	if end != int64(len(full)) {
+		t.Fatalf("segment is %d bytes, want %d", len(full), end)
+	}
+
+	for cut := clean; cut < int64(len(full)); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(segPath(dir), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		whole, valid := 0, clean
+		for whole < len(keys) && ends[whole] <= cut {
+			valid = ends[whole]
+			whole++
+		}
+		if s.Len() != 1+whole || s.Bytes() != valid {
+			t.Fatalf("cut %d: %d keys over %d bytes, want %d over %d", cut, s.Len(), s.Bytes(), 1+whole, valid)
+		}
+		for i, k := range keys {
+			got, ok := s.Get(k)
+			if ok != (i < whole) || (ok && got != perfs[i]) {
+				t.Fatalf("cut %d: Get(%q) = %v, %v with %d whole records", cut, k, got, ok, whole)
+			}
+		}
+		if fi, err := os.Stat(segPath(dir)); err != nil || fi.Size() != valid {
+			t.Fatalf("cut %d: segment not truncated to %d bytes (%v)", cut, valid, err)
+		}
+		if err := s.PutBatch([]string{"after", keys[len(keys)-1]}, []float64{5, perfs[len(keys)-1]}); err != nil {
+			t.Fatalf("cut %d: PutBatch after the repair: %v", cut, err)
+		}
+		s.Close()
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2 + whole // "before", the whole records and "after"
+		if whole < len(keys) {
+			want++ // the last key, written again
+		}
+		if v, ok := re.Get("after"); !ok || v != 5 || re.Len() != want {
+			t.Fatalf("cut %d: after the repair and a reopen: Get(after) = %v, %v, %d keys, want %d", cut, v, ok, re.Len(), want)
+		}
+		re.Close()
+	}
+}
+
+// TestStorePutBatchCrossProcess: a second handle on the directory sees
+// every record of a peer's PutBatch after one Get miss, and a batch
+// skips the keys a peer appended first.
+func TestStorePutBatchCrossProcess(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	keys := []string{"p1", "p2", "p3", "p4"}
+	if err := a.PutBatch(keys, []float64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Get("p1"); !ok {
+		t.Fatal("peer missed the batch's first record")
+	}
+	if b.Len() != len(keys) || b.Bytes() != a.Bytes() {
+		t.Fatalf("after one Get miss the peer indexed %d keys over %d bytes, want %d over %d",
+			b.Len(), b.Bytes(), len(keys), a.Bytes())
+	}
+
+	if err := b.Put("q1", 10); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Bytes()
+	if err := a.PutBatch([]string{"q1", "q2"}, []float64{10, 20}); err != nil {
+		t.Fatal(err)
+	}
+	if grew, want := a.Bytes()-before, int64(recordOverhead+len("q2")); grew != want {
+		t.Fatalf("batch grew the segment by %d bytes, want %d (q1 was the peer's)", grew, want)
+	}
+	if got, ok := b.Get("q2"); !ok || got != 20 {
+		t.Fatalf("peer Get(q2) = %v, %v", got, ok)
+	}
+}
+
 // TestStoreRejectsForeignFile: a directory holding a non-cas file must be
 // refused, not misparsed into a poisoned cache.
 func TestStoreRejectsForeignFile(t *testing.T) {
@@ -379,5 +551,32 @@ func BenchmarkStorePut(b *testing.B) {
 		if err := s.Put(fmt.Sprintf("class-%d", i), float64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStorePutBatch times group commits of 1, 8 and 64 new records,
+// one fsync each, beside BenchmarkStorePut's one record per fsync.
+func BenchmarkStorePutBatch(b *testing.B) {
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			s, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			keys := make([]string, n)
+			perfs := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range keys {
+					keys[j] = fmt.Sprintf("class-%d-%d", i, j)
+					perfs[j] = float64(j)
+				}
+				if err := s.PutBatch(keys, perfs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+		})
 	}
 }

@@ -56,7 +56,9 @@ type BatchOptions struct {
 //  1. every draw is probed against the LRU and the persistent store;
 //  2. the unique canonical classes still missing are measured in ONE
 //     batch (core-sharded when the source implements BatchMeasurer,
-//     serially otherwise), and successes populate both cache tiers;
+//     serially otherwise), and successes populate both cache tiers, the
+//     persistent one in a single write when the store is a
+//     BatchCacheStore;
 //  3. duplicates of a failed class re-measure individually — exactly the
 //     single-flight rule that a leader's error belongs to its own draw
 //     while followers measure for themselves.
@@ -90,67 +92,84 @@ func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment,
 
 	// Every draw's key renders into one buffer, and most draws end at its
 	// L1 probe; only an L1 miss keeps its key as a string, for the L2
-	// probe, the dedup, the insert and the duplicates' lookup.
+	// probe, the dedup, the insert and the duplicates' lookup. The lists
+	// and the map below stay nil until a draw misses both tiers.
 	var buf [keyBytes]byte
 	kb := buf[:0]
-	keys := make([]string, len(as))
-	resolved := make([]bool, len(as))
-	seen := make(map[string]struct{}, len(as))
-	var uniq []int // first unresolved occurrence per class, in draw order
+	var uniq, dups []batchMiss // each class's first miss, the rest; in draw order
+	var seen map[string]struct{}
 	for i, a := range as {
 		kb = r.appendKey(kb[:0], a)
 		if perf, ok := r.cache.probe(kb); ok {
-			perfs[i], resolved[i] = perf, true
-			continue
-		}
-		keys[i] = string(kb)
-		if perf, ok := r.cache.lookupStore(keys[i]); ok {
-			perfs[i], resolved[i] = perf, true
-			continue
-		}
-		if _, dup := seen[keys[i]]; !dup {
-			seen[keys[i]] = struct{}{}
-			uniq = append(uniq, i)
-		}
-	}
-
-	if len(uniq) > 0 {
-		bm.observe(len(uniq))
-		ua := make([]assign.Assignment, len(uniq))
-		for j, i := range uniq {
-			ua[j] = as[i]
-		}
-		var uperfs []float64
-		var uerrs []error
-		if hasBatch {
-			uperfs, uerrs = src.MeasureBatch(ua)
-		} else {
-			uperfs, uerrs = make([]float64, len(ua)), make([]error, len(ua))
-			for j, a := range ua {
-				uperfs[j], uerrs[j] = r.inner.MeasureContext(ctx, a)
-			}
-		}
-		for j, i := range uniq {
-			if uerrs[j] == nil {
-				r.cache.insert(keys[i], uperfs[j])
-			}
-			perfs[i], errs[i], resolved[i] = uperfs[j], uerrs[j], true
-		}
-	}
-
-	for i := range as {
-		if resolved[i] {
-			continue
-		}
-		// A duplicate whose class leader ran in this batch: a success is
-		// in the cache now; a failure means this draw measures for itself.
-		if perf, ok := r.cache.lookup(keys[i]); ok {
 			perfs[i] = perf
 			continue
 		}
-		perfs[i], errs[i] = r.MeasureContext(ctx, as[i])
+		key := string(kb)
+		if perf, ok := r.cache.lookupStore(key); ok {
+			perfs[i] = perf
+			continue
+		}
+		if seen == nil {
+			seen = make(map[string]struct{})
+		}
+		if _, dup := seen[key]; dup {
+			dups = append(dups, batchMiss{draw: i, key: key})
+			continue
+		}
+		seen[key] = struct{}{}
+		uniq = append(uniq, batchMiss{draw: i, key: key})
+	}
+	if len(uniq) == 0 {
+		return perfs, errs
+	}
+
+	bm.observe(len(uniq))
+	ua := make([]assign.Assignment, len(uniq))
+	for j, m := range uniq {
+		ua[j] = as[m.draw]
+	}
+	var uperfs []float64
+	var uerrs []error
+	if hasBatch {
+		uperfs, uerrs = src.MeasureBatch(ua)
+	} else {
+		uperfs, uerrs = make([]float64, len(ua)), make([]error, len(ua))
+		for j, a := range ua {
+			uperfs[j], uerrs[j] = r.inner.MeasureContext(ctx, a)
+		}
+	}
+	// The successes go to both tiers in one insert, which writes them to
+	// L2 as one group commit before this chunk returns and so before any
+	// of its outcomes is committed: a crash can lose only cache entries
+	// of uncommitted draws, which re-measure bit for bit. The insert
+	// precedes the duplicates' lookups, which may reach L2.
+	okKeys := make([]string, 0, len(uniq))
+	okPerfs := make([]float64, 0, len(uniq))
+	for j, m := range uniq {
+		perfs[m.draw], errs[m.draw] = uperfs[j], uerrs[j]
+		if uerrs[j] == nil {
+			okKeys = append(okKeys, m.key)
+			okPerfs = append(okPerfs, uperfs[j])
+		}
+	}
+	r.cache.insert(okKeys, okPerfs)
+
+	for _, m := range dups {
+		// A duplicate whose class leader ran in this batch: a success is
+		// in the cache now; a failure means this draw measures for itself.
+		if perf, ok := r.cache.lookup(m.key); ok {
+			perfs[m.draw] = perf
+			continue
+		}
+		perfs[m.draw], errs[m.draw] = r.MeasureContext(ctx, as[m.draw])
 	}
 	return perfs, errs
+}
+
+// batchMiss is a draw of a chunk that missed both cache tiers.
+type batchMiss struct {
+	draw int
+	key  string
 }
 
 // CollectSampleBatched is CollectSampleContext measured on runner in

@@ -204,13 +204,16 @@ func (c *Cache) lookupStore(key string) (float64, bool) {
 	return 0, false
 }
 
-// insert records a successful batch measurement in both tiers.
-func (c *Cache) insert(key string, perf float64) {
+// insert records a chunk's successful batch measurements in both tiers:
+// L1 one entry at a time, L2 in one write (storePutBatch).
+func (c *Cache) insert(keys []string, perfs []float64) {
 	c.mu.Lock()
-	c.storeLocked(key, perf)
-	c.m.misses().Inc()
+	for i, key := range keys {
+		c.storeLocked(key, perfs[i])
+		c.m.misses().Inc()
+	}
 	c.mu.Unlock()
-	c.storePut(key, perf)
+	c.storePutBatch(keys, perfs)
 }
 
 // storeLocked inserts key into the LRU, evicting the coldest entry when

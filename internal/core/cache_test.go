@@ -392,6 +392,26 @@ func TestCachedRunnerHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMeasureBatchL1HitsAllocateOnlyResults: a chunk whose every draw is
+// an L1 hit allocates its perfs and errs and nothing else; the
+// bookkeeping for misses is built on a chunk's first L1 miss.
+func TestMeasureBatchL1HitsAllocateOnlyResults(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tb := newTestbed(t, 2)
+	r := NewCachedContextRunner(AsContextRunner(tb), NewCache(0, nil), tb.Identity())
+	as, err := assign.Sample(rand.New(rand.NewSource(1)), tb.Machine.Topo, tb.TaskCount(), DefaultBatchSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	r.MeasureBatchContext(ctx, as)
+	if n := testing.AllocsPerRun(100, func() { r.MeasureBatchContext(ctx, as) }); n != 2 {
+		t.Errorf("a chunk of L1 hits allocates %v times, want 2 (perfs and errs)", n)
+	}
+}
+
 // BenchmarkCachedRunnerKey times the draw that ends at an L1 hit, the
 // common draw of a cached sample: rendering the key and probing L1, on
 // its own (the batch path's probe) and behind MeasureContext. Draws are

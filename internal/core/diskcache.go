@@ -34,6 +34,15 @@ type CacheStore interface {
 	Bytes() int64
 }
 
+// BatchCacheStore is the optional capability of a CacheStore to persist
+// several values in one durable write. The batch path type-asserts for
+// it, as it probes a source for BatchMeasurer, so a chunk's misses share
+// one group commit; a store without it gets one Put per value. cas.Store
+// has it.
+type BatchCacheStore interface {
+	PutBatch(keys []string, perfs []float64) error
+}
+
 // AttachStore layers store under the LRU as a persistent L2 tier. Pass
 // nil to detach. Attach before the cache is in use; the store pointer is
 // read without synchronization on hot paths.
@@ -65,6 +74,28 @@ func (c *Cache) storePut(key string, perf float64) {
 		return
 	}
 	if err := c.store.Put(key, perf); err != nil {
+		c.m.diskErrors().Inc()
+		return
+	}
+	c.m.diskBytes().Set(float64(c.store.Bytes()))
+}
+
+// storePutBatch writes a chunk's successful measurements through to the
+// L2 tier: in one PutBatch when the store is a BatchCacheStore, one Put
+// per value otherwise. As in storePut, each failed write is counted,
+// not propagated.
+func (c *Cache) storePutBatch(keys []string, perfs []float64) {
+	if c.store == nil || len(keys) == 0 {
+		return
+	}
+	bs, ok := c.store.(BatchCacheStore)
+	if !ok {
+		for i, key := range keys {
+			c.storePut(key, perfs[i])
+		}
+		return
+	}
+	if err := bs.PutBatch(keys, perfs); err != nil {
 		c.m.diskErrors().Inc()
 		return
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"optassign/internal/assign"
@@ -37,6 +39,24 @@ func (f *fakeStore) Put(key string, perf float64) error {
 }
 
 func (f *fakeStore) Bytes() int64 { return int64(len(f.data)) * 32 }
+
+// batchFakeStore is a fakeStore that is also a BatchCacheStore, keeping
+// the keys of each PutBatch call.
+type batchFakeStore struct {
+	*fakeStore
+	batches [][]string
+}
+
+func (f *batchFakeStore) PutBatch(keys []string, perfs []float64) error {
+	f.batches = append(f.batches, append([]string(nil), keys...))
+	if f.failPuts {
+		return errors.New("disk full")
+	}
+	for i, k := range keys {
+		f.data[k] = perfs[i]
+	}
+	return nil
+}
 
 // TestDiskTierServesAcrossProcessLifetimes is the point of the L2: a
 // class measured under one Cache+Store is served by a COMPLETELY fresh
@@ -188,7 +208,7 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 	if _, ok := c.lookup(key); ok {
 		t.Fatal("cold lookup hit")
 	}
-	c.insert(key, 321)
+	c.insert([]string{key}, []float64{321})
 	if v, ok := c.lookup(key); !ok || v != 321 {
 		t.Fatalf("lookup after insert = %v, %v", v, ok)
 	}
@@ -196,5 +216,96 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 	c2.AttachStore(st)
 	if v, ok := c2.lookup(key); !ok || v != 321 {
 		t.Fatalf("fresh-cache lookup via store = %v, %v", v, ok)
+	}
+}
+
+// groupCommitChunk returns three draws of distinct classes on batchTopo,
+// a, b and c, as the chunk [a b c a b], with a source on which c fails.
+func groupCommitChunk(t *testing.T) ([]assign.Assignment, *batchSource) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	r := NewCachedContextRunner(nil, nil, "tb")
+	var as []assign.Assignment
+	seen := map[string]bool{}
+	for len(as) < 3 {
+		a, err := assign.RandomPermutation(rng, batchTopo(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := string(r.appendKey(nil, a)); !seen[k] {
+			seen[k] = true
+			as = append(as, a)
+		}
+	}
+	c := string(r.appendKey(nil, as[2]))
+	src := &batchSource{fail: func(a assign.Assignment) error {
+		if string(r.appendKey(nil, a)) == c {
+			return errors.New("quarantined")
+		}
+		return nil
+	}}
+	return append(as, as[0], as[1]), src
+}
+
+// TestDiskTierGroupCommitsAChunk: a chunk's successful misses reach a
+// BatchCacheStore in ONE PutBatch (never a Put), failures excluded, and
+// before the duplicates' lookups: with a one-entry L1, a duplicate finds
+// its class only in L2, so a late write would re-measure it and move the
+// counts. The single-flight path keeps one Put per flight.
+func TestDiskTierGroupCommitsAChunk(t *testing.T) {
+	as, src := groupCommitChunk(t)
+	st := &batchFakeStore{fakeStore: newFakeStore()}
+	m := NewCacheMetrics(obs.NewRegistry())
+	c := NewCache(1, m)
+	c.AttachStore(st)
+	r := NewCachedContextRunner(src, c, "tb")
+	perfs, errs := r.MeasureBatchContext(context.Background(), as)
+	for i, a := range as {
+		if i == 2 {
+			if errs[i] == nil {
+				t.Fatal("the failing class reported no error")
+			}
+			continue
+		}
+		if errs[i] != nil || perfs[i] != classPerf(a) {
+			t.Fatalf("draw %d: %v, %v; want %v", i, perfs[i], errs[i], classPerf(a))
+		}
+	}
+	want := [][]string{{string(r.appendKey(nil, as[0])), string(r.appendKey(nil, as[1]))}}
+	if !reflect.DeepEqual(st.batches, want) || st.puts != 0 {
+		t.Fatalf("store saw batches %q and %d Puts, want one batch %q", st.batches, st.puts, want)
+	}
+	if got := src.measured.Load(); got != 3 {
+		t.Fatalf("measured %d assignments, want the 3 classes once each", got)
+	}
+	if m.Misses.Value() != 2 || m.Hits.Value() != 2 || m.DiskHits.Value() != 2 || m.DiskMisses.Value() != 5 {
+		t.Fatalf("misses %v, hits %v, disk hits %v, disk misses %v; want 2, 2, 2, 5",
+			m.Misses.Value(), m.Hits.Value(), m.DiskHits.Value(), m.DiskMisses.Value())
+	}
+
+	src.fail = nil
+	if _, err := r.MeasureContext(context.Background(), as[2]); err != nil {
+		t.Fatal(err)
+	}
+	if st.puts != 1 || len(st.batches) != 1 {
+		t.Fatalf("a flight wrote %d Puts and %d more batches, want one Put", st.puts, len(st.batches)-1)
+	}
+}
+
+// TestDiskTierBatchFallsBackToPut: a store without PutBatch gets one Put
+// per successful miss, and each failed Put is counted.
+func TestDiskTierBatchFallsBackToPut(t *testing.T) {
+	as, src := groupCommitChunk(t)
+	st := newFakeStore()
+	st.failPuts = true
+	m := NewCacheMetrics(obs.NewRegistry())
+	c := NewCache(0, m)
+	c.AttachStore(st)
+	r := NewCachedContextRunner(src, c, "tb")
+	if _, errs := r.MeasureBatchContext(context.Background(), as); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	if st.puts != 2 || m.DiskErrors.Value() != 2 {
+		t.Fatalf("%d Puts, %v disk errors; want 2 of each", st.puts, m.DiskErrors.Value())
 	}
 }

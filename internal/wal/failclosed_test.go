@@ -5,15 +5,21 @@ package wal_test
 // record the file holds, once.
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"syscall"
 	"testing"
 
+	"optassign/internal/apps"
 	"optassign/internal/assign"
 	"optassign/internal/campaign"
 	"optassign/internal/cas"
+	"optassign/internal/core"
+	"optassign/internal/netdps"
+	"optassign/internal/obs"
 	"optassign/internal/t2"
 	"optassign/internal/table"
 	"optassign/internal/wal"
@@ -198,6 +204,71 @@ func TestStoreFailsClosedAfterShortWrite(t *testing.T) {
 		t.Fatalf("reopened store: %d keys, k2 present %v; want only k1", re.Len(), ok)
 	}
 	if err := re.Put("k2", 2); err != nil {
+		t.Fatalf("Put after reopening: %v", err)
+	}
+}
+
+// TestBatchFailsClosedAfterFailedGroupSync: the fsync of a chunk's group
+// commit fails. The store fails closed for writing, the cache counts one
+// disk error for the whole chunk, and the chunk still returns the values
+// it measured, which L1 keeps serving.
+func TestBatchFailsClosedAfterFailedGroupSync(t *testing.T) {
+	// Sync 1 is a new segment's header, sync 2 the chunk's group commit.
+	wal.InjectFaults(t, "measurements.cas", wal.Faults{FailSync: 2})
+	dir := t.TempDir()
+	store, err := cas.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := assign.Sample(rand.New(rand.NewSource(1)), tb.Machine.Topo, tb.TaskCount(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewCacheMetrics(obs.NewRegistry())
+	cache := core.NewCache(0, m)
+	cache.AttachStore(store)
+	r := core.NewCachedContextRunner(core.AsContextRunner(tb), cache, tb.Identity())
+	check := func(perfs []float64, errs []error) {
+		t.Helper()
+		for i, a := range as {
+			want, err := tb.MeasureAnalytic(a)
+			if err != nil || errs[i] != nil {
+				t.Fatalf("draw %d: %v / %v", i, errs[i], err)
+			}
+			if math.Float64bits(perfs[i]) != math.Float64bits(want) {
+				t.Fatalf("draw %d: %v, uncached %v", i, perfs[i], want)
+			}
+		}
+	}
+	check(r.MeasureBatchContext(context.Background(), as))
+	if m.Misses.Value() < 2 {
+		t.Fatalf("the chunk measured %v classes, want several in one group commit", m.Misses.Value())
+	}
+	if m.DiskErrors.Value() != 1 {
+		t.Fatalf("DiskErrors = %v, want 1 for the chunk's failed group commit", m.DiskErrors.Value())
+	}
+	if err := store.Put("later", 1); !errors.Is(err, wal.ErrFailed) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Put after the failed group sync: err = %v, want wal.ErrFailed wrapping EIO", err)
+	}
+	misses := m.Misses.Value()
+	check(r.MeasureBatchContext(context.Background(), as))
+	if m.Misses.Value() != misses {
+		t.Fatalf("L1 lost the chunk's values: %v new misses", m.Misses.Value()-misses)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := cas.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if err := re.Put("later", 1); err != nil {
 		t.Fatalf("Put after reopening: %v", err)
 	}
 }
