@@ -1,12 +1,12 @@
 // Command campaignd is campaign-as-a-service: a multi-tenant coordinator
 // that runs many statistical task-assignment campaigns concurrently, each
-// journaled and checkpointed under one data directory, and serves their
-// lifecycle and results over HTTP.
+// journaled under one data directory, and serves their lifecycle and
+// results over HTTP.
 //
 // Usage:
 //
 //	campaignd -data DIR [-addr :9160] [-max-concurrent 4]
-//	          [-registry :9140] [-min-servers 1] [-buffer 64]
+//	          [-registry :9140] [-min-servers 1]
 //
 // The HTTP API:
 //
@@ -56,11 +56,10 @@ func main() {
 	log.SetPrefix("campaignd: ")
 
 	addr := flag.String("addr", ":9160", "HTTP API listen address")
-	data := flag.String("data", "", "data directory: journals, checkpoints, spec files and the result table (required)")
+	data := flag.String("data", "", "data directory: journals, spec files and the result table (required)")
 	maxConcurrent := flag.Int("max-concurrent", 4, "campaigns running simultaneously; the rest queue")
 	registry := flag.String("registry", "", "host a fleet registry on this address and measure on servers that register with it (default: per-campaign simulated testbeds)")
 	minServers := flag.Int("min-servers", 1, "with -registry, wait for this many registered servers before serving")
-	buffer := flag.Int("buffer", 64, "result-table commit buffer size")
 	flag.Parse()
 
 	if *data == "" {
@@ -101,7 +100,6 @@ func main() {
 		DataDir:       *data,
 		MaxConcurrent: *maxConcurrent,
 		Source:        source,
-		TableBuf:      *buffer,
 		Metrics:       coord.NewMetrics(reg),
 		Logf:          log.Printf,
 	})

@@ -4,11 +4,6 @@
 // Usage:
 //
 //	paperbench [-seed N] [-only table1,fig1,...,fig14,ext-sched,ext-predictor,ext-ablation,ext-select,ext-search,ext-topology]
-//	           [-timeout 30s] [-retries 3]
-//
-// -timeout and -retries arm the fault-tolerant measurement wrapper for the
-// campaign samples (a no-op against the deterministic simulator, load-
-// bearing when the measurement source is a flaky remote testbed).
 package main
 
 import (
@@ -16,9 +11,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"optassign/internal/core"
 	"optassign/internal/exp"
 	"optassign/internal/proc"
 )
@@ -26,8 +19,6 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	timeout := flag.Duration("timeout", 0, "per-measurement timeout for campaign samples (0 disables)")
-	retries := flag.Int("retries", 0, "retries per campaign measurement before quarantining it")
 	flag.Parse()
 
 	want := map[string]bool{}
@@ -39,14 +30,6 @@ func main() {
 	run := func(id string) bool { return len(want) == 0 || want[id] }
 
 	env := exp.NewEnv(*seed)
-	if *timeout > 0 || *retries > 0 {
-		env.Resilience = &core.ResilientConfig{
-			MaxAttempts: *retries + 1,
-			Timeout:     *timeout,
-			BaseDelay:   100 * time.Millisecond,
-			Seed:        *seed,
-		}
-	}
 	out := os.Stdout
 	fail := func(id string, err error) {
 		fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", id, err)

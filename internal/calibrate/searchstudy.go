@@ -112,21 +112,6 @@ func RunSearchStudy(cfg SearchStudyConfig, effPop *DiscretePopulation, covPop As
 	return res, nil
 }
 
-// PrintSearchCoverage renders one strategy-driven coverage result.
-func PrintSearchCoverage(w io.Writer, r SearchCoverageResult) {
-	fmt.Fprintf(w, "scenario      %s\n", r.Scenario)
-	fmt.Fprintf(w, "strategy      %s\n", r.Strategy)
-	fmt.Fprintf(w, "true optimum  %.6g\n", r.TrueOptimum)
-	fmt.Fprintf(w, "replications  %d (analyzed %d, tail n=%d per replication)\n", r.Replications, r.Analyzed, r.TailN)
-	fmt.Fprintf(w, "coverage      %.4f  (SE %.4f, %d/%d covered)\n", r.Coverage, r.CoverageSE, r.Covered, r.Analyzed)
-	fmt.Fprintf(w, "UPB bias      %+.3f%% mean\n", r.MeanBiasPct)
-	fmt.Fprintf(w, "CI width      %.3f%% of optimum (mean over finite), %d unbounded above\n", r.MeanWidthPct, r.UnboundedHi)
-	fmt.Fprintf(w, "cost          %.0f draws per replication (mean) for %d tail points\n", r.MeanDraws, r.TailN)
-	for cause, n := range r.Rejections {
-		fmt.Fprintf(w, "rejected      %d × %s\n", n, cause)
-	}
-}
-
 // PrintSearchStudy renders the head-to-head comparison table.
 func PrintSearchStudy(w io.Writer, r SearchStudyResult) {
 	fmt.Fprintf(w, "strategy efficiency (same promise, same population):\n")

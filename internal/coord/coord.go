@@ -196,9 +196,6 @@ type Config struct {
 	MaxConcurrent int
 	// Source provides measurement capacity (default LocalSource).
 	Source Source
-	// TableBuf is the table store's commit buffer size (promotions
-	// always commit immediately; this sizes bulk maintenance).
-	TableBuf int
 	// Metrics, when non-nil, receives coordinator gauges and counters.
 	Metrics *Metrics
 	// Logf, when non-nil, receives one line per lifecycle transition.
@@ -301,7 +298,7 @@ func Open(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("coord: %w", err)
 		}
 	}
-	tab, err := table.OpenOrCreate(filepath.Join(cfg.DataDir, "table"), CampaignsSchema(), cfg.TableBuf)
+	tab, err := table.OpenOrCreate(filepath.Join(cfg.DataDir, "table"), CampaignsSchema(), 0)
 	if err != nil {
 		return nil, err
 	}

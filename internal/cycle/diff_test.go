@@ -46,7 +46,7 @@ func randomDemand(rng *rand.Rand) proc.Demand {
 }
 
 // randomWorkload draws a workload of 1–4 pipeline instances (occasionally
-// with a gap in the group numbering, which New tolerates and the rollup
+// with a gap in the group numbering, which newSim tolerates and the rollup
 // must handle), random demands, R→P/P→T links and a random distinct
 // placement.
 func randomWorkload(rng *rand.Rand, m *proc.Machine) diffWorkload {
@@ -89,10 +89,10 @@ func randomWorkload(rng *rand.Rand, m *proc.Machine) diffWorkload {
 	}
 }
 
-func (w diffWorkload) newSim(t testing.TB) *Sim {
-	s, err := New(w.machine, w.tasks, w.links, w.placement, w.cfg)
+func (w diffWorkload) newSim(t testing.TB) *sim {
+	s, err := newSim(w.machine, w.tasks, w.links, w.placement, w.cfg)
 	if err != nil {
-		t.Fatalf("New: %v (workload %+v)", err, w)
+		t.Fatalf("newSim: %v (workload %+v)", err, w)
 	}
 	return s
 }
@@ -186,7 +186,7 @@ func TestRunIsolatedGroupFinishesIndependently(t *testing.T) {
 
 // BenchmarkSimRun compares the event-driven loop against the reference
 // polling loop on the standard single-instance workload. Construction is
-// included in both arms (Run consumes the Sim), so the delta understates
+// included in both arms (Run consumes the sim), so the delta understates
 // the pure loop speedup.
 func BenchmarkSimRun(b *testing.B) {
 	m := proc.UltraSPARCT2Machine()
@@ -197,7 +197,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("event", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, err := New(m, tasks, links, placement, Config{})
+			s, err := newSim(m, tasks, links, placement, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, err := New(m, tasks, links, placement, Config{})
+			s, err := newSim(m, tasks, links, placement, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

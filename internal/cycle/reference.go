@@ -2,14 +2,14 @@ package cycle
 
 import "fmt"
 
-// runReference is the original cycle-by-cycle polling loop of Sim.Run,
+// runReference is the original cycle-by-cycle polling loop of sim.Run,
 // transcribed onto the value-typed strand storage. Every cycle it rescans
 // completion (the old done() closure), polls every occupied pipe and skips
 // parked strands one by one, and the final PPS rollup is the original
 // O(groups × strands) nested scan. It exists purely as the executable
 // specification for the differential tests: Run must reproduce its Result
 // and errors exactly. Not used by any production path.
-func (s *Sim) runReference(packets int) (Result, error) {
+func (s *sim) runReference(packets int) (Result, error) {
 	if packets < 1 {
 		return Result{}, fmt.Errorf("cycle: need at least one packet")
 	}

@@ -176,8 +176,10 @@ type Result struct {
 	LSUBlocked int64   // strand-cycles lost waiting for a busy LSU port
 }
 
-// Sim is a configured simulation instance.
-type Sim struct {
+// sim is one placement's simulation state. It is built and run once:
+// Run advances the strands and queues in place, so a second Run would
+// continue from the old timeline.
+type sim struct {
 	machine *proc.Machine
 	cfg     Config
 	strands []strand
@@ -191,65 +193,54 @@ type Sim struct {
 	txByGroup []int32
 	// queue occupancy per (group, boundary): boundary 0 = R→P, 1 = P→T.
 	queues [][2]int
-	// stageOf is init's per-group task counter, kept on the Sim so a
-	// reused instance (the batch path re-inits one Sim per placement)
-	// allocates it once.
-	stageOf []int32
 }
 
-// New builds a simulator for tasks placed per placement (context index per
-// task). Tasks with the same Group form an R→P→T pipeline in index order,
-// exactly like netdps testbeds lay them out; links (same shape as
-// proc.Link) determine communication latency by placement distance.
-func New(machine *proc.Machine, tasks []proc.Task, links []proc.Link, placement []int, cfg Config) (*Sim, error) {
+// Run simulates tasks placed per placement (context index per task) until
+// every pipeline instance has transmitted `packets` packets, and returns
+// throughput measured in simulated time. Tasks with the same Group form an
+// R→P→T pipeline in index order, exactly like netdps testbeds lay them
+// out; links (same shape as proc.Link) determine communication latency by
+// placement distance.
+func Run(machine *proc.Machine, tasks []proc.Task, links []proc.Link, placement []int, cfg Config, packets int) (Result, error) {
+	s, err := newSim(machine, tasks, links, placement, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run(packets)
+}
+
+// newSim validates the machine and the placement and builds the strands,
+// queues and per-pipe tables of one simulation.
+func newSim(machine *proc.Machine, tasks []proc.Task, links []proc.Link, placement []int, cfg Config) (*sim, error) {
 	if err := machine.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{}
-	if err := s.init(machine, tasks, links, placement, cfg, nil, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// init (re)builds s for one placement, reusing every buffer s already
-// holds. progs, when non-nil, is a per-task program slice shared across
-// placements (the batch path computes it once per batch); seen, when
-// non-nil, is a caller-owned duplicate-context scratch of length
-// topo.Contexts(). The machine itself must already be validated by the
-// caller — everything placement-dependent is validated here.
-func (s *Sim) init(machine *proc.Machine, tasks []proc.Task, links []proc.Link, placement []int, cfg Config, progs []packetProgram, seen []bool) error {
 	if len(tasks) == 0 {
-		return fmt.Errorf("cycle: no tasks")
+		return nil, fmt.Errorf("cycle: no tasks")
 	}
 	if len(placement) != len(tasks) {
-		return fmt.Errorf("cycle: %d tasks, %d placements", len(tasks), len(placement))
+		return nil, fmt.Errorf("cycle: %d tasks, %d placements", len(tasks), len(placement))
 	}
 	topo := machine.Topo
-	if seen == nil {
-		seen = make([]bool, topo.Contexts())
-	} else {
-		clear(seen)
+	seen := make([]bool, topo.Contexts())
+	s := &sim{
+		machine: machine,
+		cfg:     cfg.withDefaults(),
+		strands: make([]strand, 0, len(tasks)),
 	}
-	s.machine = machine
-	s.cfg = cfg.withDefaults()
-	s.strands = s.strands[:0]
 	groups := 0
-	var progByDemand map[proc.Demand]packetProgram
-	if progs == nil {
-		progByDemand = make(map[proc.Demand]packetProgram) // tasks sharing a demand share a program
-	}
+	progByDemand := make(map[proc.Demand]packetProgram) // tasks sharing a demand share a program
 	// stageOf counts tasks per group; grown on demand so group numbering
 	// needs no first pass.
-	stageOf := s.stageOf[:0]
+	var stageOf []int32
 	for i, task := range tasks {
 		ctx := placement[i]
 		if ctx < 0 || ctx >= topo.Contexts() || seen[ctx] {
-			return fmt.Errorf("cycle: invalid or duplicate context %d", ctx)
+			return nil, fmt.Errorf("cycle: invalid or duplicate context %d", ctx)
 		}
 		seen[ctx] = true
 		if task.Group < 0 {
-			return fmt.Errorf("cycle: task %d has negative group %d", i, task.Group)
+			return nil, fmt.Errorf("cycle: task %d has negative group %d", i, task.Group)
 		}
 		if task.Group >= groups {
 			groups = task.Group + 1
@@ -257,16 +248,10 @@ func (s *Sim) init(machine *proc.Machine, tasks []proc.Task, links []proc.Link, 
 		for len(stageOf) < groups {
 			stageOf = append(stageOf, 0)
 		}
-		var prog packetProgram
-		if progs != nil {
-			prog = progs[i]
-		} else {
-			var ok bool
-			prog, ok = progByDemand[task.Demand]
-			if !ok {
-				prog = buildProgram(task.Demand)
-				progByDemand[task.Demand] = prog
-			}
+		prog, ok := progByDemand[task.Demand]
+		if !ok {
+			prog = buildProgram(task.Demand)
+			progByDemand[task.Demand] = prog
 		}
 		s.strands = append(s.strands, strand{
 			pipe:    int32(topo.PipeOf(ctx)),
@@ -277,24 +262,18 @@ func (s *Sim) init(machine *proc.Machine, tasks []proc.Task, links []proc.Link, 
 		})
 		stageOf[task.Group]++
 	}
-	s.stageOf = stageOf
 	for g, n := range stageOf {
 		// Group numbers may be sparse; a group with no tasks at all is
 		// fine (its GroupPPS stays 0), a partial pipeline is not.
 		if n != 0 && n != 3 {
-			return fmt.Errorf("cycle: group %d has %d tasks, need exactly 3 (R, P, T)", g, n)
+			return nil, fmt.Errorf("cycle: group %d has %d tasks, need exactly 3 (R, P, T)", g, n)
 		}
 	}
 	s.groups = groups
-	if cap(s.queues) < groups {
-		s.queues = make([][2]int, groups)
-	} else {
-		s.queues = s.queues[:groups]
-		clear(s.queues)
-	}
-	s.txByGroup = s.txByGroup[:0]
-	for g := 0; g < groups; g++ {
-		s.txByGroup = append(s.txByGroup, -1)
+	s.queues = make([][2]int, groups)
+	s.txByGroup = make([]int32, groups)
+	for g := range s.txByGroup {
+		s.txByGroup[g] = -1
 	}
 	for i := range s.strands {
 		if st := &s.strands[i]; st.stage == 2 {
@@ -306,7 +285,7 @@ func (s *Sim) init(machine *proc.Machine, tasks []proc.Task, links []proc.Link, 
 	// P→T), by placement distance.
 	for _, l := range links {
 		if l.A < 0 || l.A >= len(tasks) || l.B < 0 || l.B >= len(tasks) {
-			return fmt.Errorf("cycle: link %v references unknown task", l)
+			return nil, fmt.Errorf("cycle: link %v references unknown task", l)
 		}
 		var lat float64
 		if topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
@@ -317,30 +296,18 @@ func (s *Sim) init(machine *proc.Machine, tasks []proc.Task, links []proc.Link, 
 		s.strands[l.B].commLatency += int32(lat)
 	}
 
-	if len(s.byPipe) == topo.Pipes() {
-		for p := range s.byPipe {
-			s.byPipe[p] = s.byPipe[p][:0]
-		}
-	} else {
-		s.byPipe = make([][]int32, topo.Pipes())
-	}
+	s.byPipe = make([][]int32, topo.Pipes())
 	for i := range s.strands {
 		p := s.strands[i].pipe
 		s.byPipe[p] = append(s.byPipe[p], int32(i))
 	}
-	s.occ = s.occ[:0]
 	for p := range s.byPipe {
 		if len(s.byPipe[p]) > 0 {
 			s.occ = append(s.occ, int32(p))
 		}
 	}
-	if cap(s.rrIndex) < topo.Pipes() {
-		s.rrIndex = make([]int, topo.Pipes())
-	} else {
-		s.rrIndex = s.rrIndex[:topo.Pipes()]
-		clear(s.rrIndex)
-	}
-	return nil
+	s.rrIndex = make([]int, topo.Pipes())
+	return s, nil
 }
 
 // wakeEvent is one parked strand in the wake-time min-heap.
@@ -401,41 +368,8 @@ func wakePop(h *[]wakeEvent) wakeEvent {
 	return top
 }
 
-// Scratch holds every buffer a simulation run needs — the wake-time heap,
-// per-pipe awake counts, the LSU arbitration table and the Result's rollup
-// slices. A zero Scratch is ready to use; reusing one across RunScratch
-// calls (as the batch path and netdps.MeasureCycle do) makes repeat runs
-// allocation-free.
-type Scratch struct {
-	heap      []wakeEvent
-	awake     []int32
-	lsuTaken  []int64
-	issueBusy []int64
-	lsuBusy   []int64
-	groupPPS  []float64
-}
-
-// grow returns buf resized to n with every element zeroed, reusing its
-// backing array when capacity allows.
-func grow[T int64 | int32 | float64](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
 // Run simulates until every pipeline instance has transmitted `packets`
-// packets and returns throughput measured in simulated time. The returned
-// Result owns its slices.
-func (s *Sim) Run(packets int) (Result, error) {
-	return s.RunScratch(packets, &Scratch{})
-}
-
-// RunScratch is Run with caller-owned buffers: the returned Result's
-// slices ALIAS sc and are overwritten by the next RunScratch call on the
-// same Scratch. Callers that keep results across runs must copy them.
+// packets and returns throughput measured in simulated time.
 //
 // The loop is event-driven but cycle-for-cycle identical to runReference
 // (the original polling loop, kept in reference.go): parked strands sit in
@@ -443,22 +377,18 @@ func (s *Sim) Run(packets int) (Result, error) {
 // skipped; a cycle in which no strand issues anywhere freezes queues,
 // programs and round-robin cursors, so the clock jumps straight to the
 // next wake event instead of replaying no-op cycles one by one.
-func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
+func (s *sim) Run(packets int) (Result, error) {
 	if packets < 1 {
 		return Result{}, fmt.Errorf("cycle: need at least one packet")
 	}
 	topo := s.machine.Topo
-	sc.issueBusy = grow(sc.issueBusy, topo.Pipes())
-	sc.lsuBusy = grow(sc.lsuBusy, topo.Cores)
-	sc.groupPPS = grow(sc.groupPPS, s.groups)
 	res := Result{
-		IssueBusy: sc.issueBusy,
-		LSUBusy:   sc.lsuBusy,
-		GroupPPS:  sc.groupPPS,
+		IssueBusy: make([]int64, topo.Pipes()),
+		LSUBusy:   make([]int64, topo.Cores),
+		GroupPPS:  make([]float64, s.groups),
 	}
 	target := int64(packets)
-	sc.lsuTaken = grow(sc.lsuTaken, topo.Cores)
-	lsuTaken := sc.lsuTaken // cycle number when last used
+	lsuTaken := make([]int64, topo.Cores) // cycle number when last used
 	var cycle int64
 
 	// O(1) completion tracking: remaining counts groups whose T strand has
@@ -471,12 +401,8 @@ func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
 		}
 	}
 
-	if cap(sc.heap) < len(s.strands) {
-		sc.heap = make([]wakeEvent, 0, len(s.strands))
-	}
-	heap := sc.heap[:0]
-	sc.awake = grow(sc.awake, topo.Pipes())
-	awake := sc.awake // strands not long-parked, per pipe
+	heap := make([]wakeEvent, 0, len(s.strands))
+	awake := make([]int32, topo.Pipes()) // strands not long-parked, per pipe
 	for i := range s.strands {
 		st := &s.strands[i]
 		if st.wakeCycle-cycle > shortParkLimit {
@@ -489,7 +415,6 @@ func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
 	for remaining > 0 {
 		cycle++
 		if s.cfg.MaxCycles > 0 && cycle > s.cfg.MaxCycles {
-			sc.heap = heap[:0]
 			return Result{}, fmt.Errorf("cycle: exceeded %d cycles", s.cfg.MaxCycles)
 		}
 		for len(heap) > 0 && heap[0].cycle <= cycle {
@@ -581,7 +506,6 @@ func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
 				if s.cfg.MaxCycles > 0 && next > s.cfg.MaxCycles+1 {
 					// The polling loop would idle up to MaxCycles+1 and
 					// abort before any strand wakes.
-					sc.heap = heap[:0]
 					return Result{}, fmt.Errorf("cycle: exceeded %d cycles", s.cfg.MaxCycles)
 				}
 				cycle = next - 1
@@ -589,7 +513,6 @@ func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
 		}
 	}
 
-	sc.heap = heap[:0] // keep any capacity append growth gave the heap
 	res.Cycles = cycle
 	seconds := float64(cycle) / s.machine.ClockHz
 	for g, ti := range s.txByGroup {
@@ -606,7 +529,7 @@ func (s *Sim) RunScratch(packets int, sc *Scratch) (Result, error) {
 // packet: the upstream queue must have data (P, T) and the downstream queue
 // must have room (R, P). A strand beginning a new packet pays its
 // communication latency implicitly through the queue structure.
-func (s *Sim) canWork(st *strand, target int64) bool {
+func (s *sim) canWork(st *strand, target int64) bool {
 	q := &s.queues[st.group]
 	switch st.stage {
 	case 0: // R: source is the saturating NIU; needs room in R→P.
@@ -625,7 +548,7 @@ func (s *Sim) canWork(st *strand, target int64) bool {
 // the queues and start the next packet (with communication latency for
 // consumers). It reports whether the strand is a transmitter (stage 2),
 // so Run can maintain its completion counter.
-func (s *Sim) completePacket(st *strand, cycle int64) bool {
+func (s *sim) completePacket(st *strand, cycle int64) bool {
 	q := &s.queues[st.group]
 	switch st.stage {
 	case 0:

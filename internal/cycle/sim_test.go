@@ -72,7 +72,7 @@ func TestSoloPipelineApproachesBottleneckRate(t *testing.T) {
 	topo := m.Topo
 	// Ideal placement: P alone in pipe 0, R/T in pipe 1 of core 0.
 	placement := []int{topo.Context(0, 1, 0), topo.Context(0, 0, 0), topo.Context(0, 1, 1)}
-	sim, err := New(m, tasks, []proc.Link{{A: 0, B: 1, Volume: 1}, {A: 1, B: 2, Volume: 1}}, placement, Config{})
+	sim, err := newSim(m, tasks, []proc.Link{{A: 0, B: 1, Volume: 1}, {A: 1, B: 2, Volume: 1}}, placement, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPipeSharingEmergesAsContention(t *testing.T) {
 		topo.Context(1, 1, 0), topo.Context(1, 0, 0), topo.Context(1, 1, 1),
 	}
 	run := func(placement []int) Result {
-		sim, err := New(m, tasks, links, placement, Config{})
+		sim, err := newSim(m, tasks, links, placement, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestLSUPortContentionEmerges(t *testing.T) {
 		topo.Context(1, 0, 0), topo.Context(1, 0, 1), topo.Context(1, 0, 2),
 	}
 	run := func(placement []int) Result {
-		sim, err := New(m, tasks, links, placement, Config{})
+		sim, err := newSim(m, tasks, links, placement, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,31 +179,31 @@ func TestLSUPortContentionEmerges(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	m := proc.UltraSPARCT2Machine()
 	tasks := mkTriple(heavyP())
-	if _, err := New(m, nil, nil, nil, Config{}); err == nil {
+	if _, err := newSim(m, nil, nil, nil, Config{}); err == nil {
 		t.Error("no tasks accepted")
 	}
-	if _, err := New(m, tasks, nil, []int{0}, Config{}); err == nil {
+	if _, err := newSim(m, tasks, nil, []int{0}, Config{}); err == nil {
 		t.Error("placement mismatch accepted")
 	}
-	if _, err := New(m, tasks, nil, []int{0, 0, 1}, Config{}); err == nil {
+	if _, err := newSim(m, tasks, nil, []int{0, 0, 1}, Config{}); err == nil {
 		t.Error("duplicate context accepted")
 	}
-	if _, err := New(m, tasks, nil, []int{0, 1, 999}, Config{}); err == nil {
+	if _, err := newSim(m, tasks, nil, []int{0, 1, 999}, Config{}); err == nil {
 		t.Error("out-of-range context accepted")
 	}
-	if _, err := New(m, tasks, []proc.Link{{A: 0, B: 99}}, []int{0, 1, 2}, Config{}); err == nil {
+	if _, err := newSim(m, tasks, []proc.Link{{A: 0, B: 99}}, []int{0, 1, 2}, Config{}); err == nil {
 		t.Error("dangling link accepted")
 	}
 	twoTask := []proc.Task{{Demand: heavyP(), Group: 0}, {Demand: heavyP(), Group: 0}}
-	if _, err := New(m, twoTask, nil, []int{0, 1}, Config{}); err == nil {
+	if _, err := newSim(m, twoTask, nil, []int{0, 1}, Config{}); err == nil {
 		t.Error("non-triple group accepted")
 	}
 	bad := *m
 	bad.Topo = t2.Topology{}
-	if _, err := New(&bad, tasks, nil, []int{0, 1, 2}, Config{}); err == nil {
+	if _, err := newSim(&bad, tasks, nil, []int{0, 1, 2}, Config{}); err == nil {
 		t.Error("invalid machine accepted")
 	}
-	sim, err := New(m, tasks, nil, []int{0, 4, 5}, Config{})
+	sim, err := newSim(m, tasks, nil, []int{0, 4, 5}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("0 packets accepted")
 	}
 	// MaxCycles abort.
-	sim2, err := New(m, tasks, nil, []int{0, 4, 5}, Config{MaxCycles: 10})
+	sim2, err := newSim(m, tasks, nil, []int{0, 4, 5}, Config{MaxCycles: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,18 +28,6 @@ var SuiteNames = []string{"Aho-Corasick", "IPFwd-L1", "IPFwd-Mem", "Packet-analy
 type Env struct {
 	Seed    int64
 	Profile netgen.Profile
-	// Resilience, when set, wraps every campaign measurement in a
-	// core.ResilientRunner with this policy (retry + backoff + per-attempt
-	// timeout). Pointless against the in-process simulator, essential when
-	// the same experiments drive flaky real hardware; cmd/paperbench
-	// exposes it as -timeout/-retries.
-	Resilience *core.ResilientConfig
-	// Cache, when set, memoizes measurements by canonical assignment class
-	// (keyed per testbed identity, so one cache safely serves all five
-	// benchmarks). Sound here because the simulated testbeds are
-	// class-deterministic: symmetric assignments measure identically, so
-	// the memoized samples are bit-identical to uncached ones.
-	Cache *core.Cache
 
 	mu       sync.Mutex
 	testbeds map[string]*netdps.Testbed
@@ -94,14 +82,7 @@ func (e *Env) Sample(name string, n int) ([]core.SampleResult, error) {
 		// by regenerating the prefix, so Sample(name, 1000) is always a
 		// prefix of Sample(name, 5000).
 		rng := rand.New(rand.NewSource(e.Seed*7919 + int64(len(name))))
-		runner := core.ContextRunner(tb)
-		if e.Resilience != nil {
-			runner = core.NewResilientRunner(runner, *e.Resilience)
-		}
-		if e.Cache != nil {
-			runner = core.NewCachedContextRunner(runner, e.Cache, tb.Identity())
-		}
-		all, skipped, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), n, runner)
+		all, skipped, err := core.CollectSampleContext(context.Background(), rng, tb.Machine.Topo, tb.TaskCount(), n, tb)
 		if err == nil && len(skipped) > 0 {
 			// A study's sample is all n draws: a quarantine fails it.
 			err = fmt.Errorf("exp: measuring assignment: %w", skipped[0].Err)

@@ -58,10 +58,6 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := core.ContextRunner(tb)
-	if env.Resilience != nil {
-		runner = core.NewResilientRunner(runner, *env.Resilience)
-	}
 	var cells []SearchStrategyCell
 	for _, name := range search.Names {
 		strat, err := search.New(name, nil, nil)
@@ -80,7 +76,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			Strategy:      strat,
 			OnRound:       func(r core.Round) { explore += r.Explore },
 		}
-		res, err := core.IterateContext(context.Background(), cfg, runner)
+		res, err := core.IterateContext(context.Background(), cfg, tb)
 		if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
 			return nil, fmt.Errorf("exp: strategy %s: %w", name, err)
 		}

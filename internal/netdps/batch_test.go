@@ -3,7 +3,6 @@ package netdps
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"optassign/internal/apps"
@@ -58,36 +57,6 @@ func TestMeasureBatchReportsPerAssignmentErrors(t *testing.T) {
 		want, _ := tb.MeasureAnalytic(as[i])
 		if errs[i] != nil || perfs[i] != want {
 			t.Fatalf("assignment %d: %v, %v (want %v, nil)", i, perfs[i], errs[i], want)
-		}
-	}
-}
-
-// TestMeasureCycleBatchMatchesSerial: the batched cycle-simulator path
-// must agree with per-assignment MeasureCycle exactly, Result for Result.
-func TestMeasureCycleBatchMatchesSerial(t *testing.T) {
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 3, WithNoise(0))
-	rng := rand.New(rand.NewSource(7))
-	as := drawAssignments(t, tb, rng, 9)
-	as = append(as, assign.Assignment{Topo: tb.Machine.Topo, Ctx: []int{0}}) // one invalid
-	const packets = 60
-	results, errs := tb.MeasureCycleBatch(as, packets)
-	for i, a := range as {
-		want, werr := tb.MeasureCycle(a, packets)
-		if (errs[i] == nil) != (werr == nil) {
-			t.Fatalf("assignment %d: error mismatch: batch %v vs serial %v", i, errs[i], werr)
-		}
-		if werr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Fatalf("assignment %d: batch %+v != serial %+v", i, results[i], want)
-		}
-	}
-	// The cached BatchSim must give a second batch the same answers.
-	again, errs2 := tb.MeasureCycleBatch(as[:3], packets)
-	for i := range again {
-		if errs2[i] != nil || !reflect.DeepEqual(again[i], results[i]) {
-			t.Fatalf("second batch diverged at %d", i)
 		}
 	}
 }

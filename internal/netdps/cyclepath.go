@@ -16,49 +16,7 @@ func (tb *Testbed) MeasureCycle(a assign.Assignment, packets int) (cycle.Result,
 	if err := tb.checkAssignment(a); err != nil {
 		return cycle.Result{}, err
 	}
-	sim, err := cycle.New(tb.Machine, tb.tasks, tb.links, a.Ctx, cycle.Config{QueueDepth: QueueDepth})
-	if err != nil {
-		return cycle.Result{}, err
-	}
-	return sim.Run(packets)
-}
-
-// MeasureCycleBatch measures every assignment on the cycle-approximate
-// simulator in one core-sharded pass (cycle.BatchSim): the per-task
-// packet programs are built once per testbed and shared by every
-// assignment and every worker, and strand plus rollup storage is arena
-// allocated per batch. Results and errors are index-aligned with as and
-// bit-identical to calling MeasureCycle per assignment.
-func (tb *Testbed) MeasureCycleBatch(as []assign.Assignment, packets int) ([]cycle.Result, []error) {
-	results := make([]cycle.Result, len(as))
-	errs := make([]error, len(as))
-	if len(as) == 0 {
-		return results, errs
-	}
-	tb.batchOnce.Do(func() {
-		tb.batchSim, tb.batchErr = cycle.NewBatchSim(tb.Machine, tb.tasks, tb.links, cycle.Config{QueueDepth: QueueDepth})
-	})
-	if tb.batchErr != nil {
-		for i := range errs {
-			errs[i] = tb.batchErr
-		}
-		return results, errs
-	}
-	placements := make([][]int, 0, len(as))
-	live := make([]int, 0, len(as)) // indices whose assignment validated
-	for i, a := range as {
-		if err := tb.checkAssignment(a); err != nil {
-			errs[i] = err
-			continue
-		}
-		placements = append(placements, a.Ctx)
-		live = append(live, i)
-	}
-	batchResults, batchErrs := tb.batchSim.Run(placements, packets)
-	for j, i := range live {
-		results[i], errs[i] = batchResults[j], batchErrs[j]
-	}
-	return results, errs
+	return cycle.Run(tb.Machine, tb.tasks, tb.links, a.Ctx, cycle.Config{QueueDepth: QueueDepth}, packets)
 }
 
 // ProfileAssignment exposes the hardware-counter view of an assignment at

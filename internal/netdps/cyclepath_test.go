@@ -2,6 +2,7 @@ package netdps
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"optassign/internal/apps"
@@ -32,6 +33,15 @@ func TestMeasureCycleAgreesWithAnalytic(t *testing.T) {
 	}
 	if cyc.Cycles <= 0 {
 		t.Error("no cycles simulated")
+	}
+	// Every measurement builds and runs its own simulation, so measuring
+	// the same assignment again reproduces the Result exactly.
+	again, err := tb.MeasureCycle(a, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, cyc) {
+		t.Errorf("repeat measurement diverged:\nfirst:  %+v\nsecond: %+v", cyc, again)
 	}
 	// Invalid assignment rejected.
 	bad := a.Clone()

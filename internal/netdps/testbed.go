@@ -24,7 +24,6 @@ import (
 
 	"optassign/internal/apps"
 	"optassign/internal/assign"
-	"optassign/internal/cycle"
 	"optassign/internal/keyrand"
 	"optassign/internal/netgen"
 	"optassign/internal/proc"
@@ -50,19 +49,10 @@ type Testbed struct {
 
 	tasks []proc.Task
 	links []proc.Link
-
-	// Lazily built, immutable batch simulator shared by every
-	// MeasureCycleBatch call (see cyclepath.go).
-	batchOnce sync.Once
-	batchSim  *cycle.BatchSim
-	batchErr  error
 }
 
 // Option customizes a Testbed.
 type Option func(*Testbed)
-
-// WithMachine replaces the default UltraSPARC T2 machine model.
-func WithMachine(m *proc.Machine) Option { return func(tb *Testbed) { tb.Machine = m } }
 
 // WithSeed sets the measurement-noise and traffic seed.
 func WithSeed(seed int64) Option { return func(tb *Testbed) { tb.Seed = seed } }

@@ -18,12 +18,9 @@ import (
 // PoolConfig tunes a multi-server client pool.
 type PoolConfig struct {
 	// Client is the per-server reconnect policy (RedialAttempts, backoff);
-	// its Dial field is ignored — each server gets a dialer for its own
-	// address (or DialAddr below).
+	// its Dial field is ignored — each server gets a plain TCP dialer for
+	// its own address.
 	Client ClientConfig
-	// DialAddr opens the transport to one server; nil means plain TCP.
-	// Tests route this through fault-injection proxies.
-	DialAddr func(addr string) (net.Conn, error)
 	// QuarantineAfter is how many consecutive transport failures bench a
 	// server (its reconnect machinery keeps trying lazily, but the pool
 	// stops preferring it). Default 3.
@@ -37,9 +34,6 @@ type PoolConfig struct {
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
-	if c.DialAddr == nil {
-		c.DialAddr = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
 	}
@@ -208,7 +202,7 @@ func (p *ClientPool) add(key, addr string) error {
 
 	// Dial outside the lock: a slow joiner must not stall the campaign.
 	ccfg := p.cfg.Client
-	ccfg.Dial = func() (net.Conn, error) { return p.cfg.DialAddr(addr) }
+	ccfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	client, err := DialConfig(ccfg)
 	if err != nil {
 		return fmt.Errorf("remote: pool server %s: %w", addr, err)
