@@ -16,6 +16,7 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
+	"optassign/internal/jsonfmt"
 	"optassign/internal/obs"
 	"optassign/internal/t2"
 	"optassign/internal/wal"
@@ -284,40 +285,10 @@ func appendEntry(dst []byte, seq int, ctx []int, perf float64) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendInt(dst, int64(seq), 10)
 	dst = append(dst, `,"ctx":`...)
-	if ctx == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, c := range ctx {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(c), 10)
-		}
-		dst = append(dst, ']')
-	}
+	dst = jsonfmt.AppendInts(dst, ctx)
 	dst = append(dst, `,"perf":`...)
-	dst = appendJSONFloat(dst, perf)
+	dst = jsonfmt.AppendFloat(dst, perf)
 	return append(dst, '}')
-}
-
-// appendJSONFloat is encoding/json's float64 format: ES6 number to
-// string, 'f' notation unless the magnitude is below 1e-6 or at least
-// 1e21, and no leading zero in a negative exponent.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// clean up e-09 to e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // writeHeader marshals the header as the journal's first line.

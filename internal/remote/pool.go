@@ -388,30 +388,37 @@ func (p *ClientPool) Size() int {
 	return len(p.members)
 }
 
-// watchCtx wakes cond waiters when ctx is cancelled. The broadcast runs
-// under the pool mutex so a waiter between its ctx check and cond.Wait
-// cannot miss it. Close the returned channel to stop the watcher.
-func (p *ClientPool) watchCtx(ctx context.Context) chan<- struct{} {
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		case <-stop:
-		}
-	}()
-	return stop
+// wake wakes cond waiters; context.AfterFunc runs it when a waiter's ctx
+// is done. The broadcast runs under the pool mutex, and a waiter arms it
+// under that mutex before cond.Wait, so a waiter between its ctx check
+// and cond.Wait cannot miss it.
+func (p *ClientPool) wake() {
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// wait blocks on p.cond until a broadcast, arming *stop to wake it when
+// ctx is done unless an earlier wait armed it. Callers hold p.mu and
+// call the armed stop when they stop waiting.
+func (p *ClientPool) wait(ctx context.Context, stop *func() bool) {
+	if *stop == nil && ctx.Done() != nil {
+		*stop = context.AfterFunc(ctx, p.wake)
+	}
+	p.cond.Wait()
 }
 
 // WaitReady blocks until the pool has at least n members (after which
 // Hello is meaningful) or ctx expires.
 func (p *ClientPool) WaitReady(ctx context.Context, n int) error {
-	stop := p.watchCtx(ctx)
-	defer close(stop)
+	var stop func() bool
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer func() {
+		p.mu.Unlock()
+		if stop != nil {
+			stop()
+		}
+	}()
 	for len(p.members) < n {
 		if p.closed {
 			return ErrPoolClosed
@@ -419,7 +426,7 @@ func (p *ClientPool) WaitReady(ctx context.Context, n int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p.cond.Wait()
+		p.wait(ctx, &stop)
 	}
 	return nil
 }
@@ -448,10 +455,14 @@ func (p *ClientPool) strikeSummaryLocked() string {
 // resilient layer above applies its bounded backoff and retries, by which
 // time a bench may have lapsed or a new server joined.
 func (p *ClientPool) acquire(ctx context.Context) (*poolServer, error) {
-	stop := p.watchCtx(ctx)
-	defer close(stop)
+	var stop func() bool
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer func() {
+		p.mu.Unlock()
+		if stop != nil {
+			stop()
+		}
+	}()
 	for {
 		if p.closed {
 			return nil, core.Permanent(ErrPoolClosed)
@@ -514,7 +525,7 @@ func (p *ClientPool) acquire(ctx context.Context) (*poolServer, error) {
 			return nil, fmt.Errorf("%w: all %d member(s) benched (%s)",
 				ErrNoServers, len(p.members), p.strikeSummaryLocked())
 		}
-		p.cond.Wait()
+		p.wait(ctx, &stop)
 	}
 }
 

@@ -13,6 +13,18 @@
 //	client → server  request:  {"id":1,"ctx":[...]}
 //	server → client  response: {"id":1,"perf":1.23e6} | {"id":1,"error":"..."}
 //
+// Framing: the per-measurement lines are written and read without
+// reflection, and the bytes on the wire are json.Encoder's. The client
+// renders each request, and the server each success response, into a
+// reused buffer, byte for byte what json.Encoder writes for it (perf
+// omitted when zero, a nil ctx as null, encoding/json's float format); a
+// non-finite perf drops the connection, as encoding/json's refusal does.
+// Error responses and the hello go through encoding/json. Each end reads
+// the peer's canonical line — exactly those bytes, however the stream
+// is split into reads — on a strict fast path; any other input goes to
+// an encoding/json decoder that owns the rest of the connection, so each
+// end accepts, rejects and answers exactly what encoding/json would.
+//
 // Fault tolerance: the stream is request/response in lockstep, so after
 // any transport error its state is unknown — a later call could pair a
 // stale response with a new request. The Client therefore poisons itself
@@ -25,12 +37,12 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -273,13 +285,14 @@ func (s *Server) handle(conn net.Conn) {
 	if err := enc.Encode(Hello{Topology: s.Topo, Tasks: s.Tasks, Name: s.Name}); err != nil {
 		return
 	}
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := newFrameReader(conn)
+	var req Request
+	var line []byte
 	for {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := fr.readRequest(&req); err != nil {
 			return // EOF, timeout or garbage: drop the connection
 		}
 		resp := Response{ID: req.ID}
@@ -305,10 +318,20 @@ func (s *Server) handle(conn net.Conn) {
 				resp.Perf = perf
 			}
 		}
-		if s.Metrics != nil && resp.Error != "" {
-			s.Metrics.MeasureErrors.Inc()
+		if resp.Error != "" {
+			if s.Metrics != nil {
+				s.Metrics.MeasureErrors.Inc()
+			}
+			if err := enc.Encode(resp); err != nil {
+				return
+			}
+			continue
 		}
-		if err := enc.Encode(resp); err != nil {
+		if math.IsNaN(resp.Perf) || math.IsInf(resp.Perf, 0) {
+			return // encoding/json refuses the value: drop the connection
+		}
+		line = appendResponse(line[:0], resp.ID, resp.Perf)
+		if _, err := conn.Write(line); err != nil {
 			return
 		}
 	}
@@ -358,12 +381,16 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
+	fr     *frameReader
+	line   []byte   // the request being sent
+	resp   Response // the response being read
 	hello  Hello
 	next   uint64
 	broken bool
 	closed bool
+	// tripped receives once a cancelled call's watcher has set its
+	// connection's deadline.
+	tripped chan struct{}
 }
 
 // Dial connects to a measurement server, performs the handshake, and
@@ -382,7 +409,7 @@ func DialConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg}
+	c := &Client{cfg: cfg, tripped: make(chan struct{}, 1)}
 	if err := c.attach(conn, true); err != nil {
 		return nil, err
 	}
@@ -393,7 +420,7 @@ func DialConfig(cfg ClientConfig) (*Client, error) {
 // an in-memory pipe in tests). Without a dialer the client cannot recover
 // from a transport error.
 func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{cfg: ClientConfig{}.withDefaults()}
+	c := &Client{cfg: ClientConfig{}.withDefaults(), tripped: make(chan struct{}, 1)}
 	if err := c.attach(conn, true); err != nil {
 		return nil, err
 	}
@@ -404,10 +431,9 @@ func NewClient(conn net.Conn) (*Client, error) {
 // When first is true the announced Hello becomes the client's identity;
 // on reconnects the announcement must match it.
 func (c *Client) attach(conn net.Conn, first bool) error {
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	fr := newFrameReader(conn)
 	var hello Hello
-	if err := dec.Decode(&hello); err != nil {
+	if err := fr.decodeJSON(&hello); err != nil {
 		conn.Close()
 		return fmt.Errorf("remote: handshake: %w", err)
 	}
@@ -420,7 +446,7 @@ func (c *Client) attach(conn net.Conn, first bool) error {
 		return core.Permanent(fmt.Errorf("remote: server changed between connections: was %d tasks on %v, now %d tasks on %v",
 			c.hello.Tasks, c.hello.Topology, hello.Tasks, hello.Topology))
 	}
-	c.conn, c.enc, c.dec = conn, enc, dec
+	c.conn, c.fr = conn, fr
 	if first {
 		c.hello = hello
 	}
@@ -459,44 +485,46 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 	}
 
 	// Tie the blocking socket I/O to ctx: a watcher trips the connection
-	// deadline on cancellation, failing the pending read/write. Clear any
-	// deadline a previous call's watcher may have left behind first.
-	c.conn.SetDeadline(time.Time{})
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
+	// deadline on cancellation, failing the pending read/write. A watcher
+	// that has started is waited for, and its deadline cleared, before
+	// the client is released: it must not land on the next call.
+	if ctx.Done() != nil {
 		conn := c.conn
-		go func() {
-			select {
-			case <-done:
-				conn.SetDeadline(time.Now())
-			case <-stop:
+		stop := context.AfterFunc(ctx, func() {
+			conn.SetDeadline(time.Now())
+			c.tripped <- struct{}{}
+		})
+		defer func() {
+			if !stop() {
+				<-c.tripped
+				conn.SetDeadline(time.Time{})
 			}
 		}()
-		defer close(stop)
 	}
 
 	c.next++
-	req := Request{ID: c.next, Ctx: a.Ctx}
+	id := c.next
 	if m := c.cfg.Metrics; m != nil {
 		m.Requests.Inc()
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.line = appendRequest(c.line[:0], id, a.Ctx)
+	if _, err := c.conn.Write(c.line); err != nil {
 		c.poison()
 		return 0, fmt.Errorf("remote: send: %w (%w)", err, ErrStreamBroken)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp := &c.resp
+	if err := c.fr.readResponse(resp); err != nil {
 		c.poison()
 		if errors.Is(err, io.EOF) {
 			return 0, fmt.Errorf("remote: server closed the connection (%w)", ErrStreamBroken)
 		}
 		return 0, fmt.Errorf("remote: receive: %w (%w)", err, ErrStreamBroken)
 	}
-	if resp.ID != req.ID {
+	if resp.ID != id {
 		// The stream is desynced: some earlier response is still in
 		// flight. Nothing read from this connection can be trusted.
 		c.poison()
-		return 0, fmt.Errorf("remote: response id %d for request %d (%w)", resp.ID, req.ID, ErrStreamBroken)
+		return 0, fmt.Errorf("remote: response id %d for request %d (%w)", resp.ID, id, ErrStreamBroken)
 	}
 	if resp.Error != "" {
 		// A well-formed error response: the stream is intact, but the

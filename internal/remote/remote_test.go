@@ -19,7 +19,7 @@ import (
 
 // startServer launches a testbed-backed server on a loopback listener and
 // returns its address plus a shutdown func.
-func startServer(t *testing.T) (*netdps.Testbed, string, func()) {
+func startServer(t testing.TB) (*netdps.Testbed, string, func()) {
 	t.Helper()
 	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8)
 	if err != nil {
