@@ -56,8 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &remote.Server{Runner: tb, Topo: tb.Machine.Topo, Tasks: tb.TaskCount(),
-			Name: fmt.Sprintf("testbed-%d", i+1)}
+		srv := &remote.Server{Runner: tb, Topo: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: tb.App.Name()}
 		go srv.Serve(l)
 		addrs = append(addrs, l.Addr().String())
 	}

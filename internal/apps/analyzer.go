@@ -10,14 +10,11 @@ import (
 // AnalyzerApp is the packet-analyzer benchmark (§4.3): it decodes every
 // packet that passes the NIU and logs MAC addresses, TTL, the L3 protocol,
 // IP addresses and port numbers — the exact field set the paper lists — to
-// an in-memory log ring, optionally through a user filter.
-type AnalyzerApp struct {
-	// Filter decides whether a decoded packet is logged. nil logs all
-	// traffic, the configuration used in the paper's experiments.
-	Filter func(h netgen.Header) bool
-}
+// an in-memory log ring. It logs all traffic, the configuration used in the
+// paper's experiments.
+type AnalyzerApp struct{}
 
-// NewAnalyzer builds the analyzer benchmark with no filter (log everything).
+// NewAnalyzer builds the analyzer benchmark.
 func NewAnalyzer() *AnalyzerApp { return &AnalyzerApp{} }
 
 // Name implements App.
@@ -27,7 +24,7 @@ func (a *AnalyzerApp) Name() string { return "Packet-analyzer" }
 func (a *AnalyzerApp) NewPipeline() Pipeline {
 	return Pipeline{
 		R: &ReceiveThread{},
-		P: &analyzerProcess{app: a, ring: make([]byte, 1<<16)},
+		P: &analyzerProcess{ring: make([]byte, 1<<16)},
 		T: &TransmitThread{},
 	}
 }
@@ -51,13 +48,11 @@ func analyzerDemand() proc.Demand {
 	return d
 }
 
-// analyzerProcess is the P thread: decode, filter, format, log.
+// analyzerProcess is the P thread: decode, format, log.
 type analyzerProcess struct {
-	app      *AnalyzerApp
 	ring     []byte // log ring buffer
 	head     int
 	Logged   uint64
-	Filtered uint64
 	Errors   uint64
 	lastLine []byte // most recent log line, exposed for tests
 }
@@ -71,10 +66,6 @@ func (p *analyzerProcess) Process(pkt netgen.Packet) proc.Demand {
 	h, err := pkt.Decode()
 	if err != nil {
 		p.Errors++
-		return d
-	}
-	if p.app.Filter != nil && !p.app.Filter(h) {
-		p.Filtered++
 		return d
 	}
 	p.Logged++

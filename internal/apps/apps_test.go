@@ -153,17 +153,31 @@ func TestAnalyzerLogsPaperFields(t *testing.T) {
 	}
 }
 
-func TestAnalyzerFilter(t *testing.T) {
-	app := NewAnalyzer()
-	app.Filter = func(h netgen.Header) bool { return h.DstPort == 80 }
-	pipe := app.NewPipeline()
-	hit := netgen.Build([6]byte{}, [6]byte{}, 1, 2, netgen.ProtoTCP, 64, 1, 80, nil)
-	miss := netgen.Build([6]byte{}, [6]byte{}, 1, 2, netgen.ProtoTCP, 64, 1, 443, nil)
-	pipe.P.Process(hit)
-	pipe.P.Process(miss)
-	ap := pipe.P.(*analyzerProcess)
-	if ap.Logged != 1 || ap.Filtered != 1 {
-		t.Errorf("logged=%d filtered=%d", ap.Logged, ap.Filtered)
+// TestAnalyzerLogsEveryDecodedPacket checks the paper's configuration:
+// every packet that decodes is logged, whatever its protocol or ports,
+// and one that does not decode is counted as an error, not logged.
+func TestAnalyzerLogsEveryDecodedPacket(t *testing.T) {
+	tcp := netgen.Build([6]byte{}, [6]byte{}, 1, 2, netgen.ProtoTCP, 64, 1, 443, nil)
+	for _, tc := range []struct {
+		name           string
+		pkt            netgen.Packet
+		logged, errors uint64
+		line           string
+	}{
+		{"tcp", tcp, 1, 0, "proto=6 0.0.0.1:1 > 0.0.0.2:443"},
+		{"udp", netgen.Build([6]byte{}, [6]byte{}, 3, 4, netgen.ProtoUDP, 9, 5353, 53, []byte("q")), 1, 0, "ttl=9 proto=17 0.0.0.3:5353 > 0.0.0.4:53"},
+		{"truncated", netgen.Packet{Raw: tcp.Raw[:20]}, 0, 1, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ap := NewAnalyzer().NewPipeline().P.(*analyzerProcess)
+			ap.Process(tc.pkt)
+			if ap.Logged != tc.logged || ap.Errors != tc.errors {
+				t.Fatalf("logged=%d errors=%d, want %d and %d", ap.Logged, ap.Errors, tc.logged, tc.errors)
+			}
+			if !strings.Contains(string(ap.lastLine), tc.line) {
+				t.Errorf("log line %q missing %q", ap.lastLine, tc.line)
+			}
+		})
 	}
 }
 

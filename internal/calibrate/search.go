@@ -177,6 +177,14 @@ func hashUnit(ctx []int) float64 {
 	return u
 }
 
+// The coverage study commits its outcomes every coverageBatch draws,
+// matching the engine's Ndelta batching, and caps a replication at
+// maxDrawsPerTail draws per tail-eligible one.
+const (
+	coverageBatch   = 100
+	maxDrawsPerTail = 50
+)
+
 // SearchCoverageConfig parameterizes the per-strategy coverage study: does
 // a strategy's tail-eligible sample still give the EVT machinery its
 // nominal coverage?
@@ -188,15 +196,11 @@ type SearchCoverageConfig struct {
 	Replications int
 	// TailN is the number of tail-eligible draws each replication collects
 	// before fitting (default 2000) — strategies that explore draw more in
-	// total, so every strategy's fit sees the same sample size.
+	// total, so every strategy's fit sees the same sample size. A
+	// replication stops after maxDrawsPerTail·TailN draws in all.
 	TailN int
-	// Batch is the committed-horizon flush interval (default 100),
-	// matching the engine's Ndelta batching.
-	Batch int
-	// MaxDraws caps total draws per replication (default 50·TailN).
-	MaxDraws int
-	Seed     int64
-	POT      evt.POTOptions
+	Seed  int64
+	POT   evt.POTOptions
 	// Workers bounds the fan-out; results are worker-count invariant.
 	Workers int
 	// IncludeExplore is a deliberate-contamination probe: fit on every
@@ -212,12 +216,6 @@ func (c SearchCoverageConfig) withDefaults() SearchCoverageConfig {
 	}
 	if c.TailN <= 0 {
 		c.TailN = 2000
-	}
-	if c.Batch <= 0 {
-		c.Batch = 100
-	}
-	if c.MaxDraws <= 0 {
-		c.MaxDraws = 50 * c.TailN
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -336,7 +334,7 @@ func searchCoverageReplicate(cfg SearchCoverageConfig, pop AssignPop, truth floa
 	hist := search.NewHistory(pop.Topo(), pop.Tasks())
 	var fitSample []float64
 	draws := 0
-	for tail := 0; tail < cfg.TailN && draws < cfg.MaxDraws; draws++ {
+	for tail := 0; tail < cfg.TailN && draws < maxDrawsPerTail*cfg.TailN; draws++ {
 		d, err := strat.Next(rng, hist)
 		if err != nil {
 			return searchCoverageOutcome{}, err
@@ -347,7 +345,7 @@ func searchCoverageReplicate(cfg SearchCoverageConfig, pop AssignPop, truth floa
 			return searchCoverageOutcome{}, err
 		}
 		hist.Resolve(i, perf, false)
-		if (i+1)%cfg.Batch == 0 {
+		if (i+1)%coverageBatch == 0 {
 			hist.Commit()
 		}
 		if !d.Explore {

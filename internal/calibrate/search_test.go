@@ -150,7 +150,6 @@ func TestSearchStudyEfficiencyGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SkipCoverage = true
 	res, err := RunSearchStudy(cfg, pop, nil)
 	if err != nil {
 		t.Fatal(err)

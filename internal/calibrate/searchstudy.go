@@ -39,9 +39,6 @@ type SearchStudyConfig struct {
 	Iter IterConfig
 	// Coverage configures the per-strategy coverage calibration (ditto).
 	Coverage SearchCoverageConfig
-	// SkipCoverage drops the coverage half (for quick efficiency-only
-	// runs).
-	SkipCoverage bool
 }
 
 // SearchStudyResult reports the head-to-head comparison.
@@ -60,6 +57,7 @@ type SearchStudyResult struct {
 // enumerated discrete population — the realistic tied landscape) and
 // coverage on covPop (a continuous landscape, so coverage is measured
 // against the analytic endpoint rather than a tie-dominated finite max).
+// A nil covPop skips the coverage half.
 func RunSearchStudy(cfg SearchStudyConfig, effPop *DiscretePopulation, covPop AssignPop) (SearchStudyResult, error) {
 	specs := BuiltinStrategies()
 	var res SearchStudyResult
@@ -88,7 +86,7 @@ func RunSearchStudy(cfg SearchStudyConfig, effPop *DiscretePopulation, covPop As
 			res.BestStrategy = ir.Strategy
 		}
 	}
-	if !cfg.SkipCoverage {
+	if covPop != nil {
 		for _, spec := range specs {
 			strat, err := spec.New()
 			if err != nil {

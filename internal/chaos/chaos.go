@@ -167,7 +167,7 @@ func (f *Fleet) Join(ctx context.Context, name string) (*Member, error) {
 		Runner:      tb,
 		Topo:        tb.Machine.Topo,
 		Tasks:       tb.TaskCount(),
-		Name:        name,
+		Name:        tb.App.Name(),
 		ReadTimeout: 2 * time.Second,
 	}
 	go srv.Serve(l)
@@ -184,7 +184,7 @@ func (f *Fleet) Join(ctx context.Context, name string) (*Member, error) {
 	}
 	registrant, err := remote.NewRegistrant(remote.RegistrantConfig{
 		Dial:      func() (net.Conn, error) { return net.Dial("tcp", rproxy.Addr()) },
-		Hello:     remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: name},
+		Hello:     remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: tb.App.Name()},
 		Addr:      mproxy.Addr(),
 		Identity:  tb.Identity(),
 		RetryBase: 5 * time.Millisecond,

@@ -97,32 +97,25 @@ func (s Spec) Validate() error {
 	if s.LossPct <= 0 {
 		return fmt.Errorf("%w: campaign needs a positive loss_pct", ErrBadSpec)
 	}
-	params, err := search.ParseParams(s.StrategyParams)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	name := s.Strategy
-	if name == "" {
-		name = "uniform"
-	}
-	if _, err := search.New(name, params, nil); err != nil {
+	if _, _, err := s.strategy(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	return nil
 }
 
-// strategySpec is the canonical strategy string stamped into the journal
-// header (empty for the default uniform sampler, matching the CLI).
-func (s Spec) strategySpec() (string, error) {
+// strategy parses the spec's strategy and parameters once. It returns the
+// canonical string stamped into the journal header (empty for the default
+// uniform sampler, matching the CLI) and a fresh strategy to run.
+func (s Spec) strategy() (string, search.Strategy, error) {
 	params, err := search.ParseParams(s.StrategyParams)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	name := s.Strategy
-	if name == "" {
-		name = "uniform"
+	strat, err := search.New(s.Strategy, params, nil)
+	if err != nil {
+		return "", nil, err
 	}
-	return search.Spec(name, params), nil
+	return search.Spec(s.Strategy, params), strat, nil
 }
 
 // State is a campaign's lifecycle state.
@@ -399,7 +392,7 @@ func (c *Coordinator) recover() error {
 			return err
 		}
 		cs := &campState{spec: sf.Spec, created: sf.CreatedUnix, testbed: c.cfg.Source.Testbed()}
-		cs.strategy, _ = sf.Spec.strategySpec()
+		cs.strategy, _, _ = sf.Spec.strategy()
 		c.campaigns[id] = cs
 
 		if row := c.terminalRow(id); row != nil {
@@ -461,7 +454,7 @@ func (c *Coordinator) loadTerminal(cs *campState, row table.Row) {
 // every path into the run queue goes through — submit, user resume and
 // crash recovery — so they all hold identical resources.
 func (c *Coordinator) admit(cs *campState) error {
-	strategy, err := cs.spec.strategySpec()
+	strategy, _, err := cs.spec.strategy()
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
@@ -630,13 +623,8 @@ func (c *Coordinator) run(cs *campState, ctx context.Context) {
 		OnRound:       c.roundStatus(cs),
 	}
 	if hdr.Strategy != "" {
-		params, err := search.ParseParams(spec.StrategyParams)
-		if err != nil {
-			c.finish(cs, nil, err)
-			return
-		}
-		cfg.Strategy, err = search.New(spec.Strategy, params, nil)
-		if err != nil {
+		var err error
+		if _, cfg.Strategy, err = spec.strategy(); err != nil {
 			c.finish(cs, nil, err)
 			return
 		}

@@ -115,6 +115,49 @@ func TestSubmitValidationAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestSpecStrategy checks the one parse of a spec's strategy: the
+// canonical journal string (empty for the default uniform sampler, keys
+// sorted) beside the strategy it builds, and a refusal that Validate
+// reports as ErrBadSpec.
+func TestSpecStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name, strategy, params string
+		want, wantName         string
+		bad                    bool
+	}{
+		{name: "default", want: "", wantName: "uniform"},
+		{name: "uniform", strategy: "uniform", want: "", wantName: "uniform"},
+		{name: "sorted-params", strategy: "greedy", params: "init=200, explore=0.1", want: "greedy(explore=0.1,init=200)", wantName: "greedy"},
+		{name: "bad-params", strategy: "greedy", params: "explore", bad: true},
+		{name: "uniform-params", params: "k=1", bad: true},
+		{name: "unknown", strategy: "nope", bad: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := smallSpec("s", 1)
+			spec.Strategy, spec.StrategyParams = tc.strategy, tc.params
+			canon, strat, err := spec.strategy()
+			if verr := spec.Validate(); tc.bad != errors.Is(verr, ErrBadSpec) {
+				t.Errorf("Validate() = %v, bad spec %v", verr, tc.bad)
+			}
+			if tc.bad {
+				if err == nil {
+					t.Fatalf("strategy() accepted %q(%s)", tc.strategy, tc.params)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canon != tc.want {
+				t.Errorf("canonical spec %q, want %q", canon, tc.want)
+			}
+			if strat.Name() != tc.wantName {
+				t.Errorf("built strategy %q, want %q", strat.Name(), tc.wantName)
+			}
+		})
+	}
+}
+
 // TestPauseResumeCancel drives the full lifecycle: pause survives a
 // restart, resume continues from the journal, cancel is terminal.
 func TestPauseResumeCancel(t *testing.T) {

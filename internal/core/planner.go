@@ -76,29 +76,3 @@ func (p *Planner) ProbImprove(n int) (float64, error) {
 	// 1 − (1 − tail)^n, computed stably.
 	return -math.Expm1(float64(n) * math.Log1p(-tail)), nil
 }
-
-// SamplesForTarget returns the smallest n with ProbImprove-style
-// probability >= prob of drawing a sample above the performance target.
-// Targets at or above the estimated optimum are unreachable and return an
-// error.
-func (p *Planner) SamplesForTarget(target, prob float64) (int, error) {
-	if prob <= 0 || prob >= 1 {
-		return 0, fmt.Errorf("core: probability must be in (0,1), got %v", prob)
-	}
-	u := p.est.Report.Threshold.U
-	g := p.est.Report.Fit.GPD
-	if target >= p.est.Optimal {
-		return 0, fmt.Errorf("core: target %v at or above the estimated optimum %v", target, p.est.Optimal)
-	}
-	var tail float64
-	if target <= u {
-		tail = p.exceedProb
-	} else {
-		tail = p.exceedProb * (1 - g.CDF(target-u))
-	}
-	if tail <= 0 {
-		return 0, fmt.Errorf("core: target %v has vanishing probability under the fitted tail", target)
-	}
-	n := math.Log1p(-prob) / math.Log1p(-tail)
-	return int(math.Ceil(n - 1e-12)), nil
-}

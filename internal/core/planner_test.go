@@ -96,38 +96,6 @@ func TestPlannerMonotonicity(t *testing.T) {
 	}
 }
 
-func TestPlannerSamplesForTarget(t *testing.T) {
-	est, _ := syntheticEstimate(t, 3, 3000)
-	p, err := NewPlanner(est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A target halfway between the threshold and the optimum.
-	target := (est.Report.Threshold.U + est.Optimal) / 2
-	n, err := p.SamplesForTarget(target, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1 {
-		t.Errorf("n = %d", n)
-	}
-	// Closer targets need more samples.
-	harder := est.Optimal - (est.Optimal-target)/10
-	n2, err := p.SamplesForTarget(harder, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 <= n {
-		t.Errorf("harder target needs %d <= %d samples", n2, n)
-	}
-	if _, err := p.SamplesForTarget(est.Optimal*1.01, 0.95); err == nil {
-		t.Error("unreachable target accepted")
-	}
-	if _, err := p.SamplesForTarget(target, 1); err == nil {
-		t.Error("prob=1 accepted")
-	}
-}
-
 func TestPlannerValidation(t *testing.T) {
 	if _, err := NewPlanner(Estimate{}); err == nil {
 		t.Error("empty estimate accepted")

@@ -77,51 +77,6 @@ func TestPWMAgreesWithMLEProperty(t *testing.T) {
 	}
 }
 
-func TestKSTestAcceptsTrueModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := GPD{Xi: -0.3, Sigma: 2}
-	ys := g.Sample(rng, 800)
-	res := KSTest(ys, g)
-	if res.N != 800 {
-		t.Errorf("N = %d", res.N)
-	}
-	if res.D < 0 || res.D > 0.1 {
-		t.Errorf("D = %v for the true model", res.D)
-	}
-	if res.PValue < 0.05 {
-		t.Errorf("p = %v — true model rejected", res.PValue)
-	}
-}
-
-func TestKSTestRejectsWrongModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ys := (GPD{Xi: -0.3, Sigma: 2}).Sample(rng, 800)
-	res := KSTest(ys, GPD{Xi: 0.8, Sigma: 0.3})
-	if res.PValue > 1e-4 {
-		t.Errorf("p = %v — grossly wrong model accepted", res.PValue)
-	}
-	if res.D < 0.1 {
-		t.Errorf("D = %v", res.D)
-	}
-}
-
-func TestKSTestEdgeCases(t *testing.T) {
-	res := KSTest(nil, GPD{Xi: 0, Sigma: 1})
-	if !math.IsNaN(res.D) || !math.IsNaN(res.PValue) {
-		t.Errorf("empty sample: %+v", res)
-	}
-	if q := kolmogorovQ(0); q != 1 {
-		t.Errorf("Q(0) = %v", q)
-	}
-	if q := kolmogorovQ(10); q != 0 {
-		t.Errorf("Q(10) = %v", q)
-	}
-	// Known value: Q(1) ≈ 0.27.
-	if q := kolmogorovQ(1); math.Abs(q-0.26999967) > 1e-4 {
-		t.Errorf("Q(1) = %v", q)
-	}
-}
-
 func TestBootstrapUPBBracketsTruth(t *testing.T) {
 	truth := GPD{Xi: -0.3, Sigma: 1.5} // endpoint 5
 	u := 20.0

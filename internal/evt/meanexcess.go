@@ -118,16 +118,3 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	}
 	return fit, nil
 }
-
-// MeanExcessLinearity fits a line to the mean excess points whose thresholds
-// lie at or above u and returns the fit. At least two points are required.
-func MeanExcessLinearity(points []MeanExcessPoint, u float64) (LinearFit, error) {
-	var xs, ys []float64
-	for _, p := range points {
-		if p.U >= u {
-			xs = append(xs, p.U)
-			ys = append(ys, p.E)
-		}
-	}
-	return FitLine(xs, ys)
-}

@@ -148,17 +148,3 @@ func TestFitLine(t *testing.T) {
 		t.Error("degenerate x should error")
 	}
 }
-
-func TestMeanExcessLinearity(t *testing.T) {
-	points := []MeanExcessPoint{{U: 1, E: 5}, {U: 2, E: 4}, {U: 3, E: 3}, {U: 4, E: 2}}
-	fit, err := MeanExcessLinearity(points, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(fit.Slope, -1, 1e-12) || !almostEqual(fit.R2, 1, 1e-12) {
-		t.Errorf("fit = %+v", fit)
-	}
-	if _, err := MeanExcessLinearity(points, 4.5); err == nil {
-		t.Error("no points above threshold should error")
-	}
-}

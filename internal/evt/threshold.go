@@ -127,8 +127,7 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	// mean-excess points at or above their own threshold, so the plot is
 	// computed from there up. Its points ascend in U, so the ones at or
 	// above a candidate's threshold are a suffix, which the line fit
-	// reads in place: the same points, in the same order, that
-	// MeanExcessLinearity would copy out.
+	// reads in place.
 	uMin, _ := cutSorted(sorted, maxM, o.MinExceedances)
 	mePoints, err := meanExcessSorted(sorted, sort.SearchFloat64s(sorted, uMin))
 	if err != nil {

@@ -149,11 +149,11 @@ func NewPool(cfg PoolConfig) *ClientPool {
 }
 
 // DialPool connects to every address and verifies the servers all announce
-// the same topology and task count. At least one address is required;
-// every server must be reachable at dial time (fail fast on typos; mid-
-// campaign failures are handled gracefully instead). To open several
-// connections to one server, repeat its address — each occurrence joins
-// under a distinct member key.
+// the same Hello: topology, task count and benchmark name. At least one
+// address is required; every server must be reachable at dial time (fail
+// fast on typos; mid-campaign failures are handled gracefully instead). To
+// open several connections to one server, repeat its address — each
+// occurrence joins under a distinct member key.
 func DialPool(addrs []string, cfg PoolConfig) (*ClientPool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("remote: pool needs at least one server address")
@@ -229,10 +229,10 @@ func (p *ClientPool) add(key, addr string) error {
 	if !p.haveHello {
 		p.hello = h
 		p.haveHello = true
-	} else if h.Topology != p.hello.Topology || h.Tasks != p.hello.Tasks {
+	} else if h != p.hello {
 		client.Close()
-		return fmt.Errorf("remote: pool server %s runs %d tasks on %v, but the pool runs %d tasks on %v",
-			addr, h.Tasks, h.Topology, p.hello.Tasks, p.hello.Topology)
+		return fmt.Errorf("remote: pool server %s serves %q at %d tasks on %v, but the pool serves %q at %d tasks on %v",
+			addr, h.Name, h.Tasks, h.Topology, p.hello.Name, p.hello.Tasks, p.hello.Topology)
 	}
 	p.members[key] = &poolServer{addr: key, client: client}
 	p.order = append(p.order, key)

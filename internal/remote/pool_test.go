@@ -7,11 +7,13 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,4 +350,189 @@ func TestPoolShutdownDuringInflight(t *testing.T) {
 	if err == nil || !core.IsPermanent(err) {
 		t.Fatalf("measurement on a closed pool: err = %v, want permanent", err)
 	}
+}
+
+// startSilentServer runs a fake measurement server that sends its hello,
+// reads requests and never answers. got is closed once the first request
+// has arrived; stop severs every connection it accepted.
+func startSilentServer(t *testing.T) (addr string, got <-chan struct{}, stop func()) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotc := make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				if err := json.NewEncoder(conn).Encode(validHello()); err != nil {
+					return
+				}
+				buf := make([]byte, 512)
+				for {
+					if _, err := conn.Read(buf); err != nil {
+						return
+					}
+					once.Do(func() { close(gotc) })
+				}
+			}()
+		}
+	}()
+	return l.Addr().String(), gotc, func() {
+		l.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+	}
+}
+
+// within fails the test unless f returns within d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// TestPoolRemoveInterruptsInFlight evicts (or closes the pool under) a
+// member whose measurement never completes: Remove, Close and Size must
+// not wait for the round trip, and the in-flight call must fail with a
+// transport error instead of hanging.
+func TestPoolRemoveInterruptsInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		evict func(p *ClientPool, addr string)
+	}{
+		{"remove", func(p *ClientPool, addr string) { p.Remove(addr, "evicted") }},
+		{"close", func(p *ClientPool, _ string) { p.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, got, stop := startSilentServer(t)
+			defer stop()
+			pool, err := DialPool([]string{addr}, fastPoolConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Sever the server first: a pool stuck behind the round trip
+			// then unblocks, so a failing run ends instead of hanging.
+			defer func() {
+				stop()
+				pool.Close()
+			}()
+
+			errc := make(chan error, 1)
+			go func() {
+				_, err := pool.MeasureContext(context.Background(), validAssignment())
+				errc <- err
+			}()
+			select {
+			case <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the request never reached the server")
+			}
+
+			within(t, 2*time.Second, tc.name, func() { tc.evict(pool, addr) })
+			within(t, 2*time.Second, "Size", func() { pool.Size() })
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrStreamBroken) {
+					t.Errorf("in-flight measurement: err = %v, want a transport error", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("in-flight measurement still blocked")
+			}
+			if n := pool.Size(); n != 0 {
+				t.Errorf("Size() = %d after %s, want 0", n, tc.name)
+			}
+		})
+	}
+}
+
+// TestHelloNameMismatchRefused joins servers that announce the same
+// topology and task count but different benchmarks: a pool must refuse
+// the second one at DialPool and at Add, and a client must refuse to
+// reconnect to it, permanently.
+func TestHelloNameMismatchRefused(t *testing.T) {
+	tb, addrA, shutdownA := startTestbedServer(t, &Server{Name: "IPFwd-L1"})
+	defer shutdownA()
+	_, addrB, shutdownB := startTestbedServer(t, &Server{Name: "Aho-Corasick"})
+	defer shutdownB()
+
+	t.Run("DialPool", func(t *testing.T) {
+		pool, err := DialPool([]string{addrA, addrB}, fastPoolConfig())
+		if err == nil {
+			pool.Close()
+			t.Fatal("pool accepted servers measuring different benchmarks")
+		}
+		if !strings.Contains(err.Error(), "Aho-Corasick") {
+			t.Errorf("err = %v, want the mismatched benchmark named", err)
+		}
+	})
+
+	t.Run("Add", func(t *testing.T) {
+		pool, err := DialPool([]string{addrA}, fastPoolConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		if err := pool.Add(addrB); err == nil {
+			t.Fatal("Add accepted a server measuring another benchmark")
+		}
+		if n := pool.Size(); n != 1 {
+			t.Errorf("Size() = %d after the refused Add, want 1", n)
+		}
+	})
+
+	t.Run("reconnect", func(t *testing.T) {
+		var dials atomic.Int64
+		client, err := DialConfig(ClientConfig{
+			Dial: func() (net.Conn, error) {
+				if dials.Add(1) == 1 {
+					return net.Dial("tcp", addrA)
+				}
+				return net.Dial("tcp", addrB)
+			},
+			RedialBase: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		a, err := assign.RandomPermutation(rand.New(rand.NewSource(5)), tb.Machine.Topo, tb.TaskCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.MeasureContext(context.Background(), a); err != nil {
+			t.Fatal(err)
+		}
+		client.mu.Lock()
+		client.poison()
+		client.mu.Unlock()
+		_, err = client.MeasureContext(context.Background(), a)
+		if err == nil {
+			t.Fatal("reconnect to another benchmark accepted")
+		}
+		if !core.IsPermanent(err) {
+			t.Errorf("benchmark mismatch on reconnect should be permanent, got %v", err)
+		}
+	})
 }

@@ -24,9 +24,9 @@ type RegistryConfig struct {
 	// (removed from the pool; its in-flight measurement, if any, fails
 	// over). Default 10× HeartbeatInterval.
 	EvictAfter time.Duration
-	// Verify, if set, gates registration beyond the built-in topology/
-	// task-count check: return an error to refuse the server (wrong
-	// testbed identity, unknown operator, ...).
+	// Verify, if set, gates registration beyond the built-in Hello check
+	// (topology, task count and benchmark name): return an error to
+	// refuse the server (wrong testbed identity, unknown operator, ...).
 	Verify func(h Hello, identity string) error
 	// Metrics counts membership churn and heartbeat traffic. nil
 	// disables.

@@ -31,7 +31,8 @@
 // on the first transport error (or garbage / mismatched-ID response),
 // drops the connection, and — when it owns a dialer — transparently
 // redials with backoff and re-handshakes before the next measurement,
-// verifying the server still announces the same topology and task count.
+// verifying the server still announces the same Hello: topology, task
+// count and benchmark name.
 // Server-reported measurement errors travel inside a well-formed response
 // and do not poison the stream.
 package remote
@@ -45,6 +46,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"optassign/internal/assign"
@@ -374,20 +376,33 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
+// errClientClosed fails every measurement after Close, permanently. A
+// call that Close interrupts fails with errClosedInFlight instead, a
+// transport error, so a pool fails the draw over to another member.
+var (
+	errClientClosed   = errors.New("remote: client is closed")
+	errClosedInFlight = fmt.Errorf("%w (%w)", errClientClosed, ErrStreamBroken)
+)
+
 // Client is a core.ContextRunner that measures on a remote Server,
 // transparently reconnecting when it owns a dialer.
 type Client struct {
 	cfg ClientConfig
 
+	// mu is the call lock: a measurement holds it for its whole round
+	// trip. conn is read under it and swapped only while holding both mu
+	// and connMu, so Close can take connMu alone and drop the connection
+	// under an in-flight call.
 	mu     sync.Mutex
+	connMu sync.Mutex
 	conn   net.Conn
+	closed atomic.Bool // set under connMu
 	fr     *frameReader
 	line   []byte   // the request being sent
 	resp   Response // the response being read
 	hello  Hello
 	next   uint64
 	broken bool
-	closed bool
 	// tripped receives once a cancelled call's watcher has set its
 	// connection's deadline.
 	tripped chan struct{}
@@ -429,7 +444,8 @@ func NewClient(conn net.Conn) (*Client, error) {
 
 // attach handshakes on conn and installs it as the client's transport.
 // When first is true the announced Hello becomes the client's identity;
-// on reconnects the announcement must match it.
+// on reconnects the announcement must match it. A closed client installs
+// nothing.
 func (c *Client) attach(conn net.Conn, first bool) error {
 	fr := newFrameReader(conn)
 	var hello Hello
@@ -441,10 +457,16 @@ func (c *Client) attach(conn net.Conn, first bool) error {
 		conn.Close()
 		return fmt.Errorf("remote: server announced invalid topology: %w", err)
 	}
-	if !first && (hello.Topology != c.hello.Topology || hello.Tasks != c.hello.Tasks) {
+	if !first && hello != c.hello {
 		conn.Close()
-		return core.Permanent(fmt.Errorf("remote: server changed between connections: was %d tasks on %v, now %d tasks on %v",
-			c.hello.Tasks, c.hello.Topology, hello.Tasks, hello.Topology))
+		return core.Permanent(fmt.Errorf("remote: server changed between connections: was %q at %d tasks on %v, now %q at %d tasks on %v",
+			c.hello.Name, c.hello.Tasks, c.hello.Topology, hello.Name, hello.Tasks, hello.Topology))
+	}
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.closed.Load() {
+		conn.Close()
+		return errClosedInFlight
 	}
 	c.conn, c.fr = conn, fr
 	if first {
@@ -475,8 +497,8 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, core.Permanent(errors.New("remote: client is closed"))
+	if c.closed.Load() {
+		return 0, core.Permanent(errClientClosed)
 	}
 	if c.broken {
 		if err := c.reconnect(ctx); err != nil {
@@ -559,6 +581,9 @@ func (c *Client) reconnect(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if c.closed.Load() {
+			return errClosedInFlight
+		}
 		conn, err := c.cfg.Dial()
 		if err == nil {
 			if err = c.attach(conn, false); err == nil {
@@ -592,11 +617,14 @@ func (c *Client) reconnect(ctx context.Context) error {
 	return fmt.Errorf("remote: reconnect failed after %d attempts: %w (%w)", c.cfg.RedialAttempts, lastErr, ErrStreamBroken)
 }
 
-// Close releases the connection. Subsequent measurements fail permanently.
+// Close releases the connection without waiting for an in-flight
+// measurement, which then fails with a transport error, as does a
+// reconnect in progress, which installs no new connection. Subsequent
+// measurements fail permanently.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	c.closed.Store(true)
 	if c.conn == nil {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -368,5 +369,93 @@ func TestServerShutdownDrains(t *testing.T) {
 	defer cancel2()
 	if err := srv2.Shutdown(ctx2); err != nil {
 		t.Errorf("Shutdown of drained server = %v", err)
+	}
+}
+
+// TestClientCloseInterruptsInFlight closes a client whose server never
+// answers: Close must not wait for the round trip, the call fails with a
+// transport error, and later calls fail permanently.
+func TestClientCloseInterruptsInFlight(t *testing.T) {
+	got := make(chan struct{})
+	c := pipeServer(t, validHello(), func(conn net.Conn) {
+		buf := make([]byte, 512)
+		var once sync.Once
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+			once.Do(func() { close(got) })
+		}
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.MeasureContext(context.Background(), validAssignment())
+		errc <- err
+	}()
+	<-got
+	within(t, 2*time.Second, "Close", func() { c.Close() })
+	if err := <-errc; !errors.Is(err, ErrStreamBroken) {
+		t.Errorf("in-flight measurement: err = %v, want a transport error", err)
+	}
+	if _, err := c.MeasureContext(context.Background(), validAssignment()); !core.IsPermanent(err) {
+		t.Errorf("measurement after Close: err = %v, want permanent", err)
+	}
+}
+
+// TestClientCloseStopsReconnect closes a client while its reconnect is
+// dialing: the connection that dial yields is closed, not installed, and
+// the measurement fails with a transport error, which a pool fails over
+// (a permanent one would quarantine the draw).
+func TestClientCloseStopsReconnect(t *testing.T) {
+	dialing, release, dropped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var dials atomic.Int64
+	serve := func(conn net.Conn, onClose func()) {
+		if err := json.NewEncoder(conn).Encode(validHello()); err != nil {
+			return
+		}
+		buf := make([]byte, 512)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				onClose()
+				return
+			}
+		}
+	}
+	c, err := DialConfig(ClientConfig{
+		Dial: func() (net.Conn, error) {
+			server, client := net.Pipe()
+			if dials.Add(1) == 1 {
+				go serve(server, func() {})
+				return client, nil
+			}
+			close(dialing)
+			<-release
+			go serve(server, func() { close(dropped) })
+			return client, nil
+		},
+		RedialAttempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.poison()
+	c.mu.Unlock()
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.MeasureContext(context.Background(), validAssignment())
+		errc <- err
+	}()
+	<-dialing
+	within(t, 2*time.Second, "Close", func() { c.Close() })
+	close(release)
+	if err := <-errc; core.IsPermanent(err) || !errors.Is(err, ErrStreamBroken) || !errors.Is(err, errClientClosed) {
+		t.Errorf("measurement reconnecting across Close: err = %v, want a transient client-closed transport error", err)
+	}
+	select {
+	case <-dropped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the connection dialed after Close was not closed")
 	}
 }

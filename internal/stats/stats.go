@@ -56,9 +56,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the smallest element of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {

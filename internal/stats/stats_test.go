@@ -40,9 +40,6 @@ func TestMeanVariance(t *testing.T) {
 	if v := Variance(xs); !almostEqual(v, 32.0/7.0, 1e-12) {
 		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
 	}
-	if s := StdDev(xs); !almostEqual(s, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", s)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -302,35 +299,5 @@ func TestChiSquaredPDF(t *testing.T) {
 	}
 	if (ChiSquared{K: 4}).PDF(0) != 0 {
 		t.Error("chi2(4).PDF(0) should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, 1.5, -2}
-	h := NewHistogram(xs, 4, 0, 1)
-	if h.N != 6 {
-		t.Errorf("N = %d, want 6", h.N)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 6 {
-		t.Errorf("sum of counts = %d", total)
-	}
-	// Outliers clamp to edge bins: -2 into bin 0, 1.5 into bin 3.
-	if h.Counts[0] < 1 || h.Counts[3] < 1 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-	if h.MaxCount() < 1 {
-		t.Error("MaxCount")
-	}
-	if c := h.BinCenter(0); !almostEqual(c, 0.125, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", c)
-	}
-	// Degenerate parameters are repaired rather than panicking.
-	h2 := NewHistogram(xs, 0, 5, 5)
-	if len(h2.Counts) != 1 || h2.N != 6 {
-		t.Errorf("degenerate histogram: %+v", h2)
 	}
 }

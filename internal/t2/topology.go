@@ -84,13 +84,6 @@ func (t Topology) Context(core, pipeInCore, slot int) int {
 	return (core*t.PipesPerCore+pipeInCore)*t.ContextsPerPipe + slot
 }
 
-// ContextName renders a context like "core3.pipe1.ctx2" (the Netra DPS
-// style of naming strands for static binding).
-func (t Topology) ContextName(ctx int) string {
-	return fmt.Sprintf("core%d.pipe%d.ctx%d",
-		t.CoreOf(ctx), t.PipeOf(ctx)%t.PipesPerCore, t.SlotOf(ctx))
-}
-
 // ShareLevel returns the closest (most contended) sharing level between two
 // hardware contexts: IntraPipe if they sit in the same pipeline, IntraCore
 // if in the same core, InterCore otherwise. Both arguments must be valid

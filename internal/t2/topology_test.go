@@ -90,12 +90,6 @@ func TestShareLevelSymmetricProperty(t *testing.T) {
 
 func TestNamesAndStrings(t *testing.T) {
 	topo := UltraSPARCT2()
-	if got := topo.ContextName(9); got != "core1.pipe0.ctx1" {
-		t.Errorf("ContextName(9) = %q", got)
-	}
-	if got := topo.ContextName(63); got != "core7.pipe1.ctx3" {
-		t.Errorf("ContextName(63) = %q", got)
-	}
 	if s := topo.String(); !strings.Contains(s, "64") {
 		t.Errorf("String() = %q", s)
 	}
