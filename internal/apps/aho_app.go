@@ -39,9 +39,6 @@ func NewAhoCorasick(profile netgen.Profile) *AhoCorasickApp {
 // Name implements App.
 func (a *AhoCorasickApp) Name() string { return "Aho-Corasick" }
 
-// Automaton exposes the matcher (examples inspect it).
-func (a *AhoCorasickApp) Automaton() *Automaton { return a.automaton }
-
 // NewPipeline implements App.
 func (a *AhoCorasickApp) NewPipeline() Pipeline {
 	return Pipeline{

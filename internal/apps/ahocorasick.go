@@ -1,7 +1,5 @@
 package apps
 
-import "sort"
-
 // Automaton is an Aho-Corasick string-matching machine (Aho & Corasick,
 // 1975): a goto function over a keyword trie, failure links computed by
 // breadth-first search, and an output function listing the keywords that
@@ -72,9 +70,6 @@ func NewAutomaton(keywords []string) *Automaton {
 	return a
 }
 
-// States returns the number of automaton states.
-func (a *Automaton) States() int { return len(a.next) }
-
 // Keywords returns the keyword set the automaton was built from.
 func (a *Automaton) Keywords() []string { return a.keywords }
 
@@ -102,18 +97,4 @@ func (a *Automaton) Search(text []byte, visit func(Match)) int {
 		}
 	}
 	return count
-}
-
-// FindAll returns all matches in text, ordered by end position then keyword
-// index.
-func (a *Automaton) FindAll(text []byte) []Match {
-	var ms []Match
-	a.Search(text, func(m Match) { ms = append(ms, m) })
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].End != ms[j].End {
-			return ms[i].End < ms[j].End
-		}
-		return ms[i].Keyword < ms[j].Keyword
-	})
-	return ms
 }

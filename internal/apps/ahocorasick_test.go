@@ -2,10 +2,25 @@ package apps
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// findAll returns all matches in text, ordered by end position then
+// keyword index.
+func findAll(a *Automaton, text []byte) []Match {
+	var ms []Match
+	a.Search(text, func(m Match) { ms = append(ms, m) })
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].End != ms[j].End {
+			return ms[i].End < ms[j].End
+		}
+		return ms[i].Keyword < ms[j].Keyword
+	})
+	return ms
+}
 
 // naiveCount counts keyword occurrences by brute force.
 func naiveCount(text string, keywords []string) int {
@@ -27,7 +42,7 @@ func TestAutomatonClassicExample(t *testing.T) {
 	// The worked example from the Aho-Corasick paper: in "ushers", "she"
 	// and "he" both end at position 4, "hers" at position 6.
 	a := NewAutomaton([]string{"he", "she", "his", "hers"})
-	ms := a.FindAll([]byte("ushers"))
+	ms := findAll(a, []byte("ushers"))
 	want := []Match{{Keyword: 0, End: 4}, {Keyword: 1, End: 4}, {Keyword: 3, End: 6}}
 	if len(ms) != len(want) {
 		t.Fatalf("matches = %+v, want %+v", ms, want)
@@ -50,7 +65,7 @@ func TestAutomatonOverlappingAndNested(t *testing.T) {
 func TestAutomatonSubstringKeyword(t *testing.T) {
 	// A keyword inside another must still be reported (output links).
 	a := NewAutomaton([]string{"abcde", "bcd"})
-	ms := a.FindAll([]byte("xabcdex"))
+	ms := findAll(a, []byte("xabcdex"))
 	if len(ms) != 2 {
 		t.Fatalf("matches = %+v", ms)
 	}
@@ -81,8 +96,8 @@ func TestAutomatonStatesAndKeywords(t *testing.T) {
 	a := NewAutomaton(kws)
 	// Trie: root + h,e + s,sh,she: but "he" shares nothing with "she"'s
 	// path start; states = 1 + 2 + 3 = 6.
-	if a.States() != 6 {
-		t.Errorf("states = %d, want 6", a.States())
+	if len(a.next) != 6 {
+		t.Errorf("states = %d, want 6", len(a.next))
 	}
 	if len(a.Keywords()) != 2 {
 		t.Error("Keywords lost")

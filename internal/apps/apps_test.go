@@ -52,9 +52,10 @@ func TestSuiteComposition(t *testing.T) {
 			t.Errorf("suite missing %s", want)
 		}
 	}
-	f1 := Figure1Apps()
-	if len(f1) != 2 || f1[0].Name() != "IPFwd-intadd" || f1[1].Name() != "IPFwd-intmul" {
-		t.Errorf("Figure1Apps = %v", f1)
+	for _, name := range []string{"IPFwd-intadd", "IPFwd-intmul"} {
+		if app, err := ByName(name, netgen.DefaultProfile()); err != nil || app.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, app, err)
+		}
 	}
 }
 
@@ -305,7 +306,7 @@ func TestStatefulMarksLowTTLMalicious(t *testing.T) {
 // the threads actually report on live traffic.
 func TestMeanDemandsMatchObservedDemands(t *testing.T) {
 	profile := netgen.DefaultProfile()
-	for _, app := range append(Suite(profile), Figure1Apps()...) {
+	for _, app := range append(Suite(profile), NewIPFwd(IPFwdIntAdd), NewIPFwd(IPFwdIntMul)) {
 		gen, err := netgen.NewGenerator(profile, 99)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,7 @@ import (
 // IPFwd-L1 (cache-resident) and IPFwd-Mem (DRAM-walking) variants, and the
 // demand vectors in ipfwd.go model exactly that difference.
 type RouteTable struct {
-	root   *trieNode
-	routes int
+	root *trieNode
 }
 
 type trieNode struct {
@@ -24,9 +23,6 @@ type trieNode struct {
 
 // NewRouteTable returns an empty table (no default route).
 func NewRouteTable() *RouteTable { return &RouteTable{root: &trieNode{}} }
-
-// Routes returns the number of distinct prefixes inserted.
-func (t *RouteTable) Routes() int { return t.routes }
 
 // Insert adds (or overwrites) the route addr/length → nextHop. Next hop 0
 // is reserved for "no route". A length of 0 installs the default route.
@@ -44,9 +40,6 @@ func (t *RouteTable) Insert(addr uint32, length int, nextHop uint32) error {
 			n.child[b] = &trieNode{}
 		}
 		n = n.child[b]
-	}
-	if n.nextHop == 0 {
-		t.routes++
 	}
 	n.nextHop = nextHop
 	return nil

@@ -42,8 +42,3 @@ func Suite(profile netgen.Profile) []App {
 		NewStateful(),
 	}
 }
-
-// Figure1Apps returns the two motivation-study benchmarks of Figure 1.
-func Figure1Apps() []App {
-	return []App{NewIPFwd(IPFwdIntAdd), NewIPFwd(IPFwdIntMul)}
-}

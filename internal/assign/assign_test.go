@@ -52,10 +52,6 @@ func TestGrouping(t *testing.T) {
 	topo := topoT2()
 	// Tasks 0,1 in pipe 0; task 2 in pipe 1 (same core 0); task 3 in core 1.
 	a := Assignment{Topo: topo, Ctx: []int{0, 1, 4, 8}}
-	byPipe := a.TasksByPipe()
-	if len(byPipe[0]) != 2 || len(byPipe[1]) != 1 || len(byPipe[2]) != 1 {
-		t.Errorf("TasksByPipe = %v", byPipe)
-	}
 	byCore := a.TasksByCore()
 	if len(byCore[0]) != 3 || len(byCore[1]) != 1 {
 		t.Errorf("TasksByCore = %v", byCore)
@@ -109,7 +105,7 @@ func TestCanonicalKeyRandomSymmetryProperty(t *testing.T) {
 		for i, ctx := range a.Ctx {
 			core := topo.CoreOf(ctx)
 			pipe := topo.PipeOf(ctx) % topo.PipesPerCore
-			slot := topo.SlotOf(ctx)
+			slot := ctx % topo.ContextsPerPipe
 			nc := corePerm[core]
 			np := pipePerms[core][pipe]
 			ns := slotPerms[topo.PipeOf(ctx)][slot]

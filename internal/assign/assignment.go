@@ -70,17 +70,6 @@ func (a Assignment) Clone() Assignment {
 	return Assignment{Topo: a.Topo, Ctx: append([]int(nil), a.Ctx...)}
 }
 
-// TasksByPipe groups task indices by the global pipeline they run in.
-// Pipelines with no tasks are omitted.
-func (a Assignment) TasksByPipe() map[int][]int {
-	m := make(map[int][]int)
-	for task, ctx := range a.Ctx {
-		p := a.Topo.PipeOf(ctx)
-		m[p] = append(m[p], task)
-	}
-	return m
-}
-
 // TasksByCore groups task indices by core. Cores with no tasks are omitted.
 func (a Assignment) TasksByCore() map[int][]int {
 	m := make(map[int][]int)

@@ -170,16 +170,17 @@ func TestDiscretePopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := sc.Pop.(*DiscretePopulation)
-	if pop.Classes() < 100 {
-		t.Fatalf("only %d classes enumerated", pop.Classes())
+	if len(pop.perf) < 100 {
+		t.Fatalf("only %d classes enumerated", len(pop.perf))
 	}
-	vals := pop.Values()
-	if got := vals[len(vals)-1]; got != pop.TrueOptimum() {
-		t.Errorf("TrueOptimum %v != max class value %v", pop.TrueOptimum(), got)
-	}
-	inPop := make(map[float64]bool, len(vals))
-	for _, v := range vals {
+	inPop := make(map[float64]bool, len(pop.perf))
+	best := math.Inf(-1)
+	for _, v := range pop.perf {
 		inPop[v] = true
+		best = math.Max(best, v)
+	}
+	if best != pop.TrueOptimum() {
+		t.Errorf("TrueOptimum %v != max class value %v", pop.TrueOptimum(), best)
 	}
 	rng := rand.New(rand.NewSource(9))
 	for _, x := range pop.Sample(rng, 500) {

@@ -8,7 +8,6 @@ import (
 	"optassign/internal/assign"
 	"optassign/internal/core"
 	"optassign/internal/netdps"
-	"optassign/internal/stats"
 	"optassign/internal/t2"
 )
 
@@ -62,19 +61,6 @@ func (p *DiscretePopulation) Name() string { return p.name }
 
 // TrueOptimum implements Population: the exhaustive maximum over classes.
 func (p *DiscretePopulation) TrueOptimum() float64 { return p.best }
-
-// Classes returns the number of distinct canonical classes.
-func (p *DiscretePopulation) Classes() int { return len(p.perf) }
-
-// Values returns the sorted distinct class performances (for quantile and
-// headroom studies).
-func (p *DiscretePopulation) Values() []float64 {
-	vs := make([]float64, 0, len(p.perf))
-	for _, v := range p.perf {
-		vs = append(vs, v)
-	}
-	return stats.SortedCopy(vs)
-}
 
 // Sample implements Population: each draw is a uniformly random assignment
 // looked up by canonical class — the same draw distribution core's

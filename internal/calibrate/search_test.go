@@ -87,7 +87,7 @@ func TestGreedyNoTailBias(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~1M simulated measurements")
 	}
-	pop, err := NewAdditivePopulation(t2.UltraSPARCT2(), 6, 11)
+	pop, err := newAdditivePopulation(t2.UltraSPARCT2(), 6, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -908,9 +908,6 @@ func (c *Coordinator) Query(expr string) ([]QueryResult, error) {
 	return out, nil
 }
 
-// TableLen reports the number of promoted rows.
-func (c *Coordinator) TableLen() int { return c.table.Len() }
-
 // Wait blocks until every queued and running campaign has settled
 // (terminal, paused or failed). Intended for tests and batch drivers.
 func (c *Coordinator) Wait(ctx context.Context) error {

@@ -16,6 +16,9 @@ import (
 
 // smallSpec is a campaign that finishes in well under a second on the
 // simulated testbed: 2 pipeline instances (6 tasks) and a tight budget.
+// tableLen reports the number of promoted rows.
+func tableLen(c *Coordinator) int { return c.table.Len() }
+
 func smallSpec(id string, seed int64) Spec {
 	return Spec{
 		ID:         id,
@@ -65,8 +68,8 @@ func TestConcurrentCampaigns(t *testing.T) {
 			t.Fatalf("campaign %s completed with no result: %+v", st.ID, st)
 		}
 	}
-	if c.TableLen() != n {
-		t.Fatalf("table has %d rows, want %d", c.TableLen(), n)
+	if tableLen(c) != n {
+		t.Fatalf("table has %d rows, want %d", tableLen(c), n)
 	}
 	rows, err := c.Query("benchmark=IPFwd-L1,status=completed")
 	if err != nil {
@@ -409,7 +412,7 @@ func TestQueryOverManyPromotedCampaigns(t *testing.T) {
 		}
 	}
 	waitSettled(t, c)
-	if got := c.TableLen(); got != n {
+	if got := tableLen(c); got != n {
 		t.Fatalf("promoted %d rows, want %d", got, n)
 	}
 	if err := c.Close(); err != nil {

@@ -58,10 +58,14 @@ type flight struct {
 const DefaultCacheSize = 1 << 18
 
 // NewCache builds a measurement cache holding at most size entries
-// (DefaultCacheSize if size <= 0). The metrics bundle may be nil.
+// (DefaultCacheSize if size <= 0). A nil metrics bundle disables the
+// cache's metrics.
 func NewCache(size int, m *CacheMetrics) *Cache {
 	if size <= 0 {
 		size = DefaultCacheSize
+	}
+	if m == nil {
+		m = &CacheMetrics{} // nil instruments: every record is a no-op
 	}
 	return &Cache{
 		cap:     size,
@@ -98,7 +102,7 @@ func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, erro
 			return perf, nil
 		}
 		if f, ok := c.flights[string(kb)]; ok {
-			c.m.coalesced().Inc()
+			c.m.Coalesced.Inc()
 			c.mu.Unlock()
 			select {
 			case <-f.done:
@@ -106,7 +110,7 @@ func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, erro
 				return 0, ctx.Err()
 			}
 			if f.err == nil {
-				c.m.hits().Inc()
+				c.m.Hits.Inc()
 				return f.perf, nil
 			}
 			// The leader failed. Its error belongs to its own draw; this
@@ -130,15 +134,15 @@ func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, erro
 			c.mu.Lock()
 			delete(c.flights, key)
 			c.storeLocked(key, perf) // promote into L1
-			c.m.hits().Inc()
+			c.m.Hits.Inc()
 			c.mu.Unlock()
 			close(f.done)
 			return perf, nil
 		}
 
-		c.m.inflight().Inc()
+		c.m.Inflight.Inc()
 		perf, err := measure()
-		c.m.inflight().Dec()
+		c.m.Inflight.Dec()
 		f.perf, f.err = perf, err
 
 		c.mu.Lock()
@@ -146,7 +150,7 @@ func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, erro
 		if err == nil {
 			c.storeLocked(key, perf)
 		}
-		c.m.misses().Inc()
+		c.m.Misses.Inc()
 		c.mu.Unlock()
 		close(f.done)
 		if err == nil {
@@ -160,7 +164,7 @@ func (c *Cache) do(ctx context.Context, kb []byte, measure func() (float64, erro
 // counts a hit. Caller holds c.mu.
 func (c *Cache) hitLocked(el *list.Element) float64 {
 	c.order.MoveToFront(el)
-	c.m.hits().Inc()
+	c.m.Hits.Inc()
 	return el.Value.(*cacheEntry).perf
 }
 
@@ -197,7 +201,7 @@ func (c *Cache) lookupStore(key string) (float64, bool) {
 	if perf, ok := c.storeGet(key); ok {
 		c.mu.Lock()
 		c.storeLocked(key, perf)
-		c.m.hits().Inc()
+		c.m.Hits.Inc()
 		c.mu.Unlock()
 		return perf, true
 	}
@@ -210,7 +214,7 @@ func (c *Cache) insert(keys []string, perfs []float64) {
 	c.mu.Lock()
 	for i, key := range keys {
 		c.storeLocked(key, perfs[i])
-		c.m.misses().Inc()
+		c.m.Misses.Inc()
 	}
 	c.mu.Unlock()
 	c.storePutBatch(keys, perfs)
@@ -228,9 +232,9 @@ func (c *Cache) storeLocked(key string, perf float64) {
 		last := c.order.Back()
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*cacheEntry).key)
-		c.m.evictions().Inc()
+		c.m.Evictions.Inc()
 	}
-	c.m.size().Set(float64(c.order.Len()))
+	c.m.Size.Set(float64(c.order.Len()))
 }
 
 // CachedRunner wraps a measurement runner with canonical-form memoization

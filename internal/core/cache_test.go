@@ -72,7 +72,7 @@ func symmetricVariant(rng *rand.Rand, a assign.Assignment) assign.Assignment {
 	for i, ctx := range a.Ctx {
 		core := topo.CoreOf(ctx)
 		pipe := topo.PipeOf(ctx) % topo.PipesPerCore
-		slot := topo.SlotOf(ctx)
+		slot := ctx % topo.ContextsPerPipe
 		out.Ctx[i] = topo.Context(corePerm[core], pipePerms[core][pipe], slotPerms[core][pipe][slot])
 	}
 	return out

@@ -59,9 +59,9 @@ func (c *Cache) storeGet(key string) (float64, bool) {
 	}
 	perf, ok := c.store.Get(key)
 	if ok {
-		c.m.diskHits().Inc()
+		c.m.DiskHits.Inc()
 	} else {
-		c.m.diskMisses().Inc()
+		c.m.DiskMisses.Inc()
 	}
 	return perf, ok
 }
@@ -74,10 +74,10 @@ func (c *Cache) storePut(key string, perf float64) {
 		return
 	}
 	if err := c.store.Put(key, perf); err != nil {
-		c.m.diskErrors().Inc()
+		c.m.DiskErrors.Inc()
 		return
 	}
-	c.m.diskBytes().Set(float64(c.store.Bytes()))
+	c.m.DiskBytes.Set(float64(c.store.Bytes()))
 }
 
 // storePutBatch writes a chunk's successful measurements through to the
@@ -96,8 +96,8 @@ func (c *Cache) storePutBatch(keys []string, perfs []float64) {
 		return
 	}
 	if err := bs.PutBatch(keys, perfs); err != nil {
-		c.m.diskErrors().Inc()
+		c.m.DiskErrors.Inc()
 		return
 	}
-	c.m.diskBytes().Set(float64(c.store.Bytes()))
+	c.m.DiskBytes.Set(float64(c.store.Bytes()))
 }

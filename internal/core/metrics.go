@@ -10,8 +10,11 @@ import (
 
 // This file defines the package's metric bundles: one struct per
 // instrumented subsystem, built from an obs.Registry. Every constructor
-// accepts a nil registry and then returns nil, and every recording site
-// guards on the nil bundle, so an uninstrumented campaign pays one
+// accepts a nil registry and then returns nil, so a nil bundle disables
+// its subsystem's metrics. Recording sites either guard on the nil
+// bundle or, where the owner swaps a nil bundle for a zero one at
+// construction (Cache, ResilientRunner), call the nil-safe obs
+// instruments directly; either way an uninstrumented campaign pays one
 // pointer check per event and allocates nothing — the
 // zero-overhead-when-disabled rule of internal/obs.
 
@@ -44,55 +47,6 @@ func NewResilientMetrics(r *obs.Registry) *ResilientMetrics {
 		LateSuccesses:  r.Counter("optassign_resilient_late_outcomes_total", "Outcomes from abandoned attempts, by eventual result.", obs.L("result", "success")),
 		LateFailures:   r.Counter("optassign_resilient_late_outcomes_total", "Outcomes from abandoned attempts, by eventual result.", obs.L("result", "failure")),
 	}
-}
-
-// The lowercase accessors make recording sites read naturally while
-// staying nil-safe on a disabled bundle: m.attempts() on a nil m is a
-// nil *obs.Counter, whose methods no-op.
-
-func (m *ResilientMetrics) attempts() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Attempts
-}
-
-func (m *ResilientMetrics) retries() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Retries
-}
-
-func (m *ResilientMetrics) quarantines() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Quarantines
-}
-
-func (m *ResilientMetrics) backoffSeconds() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.BackoffSeconds
-}
-
-func (m *ResilientMetrics) abandoned() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Abandoned
-}
-
-func (m *ResilientMetrics) lateOutcome(ok bool) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	if ok {
-		return m.LateSuccesses
-	}
-	return m.LateFailures
 }
 
 // PoolMetrics observes a PoolRunner and the parallel collector above it:
@@ -192,76 +146,6 @@ func NewCacheMetrics(r *obs.Registry) *CacheMetrics {
 		DiskBytes:  r.Gauge("optassign_diskcache_bytes", "On-disk footprint of the persistent measurement store."),
 		DiskErrors: r.Counter("optassign_diskcache_errors_total", "Persistent-store failures (cache degraded, measurement unaffected)."),
 	}
-}
-
-func (m *CacheMetrics) hits() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Hits
-}
-
-func (m *CacheMetrics) misses() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Misses
-}
-
-func (m *CacheMetrics) coalesced() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Coalesced
-}
-
-func (m *CacheMetrics) evictions() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Evictions
-}
-
-func (m *CacheMetrics) size() *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	return m.Size
-}
-
-func (m *CacheMetrics) inflight() *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	return m.Inflight
-}
-
-func (m *CacheMetrics) diskHits() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.DiskHits
-}
-
-func (m *CacheMetrics) diskMisses() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.DiskMisses
-}
-
-func (m *CacheMetrics) diskBytes() *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	return m.DiskBytes
-}
-
-func (m *CacheMetrics) diskErrors() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.DiskErrors
 }
 
 // BatchMetrics observes the batched measurement path: how many draws each

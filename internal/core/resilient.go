@@ -129,6 +129,9 @@ type ResilientRunner struct {
 // NewResilientRunner wraps runner with the given policy.
 func NewResilientRunner(runner ContextRunner, cfg ResilientConfig) *ResilientRunner {
 	cfg = cfg.withDefaults()
+	if cfg.Metrics == nil {
+		cfg.Metrics = &ResilientMetrics{} // nil instruments: every record is a no-op
+	}
 	return &ResilientRunner{
 		cfg:    cfg,
 		runner: runner,
@@ -151,7 +154,7 @@ func (r *ResilientRunner) Failed() []FailedMeasurement {
 func (r *ResilientRunner) MeasureContext(ctx context.Context, a assign.Assignment) (float64, error) {
 	var lastErr error
 	for attempt := 1; attempt <= r.cfg.MaxAttempts; attempt++ {
-		r.cfg.Metrics.attempts().Inc()
+		r.cfg.Metrics.Attempts.Inc()
 		perf, err := r.attempt(WithAttempt(ctx, attempt), a)
 		if err == nil {
 			return perf, nil
@@ -171,9 +174,9 @@ func (r *ResilientRunner) MeasureContext(ctx context.Context, a assign.Assignmen
 		if r.cfg.OnRetry != nil {
 			r.cfg.OnRetry(a, attempt, err)
 		}
-		r.cfg.Metrics.retries().Inc()
+		r.cfg.Metrics.Retries.Inc()
 		delay := r.backoff(attempt)
-		r.cfg.Metrics.backoffSeconds().Add(delay.Seconds())
+		r.cfg.Metrics.BackoffSeconds.Add(delay.Seconds())
 		if err := r.cfg.sleep(ctx, delay); err != nil {
 			return 0, err
 		}
@@ -212,11 +215,15 @@ func (r *ResilientRunner) attempt(ctx context.Context, a assign.Assignment) (flo
 		// no evidence Timeout was set too tight. Record the abandonment
 		// and, when metrics are on, keep a watcher around to count the
 		// late outcome once the goroutine returns.
-		r.cfg.Metrics.abandoned().Inc()
-		if r.cfg.Metrics != nil {
+		m := r.cfg.Metrics
+		m.Abandoned.Inc()
+		if m.LateSuccesses != nil || m.LateFailures != nil {
 			go func() {
-				o := <-ch
-				r.cfg.Metrics.lateOutcome(o.err == nil).Inc()
+				late := m.LateFailures
+				if o := <-ch; o.err == nil {
+					late = m.LateSuccesses
+				}
+				late.Inc()
 			}()
 		}
 		return 0, fmt.Errorf("core: measurement attempt: %w", ctx.Err())
@@ -240,6 +247,6 @@ func (r *ResilientRunner) quarantine(a assign.Assignment, attempts int, cause er
 	r.mu.Lock()
 	r.failed = append(r.failed, FailedMeasurement{Assignment: a.Clone(), Attempts: attempts, Err: cause})
 	r.mu.Unlock()
-	r.cfg.Metrics.quarantines().Inc()
+	r.cfg.Metrics.Quarantines.Inc()
 	return fmt.Errorf("%w after %d attempt(s): %w", ErrQuarantined, attempts, cause)
 }

@@ -140,6 +140,23 @@ func TestGPDLogPDFMatchesPDF(t *testing.T) {
 	}
 }
 
+// TestLogLikelihoodMatchesLogPDFBitwise pins the fit's inner loop to its
+// reference: LogLikelihood is the in-order sum of LogPDF, bit for bit.
+func TestLogLikelihoodMatchesLogPDFBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range []GPD{{Xi: -0.4, Sigma: 1.3}, {Xi: 0, Sigma: 0.7}, {Xi: 0.6, Sigma: 2}} {
+		ys := g.Sample(rng, 200)
+		var want float64
+		for _, y := range ys {
+			want += g.LogPDF(y)
+		}
+		if got := g.LogLikelihood(ys); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: LogLikelihood %v (%016x), sum of LogPDF %v (%016x)",
+				g, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestGPDSampleMatchesMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := GPD{Xi: -0.3, Sigma: 2}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestMeasureCycleAgreesWithAnalytic(t *testing.T) {
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 4, WithNoise(0))
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 4, noise(0))
 	a, err := sched.LinuxLike{}.Assign(tb.Machine.Topo, tb.TaskCount())
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCycleAndAnalyticAgreeOnOrdering(t *testing.T) {
 	// Ground-truth check for the analytic model: on a 2-instance IPFwd-L1
 	// workload, both models must rank a good placement above a bad one,
 	// and their absolute PPS must be within 2× of each other.
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 2, WithNoise(0))
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 2, noise(0))
 	topo := tb.Machine.Topo
 	good := []int{
 		topo.Context(0, 1, 0), topo.Context(0, 0, 0), topo.Context(0, 1, 1),
@@ -94,7 +94,7 @@ func TestCycleAndAnalyticAgreeOnOrdering(t *testing.T) {
 }
 
 func TestProfileAssignment(t *testing.T) {
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdMem), 8, WithNoise(0))
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdMem), 8, noise(0))
 	a, err := sched.LinuxLike{}.Assign(tb.Machine.Topo, tb.TaskCount())
 	if err != nil {
 		t.Fatal(err)

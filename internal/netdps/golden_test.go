@@ -64,8 +64,8 @@ func measureGoldenLines(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		for _, inst := range []int{1, 4, 8} {
-			noisy := newTB(t, app, inst, WithNoise(0.004))
-			exact := newTB(t, app, inst, WithNoise(0))
+			noisy := newTB(t, app, inst, noise(0.004))
+			exact := newTB(t, app, inst, noise(0))
 			tasks, links := noisy.Tasks()
 			rng := rand.New(rand.NewSource(int64(1000*bi + inst)))
 			for k := 0; k < 100; k++ {

@@ -34,7 +34,7 @@ func TestIdentityDivergence(t *testing.T) {
 		"app":       newTB(t, apps.NewIPFwd(apps.IPFwdMem), 8),
 		"instances": newTB(t, apps.NewIPFwd(apps.IPFwdL1), 7),
 		"seed":      newTB(t, apps.NewIPFwd(apps.IPFwdL1), 8, WithSeed(2)),
-		"noise":     newTB(t, apps.NewIPFwd(apps.IPFwdL1), 8, WithNoise(0.01)),
+		"noise":     newTB(t, apps.NewIPFwd(apps.IPFwdL1), 8, noise(0.01)),
 		"profile":   newTB(t, apps.NewIPFwd(apps.IPFwdL1), 8, WithProfile(hot)),
 	}
 	seen := map[string]string{base.Identity(): "base"}

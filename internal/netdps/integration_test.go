@@ -17,7 +17,7 @@ import (
 func TestEveryBenchmarkProcessesRealTraffic(t *testing.T) {
 	profile := netgen.DefaultProfile()
 	const packets = 600
-	for _, app := range append(apps.Suite(profile), apps.Figure1Apps()...) {
+	for _, app := range append(apps.Suite(profile), apps.NewIPFwd(apps.IPFwdIntAdd), apps.NewIPFwd(apps.IPFwdIntMul)) {
 		tb, err := NewTestbed(app, 4, WithProfile(profile))
 		if err != nil {
 			t.Fatal(err)
@@ -91,8 +91,5 @@ func TestAhoEngineFindsKeywords(t *testing.T) {
 	// engine must have produced a substantial number of real matches.
 	if hits < 300 || matches < hits {
 		t.Errorf("hits=%d matches=%d across 800 packets at rate 0.5", hits, matches)
-	}
-	if app.Automaton().Search([]byte("synflood"), nil) == 0 {
-		t.Error("automaton lost its keywords")
 	}
 }

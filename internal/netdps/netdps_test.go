@@ -22,6 +22,10 @@ func newTB(t *testing.T, app apps.App, instances int, opts ...Option) *Testbed {
 	return tb
 }
 
+// noise sets the testbed's relative measurement-noise level (0 disables
+// noise).
+func noise(level float64) Option { return func(tb *Testbed) { tb.Noise = level } }
+
 func randomAssignment(t *testing.T, tb *Testbed, seed int64) assign.Assignment {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -123,8 +127,8 @@ func TestMeasureAnalyticDeterministicAndSymmetric(t *testing.T) {
 
 func TestNoiseIsSmallAndConfigurable(t *testing.T) {
 	app := apps.NewIPFwd(apps.IPFwdL1)
-	clean := newTB(t, app, 4, WithNoise(0))
-	noisy := newTB(t, app, 4, WithNoise(0.002))
+	clean := newTB(t, app, 4, noise(0))
+	noisy := newTB(t, app, 4, noise(0.002))
 	a := randomAssignment(t, clean, 11)
 	pc, err := clean.MeasureAnalytic(a)
 	if err != nil {
@@ -141,7 +145,7 @@ func TestNoiseIsSmallAndConfigurable(t *testing.T) {
 		t.Errorf("noise too large: %v vs %v", pn, pc)
 	}
 	// Different seeds shift the noise.
-	noisy2 := newTB(t, app, 4, WithNoise(0.002), WithSeed(99))
+	noisy2 := newTB(t, app, 4, noise(0.002), WithSeed(99))
 	pn2, err := noisy2.MeasureAnalytic(a)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +159,8 @@ func TestAssignmentMattersAndMagnitudeIsSane(t *testing.T) {
 	// The paper reports up to 49% performance variation between
 	// assignments of the same workload (§4.3) and per-figure PPS in the
 	// 10^5–10^7 range. Check both the spread and the magnitude.
-	for _, app := range append(apps.Suite(netgen.DefaultProfile()), apps.Figure1Apps()...) {
-		tb := newTB(t, app, 8, WithNoise(0))
+	for _, app := range append(apps.Suite(netgen.DefaultProfile()), apps.NewIPFwd(apps.IPFwdIntAdd), apps.NewIPFwd(apps.IPFwdIntMul)) {
+		tb := newTB(t, app, 8, noise(0))
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for s := int64(0); s < 60; s++ {
 			pps, err := tb.MeasureAnalytic(randomAssignment(t, tb, s))
@@ -183,7 +187,7 @@ func TestClusteredBeatsScattered(t *testing.T) {
 	// Placing each pipeline inside one core (P alone in a pipe, R+T in the
 	// other) should beat scattering the three threads across three cores:
 	// communication stays in the L1 domain.
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 2, WithNoise(0))
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdL1), 2, noise(0))
 	topo := tb.Machine.Topo
 	clustered := assign.Assignment{Topo: topo, Ctx: []int{
 		topo.Context(0, 0, 0), topo.Context(0, 1, 0), topo.Context(0, 0, 1), // instance 0 in core 0
@@ -213,7 +217,7 @@ func TestEngineMatchesAnalytic(t *testing.T) {
 		apps.NewAhoCorasick(netgen.DefaultProfile()),
 		apps.NewStateful(),
 	} {
-		tb := newTB(t, app, 4, WithNoise(0))
+		tb := newTB(t, app, 4, noise(0))
 		for _, seed := range []int64{3, 17} {
 			a := randomAssignment(t, tb, seed)
 			analytic, err := tb.MeasureAnalytic(a)
@@ -280,7 +284,7 @@ func TestEngineValidation(t *testing.T) {
 func TestEngineBottleneckOrdering(t *testing.T) {
 	// A good assignment must also be measured as faster by the engine, not
 	// just the analytic path.
-	tb := newTB(t, apps.NewIPFwd(apps.IPFwdIntAdd), 2, WithNoise(0))
+	tb := newTB(t, apps.NewIPFwd(apps.IPFwdIntAdd), 2, noise(0))
 	topo := tb.Machine.Topo
 	// Worst case: both IEU-hungry P threads in the same pipe along with
 	// their R threads.

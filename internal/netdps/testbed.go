@@ -57,9 +57,6 @@ type Option func(*Testbed)
 // WithSeed sets the measurement-noise and traffic seed.
 func WithSeed(seed int64) Option { return func(tb *Testbed) { tb.Seed = seed } }
 
-// WithNoise sets the relative measurement-noise level (0 disables noise).
-func WithNoise(noise float64) Option { return func(tb *Testbed) { tb.Noise = noise } }
-
 // WithProfile replaces the default traffic profile.
 func WithProfile(p netgen.Profile) Option { return func(tb *Testbed) { tb.Profile = p } }
 

@@ -15,10 +15,11 @@ import (
 
 func testbed(t *testing.T) *netdps.Testbed {
 	t.Helper()
-	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8, netdps.WithNoise(0))
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.Noise = 0
 	return tb
 }
 

@@ -92,13 +92,3 @@ func (d Demand) Add(o Demand) Demand {
 	}
 	return out
 }
-
-// Scale returns the demand multiplied by f.
-func (d Demand) Scale(f float64) Demand {
-	out := d
-	out.Serial *= f
-	for i := range out.Res {
-		out.Res[i] *= f
-	}
-	return out
-}

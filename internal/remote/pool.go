@@ -621,19 +621,6 @@ func (p *ClientPool) MeasureContext(ctx context.Context, a assign.Assignment) (f
 	return 0, fmt.Errorf("remote: %d server(s) failed, last: %w", failover, lastErr)
 }
 
-// Strikes reports, per member address, the current consecutive-failure
-// count — observability for operators deciding whether a testbed needs
-// attention.
-func (p *ClientPool) Strikes() map[string]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.members))
-	for addr, s := range p.members {
-		out[addr] = s.strikes
-	}
-	return out
-}
-
 // Members reports the current membership, sorted by address, with each
 // member's drain/suspect state — what a registry-driven fleet looks like
 // right now.
@@ -645,13 +632,6 @@ func (p *ClientPool) Members() map[string]string {
 		out[addr] = s.state.String()
 	}
 	return out
-}
-
-// Addrs returns the member addresses in join order.
-func (p *ClientPool) Addrs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.order...)
 }
 
 // Close releases every connection and wakes every blocked acquire with

@@ -43,6 +43,25 @@ func startPoolServer(t *testing.T, tasks int) (*netdps.Testbed, string, func()) 
 	return tb, l.Addr().String(), func() { once.Do(func() { srv.Close() }) }
 }
 
+// strikes reports, per member address, the current consecutive-failure
+// count.
+func strikes(p *ClientPool) map[string]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]int, len(p.members))
+	for addr, s := range p.members {
+		out[addr] = s.strikes
+	}
+	return out
+}
+
+// addrs returns the member addresses in join order.
+func addrs(p *ClientPool) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]string(nil), p.order...)
+}
+
 // fastPoolConfig keeps every retry and cooldown small enough for tests.
 func fastPoolConfig() PoolConfig {
 	return PoolConfig{
@@ -165,7 +184,7 @@ func TestPoolFailoverOnServerDeath(t *testing.T) {
 			t.Fatalf("draw %d: perf %v, want %v", i, perf, want)
 		}
 	}
-	if strikes := pool.Strikes(); strikes[addr2] == 0 {
+	if strikes := strikes(pool); strikes[addr2] == 0 {
 		t.Errorf("dead server has no strikes: %v", strikes)
 	}
 }
@@ -535,4 +554,23 @@ func TestHelloNameMismatchRefused(t *testing.T) {
 			t.Errorf("benchmark mismatch on reconnect should be permanent, got %v", err)
 		}
 	})
+}
+
+// TestPoolCloseAfterPoisonedMember: a member whose stream broke once (and
+// would recover on its next measurement) is healthy, so closing the pool
+// reports no error for the connection poisoning already closed.
+func TestPoolCloseAfterPoisonedMember(t *testing.T) {
+	_, addr, kill := startPoolServer(t, 4)
+	defer kill()
+	pool, err := DialPool([]string{addr}, fastPoolConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := pool.members[addr].client
+	client.mu.Lock()
+	client.poison()
+	client.mu.Unlock()
+	if err := pool.Close(); err != nil {
+		t.Errorf("Close after a poisoned member: %v", err)
+	}
 }

@@ -24,10 +24,6 @@ type RegistryConfig struct {
 	// (removed from the pool; its in-flight measurement, if any, fails
 	// over). Default 10× HeartbeatInterval.
 	EvictAfter time.Duration
-	// Verify, if set, gates registration beyond the built-in Hello check
-	// (topology, task count and benchmark name): return an error to
-	// refuse the server (wrong testbed identity, unknown operator, ...).
-	Verify func(h Hello, identity string) error
 	// Metrics counts membership churn and heartbeat traffic. nil
 	// disables.
 	Metrics *MembershipMetrics
@@ -219,12 +215,6 @@ func (r *Registry) handle(conn net.Conn) {
 	if err := ann.Hello.Topology.Validate(); err != nil {
 		r.reject(conn, enc, fmt.Sprintf("invalid topology: %v", err))
 		return
-	}
-	if r.cfg.Verify != nil {
-		if err := r.cfg.Verify(*ann.Hello, ann.Identity); err != nil {
-			r.reject(conn, enc, fmt.Sprintf("verification failed: %v", err))
-			return
-		}
 	}
 
 	// Supersede any stale registration for the same address (a server

@@ -431,17 +431,6 @@ func DialConfig(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// NewClient wraps an established connection (e.g. from a custom dialer or
-// an in-memory pipe in tests). Without a dialer the client cannot recover
-// from a transport error.
-func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{cfg: ClientConfig{}.withDefaults(), tripped: make(chan struct{}, 1)}
-	if err := c.attach(conn, true); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // attach handshakes on conn and installs it as the client's transport.
 // When first is true the announced Hello becomes the client's identity;
 // on reconnects the announcement must match it. A closed client installs
@@ -557,13 +546,16 @@ func (c *Client) MeasureContext(ctx context.Context, a assign.Assignment) (float
 	return resp.Perf, nil
 }
 
-// poison marks the stream unusable and drops the connection. Callers hold
-// c.mu.
+// poison marks the stream unusable and drops the connection, so a later
+// Close has nothing left to close. Callers hold c.mu.
 func (c *Client) poison() {
 	c.broken = true
+	c.connMu.Lock()
 	if c.conn != nil {
 		c.conn.Close()
+		c.conn = nil
 	}
+	c.connMu.Unlock()
 	if m := c.cfg.Metrics; m != nil {
 		m.StreamPoisonings.Inc()
 	}

@@ -17,6 +17,16 @@ import (
 	"optassign/internal/t2"
 )
 
+// newClient wraps an established connection, such as an in-memory pipe.
+// Without a dialer the client cannot recover from a transport error.
+func newClient(conn net.Conn) (*Client, error) {
+	c := &Client{cfg: ClientConfig{}.withDefaults(), tripped: make(chan struct{}, 1)}
+	if err := c.attach(conn, true); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // startServer launches a testbed-backed server on a loopback listener and
 // returns its address plus a shutdown func.
 func startServer(t testing.TB) (*netdps.Testbed, string, func()) {
@@ -196,7 +206,7 @@ func TestClientRejectsBadHandshake(t *testing.T) {
 		server.Write([]byte("garbage\n"))
 		server.Close()
 	}()
-	if _, err := NewClient(client); err == nil {
+	if _, err := newClient(client); err == nil {
 		t.Error("garbage handshake accepted")
 	}
 
@@ -205,7 +215,7 @@ func TestClientRejectsBadHandshake(t *testing.T) {
 		server2.Write([]byte(`{"topology":{"Cores":0,"PipesPerCore":0,"ContextsPerPipe":0},"tasks":3}` + "\n"))
 		server2.Close()
 	}()
-	if _, err := NewClient(client2); err == nil {
+	if _, err := newClient(client2); err == nil {
 		t.Error("invalid announced topology accepted")
 	}
 }

@@ -35,7 +35,7 @@ func pipeServer(t *testing.T, hello Hello, script func(conn net.Conn)) *Client {
 			script(server)
 		}
 	}()
-	c, err := NewClient(clientConn)
+	c, err := newClient(clientConn)
 	if err != nil {
 		t.Fatal(err)
 	}

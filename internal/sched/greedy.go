@@ -24,7 +24,7 @@ type GreedyDemand struct {
 	Links   []proc.Link
 }
 
-// Name implements a Scheduler-style identity.
+// Name returns the policy's display name.
 func (GreedyDemand) Name() string { return "Greedy-demand" }
 
 // Assign places the workload. The topology is taken from the machine.

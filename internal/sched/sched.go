@@ -13,22 +13,16 @@ import (
 	"optassign/internal/t2"
 )
 
-// Scheduler produces one task assignment for a workload of `tasks` tasks.
-type Scheduler interface {
-	Name() string
-	Assign(topo t2.Topology, tasks int) (assign.Assignment, error)
-}
-
 // Naive assigns tasks to hardware contexts uniformly at random — the
 // paper's "naive task assignment" baseline.
 type Naive struct {
 	Rng *rand.Rand
 }
 
-// Name implements Scheduler.
+// Name returns the policy's display name.
 func (Naive) Name() string { return "Naive" }
 
-// Assign implements Scheduler.
+// Assign places tasks tasks on topo.
 func (n Naive) Assign(topo t2.Topology, tasks int) (assign.Assignment, error) {
 	rng := n.Rng
 	if rng == nil {
@@ -44,10 +38,10 @@ func (n Naive) Assign(topo t2.Topology, tasks int) (assign.Assignment, error) {
 // deterministic.
 type LinuxLike struct{}
 
-// Name implements Scheduler.
+// Name returns the policy's display name.
 func (LinuxLike) Name() string { return "Linux-like" }
 
-// Assign implements Scheduler.
+// Assign places tasks tasks on topo.
 func (LinuxLike) Assign(topo t2.Topology, tasks int) (assign.Assignment, error) {
 	if err := topo.Validate(); err != nil {
 		return assign.Assignment{}, err

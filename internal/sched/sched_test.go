@@ -53,10 +53,13 @@ func TestLinuxLikeBalances(t *testing.T) {
 			t.Errorf("core %d has %d tasks, want 3", core, len(ts))
 		}
 	}
-	byPipe := a.TasksByPipe()
-	for pipe, ts := range byPipe {
-		if len(ts) > 2 {
-			t.Errorf("pipe %d has %d tasks, want <= 2", pipe, len(ts))
+	perPipe := make(map[int]int)
+	for _, ctx := range a.Ctx {
+		perPipe[topo.PipeOf(ctx)]++
+	}
+	for pipe, n := range perPipe {
+		if n > 2 {
+			t.Errorf("pipe %d has %d tasks, want <= 2", pipe, n)
 		}
 	}
 }

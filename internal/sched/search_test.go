@@ -15,10 +15,11 @@ import (
 
 func testbed(t *testing.T) *netdps.Testbed {
 	t.Helper()
-	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8, netdps.WithNoise(0))
+	tb, err := netdps.NewTestbed(apps.NewIPFwd(apps.IPFwdL1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.Noise = 0
 	return tb
 }
 
@@ -159,16 +160,15 @@ func TestGreedyDemand(t *testing.T) {
 		t.Errorf("greedy (%v) below Linux-like (%v)", perf, linuxPerf)
 	}
 	// No two of the 8 heavy P threads should share a pipeline.
-	byPipe := a.TasksByPipe()
-	for pipe, ts := range byPipe {
-		heavy := 0
-		for _, task := range ts {
-			if task%3 == 1 { // P threads
-				heavy++
-			}
+	heavy := make(map[int]int) // P threads per pipeline
+	for task, ctx := range a.Ctx {
+		if task%3 == 1 {
+			heavy[a.Topo.PipeOf(ctx)]++
 		}
-		if heavy > 1 {
-			t.Errorf("pipe %d hosts %d P threads", pipe, heavy)
+	}
+	for pipe, n := range heavy {
+		if n > 1 {
+			t.Errorf("pipe %d hosts %d P threads", pipe, n)
 		}
 	}
 }

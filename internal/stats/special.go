@@ -20,23 +20,6 @@ func RegularizedGammaP(a, x float64) float64 {
 	return 1 - gammaQContinuedFraction(a, x)
 }
 
-// RegularizedGammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 − P(a, x).
-func RegularizedGammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x < 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
-}
-
 const (
 	gammaEps     = 1e-14
 	gammaMaxIter = 1000

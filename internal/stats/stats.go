@@ -56,20 +56,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the largest element of xs.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {

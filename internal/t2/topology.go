@@ -76,9 +76,6 @@ func (t Topology) CoreOf(ctx int) int { return ctx / (t.PipesPerCore * t.Context
 // (core * PipesPerCore + pipe-in-core).
 func (t Topology) PipeOf(ctx int) int { return ctx / t.ContextsPerPipe }
 
-// SlotOf returns the strand slot of ctx within its pipeline.
-func (t Topology) SlotOf(ctx int) int { return ctx % t.ContextsPerPipe }
-
 // Context returns the hardware context index for (core, pipeInCore, slot).
 func (t Topology) Context(core, pipeInCore, slot int) int {
 	return (core*t.PipesPerCore+pipeInCore)*t.ContextsPerPipe + slot

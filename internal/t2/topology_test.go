@@ -30,16 +30,16 @@ func TestValidate(t *testing.T) {
 
 func TestContextDecomposition(t *testing.T) {
 	topo := UltraSPARCT2()
-	// Context 0 is core0.pipe0.slot0; context 63 is core7.pipe1.slot3.
-	if topo.CoreOf(0) != 0 || topo.PipeOf(0) != 0 || topo.SlotOf(0) != 0 {
+	// Context 0 is core0.pipe0; context 63 is core7.pipe1 (global pipe 15).
+	if topo.CoreOf(0) != 0 || topo.PipeOf(0) != 0 {
 		t.Error("context 0 decomposition wrong")
 	}
-	if topo.CoreOf(63) != 7 || topo.PipeOf(63) != 15 || topo.SlotOf(63) != 3 {
-		t.Errorf("context 63: core=%d pipe=%d slot=%d", topo.CoreOf(63), topo.PipeOf(63), topo.SlotOf(63))
+	if topo.CoreOf(63) != 7 || topo.PipeOf(63) != 15 {
+		t.Errorf("context 63: core=%d pipe=%d", topo.CoreOf(63), topo.PipeOf(63))
 	}
-	// Context 9 = core1? 9/(2*4)=1, pipe 9/4=2, slot 1.
-	if topo.CoreOf(9) != 1 || topo.PipeOf(9) != 2 || topo.SlotOf(9) != 1 {
-		t.Errorf("context 9: core=%d pipe=%d slot=%d", topo.CoreOf(9), topo.PipeOf(9), topo.SlotOf(9))
+	// Context 9: core 9/(2*4)=1, pipe 9/4=2.
+	if topo.CoreOf(9) != 1 || topo.PipeOf(9) != 2 {
+		t.Errorf("context 9: core=%d pipe=%d", topo.CoreOf(9), topo.PipeOf(9))
 	}
 }
 
@@ -49,7 +49,7 @@ func TestContextRoundTripProperty(t *testing.T) {
 		ctx := int(raw) % topo.Contexts()
 		core := topo.CoreOf(ctx)
 		pipeInCore := topo.PipeOf(ctx) % topo.PipesPerCore
-		slot := topo.SlotOf(ctx)
+		slot := ctx % topo.ContextsPerPipe
 		return topo.Context(core, pipeInCore, slot) == ctx
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -354,13 +354,6 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// Pending reports the buffered, not-yet-committed row count.
-func (t *Table) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 // Insert buffers one row, validating arity and types. Go ints are
 // accepted for Int and Float columns; a non-finite float is rejected up
 // front (JSON cannot represent it, and a half-committed buffer is worse

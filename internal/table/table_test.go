@@ -9,6 +9,13 @@ import (
 )
 
 // testSchema is the shape of the campaigns table in miniature.
+// pending reports the buffered, not-yet-committed row count.
+func pending(t *Table) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.buf)
+}
+
 func testSchema() Schema {
 	return Schema{
 		Name: "campaigns",
@@ -74,8 +81,8 @@ func TestBufferedCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.Len() != 0 || tb.Pending() != 3 {
-		t.Fatalf("before commit: len=%d pending=%d, want 0/3", tb.Len(), tb.Pending())
+	if tb.Len() != 0 || pending(tb) != 3 {
+		t.Fatalf("before commit: len=%d pending=%d, want 0/3", tb.Len(), pending(tb))
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, rowsName)); err != nil || len(data) != 0 {
 		t.Fatalf("rows file before commit: %d bytes, err=%v", len(data), err)
@@ -83,8 +90,8 @@ func TestBufferedCommit(t *testing.T) {
 	if err := tb.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Len() != 3 || tb.Pending() != 0 {
-		t.Fatalf("after commit: len=%d pending=%d, want 3/0", tb.Len(), tb.Pending())
+	if tb.Len() != 3 || pending(tb) != 0 {
+		t.Fatalf("after commit: len=%d pending=%d, want 3/0", tb.Len(), pending(tb))
 	}
 	data, err := os.ReadFile(filepath.Join(dir, rowsName))
 	if err != nil {
@@ -107,8 +114,8 @@ func TestAutoCommitAtBufferSize(t *testing.T) {
 		t.Fatalf("len after 1 insert = %d, want 0", tb.Len())
 	}
 	tb.Insert("c", "d", 2, 2.0, false)
-	if tb.Len() != 2 || tb.Pending() != 0 {
-		t.Fatalf("len=%d pending=%d after hitting bufSize, want 2/0", tb.Len(), tb.Pending())
+	if tb.Len() != 2 || pending(tb) != 0 {
+		t.Fatalf("len=%d pending=%d after hitting bufSize, want 2/0", tb.Len(), pending(tb))
 	}
 }
 
