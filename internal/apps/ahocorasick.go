@@ -70,9 +70,6 @@ func NewAutomaton(keywords []string) *Automaton {
 	return a
 }
 
-// Keywords returns the keyword set the automaton was built from.
-func (a *Automaton) Keywords() []string { return a.keywords }
-
 // Match is one keyword occurrence: keyword index and the position just past
 // its last byte.
 type Match struct {

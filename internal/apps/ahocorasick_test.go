@@ -99,7 +99,7 @@ func TestAutomatonStatesAndKeywords(t *testing.T) {
 	if len(a.next) != 6 {
 		t.Errorf("states = %d, want 6", len(a.next))
 	}
-	if len(a.Keywords()) != 2 {
+	if len(a.keywords) != 2 {
 		t.Error("Keywords lost")
 	}
 }
@@ -145,7 +145,7 @@ func TestAutomatonVisitPositionsAreCorrect(t *testing.T) {
 	a := NewAutomaton(DoSKeywordsForTest())
 	text := []byte("xxsynfloodyy and then a smurf attack")
 	a.Search(text, func(m Match) {
-		kw := a.Keywords()[m.Keyword]
+		kw := a.keywords[m.Keyword]
 		start := m.End - len(kw)
 		if start < 0 || string(text[start:m.End]) != kw {
 			t.Errorf("reported match %q at end %d does not align", kw, m.End)

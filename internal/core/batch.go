@@ -66,12 +66,13 @@ type BatchOptions struct {
 // Results are index-aligned with as and identical, value for value, to
 // measuring each assignment with MeasureContext in order.
 func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assignment) ([]float64, []error) {
-	return r.measureBatch(ctx, as, nil)
+	return r.measureBatch(ctx, as, classKeys{}, nil)
 }
 
 // measureBatch is MeasureBatchContext recording each batch it measures
-// into bm (nil disables).
-func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment, bm *BatchMetrics) ([]float64, []error) {
+// into bm (nil disables). keys, when it holds any, are as's cache keys,
+// rendered by the draw stage; otherwise each probe renders its own.
+func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment, keys classKeys, bm *BatchMetrics) ([]float64, []error) {
 	perfs := make([]float64, len(as))
 	errs := make([]error, len(as))
 	if len(as) == 0 {
@@ -90,16 +91,21 @@ func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment,
 		return perfs, errs
 	}
 
-	// Every draw's key renders into one buffer, and most draws end at its
-	// L1 probe; only an L1 miss keeps its key as a string, for the L2
-	// probe, the dedup, the insert and the duplicates' lookup. The lists
-	// and the map below stay nil until a draw misses both tiers.
+	// Every draw's key renders into one buffer, unless the draw stage
+	// rendered it already, and most draws end at its L1 probe; only an L1
+	// miss keeps its key as a string, for the L2 probe, the dedup, the
+	// insert and the duplicates' lookup. The lists and the map below stay
+	// nil until a draw misses both tiers.
 	var buf [keyBytes]byte
 	kb := buf[:0]
 	var uniq, dups []batchMiss // each class's first miss, the rest; in draw order
 	var seen map[string]struct{}
 	for i, a := range as {
-		kb = r.appendKey(kb[:0], a)
+		if keys.offs != nil {
+			kb = keys.at(i)
+		} else {
+			kb = r.appendKey(kb[:0], a)
+		}
 		if perf, ok := r.cache.probe(kb); ok {
 			perfs[i] = perf
 			continue

@@ -201,7 +201,7 @@ func TestMeasureBatchedCommitSemantics(t *testing.T) {
 					}
 					return nil
 				}
-				outs, err := pool.measure(context.Background(), as, BatchOptions{Size: size}, commit)
+				outs, err := pool.measure(context.Background(), as, classKeys{}, BatchOptions{Size: size}, commit)
 				if err == nil || !strings.Contains(err.Error(), "testbed died") {
 					t.Fatalf("fatal error not surfaced: %v", err)
 				}

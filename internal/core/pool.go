@@ -104,8 +104,13 @@ func (p *PoolRunner) Instrument(m *PoolMetrics) { p.metrics = m }
 // after a fatal outcome or once ctx is done. A larger pool streams
 // chunks through its workers and reorders the completions; a fatal
 // outcome cancels the work still in flight.
-func (p *PoolRunner) measure(ctx context.Context, as []assign.Assignment, opts BatchOptions, commit CommitFunc) ([]Outcome, error) {
+//
+// keys, when it holds any, are the draws' cache keys, rendered by the
+// draw stage for the one worker's batch path (keyRunner); the zero value
+// leaves each probe to render its own.
+func (p *PoolRunner) measure(ctx context.Context, as []assign.Assignment, keys classKeys, opts BatchOptions, commit CommitFunc) ([]Outcome, error) {
 	r := p.round(as, opts)
+	r.keys = keys
 	m := p.metrics
 	outs := make([]Outcome, 0, len(as))
 	var err error
@@ -189,7 +194,9 @@ type round struct {
 	// batch[i] resolves worker i's chunks through the cache and the
 	// source's batch path; nil measures them draw by draw.
 	batch []*CachedRunner
-	bm    *BatchMetrics
+	// keys are the draws' cache keys when the draw stage rendered them.
+	keys classKeys
+	bm   *BatchMetrics
 }
 
 // round plans as on p. With opts.Size set, a worker that is a
@@ -213,13 +220,28 @@ func (p *PoolRunner) round(as []assign.Assignment, opts BatchOptions) round {
 	return r
 }
 
+// keyRunner returns the runner whose cache keys the draw stage renders
+// ahead of the probe: the one worker of a one-worker pool, when its
+// chunks go through a cache on the batch path. Otherwise it returns nil,
+// and each probe renders its own key.
+func (p *PoolRunner) keyRunner(opts BatchOptions) *CachedRunner {
+	if len(p.workers) != 1 {
+		return nil
+	}
+	if b := p.round(nil, opts).batch[0]; b != nil && b.cache != nil {
+		return b
+	}
+	return nil
+}
+
 // resolve measures the chunk starting at draw lo on worker wi, handing
 // each draw's outcome to emit in draw order until emit returns false. A
 // batch chunk is measured in one call after one ctx check; otherwise
 // every draw is preceded by its own ctx check. A done ctx yields one
 // unstarted outcome carrying ctx's error and ends the chunk.
 func (r round) resolve(ctx context.Context, wi, lo int, emit func(i int, o Outcome) bool) {
-	chunk := r.as[lo:min(lo+r.size, len(r.as))]
+	hi := min(lo+r.size, len(r.as))
+	chunk := r.as[lo:hi]
 	m := r.p.metrics
 	if b := r.batch[wi]; b != nil {
 		if err := ctx.Err(); err != nil {
@@ -227,7 +249,7 @@ func (r round) resolve(ctx context.Context, wi, lo int, emit func(i int, o Outco
 			return
 		}
 		t0 := m.dispatch(len(chunk))
-		perfs, errs := b.measureBatch(ctx, chunk, r.bm)
+		perfs, errs := b.measureBatch(ctx, chunk, r.keys.slice(lo, hi), r.bm)
 		m.complete(wi, len(chunk), t0)
 		for i := range chunk {
 			if !emit(lo+i, Outcome{Perf: perfs[i], Err: errs[i], Started: true}) {

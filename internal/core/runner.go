@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"optassign/internal/assign"
+	"optassign/internal/search"
 	"optassign/internal/t2"
 )
 
@@ -72,21 +73,54 @@ func CollectSampleContext(ctx context.Context, rng *rand.Rand, topo t2.Topology,
 }
 
 // collectSample is the one collector behind the CollectSample* entry
-// points: it draws n iid assignments from rng, measures them as one
-// round on pool, and splits the outcomes into results and skipped.
+// points: a draw stage streams n iid assignments from rng through
+// search.Uniform, whose stream is assign.Sample's draw for draw, and pool
+// measures them unit by unit while the stage draws (and, for the one
+// worker of a cached batch path, renders the keys of) the units after
+// them; the outcomes split into results and skipped. Units are whole
+// chunks, so every chunk, and with it every cache probe, dedup and
+// commit, is the one a single n-draw round has. On success rng ends
+// where assign.Sample(rng, topo, tasks, n) leaves it; an error return
+// leaves it up to streamDepth+1 units past the draws returned.
 func collectSample(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (results []SampleResult, skipped []Skipped, err error) {
-	as, err := assign.Sample(rng, topo, tasks, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	outs, err := pool.measure(ctx, as, opts, commit)
-	results = make([]SampleResult, 0, len(as))
-	for i, o := range outs {
-		if o.Err != nil {
-			skipped = append(skipped, Skipped{Assignment: as[i], Err: o.Err})
-		} else {
-			results = append(results, SampleResult{Assignment: as[i], Perf: o.Perf})
+	stage := &drawStage{strategy: search.Uniform{}, rng: rng, hist: search.NewHistory(topo, tasks), keyer: pool.keyRunner(opts), keys: make([]classKeys, streamDepth+2)}
+	stop := make(chan struct{})
+	units := stage.stream(n, sampleUnit(max(1, opts.Size), pool.Workers()), stop)
+	defer func() {
+		close(stop)
+		for range units {
+		}
+	}()
+	results = make([]SampleResult, 0, max(n, 0))
+	for r := range units {
+		if r.err != nil {
+			return results, skipped, r.err
+		}
+		outs, err := pool.measure(ctx, r.batch, r.keys, opts, commit)
+		for i, o := range outs {
+			if o.Err != nil {
+				skipped = append(skipped, Skipped{Assignment: r.batch[i], Err: o.Err})
+			} else {
+				results = append(results, SampleResult{Assignment: r.batch[i], Perf: o.Perf})
+			}
+		}
+		if err != nil {
+			return results, skipped, err
 		}
 	}
-	return results, skipped, err
+	return results, skipped, nil
+}
+
+// sampleStreamDraws is the least number of draws per worker a sample's
+// unit holds: enough that handing a unit between the stages costs little
+// beside measuring it, and that a pool's workers rarely wait for each
+// other at a unit's end.
+const sampleStreamDraws = 256
+
+// sampleUnit returns the number of draws of a sample's unit on a pool of
+// workers measuring chunks of size draws: the fewest whole chunks that
+// hold sampleStreamDraws draws per worker.
+func sampleUnit(size, workers int) int {
+	want := sampleStreamDraws * workers
+	return (want + size - 1) / size * size
 }
