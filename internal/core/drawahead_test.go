@@ -1,15 +1,12 @@
 package core_test
 
 // Draw-ahead contract: IteratePool draws round k+1 while round k is
-// measured (a blind strategy on one worker) or estimated (the others).
-// These tests
-// pin what that may and may not change, for a probe of either kind. Every
+// estimated. These tests pin what that may and may not change. Every
 // draw still sees the history the serial loop showed it; a campaign that
 // stops journals, observes and counts only its committed rounds; a
 // strategy error in the ahead round surfaces only if the loop goes on;
 // and no goroutine outlives the call. Run them under -race: the ahead
-// round shares nothing with the measurements or the refit, and the
-// detector checks it.
+// round and the refit share nothing, and the detector checks it.
 
 import (
 	"context"
@@ -83,23 +80,6 @@ func (p *probeStrategy) Next(rng *rand.Rand, h *search.History) (search.Draw, er
 	return p.Uniform.Next(rng, h)
 }
 
-// adaptive declares the strategy it wraps not blind, so its rounds wait
-// for the previous round's commit.
-type adaptive struct{ search.Strategy }
-
-func (adaptive) Blind() bool { return false }
-
-// probeKinds run a probe as itself, blind like the Uniform it embeds,
-// and behind adaptive; suffix ends the adaptive kind's subtest names.
-var probeKinds = []struct {
-	blind  bool
-	suffix string
-	wrap   func(*probeStrategy) search.Strategy
-}{
-	{true, "", func(p *probeStrategy) search.Strategy { return p }},
-	{false, "-adaptive", func(p *probeStrategy) search.Strategy { return adaptive{p} }},
-}
-
 // roundStart is the committed horizon draw i must see: the fit point
 // before it on cfg's schedule.
 func roundStart(cfg core.IterConfig, i int) int {
@@ -136,24 +116,22 @@ var drawAheadPaths = []struct {
 func TestDrawAheadHorizon(t *testing.T) {
 	for _, loss := range []float64{5, 1, 0.1} {
 		for _, p := range drawAheadPaths {
-			for _, k := range probeKinds {
-				t.Run(fmt.Sprintf("loss%v-%s%s", loss, p.name, k.suffix), func(t *testing.T) {
-					probe := &probeStrategy{}
-					cfg := drawAheadConfig(loss)
-					cfg.Strategy = k.wrap(probe)
-					if _, err := p.run(context.Background(), cfg, nil); err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
-						t.Fatal(err)
+			t.Run(fmt.Sprintf("loss%v-%s", loss, p.name), func(t *testing.T) {
+				probe := &probeStrategy{}
+				cfg := drawAheadConfig(loss)
+				cfg.Strategy = probe
+				if _, err := p.run(context.Background(), cfg, nil); err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
+					t.Fatal(err)
+				}
+				if len(probe.seen) == 0 {
+					t.Fatal("strategy never called")
+				}
+				for i, h := range probe.seen {
+					if h.len != i || h.committed != roundStart(cfg, i) {
+						t.Fatalf("draw %d saw Len %d, Committed %d; want %d, %d", i, h.len, h.committed, i, roundStart(cfg, i))
 					}
-					if len(probe.seen) == 0 {
-						t.Fatal("strategy never called")
-					}
-					for i, h := range probe.seen {
-						if h.len != i || h.committed != roundStart(cfg, i) {
-							t.Fatalf("draw %d saw Len %d, Committed %d; want %d, %d", i, h.len, h.committed, i, roundStart(cfg, i))
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -175,41 +153,39 @@ func TestDrawAheadStopJournalsCommittedRounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, p := range drawAheadPaths {
-			for _, k := range probeKinds {
-				t.Run(fmt.Sprintf("loss%v-%s%s", c.loss, p.name, k.suffix), func(t *testing.T) {
-					probe := &probeStrategy{}
-					reg := obs.NewRegistry()
-					im := core.NewIterMetrics(reg)
-					im.Search = search.NewMetrics(reg, probe.Name())
-					rounds := 0
-					cfg := drawAheadConfig(c.loss)
-					cfg.Strategy = k.wrap(probe)
-					cfg.OnRound = func(r core.Round) {
-						rounds++
-						im.Observe(r)
-					}
-					commits := 0
-					res, err := p.run(context.Background(), cfg, func(assign.Assignment, float64, error) error {
-						commits++
-						return nil
-					})
-					if !errors.Is(err, c.wantErr) {
-						t.Fatalf("err = %v, want %v", err, c.wantErr)
-					}
-					if commits != c.draws || res.Samples+len(res.Quarantined) != c.draws {
-						t.Fatalf("%d commits, %d results; want %d", commits, res.Samples+len(res.Quarantined), c.draws)
-					}
-					if rounds != c.rounds {
-						t.Fatalf("%d rounds reported, want %d", rounds, c.rounds)
-					}
-					if got := im.Search.Draws.Value(); got != float64(c.draws) {
-						t.Fatalf("search draws counter = %v, want the %d committed draws", got, c.draws)
-					}
-					if got := int(probe.calls.Load()); got != c.draws+c.dropped {
-						t.Fatalf("strategy drew %d, want %d committed + %d dropped", got, c.draws, c.dropped)
-					}
+			t.Run(fmt.Sprintf("loss%v-%s", c.loss, p.name), func(t *testing.T) {
+				probe := &probeStrategy{}
+				reg := obs.NewRegistry()
+				im := core.NewIterMetrics(reg)
+				im.Search = search.NewMetrics(reg, probe.Name())
+				rounds := 0
+				cfg := drawAheadConfig(c.loss)
+				cfg.Strategy = probe
+				cfg.OnRound = func(r core.Round) {
+					rounds++
+					im.Observe(r)
+				}
+				commits := 0
+				res, err := p.run(context.Background(), cfg, func(assign.Assignment, float64, error) error {
+					commits++
+					return nil
 				})
-			}
+				if !errors.Is(err, c.wantErr) {
+					t.Fatalf("err = %v, want %v", err, c.wantErr)
+				}
+				if commits != c.draws || res.Samples+len(res.Quarantined) != c.draws {
+					t.Fatalf("%d commits, %d results; want %d", commits, res.Samples+len(res.Quarantined), c.draws)
+				}
+				if rounds != c.rounds {
+					t.Fatalf("%d rounds reported, want %d", rounds, c.rounds)
+				}
+				if got := im.Search.Draws.Value(); got != float64(c.draws) {
+					t.Fatalf("search draws counter = %v, want the %d committed draws", got, c.draws)
+				}
+				if got := int(probe.calls.Load()); got != c.draws+c.dropped {
+					t.Fatalf("strategy drew %d, want %d committed + %d dropped", got, c.draws, c.dropped)
+				}
+			})
 		}
 	}
 }
@@ -223,40 +199,38 @@ func TestDrawAheadStopJournalsCommittedRounds(t *testing.T) {
 func TestDrawAheadNextErrorOnlyIfContinuing(t *testing.T) {
 	const failAt = 170
 	for _, p := range drawAheadPaths {
-		for _, k := range probeKinds {
-			t.Run(p.name+k.suffix, func(t *testing.T) {
-				for _, loss := range []float64{1, 0.1} {
-					probe := &probeStrategy{failAt: failAt}
-					reg := obs.NewRegistry()
-					im := core.NewIterMetrics(reg)
-					im.Search = search.NewMetrics(reg, probe.Name())
-					cfg := drawAheadConfig(loss)
-					cfg.Strategy, cfg.OnRound = k.wrap(probe), im.Observe
-					res, err := p.run(context.Background(), cfg, nil)
-					if loss == 1 {
-						if err != nil || !res.Satisfied || res.Samples != 160 {
-							t.Fatalf("loss 1%%: err = %v, satisfied %v at %d samples; want certified at 160", err, res.Satisfied, res.Samples)
-						}
-						if got := im.Search.Draws.Value(); got != 160 {
-							t.Fatalf("loss 1%%: search draws counter = %v, want 160", got)
-						}
-						continue
-					}
-					if !errors.Is(err, errProbe) {
-						t.Fatalf("loss 0.1%%: err = %v, want the strategy's error", err)
-					}
-					if res.Samples != 160 {
-						t.Fatalf("loss 0.1%%: %d samples, want the 160 committed", res.Samples)
-					}
-					if got := probe.calls.Load(); got != failAt+1 {
-						t.Fatalf("loss 0.1%%: strategy called %d times, want %d draws and the failing call", got, failAt)
+		t.Run(p.name, func(t *testing.T) {
+			for _, loss := range []float64{1, 0.1} {
+				probe := &probeStrategy{failAt: failAt}
+				reg := obs.NewRegistry()
+				im := core.NewIterMetrics(reg)
+				im.Search = search.NewMetrics(reg, probe.Name())
+				cfg := drawAheadConfig(loss)
+				cfg.Strategy, cfg.OnRound = probe, im.Observe
+				res, err := p.run(context.Background(), cfg, nil)
+				if loss == 1 {
+					if err != nil || !res.Satisfied || res.Samples != 160 {
+						t.Fatalf("loss 1%%: err = %v, satisfied %v at %d samples; want certified at 160", err, res.Satisfied, res.Samples)
 					}
 					if got := im.Search.Draws.Value(); got != 160 {
-						t.Fatalf("loss 0.1%%: search draws counter = %v, want the 160 of the completed rounds", got)
+						t.Fatalf("loss 1%%: search draws counter = %v, want 160", got)
 					}
+					continue
 				}
-			})
-		}
+				if !errors.Is(err, errProbe) {
+					t.Fatalf("loss 0.1%%: err = %v, want the strategy's error", err)
+				}
+				if res.Samples != 160 {
+					t.Fatalf("loss 0.1%%: %d samples, want the 160 committed", res.Samples)
+				}
+				if got := probe.calls.Load(); got != failAt+1 {
+					t.Fatalf("loss 0.1%%: strategy called %d times, want %d draws and the failing call", got, failAt)
+				}
+				if got := im.Search.Draws.Value(); got != 160 {
+					t.Fatalf("loss 0.1%%: search draws counter = %v, want the 160 of the completed rounds", got)
+				}
+			}
+		})
 	}
 }
 
@@ -288,159 +262,44 @@ func TestDrawAheadNoGoroutineOutlivesCall(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, p := range drawAheadPaths {
-			for _, k := range probeKinds {
-				t.Run(c.name+"-"+p.name+k.suffix, func(t *testing.T) {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					cfg := drawAheadConfig(c.loss)
-					if c.mod != nil {
-						c.mod(&cfg, cancel)
-					}
-					started := make(chan struct{})
-					probe := &probeStrategy{delay: 20 * time.Microsecond, started: started, startAt: cfg.Ninit}
-					cfg.Strategy = k.wrap(probe)
-					// Hold the first refit's hook until the ahead round is
-					// drawing, so it is in flight when the campaign returns.
-					// A failed refit calls no hook.
-					hook := cfg.OnRefit
-					cfg.OnRefit = func(st evt.StreamState) error {
-						select {
-						case <-started:
-						case <-time.After(5 * time.Second):
-							t.Error("the next round was not drawn during the refit")
-						}
-						if hook != nil {
-							return hook(st)
-						}
-						return nil
-					}
-					_, err := p.run(ctx, cfg, nil)
-					if !c.wantErr(err) {
-						t.Fatalf("err = %v", err)
-					}
-					if n := probe.active.Load(); n != 0 {
-						t.Fatalf("%d Next calls in flight after return", n)
-					}
-					calls := probe.calls.Load()
-					time.Sleep(2 * time.Millisecond)
-					if got := probe.calls.Load(); got != calls {
-						t.Fatalf("Next called %d times after return", got-calls)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestDrawAheadBlindOverlapsMeasurement: with a slow runner, a blind
-// strategy's round k+1 is drawn on one worker while round k is measured,
-// and an adaptive one's, or one on three workers, only after round k is
-// committed. The runner holds the measurement that completes each round
-// below the budget until the next round's first Next has begun, or
-// checks that none has.
-func TestDrawAheadBlindOverlapsMeasurement(t *testing.T) {
-	for _, k := range probeKinds {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("workers%d%s", workers, k.suffix), func(t *testing.T) {
-				probe := &probeStrategy{delay: 20 * time.Microsecond}
-				cfg := drawAheadConfig(0.1) // runs every round, to the budget
-				cfg.Strategy = k.wrap(probe)
-				var measured atomic.Int32
-				runner := core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
-					n := int(measured.Add(1))
-					time.Sleep(50 * time.Microsecond)
-					if n == cfg.MaxSamples || roundStart(cfg, n) != n {
-						return hashPerf(a), nil
-					}
-					// Draws 0..n-1 are rounds 1..k, and this is the last of
-					// them to start measuring.
-					if !k.blind || workers > 1 {
-						if got := int(probe.calls.Load()); got != n {
-							t.Errorf("%d Next calls while draw %d is measured, want %d", got, n, n)
-						}
-						return hashPerf(a), nil
-					}
-					deadline := time.Now().Add(5 * time.Second)
-					for int(probe.calls.Load()) <= n {
-						if time.Now().After(deadline) {
-							t.Errorf("draw %d not begun while round ending at %d was measured", n, n)
-							break
-						}
-						time.Sleep(10 * time.Microsecond)
-					}
-					return hashPerf(a), nil
-				})
-				pool, err := core.NewReplicatedPool(runner, workers)
-				if err != nil {
-					t.Fatal(err)
+			t.Run(c.name+"-"+p.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg := drawAheadConfig(c.loss)
+				if c.mod != nil {
+					c.mod(&cfg, cancel)
 				}
-				res, err := core.IteratePool(context.Background(), cfg, pool, core.BatchOptions{}, nil)
-				if !errors.Is(err, core.ErrBudgetExhausted) || res.Samples != cfg.MaxSamples {
-					t.Fatalf("err = %v at %d samples, want the budget of %d exhausted", err, res.Samples, cfg.MaxSamples)
+				started := make(chan struct{})
+				probe := &probeStrategy{delay: 20 * time.Microsecond, started: started, startAt: cfg.Ninit}
+				cfg.Strategy = probe
+				// Hold the first refit's hook until the ahead round is
+				// drawing, so it is in flight when the campaign returns.
+				// A failed refit calls no hook.
+				hook := cfg.OnRefit
+				cfg.OnRefit = func(st evt.StreamState) error {
+					select {
+					case <-started:
+					case <-time.After(5 * time.Second):
+						t.Error("the next round was not drawn during the refit")
+					}
+					if hook != nil {
+						return hook(st)
+					}
+					return nil
+				}
+				_, err := p.run(ctx, cfg, nil)
+				if !c.wantErr(err) {
+					t.Fatalf("err = %v", err)
+				}
+				if n := probe.active.Load(); n != 0 {
+					t.Fatalf("%d Next calls in flight after return", n)
+				}
+				calls := probe.calls.Load()
+				time.Sleep(2 * time.Millisecond)
+				if got := probe.calls.Load(); got != calls {
+					t.Fatalf("Next called %d times after return", got-calls)
 				}
 			})
-		}
-	}
-}
-
-// TestDrawAheadMeasureFailureLeavesNoGoroutine: a fatal measurement error
-// or a cancel in the middle of round 2 returns with no Next in flight and
-// none starting afterwards. For a blind strategy on one worker round 3 is
-// being drawn when the measurement fails.
-func TestDrawAheadMeasureFailureLeavesNoGoroutine(t *testing.T) {
-	errDied := errors.New("testbed died")
-	const failAt = 115 // round 2 measures draws 100..129
-	for _, mode := range []string{"fatal", "cancel"} {
-		for _, k := range probeKinds {
-			for _, workers := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s-workers%d%s", mode, workers, k.suffix), func(t *testing.T) {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					cfg := drawAheadConfig(0.1)
-					started := make(chan struct{})
-					probe := &probeStrategy{delay: 50 * time.Microsecond, started: started, startAt: cfg.Ninit + cfg.Ndelta}
-					cfg.Strategy = k.wrap(probe)
-					var measured atomic.Int32
-					runner := core.ContextRunnerFunc(func(_ context.Context, a assign.Assignment) (float64, error) {
-						if measured.Add(1) != failAt {
-							return hashPerf(a), nil
-						}
-						if k.blind && workers == 1 {
-							select {
-							case <-started:
-							case <-time.After(5 * time.Second):
-								t.Error("round 3 was not drawn while round 2 was measured")
-							}
-						}
-						if mode == "cancel" {
-							cancel()
-							return hashPerf(a), nil
-						}
-						return 0, errDied
-					})
-					pool, err := core.NewReplicatedPool(runner, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := core.IteratePool(ctx, cfg, pool, core.BatchOptions{}, nil)
-					want := map[string]error{"fatal": errDied, "cancel": context.Canceled}[mode]
-					if !errors.Is(err, want) {
-						t.Fatalf("err = %v, want %v", err, want)
-					}
-					// Three workers may finish round 2 around a cancel.
-					if res.Samples > cfg.Ninit+cfg.Ndelta || (mode == "fatal" && res.Samples >= cfg.Ninit+cfg.Ndelta) {
-						t.Fatalf("%d samples, want the campaign stopped in round 2", res.Samples)
-					}
-					if n := probe.active.Load(); n != 0 {
-						t.Fatalf("%d Next calls in flight after return", n)
-					}
-					calls := probe.calls.Load()
-					time.Sleep(2 * time.Millisecond)
-					if got := probe.calls.Load(); got != calls {
-						t.Fatalf("Next called %d times after return", got-calls)
-					}
-				})
-			}
 		}
 	}
 }

@@ -11,16 +11,15 @@ import (
 // proposes assignments and renders their cache keys, beside the measure
 // stage (PoolRunner.measure) that probes the cache, measures and commits
 // them in draw order. The paper's sample is i.i.d. uniform (§3.1, §3.3.2
-// Step 1), so no uniform draw depends on a measurement: on a one-worker
-// pool a blind strategy (search.Strategy.Blind) has its next round drawn
-// while the current one is measured, and a sample streams its draws a
-// unit at a time, the units after the current one drawn while it is
-// measured. Otherwise a campaign's next round waits for the current
-// round's commit, and is drawn beside its refit (IteratePool).
+// Step 1), so no draw of a fixed-size sample depends on a measurement:
+// the sample streams its draws a unit at a time, the units after the
+// current one drawn while it is measured (collectSample). A campaign's
+// strategy may read the outcomes, so its next round waits for the
+// current round's commit and is drawn beside the refit (IteratePool).
 
 // drawStage owns a campaign's strategy, draw RNG and History. Its rounds
 // are drawn one at a time, either inline or on a goroutine of their own
-// (ahead), and whoever holds a round's channel leaves the stage alone
+// (ahead, stream), and whoever holds a round's channel leaves the stage alone
 // until the round is received.
 type drawStage struct {
 	strategy search.Strategy
@@ -32,9 +31,9 @@ type drawStage struct {
 	// only grow the heap.
 	record bool
 	// keyer, when set, renders each round's cache keys ahead of the
-	// probe, into a ring of buffers: one for the round being measured,
-	// one for each round drawn but not yet received, and one for the
-	// round being drawn (see ahead and stream).
+	// probe, into the ring of buffers keys, reused in turn; stream sizes
+	// the ring so that no buffer is rendered again while its keys are
+	// still probed.
 	keyer *CachedRunner
 	keys  []classKeys
 	slot  int
@@ -76,32 +75,40 @@ func (s *drawStage) draw(add int) drawnRound {
 	return r
 }
 
-// ahead runs draw(add) on a goroutine of its own. With commit set it
-// first advances the History's committed horizon over every draw pushed
-// so far: the round boundary of a campaign whose History the draw stage
-// owns (IteratePool's early rounds), and which holds no outcomes. The
-// round must be received from the channel exactly once.
-func (s *drawStage) ahead(add int, commit bool) chan drawnRound {
+// ahead runs draw(add) on a goroutine of its own. The round must be
+// received from the channel exactly once.
+func (s *drawStage) ahead(add int) chan drawnRound {
 	ch := make(chan drawnRound, 1)
-	go func() {
-		if commit {
-			s.hist.Commit()
-		}
-		ch <- s.draw(add)
-	}()
+	go func() { ch <- s.draw(add) }()
 	return ch
 }
 
 // stream draws n draws a unit at a time on a goroutine of its own, which
-// runs up to streamDepth units ahead of the consumer. The channel closes
+// runs up to streamDepth units ahead of the consumer. The consumer must
+// finish with each unit before it receives the next. The channel closes
 // after the last unit, after a unit whose drawing failed, or once stop is
 // closed; the consumer that stops early closes stop and then drains the
-// channel, so the goroutine never outlives it.
+// channel, so the goroutine never outlives it. Once stop is closed the
+// goroutine finishes at most the unit it is drawing.
 func (s *drawStage) stream(n, unit int, stop <-chan struct{}) <-chan drawnRound {
 	ch := make(chan drawnRound, streamDepth)
+	if s.keyer != nil {
+		// Unit u's keys are probed until the consumer receives unit u+1.
+		// The goroutine renders unit u+streamDepth+2 only after sending
+		// unit u+streamDepth+1, when at most streamDepth units wait in ch,
+		// so the consumer has received unit u+1 by then: streamDepth+2
+		// buffers (the units waiting, the one measured, the one drawn)
+		// are never rendered over while in use.
+		s.keys, s.slot = make([]classKeys, streamDepth+2), 0
+	}
 	go func() {
 		defer close(ch)
 		for done := 0; done < n; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			r := s.draw(min(unit, n-done))
 			done += len(r.batch)
 			select {
@@ -121,7 +128,7 @@ func (s *drawStage) stream(n, unit int, stop <-chan struct{}) <-chan drawnRound 
 // sample's first chunks miss the cache and wait on the store's fsyncs
 // while its later ones are mostly L1 hits, so a draw stage that banks
 // units during the first phase keeps the measurer fed through the
-// second.
+// second. The value was chosen, not tuned: no other depth was measured.
 const streamDepth = 8
 
 // classKeys holds the cache keys of a run of draws, rendered back to back

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,25 +34,27 @@ func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
 
 // sampleEntries are the CollectSample* entry points on each measurer the
 // draw stage feeds: a serial runner, one- and three-worker pools, and the
-// one-worker cached batch path whose keys the stage renders.
+// one-worker cached batch path whose keys the stage renders. unit is the
+// number of draws the stage streams at a time.
 var sampleEntries = []struct {
 	name string
+	unit int
 	run  func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error)
 }{
-	{"context", func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, _ CommitFunc) ([]SampleResult, []Skipped, error) {
+	{"context", sampleUnit(1, 1), func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, _ CommitFunc) ([]SampleResult, []Skipped, error) {
 		return CollectSampleContext(ctx, rng, topo, tasks, n, src)
 	}},
-	{"workers1", func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
+	{"workers1", sampleUnit(1, 1), func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
 		return CollectSampleParallel(ctx, rng, topo, tasks, n, onePool(src), commit)
 	}},
-	{"workers3", func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
+	{"workers3", sampleUnit(1, 3), func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
 		pool, err := NewReplicatedPool(src, 3)
 		if err != nil {
 			return nil, nil, err
 		}
 		return CollectSampleParallel(ctx, rng, topo, tasks, n, pool, commit)
 	}},
-	{"batched", func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
+	{"batched", sampleUnit(48, 1), func(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, src *batchSource, commit CommitFunc) ([]SampleResult, []Skipped, error) {
 		// An L1 far smaller than the class count: chunks mix hits and
 		// misses, and a key clobbered in the ring would serve a wrong
 		// class.
@@ -135,9 +138,21 @@ func TestDrawStageSampleMatchesSerial(t *testing.T) {
 
 // TestDrawStageSampleStopsOnError: a fatal measurement error or a cancel
 // mid-sample returns with the draw stage stopped: the RNG is not touched
-// after the return, and every draw before the failure is measured.
+// after the return, every draw before the failure is measured, and the
+// stage has drawn at most streamDepth+1 units past the unit that failed.
 func TestDrawStageSampleStopsOnError(t *testing.T) {
 	const n, failAt = 20000, 700
+	topo, tasks := t2.UltraSPARCT2(), 6
+	// pos[k] is the number of variates k uniform draws take from the RNG.
+	pos := make([]int64, n+1)
+	ref := newCountingSource(3)
+	refRNG, refHist := rand.New(ref), search.NewHistory(topo, tasks)
+	for k := 1; k <= n; k++ {
+		if _, err := (search.Uniform{}).Next(refRNG, refHist); err != nil {
+			t.Fatal(err)
+		}
+		pos[k] = ref.calls.Load()
+	}
 	errDied := errors.New("testbed died")
 	for _, mode := range []string{"fatal", "cancel"} {
 		for _, e := range sampleEntries {
@@ -159,7 +174,7 @@ func TestDrawStageSampleStopsOnError(t *testing.T) {
 				// Six tasks on a T2 have about 1,500 classes, so the
 				// batched path's tiny L1 misses most draws and measures
 				// past failAt.
-				res, skip, err := e.run(ctx, rand.New(cs), t2.UltraSPARCT2(), 6, n, src, nil)
+				res, skip, err := e.run(ctx, rand.New(cs), topo, tasks, n, src, nil)
 				want := map[string]error{"fatal": errDied, "cancel": context.Canceled}[mode]
 				if !errors.Is(err, want) {
 					t.Fatalf("err = %v, want %v", err, want)
@@ -175,7 +190,59 @@ func TestDrawStageSampleStopsOnError(t *testing.T) {
 				if got := cs.calls.Load(); got != calls {
 					t.Fatalf("the RNG was drawn from %d times after the return", got-calls)
 				}
+				// Draw len(res)+len(skip) failed: its unit was measured,
+				// and up to streamDepth units waited behind it while one
+				// more was drawn.
+				limit := min(n, ((len(res)+len(skip))/e.unit+streamDepth+2)*e.unit)
+				if calls > pos[limit] {
+					drawn := sort.Search(n+1, func(k int) bool { return pos[k] >= calls })
+					t.Fatalf("the stage drew %d draws, more than the %d that end %d units past the failing one", drawn, limit, streamDepth+1)
+				}
 			})
+		}
+	}
+}
+
+// gatedUniform is search.Uniform whose call number at of Next signals
+// reached and then waits for gate to close.
+type gatedUniform struct {
+	search.Uniform
+	at      int64
+	calls   atomic.Int64
+	reached chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedUniform) Next(rng *rand.Rand, h *search.History) (search.Draw, error) {
+	if g.calls.Add(1) == g.at {
+		close(g.reached)
+		<-g.gate
+	}
+	return g.Uniform.Next(rng, h)
+}
+
+// TestDrawStageStreamStopsAtUnit: once stop is closed, a stream finishes
+// the unit it is drawing and draws no other, though its channel has room
+// and its consumer drains it. Stop is closed in the middle of the second
+// unit, many times over, since a stream that went on would do so only on
+// some of its selects.
+func TestDrawStageStreamStopsAtUnit(t *testing.T) {
+	const unit = 10
+	for trial := 0; trial < 50; trial++ {
+		g := &gatedUniform{at: unit + unit/2, reached: make(chan struct{}), gate: make(chan struct{})}
+		stage := &drawStage{strategy: g, rng: rand.New(rand.NewSource(int64(trial))), hist: search.NewHistory(batchTopo(), 3)}
+		stop := make(chan struct{})
+		units := stage.stream(100*unit, unit, stop)
+		if r := <-units; len(r.batch) != unit || r.err != nil {
+			t.Fatalf("first unit: %d draws, err %v", len(r.batch), r.err)
+		}
+		<-g.reached
+		close(stop)
+		close(g.gate)
+		for range units {
+		}
+		if got := g.calls.Load(); got != 2*unit {
+			t.Fatalf("trial %d: %d Next calls after stopping in the second unit, want %d", trial, got, 2*unit)
 		}
 	}
 }

@@ -211,14 +211,10 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 // (one draw when unset) — inline on one worker, fanned out on several —
 // and commit observes the outcomes in draw order. Completed rounds are
 // committed to the search history as units. A strategy sees outcomes
-// only at those commits, so the next round is drawn on a second
-// goroutine: on a one-worker pool with a blind strategy (one that reads
-// no outcome) while this round is measured, and otherwise, for a
-// tail-safe strategy, while the committed round is estimated. When the
-// campaign ends that round is dropped, and neither measured, committed
-// nor counted. On a one-worker pool that resolves chunks through a cache
-// on the batch path, the draw stage also renders the round's cache keys.
-// Each refit's OnRefit hook runs
+// only at those commits, so with a tail-safe strategy the next round is
+// drawn on a second goroutine while the committed round is estimated;
+// when the stopping rule ends the campaign that round is dropped, and
+// neither measured, committed nor counted. Each refit's OnRefit hook runs
 // on a goroutine of its own beside the next round's measurements and
 // commits, and is joined before that round's refit. Given the same IterConfig
 // (seed included) and a deterministic measurement source, every worker
@@ -272,29 +268,16 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 
 	// stage draws the rounds. It reads and advances only the strategy, rng
 	// and hist, so once a round is committed the next round's draws are
-	// fixed: the main goroutine draws the first round inline (and every
-	// round of an adaptive strategy that is not tail-safe), and a second
-	// goroutine draws each later round, beside the previous round's
-	// measurements when early is set and beside its refit otherwise.
-	stage := &drawStage{strategy: strategy, rng: rng, hist: hist, record: true, keyer: pool.keyRunner(opts), keys: make([]classKeys, 2)}
-	// early draws a blind strategy's next round beside this round's
-	// measurements. Only a one-worker pool leaves a processor for it: a
-	// larger pool keeps as many measurements in flight as it has workers,
-	// and an ahead round beside them delays their dispatches (two workers
-	// over two loopback servers on two processors measured 7% fewer draws
-	// per second), while the pool idles during the refit. With early set
-	// the History belongs to the draw stage, which commits it at round
-	// boundaries, and the measurements below resolve nothing into it;
-	// otherwise each round is resolved and committed here, before the next
-	// round is drawn.
-	early := strategy.Blind() && pool.Workers() == 1
+	// fixed: the main goroutine draws the first round inline (and for
+	// strategies without a refit to overlap), and a second goroutine draws
+	// every later round while the previous round is estimated.
+	stage := &drawStage{strategy: strategy, rng: rng, hist: hist, record: true}
 
 	// rd is the round in progress, reported to OnRound once complete.
 	var rd Round
 	// collect consumes a drawn round: it measures the round's draws as one
-	// batch, committing it to the history when complete unless the draw
-	// stage does, and counts them into rd. A round whose drawing failed
-	// returns the strategy's error.
+	// batch, committing it to the history when complete, and counts them
+	// into rd. A round whose drawing failed returns the strategy's error.
 	collect := func(r drawnRound) error {
 		if r.err != nil {
 			return fmt.Errorf("core: strategy %s: %w", strategy.Name(), r.err)
@@ -302,9 +285,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		base := r.base
 		outs, err := pool.measure(ctx, r.batch, r.keys, opts, commit)
 		for i, o := range outs {
-			if !early {
-				hist.Resolve(base+i, o.Perf, o.Err != nil)
-			}
+			hist.Resolve(base+i, o.Perf, o.Err != nil)
 			if o.Err != nil {
 				res.Quarantined = append(res.Quarantined, Skipped{Assignment: r.batch[i], Err: o.Err})
 				continue
@@ -320,9 +301,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				rd.Improved++
 			}
 		}
-		if !early {
-			hist.Commit()
-		}
+		hist.Commit()
 		rd.Added = len(r.batch)
 		for _, e := range r.explore {
 			if e {
@@ -350,12 +329,11 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	fitAt := nextFitPoint(cfg, drawn())
 	tailSafe := strategy.TailSafe()
 	// ahead is the next round, drawn on a second goroutine while this
-	// round is measured (early) or estimated.
-	// Until it is received the main goroutine leaves the strategy, rng and
-	// hist alone. It is received before the next round is measured and on
-	// every return, so no goroutine outlives the call; a campaign that
-	// stops drops it unmeasured, unjournaled and uncounted, as if it had
-	// never been drawn.
+	// round is estimated. Until it is received the main goroutine leaves
+	// the strategy, rng and hist alone. It is received before the next
+	// round is measured and on every return, so no goroutine outlives the
+	// call; a campaign that stops drops it unmeasured, unjournaled and
+	// uncounted, as if it had never been drawn.
 	var ahead chan drawnRound
 	defer func() {
 		if ahead != nil {
@@ -379,27 +357,15 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	defer join()
 	for round := 1; ; round++ {
 		rd = Round{N: round}
-		// The next fit point; a round that ends below the budget draws
-		// towards it during this round's measurements or estimation.
-		next := min(fitAt+cfg.Ndelta, cfg.MaxSamples)
-		var r drawnRound
-		add := fitAt - drawn()
-		if add > 0 {
+		var err error
+		if add := fitAt - drawn(); add > 0 {
+			var r drawnRound
 			if ahead != nil {
 				r = <-ahead
 				ahead = nil
 			} else {
 				r = stage.draw(add)
 			}
-		}
-		if early && r.err == nil && fitAt < cfg.MaxSamples {
-			// The next round reads no outcome of this one: draw it while
-			// this one is measured. A round that completes has drawn up to
-			// fitAt.
-			ahead = stage.ahead(next-fitAt, true)
-		}
-		var err error
-		if add > 0 {
 			err = collect(r)
 		}
 		// If the previous refit's checkpoint failed, the campaign stops
@@ -420,15 +386,18 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			return res, fmt.Errorf("core: every assignment of the initial sample was quarantined: %w", ErrQuarantined)
 		}
 		res.Best = results[Best(results)]
+		// The next fit point; a round that ends below the budget draws
+		// towards it during this round's estimation.
+		next := min(fitAt+cfg.Ndelta, cfg.MaxSamples)
 		if !tailSafe {
 			// No i.i.d. tail exists, so no estimate and no stopping rule:
 			// the campaign hunts until the budget runs out.
 			report(RoundTailUnsafe, Estimate{}, false)
 		} else {
-			if !early && drawn() < cfg.MaxSamples {
+			if drawn() < cfg.MaxSamples {
 				// Step 4's draws see only the committed history, which
 				// Step 2 does not change: draw them beside the refit.
-				ahead = stage.ahead(next-drawn(), false)
+				ahead = stage.ahead(next - drawn())
 			}
 			// Step 2 is a scheduled refit of the streaming estimator: the
 			// full threshold scan + MLE + Wilks interval on the maintained

@@ -81,9 +81,10 @@ func CollectSampleContext(ctx context.Context, rng *rand.Rand, topo t2.Topology,
 // chunks, so every chunk, and with it every cache probe, dedup and
 // commit, is the one a single n-draw round has. On success rng ends
 // where assign.Sample(rng, topo, tasks, n) leaves it; an error return
-// leaves it up to streamDepth+1 units past the draws returned.
+// leaves it at most streamDepth+1 units past the end of the unit that
+// failed: the units waiting for the measurer and the one being drawn.
 func collectSample(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks, n int, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (results []SampleResult, skipped []Skipped, err error) {
-	stage := &drawStage{strategy: search.Uniform{}, rng: rng, hist: search.NewHistory(topo, tasks), keyer: pool.keyRunner(opts), keys: make([]classKeys, streamDepth+2)}
+	stage := &drawStage{strategy: search.Uniform{}, rng: rng, hist: search.NewHistory(topo, tasks), keyer: pool.keyRunner(opts)}
 	stop := make(chan struct{})
 	units := stage.stream(n, sampleUnit(max(1, opts.Size), pool.Workers()), stop)
 	defer func() {
@@ -114,7 +115,7 @@ func collectSample(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks,
 // sampleStreamDraws is the least number of draws per worker a sample's
 // unit holds: enough that handing a unit between the stages costs little
 // beside measuring it, and that a pool's workers rarely wait for each
-// other at a unit's end.
+// other at a unit's end. Like streamDepth, it was chosen, not tuned.
 const sampleStreamDraws = 256
 
 // sampleUnit returns the number of draws of a sample's unit on a pool of

@@ -65,10 +65,6 @@ func (a *Anneal) Name() string { return "anneal" }
 // TailSafe implements Strategy.
 func (a *Anneal) TailSafe() bool { return false }
 
-// Blind implements Strategy: the incumbent moves on committed outcomes
-// (h.At).
-func (a *Anneal) Blind() bool { return false }
-
 // Next implements Strategy.
 func (a *Anneal) Next(rng *rand.Rand, h *History) (Draw, error) {
 	// Fold newly committed outcomes into the incumbent, in draw order.

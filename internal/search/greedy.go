@@ -49,9 +49,6 @@ func (g *Greedy) Name() string { return "greedy" }
 // a plain uniform draw; the adaptive ones carry Explore.
 func (g *Greedy) TailSafe() bool { return true }
 
-// Blind implements Strategy: climbing draws start from h.Best.
-func (g *Greedy) Blind() bool { return false }
-
 // Next implements Strategy.
 func (g *Greedy) Next(rng *rand.Rand, h *History) (Draw, error) {
 	i := h.Len()

@@ -24,11 +24,6 @@
 //  3. Draws marked Explore are excluded from the EVT fit; a strategy with
 //     TailSafe() == false runs without the EVT stopping rule entirely
 //     (the campaign is budget-bound).
-//  4. A strategy with Blind() == true reads no outcome: its draws are a
-//     function of the RNG, the draw index and its own state alone. The
-//     engine may then draw each round while the previous one is still
-//     being measured, resolving no outcome into the History it passes;
-//     Len and Committed still read what they would in a serial loop.
 //
 // Derived RNG streams anywhere in the project use RepSeed, the single
 // documented seed derivation; the campaign's own draw stream deliberately
@@ -71,11 +66,6 @@ type Strategy interface {
 	// i.i.d. uniform sample fit for the EVT estimator. When false the
 	// engine skips estimation and runs the campaign to its sample budget.
 	TailSafe() bool
-	// Blind reports that Next reads no outcome: not Best, not At's
-	// Measured, Quarantined or Perf. A blind strategy draws the same
-	// sequence, and leaves the RNG in the same place, whether or not
-	// the History's outcomes are resolved (contract point 4).
-	Blind() bool
 	// Next proposes the next draw. See the package comment for the engine
 	// contract.
 	Next(rng *rand.Rand, h *History) (Draw, error)

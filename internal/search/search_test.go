@@ -36,15 +36,6 @@ func allStrategies(t *testing.T) map[string]Strategy {
 // returns every draw made.
 func driveCampaign(t *testing.T, s Strategy, seed int64, topo t2.Topology, tasks, draws, batch int) []Draw {
 	t.Helper()
-	out, _ := drive(t, s, seed, topo, tasks, draws, batch, true)
-	return out
-}
-
-// drive is driveCampaign with the outcomes optional: without them every
-// batch is committed unmeasured, as the engine commits a blind
-// strategy's. It also returns the RNG, left where the draws left it.
-func drive(t *testing.T, s Strategy, seed int64, topo t2.Topology, tasks, draws, batch int, outcomes bool) ([]Draw, *rand.Rand) {
-	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h := NewHistory(topo, tasks)
 	var out []Draw
@@ -64,7 +55,7 @@ func drive(t *testing.T, s Strategy, seed int64, topo t2.Topology, tasks, draws,
 			}
 			out = append(out, d)
 		}
-		for i := start; outcomes && i < h.Len(); i++ {
+		for i := start; i < h.Len(); i++ {
 			// Synthetic deterministic landscape: a cheap hash of the
 			// context vector. Every 17th draw is quarantined so
 			// strategies also see abandoned outcomes.
@@ -77,58 +68,7 @@ func drive(t *testing.T, s Strategy, seed int64, topo t2.Topology, tasks, draws,
 		}
 		h.Commit()
 	}
-	return out, rng
-}
-
-// TestBlindDeclarations: a strategy that declares itself blind draws the
-// same sequence, and leaves the RNG at the same position, whether the
-// History carries outcomes or not; greedy and anneal declare themselves
-// not blind, and their draws do change with the outcomes.
-func TestBlindDeclarations(t *testing.T) {
-	want := map[string]bool{"uniform": true, "stratified": true, "greedy": false, "anneal": false}
-	for name, s := range allStrategies(t) {
-		if got, ok := want[name]; !ok || s.Blind() != got {
-			t.Errorf("%s: Blind() = %v, want %v (declared: %v)", name, s.Blind(), got, ok)
-		}
-	}
-	cases := []struct {
-		name   string
-		params Params
-		topo   t2.Topology
-		tasks  int
-	}{
-		{"uniform", nil, t2.UltraSPARCT2(), 6},
-		{"uniform", nil, smallTopo, 3},
-		{"stratified", nil, smallTopo, 2},                                        // enumerated
-		{"stratified", Params{"classes": 2, "retries": 4}, t2.UltraSPARCT2(), 3}, // rejection
-		{"greedy", Params{"init": 20}, t2.UltraSPARCT2(), 6},
-		{"anneal", Params{"init": 20}, t2.UltraSPARCT2(), 6},
-	}
-	for _, c := range cases {
-		label := Spec(c.name, c.params)
-		if label == "" {
-			label = c.name
-		}
-		t.Run(fmt.Sprintf("%s/%dctx/%dtasks", label, c.topo.Contexts(), c.tasks), func(t *testing.T) {
-			run := func(outcomes bool) ([]Draw, int64) {
-				s, err := New(c.name, c.params, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				draws, rng := drive(t, s, 11, c.topo, c.tasks, 300, 40, outcomes)
-				return draws, rng.Int63()
-			}
-			with, posWith := run(true)
-			without, posWithout := run(false)
-			same := reflect.DeepEqual(with, without) && posWith == posWithout
-			if want[c.name] && !same {
-				t.Fatal("declared blind, but the draws or the RNG position depend on the outcomes")
-			}
-			if !want[c.name] && reflect.DeepEqual(with, without) {
-				t.Fatal("declared adaptive, but the draws ignore the outcomes here")
-			}
-		})
-	}
+	return out
 }
 
 // TestStrategyDeterminism is the replay contract: the same seed and the

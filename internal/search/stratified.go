@@ -62,10 +62,6 @@ func (s *Stratified) Name() string { return "stratified" }
 // TailSafe implements Strategy.
 func (s *Stratified) TailSafe() bool { return true }
 
-// Blind implements Strategy: both modes read only the RNG and their own
-// pass or seen-set state, never an outcome.
-func (s *Stratified) Blind() bool { return true }
-
 // Next implements Strategy.
 func (s *Stratified) Next(rng *rand.Rand, h *History) (Draw, error) {
 	if !s.decided {

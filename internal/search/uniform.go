@@ -21,10 +21,6 @@ func (Uniform) Name() string { return "uniform" }
 // sample the EVT machinery assumes.
 func (Uniform) TailSafe() bool { return true }
 
-// Blind implements Strategy: a uniform draw reads only the topology and
-// the task count.
-func (Uniform) Blind() bool { return true }
-
 // Next implements Strategy. The generator switch mirrors assign.Sample:
 // rejection sampling (the paper-faithful procedure) for sparse workloads,
 // the equivalent partial Fisher-Yates for workloads using more than half
