@@ -196,6 +196,7 @@ func (p *progressPrinter) round(r core.Round) {
 func (p *progressPrinter) done() {
 	if p != nil && p.last > 0 {
 		fmt.Fprintln(p.out)
+		p.last = 0
 	}
 }
 
@@ -213,7 +214,7 @@ func report(w io.Writer, res core.IterResult, tailSafe bool, loss float64) bool 
 	}
 	fmt.Fprintf(w, "best assignment: %s\n", res.Best.Assignment)
 	fmt.Fprintf(w, "  measured performance:   %.6g PPS\n", res.Best.Perf)
-	if len(res.History) == 0 {
+	if res.Final.Report.N == 0 {
 		reason := "no estimate: the tail was never bounded"
 		if !tailSafe {
 			reason = notTailSafe
@@ -253,7 +254,7 @@ func main() {
 	ndelta := flag.Int("ndelta", 100, "sample increment per iteration")
 	maxSamples := flag.Int("max", 12000, "sample budget")
 	seed := flag.Int64("seed", 1, "random seed")
-	verbose := flag.Bool("v", false, "print every iteration")
+	verbose := flag.Bool("v", false, "print each estimated round as it completes")
 	connect := flag.String("connect", "", "measure on remote testbeds served by cmd/measured: one address or a comma-separated pool")
 	registry := flag.String("registry", "", "host a fleet registry on this address and measure on servers that register with it (see measured -register)")
 	minServers := flag.Int("min-servers", 1, "with -registry, wait for this many registered servers before starting the campaign")
@@ -438,12 +439,18 @@ func main() {
 		MaxSamples:    *maxSamples,
 		Seed:          *seed,
 	}
-	// Every completed round feeds the metric bundle and the status line.
+	// Every completed round feeds the metric bundle and the status line,
+	// and under -v each estimated round prints its line as it completes.
 	im := core.NewIterMetrics(reg)
-	if im != nil {
+	if im != nil || *verbose {
 		cfg.OnRound = func(r core.Round) {
 			im.Observe(r)
 			prog.round(r)
+			if e := r.Estimate; *verbose && r.Kind == core.RoundEstimated {
+				prog.done() // the line goes below the round's status line
+				fmt.Printf("  n=%5d  best=%.6g  estimate=%.6g  CI=[%.6g, %.6g]  loss<=%.2f%%\n",
+					r.Samples, e.BestObserved, e.Optimal, e.Lo, e.Hi, e.HeadroomHiPct)
+			}
 		}
 	}
 
@@ -579,14 +586,6 @@ func main() {
 		}
 		fmt.Println()
 		os.Exit(3)
-	}
-
-	if *verbose {
-		for _, step := range res.History {
-			fmt.Printf("  n=%5d  best=%.6g  estimate=%.6g  CI=[%.6g, %.6g]  loss<=%.2f%%\n",
-				step.Samples, step.Estimate.BestObserved, step.Estimate.Optimal,
-				step.Estimate.Lo, step.Estimate.Hi, step.Estimate.HeadroomHiPct)
-		}
 	}
 
 	if !report(os.Stdout, res, tailSafe, *loss) {

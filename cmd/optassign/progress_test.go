@@ -117,13 +117,12 @@ func TestReportWithoutEstimate(t *testing.T) {
 // TestReportWithEstimate: a certified campaign reports its estimate,
 // loss bound and the met requirement.
 func TestReportWithEstimate(t *testing.T) {
-	est := core.Estimate{BestObserved: 1.5e6, Optimal: 1.52e6, Lo: 1.5e6, Hi: 1.53e6, HeadroomHiPct: 1.96}
+	est := core.Estimate{Report: evt.Report{N: 1000}, BestObserved: 1.5e6, Optimal: 1.52e6, Lo: 1.5e6, Hi: 1.53e6, HeadroomHiPct: 1.96}
 	res := core.IterResult{
 		Best:      core.SampleResult{Assignment: assign.Assignment{Ctx: []int{0, 1, 2}}, Perf: 1.5e6},
 		Samples:   1000,
 		Final:     est,
 		Satisfied: true,
-		History:   []core.IterStep{{Samples: 1000, Estimate: est}},
 	}
 	var out bytes.Buffer
 	if !report(&out, res, true, 2.5) {

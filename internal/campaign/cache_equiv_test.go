@@ -68,15 +68,17 @@ func cacheEquivStack(withFaults bool, cache *core.Cache) core.ContextRunner {
 }
 
 // runCacheEquivSerial is the uncached serial baseline.
-func runCacheEquivSerial(t *testing.T, seed int64, withFaults bool) ([]byte, core.IterResult, error) {
+func runCacheEquivSerial(t *testing.T, seed int64, withFaults bool) ([]byte, loggedResult, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "baseline.journal")
 	j, err := CreateJournal(path, equivHeader(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, iterErr := core.IterateContext(context.Background(), equivConfig(seed),
+	var base loggedResult
+	res, iterErr := core.IterateContext(context.Background(), logRounds(equivConfig(seed), &base.rounds),
 		JournalRunner{Journal: j, Runner: cacheEquivStack(withFaults, nil)})
+	base.IterResult = res
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func runCacheEquivSerial(t *testing.T, seed int64, withFaults bool) ([]byte, cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, res, iterErr
+	return data, base, iterErr
 }
 
 // TestCachedJournalMatchesUncached runs the same campaign with the

@@ -82,7 +82,7 @@ func TestRunCheckpointFailureThenResume(t *testing.T) {
 				}
 				rc = p.rc
 				rc.Journal, rc.State = j, js
-				res, err := Run(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
+				res, err := runLogged(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
 				if cerr := j.Close(); cerr != nil {
 					t.Fatal(cerr)
 				}

@@ -130,7 +130,7 @@ func TestBatchComposesWithWorkers(t *testing.T) {
 						t.Fatal(err)
 					}
 					pm := core.NewPoolMetrics(obs.NewRegistry(), workers)
-					res, runErr := Run(context.Background(), runner, cfg, RunConfig{
+					res, runErr := runLogged(context.Background(), runner, cfg, RunConfig{
 						Journal:     j,
 						Workers:     workers,
 						Batch:       core.BatchOptions{Size: 16},

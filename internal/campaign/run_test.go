@@ -35,17 +35,52 @@ var runPaths = []struct {
 	{"batch16", RunConfig{Batch: core.BatchOptions{Size: 16}}},
 }
 
+// estimatedRound is what OnRound reports of an estimated round that does
+// not depend on where the process started: its sample count and estimate.
+type estimatedRound struct {
+	samples  int
+	estimate core.Estimate
+}
+
+// loggedResult is a campaign's result with the estimated rounds its
+// OnRound hook received, which IterResult does not keep.
+type loggedResult struct {
+	core.IterResult
+	rounds []estimatedRound
+}
+
+// logRounds returns cfg with an OnRound hook that appends each estimated
+// round to *log.
+func logRounds(cfg core.IterConfig, log *[]estimatedRound) core.IterConfig {
+	cfg.OnRound = func(r core.Round) {
+		if r.Kind == core.RoundEstimated {
+			*log = append(*log, estimatedRound{r.Samples, r.Estimate})
+		}
+	}
+	return cfg
+}
+
+// runLogged is Run with its estimated rounds logged.
+func runLogged(ctx context.Context, runner core.ContextRunner, cfg core.IterConfig, rc RunConfig) (loggedResult, error) {
+	var out loggedResult
+	res, err := Run(ctx, runner, logRounds(cfg, &out.rounds), rc)
+	out.IterResult = res
+	return out, err
+}
+
 // runReference runs the historical serial stack, IterateContext behind
 // JournalRunner, and returns its journal bytes, result and error.
-func runReference(t *testing.T, seed int64, withFaults bool) ([]byte, core.IterResult, error) {
+func runReference(t *testing.T, seed int64, withFaults bool) ([]byte, loggedResult, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "reference.journal")
 	j, err := CreateJournal(path, equivHeader(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, iterErr := core.IterateContext(context.Background(), streamKillConfig(seed),
+	var ref loggedResult
+	res, iterErr := core.IterateContext(context.Background(), logRounds(streamKillConfig(seed), &ref.rounds),
 		JournalRunner{Journal: j, Runner: equivStack(withFaults)})
+	ref.IterResult = res
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +88,7 @@ func runReference(t *testing.T, seed int64, withFaults bool) ([]byte, core.IterR
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, res, iterErr
+	return data, ref, iterErr
 }
 
 // successRecorder is an extra commit hook recording the successes it
@@ -93,7 +128,7 @@ func TestRunMatchesReference(t *testing.T) {
 					rec := &successRecorder{kill: killAt}
 					rc := p.rc
 					rc.Journal, rc.Commit = j, rec.commit
-					res, runErr := Run(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
+					res, runErr := runLogged(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
 					if killAt > 0 {
 						if !errors.Is(runErr, errKilled) {
 							t.Fatalf("kill: err = %v", runErr)
@@ -109,7 +144,7 @@ func TestRunMatchesReference(t *testing.T) {
 						}
 						rec.kill = 0
 						rc.Journal, rc.State = j, st
-						res, runErr = Run(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
+						res, runErr = runLogged(context.Background(), equivStack(withFaults), streamKillConfig(seed), rc)
 					}
 					if err := j.Close(); err != nil {
 						t.Fatal(err)
@@ -141,18 +176,18 @@ func TestRunMatchesReference(t *testing.T) {
 }
 
 // assertSameResult compares a Run result with the reference. A resumed
-// run's history and quarantine list start at the resume point, so those
-// must equal the reference's tails.
-func assertSameResult(t *testing.T, got, want core.IterResult) {
+// run's estimated rounds and quarantine list start at the resume point,
+// so those must equal the reference's tails.
+func assertSameResult(t *testing.T, got, want loggedResult) {
 	t.Helper()
 	if got.Samples != want.Samples || got.Satisfied != want.Satisfied ||
 		!reflect.DeepEqual(got.Best, want.Best) || !reflect.DeepEqual(got.Final, want.Final) {
 		t.Fatalf("result (n=%d best=%v final=%+v) differs from reference (n=%d best=%v final=%+v)",
 			got.Samples, got.Best, got.Final, want.Samples, want.Best, want.Final)
 	}
-	if len(got.History) > len(want.History) ||
-		!reflect.DeepEqual(got.History, want.History[len(want.History)-len(got.History):]) {
-		t.Fatalf("history (%d rounds) is not the reference's tail (%d rounds)", len(got.History), len(want.History))
+	if len(got.rounds) > len(want.rounds) ||
+		!reflect.DeepEqual(got.rounds, want.rounds[len(want.rounds)-len(got.rounds):]) {
+		t.Fatalf("estimated rounds (%d) are not the reference's tail (%d)", len(got.rounds), len(want.rounds))
 	}
 	if len(got.Quarantined) > len(want.Quarantined) ||
 		fmt.Sprint(got.Quarantined) != fmt.Sprint(want.Quarantined[len(want.Quarantined)-len(got.Quarantined):]) {
@@ -319,7 +354,7 @@ func TestRunResumeIgnoresSidecar(t *testing.T) {
 				}
 				rc = p.rc
 				rc.Journal, rc.State = j, st
-				res, runErr := Run(context.Background(), equivStack(false), streamKillConfig(seed), rc)
+				res, runErr := runLogged(context.Background(), equivStack(false), streamKillConfig(seed), rc)
 				if err := j.Close(); err != nil {
 					t.Fatal(err)
 				}

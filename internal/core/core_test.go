@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -254,6 +255,12 @@ func TestIterateConvergesAndRespectsTarget(t *testing.T) {
 	tight := base
 	tight.AcceptLossPct = 2.0
 	tight.MaxSamples = 8000
+	var estimatedAt []int // the sample count of each estimated round
+	tight.OnRound = func(r Round) {
+		if r.Kind == RoundEstimated {
+			estimatedAt = append(estimatedAt, r.Samples)
+		}
+	}
 	rt, err := IterateContext(context.Background(), tight, tb)
 	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("tight target: %v", err)
@@ -261,15 +268,94 @@ func TestIterateConvergesAndRespectsTarget(t *testing.T) {
 	if rt.Samples < rl.Samples {
 		t.Errorf("tighter target used fewer samples (%d) than loose (%d)", rt.Samples, rl.Samples)
 	}
-	// History is monotone in sample count and per-step best never regresses.
-	for i := 1; i < len(rt.History); i++ {
-		if rt.History[i].Samples <= rt.History[i-1].Samples {
-			t.Error("history sample counts not increasing")
+	// The estimated rounds are monotone in sample count.
+	for i := 1; i < len(estimatedAt); i++ {
+		if estimatedAt[i] <= estimatedAt[i-1] {
+			t.Error("round sample counts not increasing")
 		}
 	}
 	if rt.Best.Perf < rl.Best.Perf*0.95 {
 		t.Errorf("larger sample found much worse best: %v vs %v", rt.Best.Perf, rl.Best.Perf)
 	}
+}
+
+// TestIterResultDoesNotGrowWithRounds: a campaign's result keeps the
+// certificate, not its trajectory. The rounds reach callers only through
+// OnRound, so a campaign that refits 91 times retains about what one that
+// refits twice does: only the final Report's exceedances grow with the
+// sample.
+func TestIterResultDoesNotGrowWithRounds(t *testing.T) {
+	tb := newTestbed(t, 8)
+	retained := map[int]int{}
+	for _, budget := range []int{1100, 10000} {
+		cfg := IterConfig{
+			Topo:          tb.Machine.Topo,
+			Tasks:         tb.TaskCount(),
+			AcceptLossPct: 0.01, // unreachable: every campaign runs its whole budget
+			MaxSamples:    budget,
+			Seed:          1,
+		}
+		res, err := IterateContext(context.Background(), cfg, tb)
+		if !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("budget %d: err = %v, want ErrBudgetExhausted", budget, err)
+		}
+		retained[budget] = reachableBytes(reflect.ValueOf(res), map[uintptr]bool{})
+	}
+	t.Logf("retained: %d bytes at 1,100 draws, %d at 10,000", retained[1100], retained[10000])
+	const slack = 16 << 10
+	if grew := retained[10000] - retained[1100]; grew > slack {
+		t.Fatalf("the 10,000-draw result retains %d bytes, %d more than the 1,100-draw one's %d (allowed %d)",
+			retained[10000], grew, retained[1100], slack)
+	}
+}
+
+// reachableBytes sums the backing arrays of the slices and the bytes of
+// the strings reachable from v, counting each array and pointee once.
+func reachableBytes(v reflect.Value, seen map[uintptr]bool) int {
+	switch v.Kind() {
+	case reflect.String:
+		return v.Len()
+	case reflect.Slice:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		n := v.Cap() * int(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			n += reachableBytes(v.Index(i), seen)
+		}
+		return n
+	case reflect.Array:
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += reachableBytes(v.Index(i), seen)
+		}
+		return n
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += reachableBytes(v.Field(i), seen)
+		}
+		return n
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		return reachableBytes(v.Elem(), seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return reachableBytes(v.Elem(), seen)
+	case reflect.Map:
+		n := 0
+		for it := v.MapRange(); it.Next(); {
+			n += reachableBytes(it.Key(), seen) + reachableBytes(it.Value(), seen)
+		}
+		return n
+	}
+	return 0
 }
 
 func TestIterateBudgetExhaustion(t *testing.T) {

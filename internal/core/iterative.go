@@ -56,10 +56,11 @@ type IterConfig struct {
 	ResumeLog []ResumeDraw
 	// OnRound receives every completed round (§5.3 Fig. 13 iteration) as
 	// one Round record, synchronously on the loop's goroutine: live
-	// progress displays and metric bundles (IterMetrics.Observe) subscribe
-	// here. A round that ends the campaign in an error is not reported. nil
-	// builds nothing. The hook only observes: draws, RNG consumption and
-	// results are identical with it set or not.
+	// progress displays, metric bundles (IterMetrics.Observe) and
+	// convergence studies subscribe here. It is the only report of the
+	// rounds; IterResult keeps none. A round that ends the campaign in an
+	// error is not reported. nil builds nothing. The hook only observes:
+	// draws, RNG consumption and results are identical with it set or not.
 	OnRound func(Round)
 	// OnRefit runs after every scheduled refit; a journaled campaign
 	// syncs its journal there, once per estimation round. It runs on a
@@ -133,20 +134,16 @@ func (c IterConfig) withDefaults() IterConfig {
 	return c
 }
 
-// IterStep records one round of the algorithm: the sample size after the
-// round's measurements and the resulting estimate.
-type IterStep struct {
-	Samples  int
-	Estimate Estimate
-}
-
-// IterResult is the algorithm's final outcome.
+// IterResult is the algorithm's final outcome: the best assignment and
+// the estimate that certifies it. It keeps no per-round trajectory; the
+// rounds are reported only through IterConfig.OnRound, as they complete.
 type IterResult struct {
 	// Best is the best assignment observed across all samples, with its
 	// measured performance.
 	Best SampleResult
 	// Final is the last estimate (the one that satisfied the requirement,
-	// or the state at MaxSamples).
+	// or the state at MaxSamples). Its Report.N is 0 when no round
+	// estimated.
 	Final Estimate
 	// Samples is the total number of assignments measured successfully.
 	// Quarantined assignments are not included: the §3.1 capture
@@ -158,8 +155,6 @@ type IterResult struct {
 	Quarantined []Skipped
 	// Satisfied reports whether the acceptable-loss requirement was met.
 	Satisfied bool
-	// History holds every round's estimate, for convergence studies.
-	History []IterStep
 }
 
 // CaptureProb returns the §3.1 probability that this campaign's measured
@@ -237,18 +232,19 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	hist := search.NewHistory(cfg.Topo, cfg.Tasks)
 
 	var res IterResult
-	// results and tailPerfs start as the resumed prefix: its measured
-	// draws, and the estimator's sample among them (successful, non-Explore
-	// draws). priorQuarantined counts the prefix draws that were
-	// quarantined rather than measured. They are gone, but they consumed
-	// draws, so they keep counting toward Ninit and MaxSamples exactly as
-	// they did before the interruption; otherwise a resumed campaign draws
-	// extra assignments and diverges from the uninterrupted sequence.
-	results, tailPerfs, err := replayResume(cfg, strategy, rng, hist)
+	// drawn counts every draw measured or quarantined, samples the
+	// successful ones, and best is the first best of those in draw order.
+	// They start as the resumed prefix's, and tailPerfs as the estimator's
+	// sample among its draws (successful, non-Explore draws). The prefix's
+	// quarantined draws are gone, but they consumed draws, so they keep
+	// counting toward Ninit and MaxSamples exactly as they did before the
+	// interruption; otherwise a resumed campaign draws extra assignments
+	// and diverges from the uninterrupted sequence.
+	samples, best, tailPerfs, err := replayResume(cfg, strategy, rng, hist)
 	if err != nil {
 		return IterResult{}, err
 	}
-	priorQuarantined := len(cfg.ResumeLog) - len(results)
+	drawn := len(cfg.ResumeLog)
 	// stream maintains the estimator's sample incrementally: the order
 	// statistics, exceedance counts and best-observed update per committed
 	// draw, and each estimation round is a scheduled refit of the same
@@ -260,11 +256,6 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	if err := stream.ObserveAll(tailPerfs); err != nil {
 		return IterResult{}, fmt.Errorf("core: resumed sample: %w", err)
 	}
-	bestPerf, haveBest := 0.0, false
-	if i := Best(results); i >= 0 {
-		bestPerf, haveBest = results[i].Perf, true
-	}
-	drawn := func() int { return len(results) + len(res.Quarantined) + priorQuarantined }
 
 	// stage draws the rounds. It reads and advances only the strategy, rng
 	// and hist, so once a round is committed the next round's draws are
@@ -286,19 +277,20 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		outs, err := pool.measure(ctx, r.batch, r.keys, opts, commit)
 		for i, o := range outs {
 			hist.Resolve(base+i, o.Perf, o.Err != nil)
+			drawn++
 			if o.Err != nil {
 				res.Quarantined = append(res.Quarantined, Skipped{Assignment: r.batch[i], Err: o.Err})
 				continue
 			}
-			results = append(results, SampleResult{Assignment: r.batch[i], Perf: o.Perf})
+			if samples == 0 || o.Perf > best.Perf {
+				best = SampleResult{Assignment: r.batch[i], Perf: o.Perf}
+				rd.Improved++
+			}
+			samples++
 			if !r.explore[i] {
 				if serr := stream.Observe(o.Perf); serr != nil {
 					return fmt.Errorf("core: draw %d: %w", base+i+1, serr)
 				}
-			}
-			if !haveBest || o.Perf > bestPerf {
-				bestPerf, haveBest = o.Perf, true
-				rd.Improved++
 			}
 		}
 		hist.Commit()
@@ -315,7 +307,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		if cfg.OnRound == nil {
 			return
 		}
-		rd.Samples, rd.Quarantined, rd.Best = len(results), len(res.Quarantined), res.Best.Perf
+		rd.Samples, rd.Quarantined, rd.Best = samples, len(res.Quarantined), res.Best.Perf
 		rd.Stream = stream.Live()
 		rd.Kind, rd.Estimate, rd.Satisfied = kind, est, satisfied
 		cfg.OnRound(rd)
@@ -326,7 +318,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	// the first scheduled point not yet passed, so its batch boundaries —
 	// and therefore the outcomes each strategy draw can see — line up with
 	// the uninterrupted run's no matter where the interruption fell.
-	fitAt := nextFitPoint(cfg, drawn())
+	fitAt := nextFitPoint(cfg, drawn)
 	tailSafe := strategy.TailSafe()
 	// ahead is the next round, drawn on a second goroutine while this
 	// round is estimated. Until it is received the main goroutine leaves
@@ -358,7 +350,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 	for round := 1; ; round++ {
 		rd = Round{N: round}
 		var err error
-		if add := fitAt - drawn(); add > 0 {
+		if add := fitAt - drawn; add > 0 {
 			var r drawnRound
 			if ahead != nil {
 				r = <-ahead
@@ -374,18 +366,13 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		if herr := join(); herr != nil {
 			err = herr
 		}
+		res.Samples, res.Best = samples, best
 		if err != nil {
-			res.Samples = len(results)
-			if len(results) > 0 {
-				res.Best = results[Best(results)]
-			}
 			return res, err
 		}
-		res.Samples = len(results)
-		if len(results) == 0 {
+		if samples == 0 {
 			return res, fmt.Errorf("core: every assignment of the initial sample was quarantined: %w", ErrQuarantined)
 		}
-		res.Best = results[Best(results)]
 		// The next fit point; a round that ends below the budget draws
 		// towards it during this round's estimation.
 		next := min(fitAt+cfg.Ndelta, cfg.MaxSamples)
@@ -394,10 +381,10 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 			// the campaign hunts until the budget runs out.
 			report(RoundTailUnsafe, Estimate{}, false)
 		} else {
-			if drawn() < cfg.MaxSamples {
+			if drawn < cfg.MaxSamples {
 				// Step 4's draws see only the committed history, which
 				// Step 2 does not change: draw them beside the refit.
-				ahead = stage.ahead(next - drawn())
+				ahead = stage.ahead(next - drawn)
 			}
 			// Step 2 is a scheduled refit of the streaming estimator: the
 			// full threshold scan + MLE + Wilks interval on the maintained
@@ -417,7 +404,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 						herr = fmt.Errorf("core: refit hook at %d samples: %w", n, herr)
 					}
 					ch <- herr
-				}(stream.Snapshot(), len(results))
+				}(stream.Snapshot(), samples)
 				checkpoint = ch
 			}
 			switch {
@@ -427,10 +414,9 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 				// More observations sharpen the tail; keep sampling.
 				report(RoundUnbounded, Estimate{}, false)
 			case err != nil:
-				return res, fmt.Errorf("core: estimation at %d samples: %w", len(results), err)
+				return res, fmt.Errorf("core: estimation at %d samples: %w", samples, err)
 			default:
 				res.Final = est
-				res.History = append(res.History, IterStep{Samples: len(results), Estimate: est})
 				// Threshold on the conservative headroom: the requirement is
 				// met only when even the 0.95-confidence upper bound on the
 				// optimum is within the acceptable loss of the best observed
@@ -449,7 +435,7 @@ func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts Bat
 		}
 		// Quarantined draws count against the budget too: at a 100%
 		// failure rate the loop must still terminate.
-		if drawn() >= cfg.MaxSamples {
+		if drawn >= cfg.MaxSamples {
 			if herr := join(); herr != nil {
 				return res, herr
 			}
@@ -486,30 +472,32 @@ func nextFitPoint(cfg IterConfig, drawn int) int {
 // so post-resume draws see the same committed horizon they would have
 // seen uninterrupted. Each regenerated draw is checked against the
 // journal — divergence means the journal belongs to a different strategy,
-// seed or configuration. It returns the prefix's measured draws and the
-// tail-eligible performance sample among them.
-func replayResume(cfg IterConfig, strategy search.Strategy, rng *rand.Rand, hist *search.History) ([]SampleResult, []float64, error) {
+// seed or configuration. It returns the prefix's count of measured draws,
+// the first best of them in draw order, and the tail-eligible performance
+// sample among them.
+func replayResume(cfg IterConfig, strategy search.Strategy, rng *rand.Rand, hist *search.History) (samples int, best SampleResult, tailPerfs []float64, err error) {
 	log := cfg.ResumeLog
-	var results []SampleResult
-	var tailPerfs []float64
 	for i := range log {
 		if i > 0 && onFitSchedule(cfg, i) {
 			hist.Commit()
 		}
 		d, err := strategy.Next(rng, hist)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: resume replay: strategy %s: %w", strategy.Name(), err)
+			return 0, SampleResult{}, nil, fmt.Errorf("core: resume replay: strategy %s: %w", strategy.Name(), err)
 		}
 		hist.Push(d)
 		if !sameCtx(d.Assignment.Ctx, log[i].Assignment.Ctx) {
-			return nil, nil, fmt.Errorf("core: resume replay diverged at draw %d: journal has %v, strategy %s regenerated %v (journal from a different strategy, parameters or seed?)",
+			return 0, SampleResult{}, nil, fmt.Errorf("core: resume replay diverged at draw %d: journal has %v, strategy %s regenerated %v (journal from a different strategy, parameters or seed?)",
 				i+1, log[i].Assignment.Ctx, strategy.Name(), d.Assignment.Ctx)
 		}
 		hist.Resolve(i, log[i].Perf, log[i].Quarantined)
 		if log[i].Quarantined {
 			continue
 		}
-		results = append(results, SampleResult{Assignment: log[i].Assignment, Perf: log[i].Perf})
+		if samples == 0 || log[i].Perf > best.Perf {
+			best = SampleResult{Assignment: log[i].Assignment, Perf: log[i].Perf}
+		}
+		samples++
 		if !d.Explore {
 			tailPerfs = append(tailPerfs, log[i].Perf)
 		}
@@ -519,7 +507,7 @@ func replayResume(cfg IterConfig, strategy search.Strategy, rng *rand.Rand, hist
 		// batch completed, so its outcomes are visible.
 		hist.Commit()
 	}
-	return results, tailPerfs, nil
+	return samples, best, tailPerfs, nil
 }
 
 // onFitSchedule reports whether n draws is one of the estimation points —

@@ -154,6 +154,16 @@ func TestCollectSampleParallelMatchesSerialUnderFaults(t *testing.T) {
 	}
 }
 
+// estimatedRounds returns an OnRound hook that appends each estimated
+// round to *log.
+func estimatedRounds(log *[]core.Round) func(core.Round) {
+	return func(r core.Round) {
+		if r.Kind == core.RoundEstimated {
+			*log = append(*log, r)
+		}
+	}
+}
+
 func TestIterateParallelMatchesSerial(t *testing.T) {
 	cfg := core.IterConfig{
 		Topo:          smallTopo(),
@@ -165,6 +175,8 @@ func TestIterateParallelMatchesSerial(t *testing.T) {
 	}
 	for _, seed := range equivalenceSeeds {
 		cfg.Seed = seed
+		var serialRounds []core.Round
+		cfg.OnRound = estimatedRounds(&serialRounds)
 		serial, serialErr := core.IterateContext(context.Background(), cfg, faultStack())
 		for _, workers := range equivalenceWorkers {
 			t.Run(fmt.Sprintf("seed%d-workers%d", seed, workers), func(t *testing.T) {
@@ -172,12 +184,15 @@ func TestIterateParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var rounds []core.Round
+				cfg := cfg
+				cfg.OnRound = estimatedRounds(&rounds)
 				parallel, parallelErr := core.IterateParallel(context.Background(), cfg, pool, nil)
 				if !errors.Is(parallelErr, serialErr) && fmt.Sprint(parallelErr) != fmt.Sprint(serialErr) {
 					t.Fatalf("error %v, serial %v", parallelErr, serialErr)
 				}
-				if !reflect.DeepEqual(parallel.History, serial.History) {
-					t.Fatal("IterStep history differs from serial")
+				if !reflect.DeepEqual(rounds, serialRounds) {
+					t.Fatal("estimated rounds differ from serial")
 				}
 				if !reflect.DeepEqual(parallel.Best, serial.Best) {
 					t.Fatalf("best %v (%v), serial %v (%v)",

@@ -87,7 +87,7 @@ func SearchStrategyStudy(env *Env) ([]SearchStrategyCell, error) {
 			Samples:   res.Samples,
 			Explore:   explore,
 			Best:      res.Best.Perf,
-			Estimated: len(res.History) > 0,
+			Estimated: res.Final.Report.N > 0,
 			Optimal:   res.Final.Optimal,
 			Lo:        res.Final.Lo,
 			Hi:        res.Final.Hi,
