@@ -101,14 +101,14 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	var runner core.Runner = tb
+	var store *cas.Store
 	if *cacheOn {
 		c := core.NewCache(*cacheSize, core.NewCacheMetrics(reg))
 		if *cacheDir != "" {
-			store, serr := cas.Open(*cacheDir)
-			if serr != nil {
-				log.Fatal(serr)
+			store, err = cas.Open(*cacheDir)
+			if err != nil {
+				log.Fatal(err)
 			}
-			defer store.Close()
 			c.AttachStore(store)
 			fmt.Printf("persistent measurement store at %s: %d classes on disk\n", *cacheDir, store.Len())
 		}
@@ -233,7 +233,19 @@ func main() {
 	}
 	wg.Wait()
 	close(errs)
+	failed := false
 	for err := range errs {
-		log.Fatal(err)
+		log.Print(err)
+		failed = true
+	}
+	// Close is where the store reports a write that never became durable.
+	if store != nil {
+		if err := store.Close(); err != nil {
+			log.Printf("closing the measurement store: %v", err)
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

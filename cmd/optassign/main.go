@@ -495,6 +495,11 @@ func main() {
 		runner = core.NewResilientRunner(runner, rcfg)
 	}
 
+	// storage is the files the campaign writes, closed before any exit
+	// once it has run: Close is where the store reports a write that
+	// never became durable.
+	var storage []io.Closer
+
 	// Measurement cache: the paper's symmetry argument (performance depends
 	// only on which tasks share a pipe/core/chip) makes structurally
 	// equivalent assignments interchangeable, so duplicates in the random
@@ -514,7 +519,7 @@ func main() {
 			if serr != nil {
 				log.Fatal(serr)
 			}
-			defer store.Close()
+			storage = append(storage, store)
 			c.AttachStore(store)
 			fmt.Printf("persistent measurement store at %s: %d classes on disk\n", *cacheDir, store.Len())
 		}
@@ -542,7 +547,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rc.Journal.Instrument(campaign.NewJournalMetrics(reg))
-		defer rc.Journal.Close()
+		storage = append(storage, rc.Journal)
 	}
 
 	if rc.Workers <= 0 && poolSize > 1 {
@@ -575,9 +580,16 @@ func main() {
 	defer stop()
 	res, err := campaign.Run(ctx, runner, cfg, rc)
 	prog.done()
+	var closeErr error
+	for _, f := range storage {
+		closeErr = errors.Join(closeErr, f.Close())
+	}
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !errors.Is(err, core.ErrBudgetExhausted) && !interrupted {
-		log.Fatal(err)
+		log.Fatal(errors.Join(err, closeErr))
+	}
+	if closeErr != nil {
+		log.Fatalf("closing the campaign's files: %v", closeErr)
 	}
 	if interrupted {
 		fmt.Printf("interrupted after %d measurements", res.Samples)

@@ -17,25 +17,35 @@
 // key are harmless (first-writer-wins in the index — the value is a pure
 // function of the key, so duplicates carry the same performance).
 //
-// Crash safety: each PutBatch is a group commit, a single O_APPEND write
-// of all its new records followed by one fsync, through a wal.File; Put
-// is a batch of one. A crash can tear only the tail of the last batch:
-// the scan serves the whole records before the first one that fails its
-// length or CRC check, Open (and any writer holding the exclusive lock)
-// truncates the rest away, and lock-free readers stop scanning at it. A
-// failed append or fsync fails the store closed for writing
-// (wal.ErrFailed). The batch is the durability unit its caller picks:
-// core's batch path writes a chunk's measurements as one batch before
-// any of the chunk's outcomes is committed, so a crash loses only cache
-// entries of draws no journal holds, and those re-measure bit for bit.
+// Crash safety: each PutBatch is the first half of a group commit, a
+// single O_APPEND write of all its new records through a wal.File; Put
+// is a batch of one followed by Sync. The second half is the store's
+// syncer, a goroutine that runs while appends wait for their fsync: each
+// of its fsyncs covers every batch appended before it started, so
+// batches appended while one fsync runs share the next. Until its fsync
+// lands a record is hidden from every reader in the process (a Get of
+// its key waits for that fsync), and a failed fsync takes the records it
+// covered out of the index for good. Sync waits for every record
+// appended before the call. A crash can tear only the tail of the
+// segment: the scan serves the whole records before the first one that
+// fails its length or CRC check, Open (and any writer holding the
+// exclusive lock) truncates the rest away, and lock-free readers stop
+// scanning at it. A failed append or fsync fails the store closed for
+// writing (wal.ErrFailed). The caller picks the durability unit: core's
+// batch path waits for Sync before any outcome of a chunk it wrote is
+// committed, so a crash loses only cache entries of draws no journal
+// holds, and those re-measure bit for bit.
 //
 // Concurrency: one process may share a Store across goroutines (all
-// methods lock s.mu). Several PROCESSES may share one directory: appends
-// serialize on an flock'd lock file, and a Get miss triggers a catch-up
-// scan of whatever other processes appended since, so fleet members on a
-// host see each other's measurements within one lookup. Readers take no
-// lock — the file only grows (truncation happens only under the exclusive
-// lock, and only ever removes bytes no reader could have validated).
+// methods lock s.mu, which the syncer releases while it fsyncs). Several
+// PROCESSES may share one directory: appends serialize on an flock'd
+// lock file, and a Get miss triggers a catch-up scan of whatever other
+// processes appended since, so fleet members on a host see each other's
+// measurements within one lookup (a peer may read a record before its
+// fsync lands, as it always could between append and fsync). Readers
+// take no lock — the file only grows (truncation happens only under the
+// exclusive lock, and only ever removes bytes no reader could have
+// validated).
 package cas
 
 import (
@@ -82,6 +92,21 @@ type Store struct {
 	lock    *os.File // flock target for cross-process append ordering
 	index   map[string]float64
 	scanned int64 // segment bytes validated into the index
+
+	// The syncer's state, all under mu. pending holds the records
+	// appended but not yet fsynced, which the index gets once their fsync
+	// lands; unsynced is the keys of those appended since the running
+	// fsync began. appends counts the appending PutBatch calls and
+	// settled those a finished fsync covered, failed or not. syncErr is
+	// the first failed fsync that neither Sync nor Close has returned.
+	// settledCond is signalled on mu as each fsync settles and as the
+	// syncer exits.
+	pending          map[string]float64
+	unsynced         []string
+	appends, settled uint64
+	syncing, closed  bool
+	syncErr          error
+	settledCond      sync.Cond
 }
 
 // Open opens (creating if absent) the store in dir. The segment is
@@ -100,7 +125,8 @@ func Open(dir string) (*Store, error) {
 		lock.Close()
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	s := &Store{seg: seg, lock: lock, index: make(map[string]float64)}
+	s := &Store{seg: seg, lock: lock, index: make(map[string]float64), pending: make(map[string]float64)}
+	s.settledCond.L = &s.mu
 
 	// Header and torn-tail repair happen under the exclusive lock.
 	if err := wal.LockEx(lock); err != nil {
@@ -210,15 +236,24 @@ func (s *Store) catchUpExclusive() error {
 }
 
 // Get returns the stored performance for key. A warm hit is a single map
-// read — no locks beyond s.mu, no syscalls, no allocations. On a miss the
-// store catches up on records other processes appended since the last
-// scan and retries, so one host's fleet members serve each other within a
-// lookup.
+// read — no locks beyond s.mu, no syscalls, no allocations. A key whose
+// record still waits for its fsync is served once the fsync lands, and
+// not at all if it fails. On a miss the store catches up on records
+// other processes appended since the last scan and retries, so one
+// host's fleet members serve each other within a lookup.
 func (s *Store) Get(key string) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if perf, ok := s.index[key]; ok {
 		return perf, true
+	}
+	if len(s.pending) > 0 {
+		for s.isPendingLocked(key) {
+			s.settledCond.Wait()
+		}
+		if perf, ok := s.index[key]; ok {
+			return perf, true
+		}
 	}
 	// Miss: another process may have measured this class since our last
 	// scan. The catch-up is one stat plus a read of only the new bytes,
@@ -230,20 +265,32 @@ func (s *Store) Get(key string) (float64, bool) {
 	return perf, ok
 }
 
-// Put appends (key, perf) and fsyncs it: a PutBatch of one key.
+// isPendingLocked reports whether key's record waits for its fsync.
+// Caller holds s.mu.
+func (s *Store) isPendingLocked(key string) bool {
+	_, ok := s.pending[key]
+	return ok
+}
+
+// Put appends (key, perf) and waits for its fsync: a PutBatch of one
+// key, then Sync.
 func (s *Store) Put(key string, perf float64) error {
-	return s.PutBatch([]string{key}, []float64{perf})
+	if err := s.PutBatch([]string{key}, []float64{perf}); err != nil {
+		return err
+	}
+	return s.Sync()
 }
 
 // PutBatch appends (keys[i], perfs[i]) for every key not yet stored, as
-// one group commit: under one hold of the lock file, one catch-up with
-// peers' appends (which cuts a torn tail), one append of all the records
-// and one fsync. A key already present, here or appended by a peer since
-// our last scan, or repeated earlier in keys, is not written again. On
-// nil every key is durable; on an error none of the batch's records is
-// in the index, and what a crash or a short write left of the append is
-// a torn tail, which the next lock holder cuts back to the whole records
-// before it.
+// the first half of a group commit: under one hold of the lock file, one
+// catch-up with peers' appends (which cuts a torn tail) and one append of
+// all the records. It returns without waiting for the fsync, which the
+// syncer runs; Sync waits for it. A key already present, here or appended
+// by a peer since our last scan, waiting for its fsync, or repeated
+// earlier in keys, is not written again. On nil every new record is
+// appended; on an error none of the batch's records is in the store, and
+// what a short write left of the append is a torn tail, which the next
+// lock holder cuts back to the whole records before it.
 func (s *Store) PutBatch(keys []string, perfs []float64) error {
 	if len(keys) != len(perfs) {
 		return fmt.Errorf("cas: %d keys for %d values", len(keys), len(perfs))
@@ -257,7 +304,7 @@ func (s *Store) PutBatch(keys []string, perfs []float64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.allIndexedLocked(keys) {
+	if s.allKnownLocked(keys) {
 		return nil
 	}
 	if err := wal.LockEx(s.lock); err != nil {
@@ -269,43 +316,87 @@ func (s *Store) PutBatch(keys []string, perfs []float64) error {
 	if err := s.catchUpExclusive(); err != nil {
 		return err
 	}
-	// A new key enters the index as its record is encoded, which skips
-	// its repeats later in the batch; s.mu hides it from every reader
-	// until the fsync, and a failure takes it out again.
+	// A new key becomes pending as its record is encoded, which skips its
+	// repeats later in the batch; a failed append takes it out again.
 	recs := make([]byte, 0, size)
-	var added []string
+	n := len(s.unsynced)
 	for i, key := range keys {
-		if _, ok := s.index[key]; ok {
+		if _, ok := s.index[key]; ok || s.isPendingLocked(key) {
 			continue
 		}
-		s.index[key] = perfs[i]
-		added = append(added, key)
+		s.pending[key] = perfs[i]
+		s.unsynced = append(s.unsynced, key)
 		recs = appendRecord(recs, key, perfs[i])
 	}
+	added := s.unsynced[n:]
 	if len(added) == 0 {
 		return nil
 	}
-	err := s.seg.Append(recs)
-	if err != nil {
-		err = fmt.Errorf("cas: appending %d records: %w", len(added), err)
-	} else if err = s.seg.Sync(); err != nil {
-		err = fmt.Errorf("cas: syncing %d records: %w", len(added), err)
-	}
-	if err != nil {
+	if err := s.seg.Append(recs); err != nil {
 		for _, key := range added {
-			delete(s.index, key)
+			delete(s.pending, key)
 		}
-		return err
+		s.unsynced = s.unsynced[:n]
+		return fmt.Errorf("cas: appending %d records: %w", len(added), err)
 	}
 	s.scanned += int64(len(recs))
+	s.appends++
+	if !s.syncing {
+		s.syncing = true
+		go s.syncer()
+	}
 	return nil
 }
 
-// allIndexedLocked reports whether every key is in the index already.
-// Caller holds s.mu.
-func (s *Store) allIndexedLocked(keys []string) bool {
+// syncer runs fsyncs until every append is settled, each one covering
+// every batch appended before it began. A success moves the records it
+// covered from pending into the index; a failure drops them, and the
+// wal.File fails every later append. The syncer holds s.mu except while
+// it fsyncs, and PutBatch starts it only when none is running.
+func (s *Store) syncer() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.settled < s.appends {
+		target, keys := s.appends, s.unsynced
+		s.unsynced = nil
+		s.mu.Unlock()
+		err := s.seg.Sync()
+		s.mu.Lock()
+		for _, key := range keys {
+			if err == nil {
+				s.index[key] = s.pending[key]
+			}
+			delete(s.pending, key)
+		}
+		if err != nil && s.syncErr == nil {
+			s.syncErr = fmt.Errorf("cas: syncing %d records: %w", len(keys), err)
+		}
+		s.settled = target
+		s.settledCond.Broadcast()
+	}
+	s.syncing = false
+	s.settledCond.Broadcast()
+}
+
+// Sync blocks until every record appended before the call is durable or
+// its fsync has failed, and returns the first fsync failure since the
+// previous Sync or Close.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for target := s.appends; s.settled < target; {
+		s.settledCond.Wait()
+	}
+	err := s.syncErr
+	s.syncErr = nil
+	return err
+}
+
+// allKnownLocked reports whether every key is in the index already or
+// waiting for its fsync. Caller holds s.mu.
+func (s *Store) allKnownLocked(keys []string) bool {
 	for _, key := range keys {
-		if _, ok := s.index[key]; !ok {
+		if _, ok := s.index[key]; !ok && !s.isPendingLocked(key) {
 			return false
 		}
 	}
@@ -342,13 +433,23 @@ func (s *Store) Bytes() int64 {
 	return s.scanned
 }
 
-// Close releases the store's files. The segment needs no final flush —
-// every PutBatch synced itself.
+// Close waits for the syncer to settle every append, then releases the
+// store's files. It returns the first fsync failure no Sync has returned,
+// joined with any failure to close. Closing twice is harmless.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := errors.Join(s.seg.Close(), s.lock.Close()); err != nil {
-		return fmt.Errorf("cas: %w", err)
+	for s.syncing {
+		s.settledCond.Wait()
 	}
-	return nil
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err := s.syncErr
+	s.syncErr = nil
+	if cerr := errors.Join(s.seg.Close(), s.lock.Close()); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("cas: %w", cerr))
+	}
+	return err
 }

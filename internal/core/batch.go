@@ -58,7 +58,7 @@ type BatchOptions struct {
 //     batch (core-sharded when the source implements BatchMeasurer,
 //     serially otherwise), and successes populate both cache tiers, the
 //     persistent one in a single write when the store is a
-//     BatchCacheStore;
+//     BatchCacheStore, durable before the call returns;
 //  3. duplicates of a failed class re-measure individually — exactly the
 //     single-flight rule that a leader's error belongs to its own draw
 //     while followers measure for themselves.
@@ -66,7 +66,17 @@ type BatchOptions struct {
 // Results are index-aligned with as and identical, value for value, to
 // measuring each assignment with MeasureContext in order.
 func (r *CachedRunner) MeasureBatchContext(ctx context.Context, as []assign.Assignment) ([]float64, []error) {
-	return r.measureBatch(ctx, as, classKeys{}, nil)
+	perfs, errs := r.measureBatch(ctx, as, classKeys{}, nil)
+	r.syncStore()
+	return perfs, errs
+}
+
+// syncStore waits until every value the batch path wrote to r's
+// persistent store is durable.
+func (r *CachedRunner) syncStore() {
+	if r.cache != nil {
+		r.cache.storeSync()
+	}
 }
 
 // measureBatch is MeasureBatchContext recording each batch it measures
@@ -144,11 +154,12 @@ func (r *CachedRunner) measureBatch(ctx context.Context, as []assign.Assignment,
 			uperfs[j], uerrs[j] = r.inner.MeasureContext(ctx, a)
 		}
 	}
-	// The successes go to both tiers in one insert, which writes them to
-	// L2 as one group commit before this chunk returns and so before any
-	// of its outcomes is committed: a crash can lose only cache entries
-	// of uncommitted draws, which re-measure bit for bit. The insert
-	// precedes the duplicates' lookups, which may reach L2.
+	// The successes go to both tiers in one insert, which appends them to
+	// L2 as one batch; the measurer waits for the batch's fsync before
+	// any of this chunk's outcomes is committed (round.resolve), so a
+	// crash can lose only cache entries of uncommitted draws, which
+	// re-measure bit for bit. The insert precedes the duplicates'
+	// lookups, which may reach L2 and there wait for that fsync.
 	okKeys := make([]string, 0, len(uniq))
 	okPerfs := make([]float64, 0, len(uniq))
 	for j, m := range uniq {

@@ -35,12 +35,18 @@ type CacheStore interface {
 }
 
 // BatchCacheStore is the optional capability of a CacheStore to persist
-// several values in one durable write. The batch path type-asserts for
-// it, as it probes a source for BatchMeasurer, so a chunk's misses share
-// one group commit; a store without it gets one Put per value. cas.Store
-// has it.
+// several values in one group commit whose fsync runs beside the caller.
+// The batch path type-asserts for it, as it probes a source for
+// BatchMeasurer, so a chunk's misses share one append and chunks share
+// fsyncs; a store without it gets one Put per value. PutBatch appends
+// and may return before the values are durable; Sync blocks until every
+// value appended before the call is durable and returns the first
+// failure since the previous Sync. The measurer calls Sync before a
+// chunk's outcomes reach a commit func and before a batched sample,
+// campaign or MeasureBatchContext returns. cas.Store has it.
 type BatchCacheStore interface {
 	PutBatch(keys []string, perfs []float64) error
+	Sync() error
 }
 
 // AttachStore layers store under the LRU as a persistent L2 tier. Pass
@@ -81,9 +87,9 @@ func (c *Cache) storePut(key string, perf float64) {
 }
 
 // storePutBatch writes a chunk's successful measurements through to the
-// L2 tier: in one PutBatch when the store is a BatchCacheStore, one Put
-// per value otherwise. As in storePut, each failed write is counted,
-// not propagated.
+// L2 tier: in one PutBatch, which storeSync makes durable, when the
+// store is a BatchCacheStore, one Put per value otherwise. As in
+// storePut, each failed write is counted, not propagated.
 func (c *Cache) storePutBatch(keys []string, perfs []float64) {
 	if c.store == nil || len(keys) == 0 {
 		return
@@ -100,4 +106,17 @@ func (c *Cache) storePutBatch(keys []string, perfs []float64) {
 		return
 	}
 	c.m.DiskBytes.Set(float64(c.store.Bytes()))
+}
+
+// storeSync waits until every value storePutBatch wrote is durable. A
+// failed sync is counted once, not propagated: the values it lost were
+// measured, and L1 keeps serving them.
+func (c *Cache) storeSync() {
+	bs, ok := c.store.(BatchCacheStore)
+	if !ok {
+		return
+	}
+	if err := bs.Sync(); err != nil {
+		c.m.DiskErrors.Inc()
+	}
 }

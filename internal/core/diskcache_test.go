@@ -58,6 +58,8 @@ func (f *batchFakeStore) PutBatch(keys []string, perfs []float64) error {
 	return nil
 }
 
+func (f *batchFakeStore) Sync() error { return nil }
+
 // TestDiskTierServesAcrossProcessLifetimes is the point of the L2: a
 // class measured under one Cache+Store is served by a COMPLETELY fresh
 // Cache (fresh LRU, fresh store handle on the same directory) without

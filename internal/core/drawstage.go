@@ -125,10 +125,11 @@ func (s *drawStage) stream(n, unit int, stop <-chan struct{}) <-chan drawnRound 
 }
 
 // streamDepth is the number of drawn units a stream holds ready. A
-// sample's first chunks miss the cache and wait on the store's fsyncs
-// while its later ones are mostly L1 hits, so a draw stage that banks
-// units during the first phase keeps the measurer fed through the
-// second. The value was chosen, not tuned: no other depth was measured.
+// sample's first chunks miss the cache and measure most of their
+// classes, and their L2 probes may wait for the store's fsyncs, while
+// its later ones are mostly L1 hits, so a draw stage that banks units
+// during the first phase keeps the measurer fed through the second. The
+// value was chosen, not tuned: no other depth was measured.
 const streamDepth = 8
 
 // classKeys holds the cache keys of a run of draws, rendered back to back

@@ -214,12 +214,15 @@ func IterateContext(ctx context.Context, cfg IterConfig, runner ContextRunner) (
 // commits, and is joined before that round's refit. Given the same IterConfig
 // (seed included) and a deterministic measurement source, every worker
 // count and chunk size visits the identical assignment sequence and
-// produces the identical result and commit stream. IterateContext and
-// IterateParallel are fixed-option wrappers over it.
+// produces the identical result and commit stream. Cache values the
+// batch path writes to a persistent store are durable before their
+// chunk's outcomes reach commit and before IteratePool returns.
+// IterateContext and IterateParallel are fixed-option wrappers over it.
 func IteratePool(ctx context.Context, cfg IterConfig, pool *PoolRunner, opts BatchOptions, commit CommitFunc) (IterResult, error) {
 	if pool == nil {
 		return IterResult{}, fmt.Errorf("core: nil pool")
 	}
+	defer pool.syncStores(opts)
 	cfg = cfg.withDefaults()
 	if cfg.AcceptLossPct <= 0 {
 		return IterResult{}, fmt.Errorf("core: acceptable loss must be positive, got %v", cfg.AcceptLossPct)

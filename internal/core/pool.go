@@ -111,6 +111,7 @@ func (p *PoolRunner) Instrument(m *PoolMetrics) { p.metrics = m }
 func (p *PoolRunner) measure(ctx context.Context, as []assign.Assignment, keys classKeys, opts BatchOptions, commit CommitFunc) ([]Outcome, error) {
 	r := p.round(as, opts)
 	r.keys = keys
+	r.syncChunks = commit != nil
 	m := p.metrics
 	outs := make([]Outcome, 0, len(as))
 	var err error
@@ -196,7 +197,11 @@ type round struct {
 	batch []*CachedRunner
 	// keys are the draws' cache keys when the draw stage rendered them.
 	keys classKeys
-	bm   *BatchMetrics
+	// syncChunks makes a batch chunk wait for its store's fsync before
+	// its outcomes are emitted; measure sets it when they reach a commit
+	// func.
+	syncChunks bool
+	bm         *BatchMetrics
 }
 
 // round plans as on p. With opts.Size set, a worker that is a
@@ -234,6 +239,17 @@ func (p *PoolRunner) keyRunner(opts BatchOptions) *CachedRunner {
 	return nil
 }
 
+// syncStores waits until every value the batch path of a round planned
+// with opts wrote to a persistent store is durable: a batched sample or
+// campaign calls it before it returns.
+func (p *PoolRunner) syncStores(opts BatchOptions) {
+	for _, b := range p.round(nil, opts).batch {
+		if b != nil {
+			b.syncStore()
+		}
+	}
+}
+
 // resolve measures the chunk starting at draw lo on worker wi, handing
 // each draw's outcome to emit in draw order until emit returns false. A
 // batch chunk is measured in one call after one ctx check; otherwise
@@ -250,6 +266,9 @@ func (r round) resolve(ctx context.Context, wi, lo int, emit func(i int, o Outco
 		}
 		t0 := m.dispatch(len(chunk))
 		perfs, errs := b.measureBatch(ctx, chunk, r.keys.slice(lo, hi), r.bm)
+		if r.syncChunks {
+			b.syncStore()
+		}
 		m.complete(wi, len(chunk), t0)
 		for i := range chunk {
 			if !emit(lo+i, Outcome{Perf: perfs[i], Err: errs[i], Started: true}) {

@@ -77,7 +77,10 @@ func CollectSampleContext(ctx context.Context, rng *rand.Rand, topo t2.Topology,
 // search.Uniform, whose stream is assign.Sample's draw for draw, and pool
 // measures them unit by unit while the stage draws (and, for the one
 // worker of a cached batch path, renders the keys of) the units after
-// them; the outcomes split into results and skipped. Units are whole
+// them; the outcomes split into results and skipped. A chunk's cache
+// writes become durable beside the measurement, and the sample waits for
+// the last of them before it returns (and for each chunk's before its
+// outcomes reach commit). Units are whole
 // chunks, so every chunk, and with it every cache probe, dedup and
 // commit, is the one a single n-draw round has. On success rng ends
 // where assign.Sample(rng, topo, tasks, n) leaves it; an error return
@@ -91,6 +94,7 @@ func collectSample(ctx context.Context, rng *rand.Rand, topo t2.Topology, tasks,
 		close(stop)
 		for range units {
 		}
+		pool.syncStores(opts)
 	}()
 	results = make([]SampleResult, 0, max(n, 0))
 	for r := range units {

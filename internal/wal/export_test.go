@@ -18,6 +18,10 @@ type Faults struct {
 	FailSync int
 	// FailTruncate's truncate fails with EIO.
 	FailTruncate int
+	// Hold, when set, holds every fsync open until the test receives
+	// from it: each receive releases one fsync, which then runs (or
+	// fails as FailSync scripts), so the receives count the fsyncs.
+	Hold chan struct{}
 }
 
 // InjectFaults puts a file failing as ft scripts under every File
@@ -52,6 +56,9 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
+	if f.ft.Hold != nil {
+		f.ft.Hold <- struct{}{}
+	}
 	if int(f.syncs.Add(1)) == f.ft.FailSync {
 		return &os.PathError{Op: "sync", Path: "injected", Err: syscall.EIO}
 	}
