@@ -62,6 +62,7 @@ import (
 	"optassign/internal/netdps"
 	"optassign/internal/netgen"
 	"optassign/internal/obs"
+	"optassign/internal/proc"
 	"optassign/internal/remote"
 )
 
@@ -136,6 +137,7 @@ func main() {
 		Topo:        tb.Machine.Topo,
 		Tasks:       tb.TaskCount(),
 		Name:        app.Name(),
+		Model:       proc.Model,
 		ReadTimeout: *readTimeout,
 	}
 
@@ -173,7 +175,7 @@ func main() {
 		var err error
 		registrant, err = remote.NewRegistrant(remote.RegistrantConfig{
 			Dial:     func() (net.Conn, error) { return net.Dial("tcp", regAddr) },
-			Hello:    remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: app.Name()},
+			Hello:    remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: app.Name(), Model: proc.Model},
 			Addr:     addrAd,
 			Identity: tb.Identity(),
 		})

@@ -117,6 +117,7 @@ import (
 	"optassign/internal/netdps"
 	"optassign/internal/netgen"
 	"optassign/internal/obs"
+	"optassign/internal/proc"
 	"optassign/internal/remote"
 	"optassign/internal/search"
 	"optassign/internal/t2"
@@ -344,6 +345,7 @@ func main() {
 		topo     t2.Topology
 		tasks    int
 		name     string
+		model    string // measurement model, recorded in the journal header
 		identity string // cache identity of the measurement source
 		poolSize int    // pooled servers at campaign start (0 = not pooled)
 	)
@@ -371,8 +373,8 @@ func main() {
 		if err := pool.WaitReady(context.Background(), *minServers); err != nil {
 			log.Fatal(err)
 		}
-		runner, topo, tasks, name = pool, pool.Topology(), pool.Tasks(), pool.Hello().Name
-		identity = fmt.Sprintf("remote|%s|%d|s%d", name, tasks, *seed)
+		runner, topo, tasks, name, model = pool, pool.Topology(), pool.Tasks(), pool.Hello().Name, pool.Hello().Model
+		identity = remoteIdentity(pool.Hello(), *seed)
 		poolSize = pool.Size()
 		fmt.Printf("fleet ready: %d server(s), %d tasks on %s\n", poolSize, tasks, topo)
 	case len(addrs) > 1:
@@ -384,8 +386,8 @@ func main() {
 			log.Fatal(err)
 		}
 		defer pool.Close()
-		runner, topo, tasks, name = pool, pool.Topology(), pool.Tasks(), pool.Hello().Name
-		identity = fmt.Sprintf("remote|%s|%d|s%d", name, tasks, *seed)
+		runner, topo, tasks, name, model = pool, pool.Topology(), pool.Tasks(), pool.Hello().Name, pool.Hello().Model
+		identity = remoteIdentity(pool.Hello(), *seed)
 		poolSize = pool.Size()
 		fmt.Printf("remote testbed pool: %d servers, %d tasks on %s\n", pool.Size(), tasks, topo)
 	case len(addrs) == 1:
@@ -398,8 +400,8 @@ func main() {
 			log.Fatal(err)
 		}
 		defer client.Close()
-		runner, topo, tasks, name = client, client.Topology(), client.Tasks(), client.Hello().Name
-		identity = fmt.Sprintf("remote|%s|%d|s%d", name, tasks, *seed)
+		runner, topo, tasks, name, model = client, client.Topology(), client.Tasks(), client.Hello().Name, client.Hello().Model
+		identity = remoteIdentity(client.Hello(), *seed)
 		fmt.Printf("remote testbed %q at %s: %d tasks on %s\n", name, addrs[0], tasks, topo)
 	default:
 		app, err := apps.ByName(*benchmark, netgen.DefaultProfile())
@@ -410,7 +412,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runner, topo, tasks, name = tb, tb.Machine.Topo, tb.TaskCount(), app.Name()
+		runner, topo, tasks, name, model = tb, tb.Machine.Topo, tb.TaskCount(), app.Name(), proc.Model
 		identity = tb.Identity()
 		fmt.Printf("benchmark %s: %d instances (%d tasks) on %s\n", name, *instances, tasks, topo)
 	}
@@ -533,7 +535,7 @@ func main() {
 	// the next one starts, so a killed campaign resumes from where it was.
 	rc := campaign.RunConfig{Workers: *workers, Batch: core.BatchOptions{Size: *batchSize}}
 	if *journalPath != "" {
-		h := campaign.JournalHeader{Benchmark: name, Topo: topo, Tasks: tasks, Seed: *seed, Strategy: strategySpec}
+		h := campaign.JournalHeader{Benchmark: name, Topo: topo, Tasks: tasks, Seed: *seed, Strategy: strategySpec, Model: model}
 		if *resume {
 			rc.Journal, rc.State, err = campaign.ResumeJournal(*journalPath, h)
 			if err == nil {
@@ -603,6 +605,17 @@ func main() {
 	if !report(os.Stdout, res, tailSafe, *loss) {
 		os.Exit(2)
 	}
+}
+
+// remoteIdentity is the cache identity of a remote source: its
+// announcement and the campaign seed, ending with the model when the
+// server names one, so a store filled under another model misses.
+func remoteIdentity(h remote.Hello, seed int64) string {
+	id := fmt.Sprintf("remote|%s|%d|s%d", h.Name, h.Tasks, seed)
+	if h.Model != "" {
+		id += "|" + h.Model
+	}
+	return id
 }
 
 // runClient talks to a campaignd service instead of measuring locally:

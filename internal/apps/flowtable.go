@@ -40,7 +40,6 @@ const flowTableShards = 64
 type FlowTable struct {
 	buckets [flowTableBuckets]*flowEntry
 	locks   [flowTableShards]sync.Mutex
-	counts  [flowTableShards]int // flows created, per shard
 }
 
 type flowEntry struct {
@@ -105,31 +104,5 @@ func (t *FlowTable) Update(key netgen.FlowKey, bytes int, state FlowState) (isNe
 		rec:  FlowRecord{Key: key, Packets: 1, Bytes: uint64(bytes), State: state},
 		next: t.buckets[b],
 	}
-	t.counts[shard]++
 	return true, 1
-}
-
-// Lookup returns a copy of the record for key, if present.
-func (t *FlowTable) Lookup(key netgen.FlowKey) (FlowRecord, bool) {
-	b := HashFlowKey(key) % flowTableBuckets
-	shard := b % flowTableShards
-	t.locks[shard].Lock()
-	defer t.locks[shard].Unlock()
-	for e := t.buckets[b]; e != nil; e = e.next {
-		if e.rec.Key == key {
-			return e.rec, true
-		}
-	}
-	return FlowRecord{}, false
-}
-
-// Flows returns the number of distinct flows ever inserted.
-func (t *FlowTable) Flows() int {
-	total := 0
-	for i := range t.locks {
-		t.locks[i].Lock()
-		total += t.counts[i]
-		t.locks[i].Unlock()
-	}
-	return total
 }

@@ -8,6 +8,41 @@ import (
 	"optassign/internal/netgen"
 )
 
+// Lookup returns a copy of the record for key, if present.
+func (t *FlowTable) Lookup(key netgen.FlowKey) (FlowRecord, bool) {
+	b := HashFlowKey(key) % flowTableBuckets
+	shard := b % flowTableShards
+	t.locks[shard].Lock()
+	defer t.locks[shard].Unlock()
+	for e := t.buckets[b]; e != nil; e = e.next {
+		if e.rec.Key == key {
+			return e.rec, true
+		}
+	}
+	return FlowRecord{}, false
+}
+
+// Flows returns the number of distinct flows ever inserted: the table
+// never drops a record.
+func (t *FlowTable) Flows() int {
+	total := 0
+	for b := range t.buckets {
+		shard := b % flowTableShards
+		t.locks[shard].Lock()
+		for e := t.buckets[b]; e != nil; e = e.next {
+			total++
+		}
+		t.locks[shard].Unlock()
+	}
+	return total
+}
+
+// Table returns the app's route table.
+func (a *IPFwdApp) Table() *RouteTable { return a.table }
+
+// Table returns the flow table the app's instances share.
+func (a *StatefulApp) Table() *FlowTable { return a.table }
+
 func mkKey(i int) netgen.FlowKey {
 	return netgen.FlowKey{
 		SrcIP: uint32(0x0a000000 + i), DstIP: 0xc0a80001,

@@ -167,9 +167,6 @@ func (a *IPFwdApp) NextHop(dstIP uint32) uint32 {
 	return a.table.Lookup(dstIP)
 }
 
-// Table exposes the route table (tests and examples inspect it).
-func (a *IPFwdApp) Table() *RouteTable { return a.table }
-
 // Process implements Thread.
 func (p *ipfwdProcess) Process(pkt netgen.Packet) proc.Demand {
 	p.Packets++

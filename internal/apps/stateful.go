@@ -21,9 +21,6 @@ func NewStateful() *StatefulApp { return &StatefulApp{table: NewFlowTable()} }
 // Name implements App.
 func (a *StatefulApp) Name() string { return "Stateful" }
 
-// Table exposes the shared flow table (examples and tests read it).
-func (a *StatefulApp) Table() *FlowTable { return a.table }
-
 // NewPipeline implements App.
 func (a *StatefulApp) NewPipeline() Pipeline {
 	return Pipeline{

@@ -40,6 +40,12 @@ type JournalHeader struct {
 	// journals from before strategies parse as uniform, and uniform
 	// journals keep the older format byte for byte.
 	Strategy string `json:"strategy,omitempty"`
+	// Model names the analytic model that measured the journal (its
+	// source's proc.Model). Empty means the ½-damped solve that preceded
+	// the name, or a source that names no model. ResumeJournal refuses
+	// a different model with ErrModelMismatch: its values differ in the
+	// last bits, and a resumed journal would mix the two.
+	Model string `json:"model,omitempty"`
 }
 
 // JournalEntry is one completed measurement attempt: a performance for a
@@ -199,9 +205,13 @@ func ResumeJournal(path string, h JournalHeader) (*Journal, *JournalState, error
 	return &Journal{f: f, header: st.Header, seq: st.Draws}, st, nil
 }
 
+// ErrModelMismatch reports a resume whose source measures under another
+// model than the one that wrote the journal.
+var ErrModelMismatch = errors.New("campaign: journal measurement model does not match the source's")
+
 // resumableAs reports why a campaign with header want cannot continue
 // the journal headed h: another topology, task count, seed, benchmark
-// (when both name one) or search strategy.
+// (when both name one), search strategy or measurement model.
 func (h JournalHeader) resumableAs(want JournalHeader) error {
 	switch {
 	case h.Topo != want.Topo:
@@ -215,6 +225,9 @@ func (h JournalHeader) resumableAs(want JournalHeader) error {
 	case h.Strategy != want.Strategy:
 		return fmt.Errorf("campaign: journal strategy %q does not match campaign strategy %q (resume would draw different assignments)",
 			h.Strategy, want.Strategy)
+	case h.Model != want.Model:
+		return fmt.Errorf("%w: journal %q, source %q (resume would mix the two models' values)",
+			ErrModelMismatch, h.Model, want.Model)
 	}
 	return nil
 }

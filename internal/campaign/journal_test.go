@@ -13,6 +13,7 @@ import (
 
 	"optassign/internal/assign"
 	"optassign/internal/core"
+	"optassign/internal/proc"
 	"optassign/internal/t2"
 )
 
@@ -168,6 +169,55 @@ func TestResumeJournalRejectsMismatch(t *testing.T) {
 	} else {
 		j2.Close()
 	}
+}
+
+// TestResumeRefusesModelMismatch: a journal whose header names no model
+// was measured by the ½-damped solve. Resuming it under proc.Model fails
+// closed with ErrModelMismatch, and so does the reverse; the same model
+// resumes.
+func TestResumeRefusesModelMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "damped.journal")
+	j, err := CreateJournal(path, journalHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(drawN(t, 9, 1)[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"model"`) {
+		t.Fatalf("a header without a model wrote one: %s", data)
+	}
+	current := journalHeader()
+	current.Model = proc.Model
+	if _, _, err := ResumeJournal(path, current); !errors.Is(err, ErrModelMismatch) {
+		t.Fatalf("resuming a damped-solve journal under %s: err = %v, want ErrModelMismatch", proc.Model, err)
+	}
+
+	path = filepath.Join(t.TempDir(), "current.journal")
+	if j, err = CreateJournal(path, current); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ResumeJournal(path, journalHeader()); !errors.Is(err, ErrModelMismatch) {
+		t.Fatalf("resuming a %s journal without a model: err = %v, want ErrModelMismatch", proc.Model, err)
+	}
+	j, st, err := ResumeJournal(path, current)
+	if err != nil {
+		t.Fatalf("same-model resume refused: %v", err)
+	}
+	if st.Header.Model != proc.Model {
+		t.Errorf("resumed header model %q, want %q", st.Header.Model, proc.Model)
+	}
+	j.Close()
 }
 
 func TestLoadJournalRejectsMidFileCorruption(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"optassign/internal/faulty"
 	"optassign/internal/netdps"
 	"optassign/internal/obs"
+	"optassign/internal/proc"
 	"optassign/internal/remote"
 	"optassign/internal/t2"
 )
@@ -168,6 +169,7 @@ func (f *Fleet) Join(ctx context.Context, name string) (*Member, error) {
 		Topo:        tb.Machine.Topo,
 		Tasks:       tb.TaskCount(),
 		Name:        tb.App.Name(),
+		Model:       proc.Model,
 		ReadTimeout: 2 * time.Second,
 	}
 	go srv.Serve(l)
@@ -184,7 +186,7 @@ func (f *Fleet) Join(ctx context.Context, name string) (*Member, error) {
 	}
 	registrant, err := remote.NewRegistrant(remote.RegistrantConfig{
 		Dial:      func() (net.Conn, error) { return net.Dial("tcp", rproxy.Addr()) },
-		Hello:     remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: tb.App.Name()},
+		Hello:     remote.Hello{Topology: tb.Machine.Topo, Tasks: tb.TaskCount(), Name: tb.App.Name(), Model: proc.Model},
 		Addr:      mproxy.Addr(),
 		Identity:  tb.Identity(),
 		RetryBase: 5 * time.Millisecond,
@@ -389,7 +391,7 @@ func SerialBaseline(dir string, tasks int, cfg CampaignConfig) ([]byte, core.Ite
 // path and returns the result plus the journal bytes.
 func runJournaled(ctx context.Context, path string, runner core.ContextRunner, icfg core.IterConfig, rc campaign.RunConfig) (core.IterResult, []byte, error) {
 	j, err := campaign.CreateJournal(path, campaign.JournalHeader{
-		Benchmark: "chaos", Topo: icfg.Topo, Tasks: icfg.Tasks, Seed: icfg.Seed,
+		Benchmark: "chaos", Topo: icfg.Topo, Tasks: icfg.Tasks, Seed: icfg.Seed, Model: proc.Model,
 	})
 	if err != nil {
 		return core.IterResult{}, nil, err

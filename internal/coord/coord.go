@@ -468,6 +468,7 @@ func (c *Coordinator) admit(cs *campState) error {
 		Tasks:     h.Tasks(),
 		Seed:      cs.spec.Seed,
 		Strategy:  strategy,
+		Model:     h.Model(),
 	}
 	path := c.JournalPath(cs.spec.ID)
 	j, js, err := campaign.ResumeJournal(path, hdr)

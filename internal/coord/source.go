@@ -7,6 +7,7 @@ import (
 	"optassign/internal/core"
 	"optassign/internal/netdps"
 	"optassign/internal/netgen"
+	"optassign/internal/proc"
 	"optassign/internal/remote"
 	"optassign/internal/t2"
 )
@@ -31,6 +32,9 @@ type Handle interface {
 	Tasks() int
 	// Name is the benchmark/testbed name stamped into the journal header.
 	Name() string
+	// Model is the measurement model stamped into the journal header;
+	// a resume under another model is refused.
+	Model() string
 	Close() error
 }
 
@@ -70,6 +74,7 @@ func (h localHandle) Runner() core.ContextRunner { return h.tb }
 func (h localHandle) Topo() t2.Topology          { return h.tb.Machine.Topo }
 func (h localHandle) Tasks() int                 { return h.tb.TaskCount() }
 func (h localHandle) Name() string               { return h.name }
+func (h localHandle) Model() string              { return proc.Model }
 func (h localHandle) Close() error               { return nil }
 
 // PoolSource shares one membership-driven remote fleet across every
@@ -100,4 +105,5 @@ func (h poolHandle) Runner() core.ContextRunner { return h.pool }
 func (h poolHandle) Topo() t2.Topology          { return h.hello.Topology }
 func (h poolHandle) Tasks() int                 { return h.hello.Tasks }
 func (h poolHandle) Name() string               { return h.hello.Name }
+func (h poolHandle) Model() string              { return h.hello.Model }
 func (h poolHandle) Close() error               { return nil }

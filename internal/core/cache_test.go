@@ -332,7 +332,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 // cacheKeyGolden is a CachedRunner key for the 6-task netdps testbed and
 // the assignment below: identity, \x1f, topology shape, \x1f, canonical
 // form.
-const cacheKeyGolden = "netdps|IPFwd-L1|i2|s1|n0.004|pf4096,1.2,64-800,0.8,0.1\x1f8x2x4\x1f[0 1]|[2] / [3 5] / [4]"
+const cacheKeyGolden = "netdps|IPFwd-L1|i2|s1|n0.004|pf4096,1.2,64-800,0.8,0.1|analytic-anderson1\x1f8x2x4\x1f[0 1]|[2] / [3 5] / [4]"
 
 // TestCacheKeyGolden pins the exact bytes of a cache key. cas persists
 // these bytes, so a drift would silently turn every existing cache

@@ -249,22 +249,25 @@ func TestEngineRunsRealThreadCode(t *testing.T) {
 	if len(meas.Pipelines) != 4 || meas.Packets != 1000 {
 		t.Fatalf("measurement metadata: %+v", meas)
 	}
-	// All four concurrent instances really pushed packets through the
-	// shared flow table.
-	if app.Table().Flows() == 0 {
-		t.Error("no flows tracked — engine did not run the real P threads")
+	// All four concurrent instances ran the real stateful P thread, which
+	// updates the shared flow table once per packet it processes.
+	for i, pipe := range meas.Pipelines {
+		if name := pipe.P.Name(); name != "Stateful/P" {
+			t.Errorf("instance %d runs P thread %q, want the stateful one", i, name)
+		}
 	}
 	for i, pps := range meas.InstancePPS {
 		if pps <= 0 {
 			t.Errorf("instance %d: PPS %v", i, pps)
 		}
 	}
-	var rx uint64
+	var rx, tx uint64
 	for _, pipe := range meas.Pipelines {
 		rx += pipe.R.(*apps.ReceiveThread).Packets
+		tx += pipe.T.(*apps.TransmitThread).Packets
 	}
-	if rx != 4000 {
-		t.Errorf("receive threads saw %d packets, want 4000", rx)
+	if rx != 4000 || tx != 4000 {
+		t.Errorf("receive threads saw %d packets and transmit threads %d, want 4000 each", rx, tx)
 	}
 }
 

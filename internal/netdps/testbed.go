@@ -120,16 +120,17 @@ func (tb *Testbed) checkAssignment(a assign.Assignment) error {
 }
 
 // Identity names everything that determines this testbed's measured
-// values: the benchmark, instance count, noise seed and level, and the
-// traffic profile. It is the identity string for
-// core.NewCachedContextRunner, so a shared measurement cache can never
-// serve one testbed's performance for another's. (The machine topology
-// is appended to cache keys by the cache itself.)
+// values: the benchmark, instance count, noise seed and level, the
+// traffic profile and the analytic model (proc.Model). It is the
+// identity string for core.NewCachedContextRunner, so a shared
+// measurement cache can never serve one testbed's performance for
+// another's, nor one model's for another's. (The machine topology is
+// appended to cache keys by the cache itself.)
 func (tb *Testbed) Identity() string {
-	return fmt.Sprintf("netdps|%s|i%d|s%d|n%g|pf%d,%g,%d-%d,%g,%g",
+	return fmt.Sprintf("netdps|%s|i%d|s%d|n%g|pf%d,%g,%d-%d,%g,%g|%s",
 		tb.App.Name(), tb.Instances, tb.Seed, tb.Noise,
 		tb.Profile.Flows, tb.Profile.ZipfS, tb.Profile.PayloadMin, tb.Profile.PayloadMax,
-		tb.Profile.TCPFraction, tb.Profile.KeywordRate)
+		tb.Profile.TCPFraction, tb.Profile.KeywordRate, proc.Model)
 }
 
 // MeasureAnalytic returns the measured PPS of the assignment using the

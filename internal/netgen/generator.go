@@ -68,7 +68,6 @@ type Generator struct {
 	flows   []flowSpec
 	srcMAC  [6]byte
 	dstMAC  [6]byte
-	count   uint64
 }
 
 // NewGenerator builds a generator; the same (profile, seed) pair always
@@ -104,15 +103,8 @@ func NewGenerator(profile Profile, seed int64) (*Generator, error) {
 	return g, nil
 }
 
-// Flows returns the number of distinct flows in the stream.
-func (g *Generator) Flows() int { return len(g.flows) }
-
-// Count returns how many packets have been generated so far.
-func (g *Generator) Count() uint64 { return g.count }
-
 // Next produces the next packet of the stream.
 func (g *Generator) Next() Packet {
-	g.count++
 	fi := 0
 	if g.zipf != nil {
 		fi = int(g.zipf.Uint64())

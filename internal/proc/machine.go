@@ -105,6 +105,14 @@ const (
 	solverTol     = 1e-10
 )
 
+// Model names the analytic model: the map Solve iterates and the step it
+// iterates it with. Any change to Solve that moves a solved bit gets a
+// new name. netdps puts it in the testbed identity, the namespace of the
+// measurement cache, and campaign journals record it in their header, so
+// neither a cache nor a resumed journal mixes the values of two models.
+// The model before this name, a ½-damped fixed point, had none.
+const Model = "analytic-anderson1"
+
 // Solve computes the steady-state throughput of the given tasks placed on
 // contexts placement[i] (one distinct hardware context per task). It
 // iterates the coupled system
@@ -114,7 +122,9 @@ const (
 //	service(task)           = serial + Σ_r demand_r · slowdown(instance_r(task))
 //	rate(group)             = min over the group's tasks of 1/service
 //
-// with damping until rates converge. The solution is deterministic and
+// to a fixed point of the service times, each step an Anderson(1)
+// extrapolation of the ½-damped one (see workspace.solve), until no
+// service time moves by solverTol relative. The solution is deterministic and
 // depends on the placement only through which resource instances tasks
 // share — so symmetric assignments (same canonical form) get identical
 // results. The returned slices are the caller's own.
@@ -160,7 +170,13 @@ type workspace struct {
 	util    []float64 // per instance
 	slow    []float64 // per instance
 
+	// Anderson(1) history, per task: the last residual g(s) − s, and
+	// the last step taken (then, within an iteration, Δs + ½Δf).
+	prevF []float64
+	mix   []float64
+
 	iterations int
+	fallbacks  int // iterations that took the damped step instead
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -255,6 +271,76 @@ func (w *workspace) demands(m *Machine, tasks []Task, links []Link, placement []
 // solve runs the fixed point, leaving the converged service times and
 // group rates in w.
 func (w *workspace) solve(m *Machine, tasks []Task, links []Link, placement []int) error {
+	if err := w.prepare(m, tasks, links, placement); err != nil {
+		return err
+	}
+	n := len(tasks)
+	service := w.service
+	w.prevF, w.mix = resize(w.prevF, n), resize(w.mix, n)
+	prevF, mix := w.prevF, w.mix
+
+	// Anderson(1) on the map s ↦ g(s), mixing ½. With f = g(s) − s, Δf
+	// the change in f since the last iteration and Δs the step taken
+	// then, the step is ½f − γ(Δs + ½Δf), where γ = (Δf·f)/(Δf·Δf)
+	// minimizes |f − γΔf|; γ = 0 is the plain damped step. mix holds
+	// Δs + ½Δf, built from the last step and the new Δf; prevF holds f
+	// for the next iteration. The stop test is the damped step's: no
+	// service time would move by solverTol relative.
+	w.iterations = 0
+	for iter := 0; iter < solverMaxIter; iter++ {
+		w.iterations = iter + 1
+		w.slowdowns(m)
+		maxDelta, dfF, dfDf := 0.0, 0.0, 0.0
+		for i, s := range service {
+			f := w.target(i) - s
+			if delta := 0.5 * abs(f) / s; delta > maxDelta {
+				maxDelta = delta
+			}
+			if iter > 0 {
+				df := f - prevF[i]
+				dfF += df * f
+				dfDf += df * df
+				mix[i] += 0.5 * df
+			}
+			prevF[i] = f
+		}
+		// |γ| ≤ 1 keeps the extrapolation within one history pair. When
+		// f barely changed, the unbounded γ is huge, and on machines with
+		// slowdowns in the thousands the iteration stalls.
+		gamma := 0.0
+		if dfDf > 0 {
+			gamma = max(-1, min(1, dfF/dfDf))
+		}
+		// An extrapolation that would take a service time out of (0, ∞)
+		// gives way to the damped step for this iteration.
+		if gamma != 0 {
+			for i, s := range service {
+				if next := s + (0.5*prevF[i] - gamma*mix[i]); !(next > 0) || math.IsInf(next, 1) {
+					gamma = 0
+					w.fallbacks++
+					break
+				}
+			}
+		}
+		for i := range service {
+			step := 0.5 * prevF[i]
+			if gamma != 0 {
+				step -= gamma * mix[i]
+			}
+			service[i] += step
+			mix[i] = step
+		}
+		w.updateRates()
+		if maxDelta < solverTol {
+			break
+		}
+	}
+	return nil
+}
+
+// prepare validates the workload, builds its demand tables and starts
+// the fixed point at the un-contended service times.
+func (w *workspace) prepare(m *Machine, tasks []Task, links []Link, placement []int) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -286,74 +372,67 @@ func (w *workspace) solve(m *Machine, tasks []Task, links []Link, placement []in
 	w.rate = resize(w.rate, maxGroup+1)
 	w.util = resize(w.util, nInst)
 	w.slow = resize(w.slow, nInst)
-	service, rate, util, slow := w.service, w.rate, w.util, w.slow
-	group, start, useD, useInst := w.group, w.start, w.useD, w.useInst
-
-	// Fixed point on group rates.
 	for i := range w.eff {
 		s := w.eff[i].Base()
 		if s <= 0 {
 			return fmt.Errorf("proc: task %d has non-positive base service time", i)
 		}
 		w.base[i] = s
-		service[i] = s
+		w.service[i] = s
 	}
-	updateRates := func() {
-		clear(rate)
-		for i, s := range service {
-			r := 1 / s
-			g := group[i]
-			if rate[g] == 0 || r < rate[g] {
-				rate[g] = r
-			}
-		}
-	}
-	updateRates()
-
-	w.iterations = 0
-	for iter := 0; iter < solverMaxIter; iter++ {
-		w.iterations = iter + 1
-		// Utilization per resource instance under current rates.
-		clear(util)
-		for i := 0; i < n; i++ {
-			taskRate := rate[group[i]]
-			insts := useInst[start[i]:start[i+1]]
-			for k, d := range useD[start[i]:start[i+1]] {
-				if d > 0 {
-					util[insts[k]] += taskRate * d
-				}
-			}
-		}
-		// Slowdown per instance, then new service times.
-		for r := 0; r < NumResources; r++ {
-			c := m.Caps[r]
-			for k := w.first[r]; k < w.first[r+1]; k++ {
-				slow[k] = 1
-				if ut := util[k]; ut > c {
-					slow[k] = contentionCurve(Resource(r), ut/c)
-				}
-			}
-		}
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			s := w.eff[i].Serial
-			insts := useInst[start[i]:start[i+1]]
-			for k, d := range useD[start[i]:start[i+1]] {
-				s += d * slow[insts[k]]
-			}
-			// Damping keeps the utilization↔rate loop from oscillating.
-			newS := 0.5*service[i] + 0.5*s
-			if delta := abs(newS-service[i]) / service[i]; delta > maxDelta {
-				maxDelta = delta
-			}
-			service[i] = newS
-		}
-		updateRates()
-		if maxDelta < solverTol {
-			break
-		}
-	}
+	w.updateRates()
+	w.fallbacks = 0
 	return nil
+}
+
+// updateRates sets each group's rate to its slowest task's 1/service.
+func (w *workspace) updateRates() {
+	rate, group := w.rate, w.group
+	clear(rate)
+	for i, s := range w.service {
+		r := 1 / s
+		g := group[i]
+		if rate[g] == 0 || r < rate[g] {
+			rate[g] = r
+		}
+	}
+}
+
+// slowdowns sets each resource instance's slowdown from the utilization
+// the current group rates put on it.
+func (w *workspace) slowdowns(m *Machine) {
+	util, slow := w.util, w.slow
+	start, useD, useInst := w.start, w.useD, w.useInst
+	clear(util)
+	for i, g := range w.group {
+		taskRate := w.rate[g]
+		insts := useInst[start[i]:start[i+1]]
+		for k, d := range useD[start[i]:start[i+1]] {
+			if d > 0 {
+				util[insts[k]] += taskRate * d
+			}
+		}
+	}
+	for r := 0; r < NumResources; r++ {
+		c := m.Caps[r]
+		for k := w.first[r]; k < w.first[r+1]; k++ {
+			slow[k] = 1
+			if ut := util[k]; ut > c {
+				slow[k] = contentionCurve(Resource(r), ut/c)
+			}
+		}
+	}
+}
+
+// target is task i's service time under the current slowdowns: the
+// fixed-point map's value g(s)_i.
+func (w *workspace) target(i int) float64 {
+	s := w.eff[i].Serial
+	insts := w.useInst[w.start[i]:w.start[i+1]]
+	for k, d := range w.useD[w.start[i]:w.start[i+1]] {
+		s += d * w.slow[insts[k]]
+	}
+	return s
 }
 
 // result copies the solve left in w into a Result of fresh slices.

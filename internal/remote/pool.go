@@ -149,11 +149,11 @@ func NewPool(cfg PoolConfig) *ClientPool {
 }
 
 // DialPool connects to every address and verifies the servers all announce
-// the same Hello: topology, task count and benchmark name. At least one
-// address is required; every server must be reachable at dial time (fail
-// fast on typos; mid-campaign failures are handled gracefully instead). To
-// open several connections to one server, repeat its address — each
-// occurrence joins under a distinct member key.
+// the same Hello: topology, task count, benchmark name and model. At
+// least one address is required; every server must be reachable at dial
+// time (fail fast on typos; mid-campaign failures are handled gracefully
+// instead). To open several connections to one server, repeat its
+// address — each occurrence joins under a distinct member key.
 func DialPool(addrs []string, cfg PoolConfig) (*ClientPool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("remote: pool needs at least one server address")
@@ -231,8 +231,7 @@ func (p *ClientPool) add(key, addr string) error {
 		p.haveHello = true
 	} else if h != p.hello {
 		client.Close()
-		return fmt.Errorf("remote: pool server %s serves %q at %d tasks on %v, but the pool serves %q at %d tasks on %v",
-			addr, h.Name, h.Tasks, h.Topology, p.hello.Name, p.hello.Tasks, p.hello.Topology)
+		return fmt.Errorf("remote: pool server %s serves %v, but the pool serves %v", addr, h, p.hello)
 	}
 	p.members[key] = &poolServer{addr: key, client: client}
 	p.order = append(p.order, key)

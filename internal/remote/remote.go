@@ -32,7 +32,7 @@
 // drops the connection, and — when it owns a dialer — transparently
 // redials with backoff and re-handshakes before the next measurement,
 // verifying the server still announces the same Hello: topology, task
-// count and benchmark name.
+// count, benchmark name and model.
 // Server-reported measurement errors travel inside a well-formed response
 // and do not poison the stream.
 package remote
@@ -59,6 +59,19 @@ type Hello struct {
 	Topology t2.Topology `json:"topology"`
 	Tasks    int         `json:"tasks"`
 	Name     string      `json:"name,omitempty"`
+	// Model names the measurement model (proc.Model for the simulated
+	// testbed), which campaigns record in their journal headers. Empty
+	// for a server that names none.
+	Model string `json:"model,omitempty"`
+}
+
+// String renders the announcement for error messages.
+func (h Hello) String() string {
+	s := fmt.Sprintf("%q at %d tasks on %v", h.Name, h.Tasks, h.Topology)
+	if h.Model != "" {
+		s += " under model " + h.Model
+	}
+	return s
 }
 
 // Request asks for one assignment to be executed and measured.
@@ -127,6 +140,8 @@ type Server struct {
 	Topo   t2.Topology
 	Tasks  int
 	Name   string
+	// Model is announced as Hello.Model.
+	Model string
 	// ReadTimeout bounds how long a connection may sit idle between
 	// requests. Without it a dead peer that never closes its socket
 	// pins a handler goroutine forever; with it the handler times out
@@ -284,7 +299,7 @@ func (s *Server) untrackConn(conn net.Conn) {
 
 func (s *Server) handle(conn net.Conn) {
 	enc := json.NewEncoder(conn)
-	if err := enc.Encode(Hello{Topology: s.Topo, Tasks: s.Tasks, Name: s.Name}); err != nil {
+	if err := enc.Encode(Hello{Topology: s.Topo, Tasks: s.Tasks, Name: s.Name, Model: s.Model}); err != nil {
 		return
 	}
 	fr := newFrameReader(conn)
@@ -448,8 +463,7 @@ func (c *Client) attach(conn net.Conn, first bool) error {
 	}
 	if !first && hello != c.hello {
 		conn.Close()
-		return core.Permanent(fmt.Errorf("remote: server changed between connections: was %q at %d tasks on %v, now %q at %d tasks on %v",
-			c.hello.Name, c.hello.Tasks, c.hello.Topology, hello.Name, hello.Tasks, hello.Topology))
+		return core.Permanent(fmt.Errorf("remote: server changed between connections: was %v, now %v", c.hello, hello))
 	}
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
